@@ -132,9 +132,10 @@ static RULES: [Rule; 10] = [
                fingerprint module may deliberately stream Debug renderings",
         excluded: &[
             (
-                "crates/sim/src/explore.rs",
-                "FingerprintHasher deliberately streams Debug output; stability \
-                 is guarded by the fingerprint-vs-exact-key equivalence ladder",
+                "crates/sim/src/fingerprint.rs",
+                "the slot renderers deliberately stream Debug output into state \
+                 keys; stability is guarded by the fingerprint-vs-exact-key \
+                 equivalence ladder",
             ),
             (
                 "crates/bench/src/fuzz.rs",

@@ -31,10 +31,12 @@
 //!
 //! The inner loop is built for throughput, SPIN-style:
 //!
-//! * **Fingerprinted dedup** — visited states are keyed by a 128-bit
-//!   structural fingerprint ([`FingerprintHasher`]) streamed directly off
-//!   the state's `Debug` rendering, instead of storing the rendering
-//!   itself. [`ExactKeyHasher`] keeps the full `String` key and exists to
+//! * **Fingerprinted dedup** — visited states are keyed by composing
+//!   per-slot keys: each process state, each inbox and the output
+//!   history is fingerprinted (128 bits, [`FingerprintHasher`]) straight
+//!   off its `Debug` rendering, and the slot fingerprints are folded in
+//!   slot order; no rendering is ever stored. [`ExactKeyHasher`] keeps
+//!   length-framed renderings as a `String` key and exists to
 //!   property-test that the fingerprint never changes a verdict; select
 //!   between them with [`ExploreConfig::with_hasher`], or plug any
 //!   [`StateHasher`] in via [`explore_custom`].
@@ -80,11 +82,12 @@
 //! * **Process-symmetry canonicalization**
 //!   ([`ExploreConfig::with_symmetry`]) — protocols declare a symmetry
 //!   group ([`Symmetry`], with [`Permutation`] hooks for ids embedded in
-//!   state, messages and outputs); before a state is fingerprinted it is
-//!   streamed through the hasher once per group element (restricted to
-//!   elements preserving the failure pattern and the invocation vector)
-//!   and keyed by the least fingerprint. Two states that are renamings of
-//!   each other then dedup to one
+//!   state, messages and outputs); a state is keyed by the least key of
+//!   its renamings under the group (restricted to elements preserving
+//!   the failure pattern and the invocation vector). The renamed keys
+//!   are reorderings of per-slot keys memoized per worker
+//!   ([`Canonicalizer`]), so no renamed state is ever built. Two states
+//!   that are renamings of each other then dedup to one
 //!   ([`ExploreReport::symmetry_canonical_hits`]). Decisions and
 //!   violations always stay in *original* ids — only the dedup key is
 //!   canonicalized — so counterexamples found under reduction replay
@@ -124,6 +127,7 @@
 //! ```
 
 use crate::failure::FailurePattern;
+use crate::fingerprint::{debug_fp, debug_string, Fingerprint128};
 use crate::id::{ProcessId, Time};
 use crate::json::Json;
 use crate::machine::{
@@ -138,6 +142,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap; // wfd-lint: allow(d1-hash-collections, imported only for the sharded seen-table, which is keyed insert/lookup; nothing iterates it)
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher as _};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering}; // wfd-lint: allow(d3-atomics, the halt flag is an expansion-skip hint only; the merge step resolves every batch deterministically regardless of timing)
 use std::sync::Mutex;
 use std::time::Instant; // wfd-lint: allow(d2-wall-clock, feeds obs phase timers only, a side table nothing on the decision path reads; proven by obs_invariance.rs)
@@ -489,33 +494,86 @@ impl ExploreReport {
 }
 
 // ---------------------------------------------------------------------------
-// State fingerprinting
+// State keys
 // ---------------------------------------------------------------------------
 
-/// How the explorer keys a state for deduplication.
+/// How the explorer keys a state for deduplication: as a composition of
+/// per-slot keys.
 ///
-/// The key must be a pure function of the four arguments — which together
-/// determine everything the safety predicate and the expansion can observe
-/// (`pending_inv` is determined by `started` plus the fixed initial
-/// invocation vector, so it needs no key component).
+/// A state is `n` process slots plus an output history. Slot `i`
+/// contributes the key of process `i`'s state, the key of its inbox and
+/// its `started` bit; the output history contributes one more key.
+/// [`slot`](StateHasher::slot) keys each component and
+/// [`compose`](StateHasher::compose) folds the components, slot by slot,
+/// into the state's key. Together they determine everything the safety
+/// predicate and the expansion can observe (`pending_inv` is determined
+/// by `started` plus the fixed initial invocation vector, so it needs no
+/// key component).
 ///
-/// Two implementations ship: [`FingerprintHasher`] (the default — a
-/// 128-bit structural fingerprint, no allocation) and [`ExactKeyHasher`]
-/// (the full rendering as a `String`; collision-free but slow, selected by
-/// equivalence tests to prove the fingerprint never changes a verdict).
+/// The composition is what makes symmetry canonicalization cheap. A
+/// process renaming moves whole slots and rewrites the ids inside each
+/// component, so the key of a renamed state is the renamed components'
+/// keys in the new slot order. The explorer memoizes, per worker, the
+/// key of every component it has seen under every element of the
+/// scenario's group, and canonicalizes by reordering those memoized
+/// keys ([`Canonicalizer`]); it never builds a renamed state. A memo hit
+/// returns the images computed for an earlier component with the same
+/// key, so it relies on the assumption every key already makes:
+/// components with equal keys (for the shipped hashers, equal `Debug`
+/// renderings) are equal.
+///
+/// Two implementations ship: [`FingerprintHasher`] (the default, 128-bit
+/// fingerprints) and [`ExactKeyHasher`] (length-framed renderings;
+/// collision-free over renderings but slow, used by equivalence tests to
+/// prove the fingerprint never changes a verdict). [`key`] composes the
+/// components in their own slot order, which is exactly the identity
+/// candidate of a canonicalization.
+///
+/// [`key`]: StateHasher::key
 pub trait StateHasher: Sync {
+    /// The key of one state component: a process state, an inbox, or the
+    /// output history.
+    type Slot: Eq + Hash + Clone + Send;
+
     /// The dedup key type. `Ord` so symmetry canonicalization can take
     /// the least key over the candidate permutations deterministically.
     type Key: Eq + Ord + Hash + Clone + Send;
 
-    /// Key the given state components.
+    /// Key one state component from its `Debug` rendering.
+    fn slot<T: Debug + ?Sized>(&self, component: &T) -> Self::Slot;
+
+    /// Fold slot keys into a state key: one `(process, inbox, started)`
+    /// triple per slot, in slot order, then the output history's key.
+    /// Must be injective over its inputs up to the key type's collision
+    /// rate — the seen-table trusts key equality.
+    fn compose<'s>(
+        &self,
+        slots: impl Iterator<Item = (&'s Self::Slot, &'s Self::Slot, bool)>,
+        outputs: &Self::Slot,
+    ) -> Self::Key
+    where
+        Self::Slot: 's;
+
+    /// Key the given state components: [`slot`](StateHasher::slot) each
+    /// one, then [`compose`](StateHasher::compose) them in slot order.
     fn key<P: Protocol + Debug>(
         &self,
         procs: &[P],
         inboxes: &[Vec<(ProcessId, P::Msg)>],
         started: &[bool],
         outputs: &[(ProcessId, P::Output)],
-    ) -> Self::Key;
+    ) -> Self::Key {
+        let (mut proc_keys, mut inbox_keys) = (Vec::new(), Vec::new());
+        let out_key = slot_keys(
+            self,
+            procs,
+            inboxes,
+            outputs,
+            &mut proc_keys,
+            &mut inbox_keys,
+        );
+        compose_slots(self, &proc_keys, &inbox_keys, started, &out_key)
+    }
 
     /// Which of `shards` seen-table shards a key lives in. The default
     /// hashes the key; [`FingerprintHasher`] overrides it with the
@@ -527,146 +585,76 @@ pub trait StateHasher: Sync {
     }
 }
 
-/// Two independent 64-bit multiply-xor streams over the same byte
-/// stream, mixed one 64-bit word at a time and finalized into a 128-bit
-/// fingerprint. Implements [`std::fmt::Write`] so the state's `Debug`
-/// rendering is hashed as it is produced, without ever materializing the
-/// string; bytes are buffered into words *across* fragment boundaries, so
-/// the fingerprint depends only on the rendered byte stream, never on how
-/// the formatter chose to chunk it.
-#[derive(Debug)]
-struct Fingerprint128 {
-    a: u64,
-    b: u64,
-    /// Partial word being filled, little-endian; `buf_len` bytes valid.
-    buf: u64,
-    buf_len: u32,
-    len: u64,
+/// Key a state's components in their own slot order: the process and
+/// inbox keys go to `proc_keys`/`inbox_keys` (cleared first), the output
+/// history's key is returned.
+fn slot_keys<H, P>(
+    hasher: &H,
+    procs: &[P],
+    inboxes: &[Vec<(ProcessId, P::Msg)>],
+    outputs: &[(ProcessId, P::Output)],
+    proc_keys: &mut Vec<H::Slot>,
+    inbox_keys: &mut Vec<H::Slot>,
+) -> H::Slot
+where
+    H: StateHasher + ?Sized,
+    P: Protocol + Debug,
+{
+    proc_keys.clear();
+    proc_keys.extend(procs.iter().map(|p| hasher.slot(p)));
+    inbox_keys.clear();
+    inbox_keys.extend(inboxes.iter().map(|inbox| hasher.slot(inbox.as_slice())));
+    hasher.slot(outputs)
 }
 
-impl Fingerprint128 {
-    // FNV-64 offset basis / golden ratio as the two stream seeds; the
-    // word mixer below is the MurmurHash3-x64 inner round (multiply,
-    // rotate, multiply, fold), whose rotations diffuse differences
-    // downward as well as upward — a plain multiply-xor stream only
-    // carries differences toward the high bits, and correlated high-bit
-    // differences in two words can then cancel in *both* streams at once
-    // (observed as real collisions on structured `Debug` renderings).
-    const SEED_A: u64 = 0xcbf2_9ce4_8422_2325;
-    const SEED_B: u64 = 0x9e37_79b9_7f4a_7c15;
-    const C1: u64 = 0x87c3_7b91_1142_53d5;
-    const C2: u64 = 0x4cf5_ad43_2745_937f;
-
-    fn new() -> Self {
-        Fingerprint128 {
-            a: Self::SEED_A,
-            b: Self::SEED_B,
-            buf: 0,
-            buf_len: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn mix_word(&mut self, w: u64) {
-        let ka = w
-            .wrapping_mul(Self::C1)
-            .rotate_left(31)
-            .wrapping_mul(Self::C2);
-        self.a ^= ka;
-        self.a = self
-            .a
-            .rotate_left(27)
-            .wrapping_mul(5)
-            .wrapping_add(0x52dc_e729);
-        let kb = w
-            .wrapping_mul(Self::C2)
-            .rotate_left(33)
-            .wrapping_mul(Self::C1);
-        self.b ^= kb;
-        self.b = self
-            .b
-            .rotate_left(31)
-            .wrapping_mul(5)
-            .wrapping_add(0x3855_4107);
-    }
-
-    fn finish(mut self) -> u128 {
-        if self.buf_len > 0 {
-            let w = self.buf;
-            self.mix_word(w);
-        }
-        // Fold in the total byte count: a zero-padded final word must not
-        // collide with explicit trailing NULs or an empty tail.
-        let len = self.len;
-        self.mix_word(len);
-        // splitmix64-style finalizer on each stream so nearby inputs
-        // spread across the whole key space (the top bits pick the shard).
-        fn avalanche(mut x: u64) -> u64 {
-            x ^= x >> 30;
-            x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x ^= x >> 27;
-            x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^ (x >> 31)
-        }
-        (u128::from(avalanche(self.a)) << 64) | u128::from(avalanche(self.b))
-    }
+/// The identity composition: every slot keyed where it stands.
+fn compose_slots<H: StateHasher + ?Sized>(
+    hasher: &H,
+    proc_keys: &[H::Slot],
+    inbox_keys: &[H::Slot],
+    started: &[bool],
+    out_key: &H::Slot,
+) -> H::Key {
+    hasher.compose(
+        proc_keys
+            .iter()
+            .zip(inbox_keys)
+            .zip(started)
+            .map(|((p, i), &s)| (p, i, s)),
+        out_key,
+    )
 }
 
-impl std::fmt::Write for Fingerprint128 {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        let mut bytes = s.as_bytes();
-        self.len += bytes.len() as u64;
-        // Top up a partial word left by the previous fragment.
-        while self.buf_len > 0 {
-            let Some((&byte, rest)) = bytes.split_first() else {
-                return Ok(());
-            };
-            bytes = rest;
-            self.buf |= u64::from(byte) << (8 * self.buf_len);
-            self.buf_len += 1;
-            if self.buf_len == 8 {
-                let w = self.buf;
-                self.mix_word(w);
-                self.buf = 0;
-                self.buf_len = 0;
-            }
-        }
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            self.mix_word(w);
-        }
-        for &byte in chunks.remainder() {
-            self.buf |= u64::from(byte) << (8 * self.buf_len);
-            self.buf_len += 1;
-        }
-        Ok(())
-    }
-}
-
-/// The default [`StateHasher`]: a 128-bit structural fingerprint of the
-/// state's `Debug` rendering, computed streaming (no `String` is ever
-/// allocated or stored). Collisions are possible in principle
-/// (2⁻¹²⁸-ish); the `explore_dedup` property suite continuously checks
-/// verdict equivalence against [`ExactKeyHasher`].
+/// The default [`StateHasher`]: each component is the 128-bit
+/// fingerprint of its `Debug` rendering, computed streaming (no `String`
+/// is allocated), and the state key is the fingerprint of the slot
+/// fingerprints and `started` bits in slot order, then the output
+/// history's. Collisions are possible in principle (2⁻¹²⁸-ish); the
+/// `explore_dedup` property suite continuously checks verdict
+/// equivalence against [`ExactKeyHasher`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FingerprintHasher;
 
 impl StateHasher for FingerprintHasher {
+    type Slot = u128;
     type Key = u128;
 
-    fn key<P: Protocol + Debug>(
+    fn slot<T: Debug + ?Sized>(&self, component: &T) -> u128 {
+        debug_fp(component)
+    }
+
+    fn compose<'s>(
         &self,
-        procs: &[P],
-        inboxes: &[Vec<(ProcessId, P::Msg)>],
-        started: &[bool],
-        outputs: &[(ProcessId, P::Output)],
+        slots: impl Iterator<Item = (&'s u128, &'s u128, bool)>,
+        outputs: &u128,
     ) -> u128 {
-        use std::fmt::Write;
         let mut w = Fingerprint128::new();
-        write!(w, "{procs:?}|{inboxes:?}|{started:?}|{outputs:?}")
-            .expect("fingerprint writer is infallible");
+        for (proc, inbox, started) in slots {
+            w.write_u128(*proc);
+            w.write_u128(*inbox);
+            w.write_u64(u64::from(started));
+        }
+        w.write_u128(*outputs);
         w.finish()
     }
 
@@ -675,24 +663,43 @@ impl StateHasher for FingerprintHasher {
     }
 }
 
-/// The exact (collision-free) [`StateHasher`]: the full `Debug` rendering
-/// as a heap `String` — the PR 2 dedup key, byte for byte. Slow and
-/// memory-hungry; selected by equivalence tests (and available to callers
-/// that want certainty over speed) to cross-check [`FingerprintHasher`].
+/// The exact [`StateHasher`]: each component is its full `Debug`
+/// rendering, and the state key frames every rendering with its byte
+/// length (`len:rendering`), slot by slot with the `started` bit as `0`
+/// or `1`, then the output history. The framing makes the key injective
+/// over component renderings, so two states share a key exactly when
+/// every component renders alike. Slow and memory-hungry; selected by
+/// equivalence tests (and available to callers that want certainty over
+/// speed) to cross-check [`FingerprintHasher`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactKeyHasher;
 
 impl StateHasher for ExactKeyHasher {
+    type Slot = String;
     type Key = String;
 
-    fn key<P: Protocol + Debug>(
+    fn slot<T: Debug + ?Sized>(&self, component: &T) -> String {
+        debug_string(component)
+    }
+
+    fn compose<'s>(
         &self,
-        procs: &[P],
-        inboxes: &[Vec<(ProcessId, P::Msg)>],
-        started: &[bool],
-        outputs: &[(ProcessId, P::Output)],
+        slots: impl Iterator<Item = (&'s String, &'s String, bool)>,
+        outputs: &String,
     ) -> String {
-        format!("{procs:?}|{inboxes:?}|{started:?}|{outputs:?}")
+        fn framed(key: &mut String, part: &str) {
+            key.push_str(&part.len().to_string());
+            key.push(':');
+            key.push_str(part);
+        }
+        let mut key = String::new();
+        for (proc, inbox, started) in slots {
+            framed(&mut key, proc);
+            framed(&mut key, inbox);
+            key.push(if started { '1' } else { '0' });
+        }
+        framed(&mut key, outputs);
+        key
     }
 }
 
@@ -762,16 +769,6 @@ fn covered_by(
 fn push_cover(entry: &mut Vec<SeenCover>, depth: usize, sleep: Vec<ExploreDecision>) {
     entry.retain(|c| !(depth <= c.depth && sleep_subset(&sleep, &c.sleep)));
     entry.push(SeenCover { depth, sleep });
-}
-
-/// Fingerprint one `Debug` rendering — used to compare detector values
-/// and invocation slots for equality, since `Fd`/`Inv` only promise
-/// `Debug` (the same representation choice the state keys make).
-pub(crate) fn debug_fp<T: Debug>(v: &T) -> u128 {
-    use std::fmt::Write;
-    let mut w = Fingerprint128::new();
-    write!(w, "{v:?}").expect("fingerprint writer is infallible");
-    w.finish()
 }
 
 /// Dense per-batch cache of one detector value per `(process, time)`
@@ -906,11 +903,19 @@ fn decision_footprint<P: Protocol>(state: &State<P>, d: ExploreDecision, n: usiz
 }
 
 /// A usable non-identity symmetry group element, with its inverse image
-/// table cached for state rebuilding (`inverse[j]` = the original slot
+/// table cached for slot reordering (`inverse[j]` = the original slot
 /// canonical slot `j` is filled from).
+#[derive(Clone)]
 pub(crate) struct SymPerm {
     pub(crate) perm: Permutation,
     pub(crate) inverse: Vec<usize>,
+}
+
+impl SymPerm {
+    fn new(perm: Permutation) -> Self {
+        let inverse = perm.inverse_map();
+        SymPerm { perm, inverse }
+    }
 }
 
 /// Restrict the protocol's declared symmetry group to the elements this
@@ -963,88 +968,224 @@ where
                     })
             })
         })
-        .map(|perm| {
-            let inverse = perm.inverse_map();
-            SymPerm { perm, inverse }
-        })
+        .map(SymPerm::new)
         .collect()
 }
 
-/// Per-worker scratch for building permuted state views (allocations are
-/// reused across the states and permutations of one key-phase chunk).
-struct SymScratch<P: Protocol> {
-    procs: Vec<P>,
-    inboxes: Vec<Vec<(ProcessId, P::Msg)>>,
-    started: Vec<bool>,
-    outputs: Vec<(ProcessId, P::Output)>,
+/// Rows per component table above which a worker's memo is dropped and
+/// refilled: bounds the memo's memory on long explorations.
+const MEMO_ROWS_CAP: usize = 1 << 15;
+
+/// One component table of a [`Canonicalizer`] memo: for every component
+/// key seen, a row of that component's keys after each group element,
+/// in group order.
+struct SlotMemo<S> {
+    /// Component key → start of its row in `images`.
+    rows: HashMap<S, usize>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the memo)
+    images: Vec<S>,
 }
 
-impl<P: Protocol> SymScratch<P> {
-    fn new(n: usize) -> Self {
-        SymScratch {
-            procs: Vec::with_capacity(n),
-            inboxes: vec![Vec::new(); n],
-            started: vec![false; n],
-            outputs: Vec::new(),
+impl<S: Eq + Hash + Clone> SlotMemo<S> {
+    fn new() -> Self {
+        SlotMemo {
+            rows: HashMap::new(), // wfd-lint: allow(d1-hash-collections, constructor for the memo excused above)
+            images: Vec::new(),
+        }
+    }
+
+    /// The start of `key`'s row, filled by `fill` on a miss.
+    fn row(&mut self, key: &S, fill: impl FnOnce(&mut Vec<S>)) -> usize {
+        if let Some(&start) = self.rows.get(key) {
+            return start;
+        }
+        let start = self.images.len();
+        fill(&mut self.images);
+        self.rows.insert(key.clone(), start);
+        start
+    }
+
+    /// Drop every row once the table is full. Called before a state's
+    /// lookups, so no row start handed out for that state goes stale.
+    fn trim(&mut self) {
+        if self.rows.len() >= MEMO_ROWS_CAP {
+            self.rows.clear();
+            self.images.clear();
         }
     }
 }
 
-/// The canonical dedup key of a state under the scenario's symmetry
-/// group: the least key over the identity and every usable permutation,
-/// plus the index of the permutation that realized it (`None` when the
-/// identity is least — ties break toward the identity, then toward the
-/// earlier group element, so the choice is deterministic).
-fn canonical_key<H, P>(
-    hasher: &H,
-    state: &State<P>,
-    outputs: &[(ProcessId, P::Output)],
-    perms: &[SymPerm],
-    scratch: &mut SymScratch<P>,
-) -> (H::Key, Option<usize>)
+/// Symmetry canonicalization of dedup keys from memoized per-slot keys.
+///
+/// The canonical key of a state is the least
+/// [`compose`](StateHasher::compose) over the identity and every
+/// element `π` of the group. Candidate `π` fills canonical slot `j` from
+/// original slot `π⁻¹(j)`, with every embedded id rewritten forward
+/// ([`Protocol::permute`], [`Protocol::permute_msg`],
+/// [`Protocol::permute_output`], and inbox senders and output emitters
+/// mapped through `π`). Inbox and output order are preserved — appends
+/// are order-sensitive state.
+///
+/// A renamed state is never built. The key of a component after `π`
+/// comes from a memo indexed by the component's own key: a miss clones
+/// that one component, renames it and keys it once per group element; a
+/// hit reuses the row, which is sound as long as components with equal
+/// keys are equal (see [`StateHasher`]). Ties break toward the identity,
+/// then toward the earlier group element, so the choice is
+/// deterministic; and since the key is a pure function of the state, it
+/// does not depend on what the memo already holds.
+///
+/// The explorer keeps one per worker across its whole run. It is public
+/// so differential tests can check it against [`StateHasher::key`] of
+/// materialized renamed states.
+pub struct Canonicalizer<'h, H: StateHasher, P> {
+    hasher: &'h H,
+    perms: Vec<SymPerm>,
+    /// The current state's own component keys, slot by slot.
+    proc_keys: Vec<H::Slot>,
+    inbox_keys: Vec<H::Slot>,
+    /// The current state's memo row starts, slot by slot.
+    proc_rows: Vec<usize>,
+    inbox_rows: Vec<usize>,
+    procs: SlotMemo<H::Slot>,
+    inboxes: SlotMemo<H::Slot>,
+    outputs: SlotMemo<H::Slot>,
+    _protocol: PhantomData<fn() -> P>,
+}
+
+impl<'h, H, P> Canonicalizer<'h, H, P>
 where
     H: StateHasher,
     P: Protocol + Clone + Debug,
 {
-    let mut best = hasher.key(&state.procs, &state.inboxes, &state.started, outputs);
-    let mut best_perm = None;
-    let n = state.procs.len();
-    for (pi, sp) in perms.iter().enumerate() {
-        // Canonical slot j is original slot inverse[j], with every
-        // embedded id rewritten forward through the permutation. Inbox
-        // order is preserved — appends are order-sensitive state.
-        scratch.procs.clear();
-        for j in 0..n {
-            let mut proc = state.procs[sp.inverse[j]].clone();
-            proc.permute(&sp.perm);
-            scratch.procs.push(proc);
-            scratch.started[j] = state.started[sp.inverse[j]];
-            let inbox = &mut scratch.inboxes[j];
-            inbox.clear();
-            inbox.extend(state.inboxes[sp.inverse[j]].iter().map(|(from, msg)| {
-                let mut msg = msg.clone();
-                P::permute_msg(&mut msg, &sp.perm);
-                (sp.perm.apply(*from), msg)
-            }));
-        }
-        scratch.outputs.clear();
-        scratch.outputs.extend(outputs.iter().map(|(p, out)| {
-            let mut out = out.clone();
-            P::permute_output(&mut out, &sp.perm);
-            (sp.perm.apply(*p), out)
-        }));
-        let key = hasher.key(
-            &scratch.procs,
-            &scratch.inboxes,
-            &scratch.started,
-            &scratch.outputs,
-        );
-        if key < best {
-            best = key;
-            best_perm = Some(pi);
+    /// A canonicalizer under `group`; identity elements are skipped (the
+    /// identity is always the first candidate). An empty or trivial group
+    /// makes [`Canonicalizer::key`] equal to [`StateHasher::key`].
+    pub fn new(hasher: &'h H, group: &[Permutation]) -> Self {
+        let perms = group
+            .iter()
+            .filter(|perm| !perm.is_identity())
+            .cloned()
+            .map(SymPerm::new)
+            .collect();
+        Self::with_perms(hasher, perms)
+    }
+
+    fn with_perms(hasher: &'h H, perms: Vec<SymPerm>) -> Self {
+        Canonicalizer {
+            hasher,
+            perms,
+            proc_keys: Vec::new(),
+            inbox_keys: Vec::new(),
+            proc_rows: Vec::new(),
+            inbox_rows: Vec::new(),
+            procs: SlotMemo::new(),
+            inboxes: SlotMemo::new(),
+            outputs: SlotMemo::new(),
+            _protocol: PhantomData,
         }
     }
-    (best, best_perm)
+
+    /// The canonical key of the given state components.
+    pub fn key(
+        &mut self,
+        procs: &[P],
+        inboxes: &[Vec<(ProcessId, P::Msg)>],
+        started: &[bool],
+        outputs: &[(ProcessId, P::Output)],
+    ) -> H::Key {
+        self.canonical(procs, inboxes, started, outputs).0
+    }
+
+    /// Memo rows held across the process, inbox and output-history
+    /// tables (one per distinct component key since the last trim).
+    pub fn memo_rows(&self) -> usize {
+        self.procs.rows.len() + self.inboxes.rows.len() + self.outputs.rows.len()
+    }
+
+    /// The canonical key, plus the index of the group element that
+    /// realized it (`None` when the identity is least).
+    fn canonical(
+        &mut self,
+        procs: &[P],
+        inboxes: &[Vec<(ProcessId, P::Msg)>],
+        started: &[bool],
+        outputs: &[(ProcessId, P::Output)],
+    ) -> (H::Key, Option<usize>) {
+        let hasher = self.hasher;
+        let out_key = slot_keys(
+            hasher,
+            procs,
+            inboxes,
+            outputs,
+            &mut self.proc_keys,
+            &mut self.inbox_keys,
+        );
+        let mut best = compose_slots(hasher, &self.proc_keys, &self.inbox_keys, started, &out_key);
+        if self.perms.is_empty() {
+            return (best, None);
+        }
+        let perms = &self.perms;
+        self.procs.trim();
+        self.inboxes.trim();
+        self.outputs.trim();
+        self.proc_rows.clear();
+        for (proc, key) in procs.iter().zip(&self.proc_keys) {
+            self.proc_rows.push(self.procs.row(key, |images| {
+                images.extend(perms.iter().map(|sp| {
+                    let mut renamed = proc.clone();
+                    renamed.permute(&sp.perm);
+                    hasher.slot(&renamed)
+                }));
+            }));
+        }
+        self.inbox_rows.clear();
+        for (inbox, key) in inboxes.iter().zip(&self.inbox_keys) {
+            self.inbox_rows.push(self.inboxes.row(key, |images| {
+                images.extend(perms.iter().map(|sp| {
+                    let renamed: Vec<(ProcessId, P::Msg)> = inbox
+                        .iter()
+                        .map(|(from, msg)| {
+                            let mut msg = msg.clone();
+                            P::permute_msg(&mut msg, &sp.perm);
+                            (sp.perm.apply(*from), msg)
+                        })
+                        .collect();
+                    hasher.slot(renamed.as_slice())
+                }));
+            }));
+        }
+        let out_row = self.outputs.row(&out_key, |images| {
+            images.extend(perms.iter().map(|sp| {
+                let renamed: Vec<(ProcessId, P::Output)> = outputs
+                    .iter()
+                    .map(|(p, out)| {
+                        let mut out = out.clone();
+                        P::permute_output(&mut out, &sp.perm);
+                        (sp.perm.apply(*p), out)
+                    })
+                    .collect();
+                hasher.slot(renamed.as_slice())
+            }));
+        });
+        let mut best_perm = None;
+        for (g, sp) in perms.iter().enumerate() {
+            let key = hasher.compose(
+                sp.inverse.iter().map(|&i| {
+                    (
+                        &self.procs.images[self.proc_rows[i] + g],
+                        &self.inboxes.images[self.inbox_rows[i] + g],
+                        started[i],
+                    )
+                }),
+                &self.outputs.images[out_row + g],
+            );
+            if key < best {
+                best = key;
+                best_perm = Some(g);
+            }
+        }
+        (best, best_perm)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1203,10 +1344,11 @@ where
     // off). The clock is read once per *phase*, never per state, and
     // only when the handle is on.
     let obs = cfg.obs.clone();
-    let t_start = obs.is_on().then(Instant::now); // wfd-lint: allow(d2-wall-clock, read once per phase for obs metrics only; never compared on the decision path)
-                                                  // Resolve the scenario's usable symmetry group before the invocation
-                                                  // vector is consumed by the initial state (the filter compares its
-                                                  // slots). Without dedup there is no key to canonicalize.
+    // wfd-lint: allow(d2-wall-clock, read once per phase for obs metrics only; never compared on the decision path)
+    let t_start = obs.is_on().then(Instant::now);
+    // Resolve the scenario's usable symmetry group before the invocation
+    // vector is consumed by the initial state (the filter compares its
+    // slots). Without dedup there is no key to canonicalize.
     let sym_perms: Vec<SymPerm> = if cfg.reduction.symmetry && cfg.dedup {
         scenario_symmetry::<P, D>(
             invocations.len(),
@@ -1218,7 +1360,6 @@ where
     } else {
         Vec::new()
     };
-    let use_symmetry = !sym_perms.is_empty();
     let root = initial_state(make_procs(), invocations);
     let n = root.procs.len();
     let env = StepEnv { pattern, n };
@@ -1246,6 +1387,11 @@ where
         (0..threads).map(|_| Mutex::new(Vec::new())).collect();
     let child_bufs: Vec<Mutex<Vec<State<P>>>> =
         (0..threads).map(|_| Mutex::new(Vec::new())).collect();
+    // One key canonicalizer per worker, its slot memo persistent across
+    // batches. With no usable symmetry group it keys the identity only.
+    let canonicalizers: Vec<Mutex<Canonicalizer<'_, H, P>>> = (0..threads)
+        .map(|_| Mutex::new(Canonicalizer::with_perms(&hasher, sym_perms.clone())))
+        .collect();
     let mut next_pool = 0usize;
     let mut survivors: Vec<State<P>> = Vec::new();
     let mut fd_cache: FdTable<P::Fd> = FdTable::new(n, cfg.max_depth);
@@ -1305,29 +1451,20 @@ where
             let pre_read = threads > 1;
             let ranges = chunk_ranges(take, threads);
             let key_phase = obs.phase(PhaseId::ExploreKey);
-            let keyed = par_map_with(&ranges, threads, |_, range| {
+            let keyed = par_map_with(&ranges, threads, |slot, range| {
                 let mut keys = Vec::with_capacity(range.len());
                 let mut canon_sleeps = Vec::with_capacity(range.len());
                 let mut arg_perms = Vec::with_capacity(range.len());
                 let mut pre_pruned = Vec::with_capacity(range.len());
                 let mut sym_hits = 0usize;
                 let mut outputs = Vec::new();
-                let mut scratch = use_symmetry.then(|| SymScratch::<P>::new(n));
+                let mut canon = canonicalizers[slot].lock().expect("canonicalizer poisoned");
                 for j in range.clone() {
                     let state = &stack[top - 1 - j];
                     materialize_outputs(&state.outputs, state.outputs_len, &mut outputs);
-                    let (key, arg_perm) = match &mut scratch {
-                        Some(scratch) => {
-                            let (key, arg) =
-                                canonical_key(&hasher, state, &outputs, &sym_perms, scratch);
-                            sym_hits += usize::from(arg.is_some());
-                            (key, arg)
-                        }
-                        None => (
-                            hasher.key(&state.procs, &state.inboxes, &state.started, &outputs),
-                            None,
-                        ),
-                    };
+                    let (key, arg_perm) =
+                        canon.canonical(&state.procs, &state.inboxes, &state.started, &outputs);
+                    sym_hits += usize::from(arg_perm.is_some());
                     // The sleep set enters the seen-table in the *same*
                     // coordinates as the key: mapped through the
                     // canonicalizing permutation (inbox indices survive
@@ -2290,16 +2427,19 @@ mod tests {
     struct OutputBlindHasher;
 
     impl StateHasher for OutputBlindHasher {
+        type Slot = String;
         type Key = String;
 
-        fn key<P: Protocol + Debug>(
+        fn slot<T: Debug + ?Sized>(&self, component: &T) -> String {
+            ExactKeyHasher.slot(component)
+        }
+
+        fn compose<'s>(
             &self,
-            procs: &[P],
-            inboxes: &[Vec<(ProcessId, P::Msg)>],
-            started: &[bool],
-            _outputs: &[(ProcessId, P::Output)],
+            slots: impl Iterator<Item = (&'s String, &'s String, bool)>,
+            _outputs: &String,
         ) -> String {
-            format!("{procs:?}|{inboxes:?}|{started:?}")
+            ExactKeyHasher.compose(slots, &String::new())
         }
     }
 

@@ -70,6 +70,7 @@ pub mod explore;
 #[doc(hidden)]
 pub mod explore_baseline;
 mod failure;
+mod fingerprint;
 mod id;
 pub mod json;
 pub mod liveness;

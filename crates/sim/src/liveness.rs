@@ -68,8 +68,9 @@
 //! need it. A configuration sweep that flips the flag gets an explicit
 //! error instead of a quietly identical verdict.
 
-use crate::explore::{debug_fp, scenario_symmetry, SymPerm};
+use crate::explore::{scenario_symmetry, SymPerm};
 use crate::failure::FailurePattern;
+use crate::fingerprint::debug_fp;
 use crate::id::{ProcessId, Time};
 use crate::json::Json;
 use crate::machine::{node_eq, ExploreDecision, FairMachine, LiveNode, ReductionConfig, State};

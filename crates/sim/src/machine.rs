@@ -278,6 +278,12 @@ impl<P: Protocol> State<P> {
         self.inboxes[p.index()].len()
     }
 
+    /// The messages pending in `p`'s inbox, in arrival order, each with
+    /// its sender.
+    pub fn inbox(&self, p: ProcessId) -> &[(ProcessId, P::Msg)] {
+        &self.inboxes[p.index()]
+    }
+
     /// Materialize the branch's output history, oldest-first, into `into`
     /// (cleared first).
     pub fn collect_outputs(&self, into: &mut Vec<(ProcessId, P::Output)>) {
