@@ -35,11 +35,16 @@
 //!   per-slot keys: each process state, each inbox and the output
 //!   history is fingerprinted (128 bits, [`FingerprintHasher`]) straight
 //!   off its `Debug` rendering, and the slot fingerprints are folded in
-//!   slot order; no rendering is ever stored. [`ExactKeyHasher`] keeps
-//!   length-framed renderings as a `String` key and exists to
-//!   property-test that the fingerprint never changes a verdict; select
-//!   between them with [`ExploreConfig::with_hasher`], or plug any
-//!   [`StateHasher`] in via [`explore_custom`].
+//!   slot order; no rendering is ever stored. Slot keys are incremental:
+//!   every state carries its own, and a child inherits its parent's and
+//!   re-renders only the slots its step touched — the actor's process
+//!   state, the inboxes it delivered from or sent to, and the output
+//!   history if it emitted — so a step costs one or a few renderings, not
+//!   `2n + 1`. [`ExactKeyHasher`] keeps length-framed renderings as a
+//!   `String` key and exists to property-test that the fingerprint never
+//!   changes a verdict; select between them with
+//!   [`ExploreConfig::with_hasher`], or plug any [`StateHasher`] in via
+//!   [`explore_custom`].
 //! * **Shared-prefix states** — the per-branch decision and output
 //!   histories are `Arc`-linked cons-lists sharing their prefix with the
 //!   parent state, materialized into flat vectors only when the safety
@@ -522,6 +527,15 @@ impl ExploreReport {
 /// components with equal keys (for the shipped hashers, equal `Debug`
 /// renderings) are equal.
 ///
+/// The composition is also what lets the explorer key states
+/// incrementally. A slot key is a pure function of its component, so a
+/// component a step did not touch keeps its key. Every explorer state
+/// carries its slot keys; a child inherits its parent's and re-keys only
+/// the slots the step touched: the actor's process state, the inboxes
+/// the step delivered from or appended to, and the output history when
+/// the step emitted. The composed key is the same as keying the child in
+/// full, so inheriting keys changes no report.
+///
 /// Two implementations ship: [`FingerprintHasher`] (the default, 128-bit
 /// fingerprints) and [`ExactKeyHasher`] (length-framed renderings;
 /// collision-free over renderings but slow, used by equivalence tests to
@@ -533,7 +547,10 @@ impl ExploreReport {
 pub trait StateHasher: Sync {
     /// The key of one state component: a process state, an inbox, or the
     /// output history.
-    type Slot: Eq + Hash + Clone + Send;
+    ///
+    /// `Sync` because slot keys travel with the explorer's states, which
+    /// the parallel key and expansion phases read from every worker.
+    type Slot: Eq + Hash + Clone + Send + Sync;
 
     /// The dedup key type. `Ord` so symmetry canonicalization can take
     /// the least key over the candidate permutations deterministically.
@@ -563,16 +580,7 @@ pub trait StateHasher: Sync {
         started: &[bool],
         outputs: &[(ProcessId, P::Output)],
     ) -> Self::Key {
-        let (mut proc_keys, mut inbox_keys) = (Vec::new(), Vec::new());
-        let out_key = slot_keys(
-            self,
-            procs,
-            inboxes,
-            outputs,
-            &mut proc_keys,
-            &mut inbox_keys,
-        );
-        compose_slots(self, &proc_keys, &inbox_keys, started, &out_key)
+        SlotKeys::of(self, procs, inboxes, outputs).compose(self, started)
     }
 
     /// Which of `shards` seen-table shards a key lives in. The default
@@ -585,44 +593,138 @@ pub trait StateHasher: Sync {
     }
 }
 
-/// Key a state's components in their own slot order: the process and
-/// inbox keys go to `proc_keys`/`inbox_keys` (cleared first), the output
-/// history's key is returned.
-fn slot_keys<H, P>(
-    hasher: &H,
-    procs: &[P],
-    inboxes: &[Vec<(ProcessId, P::Msg)>],
-    outputs: &[(ProcessId, P::Output)],
-    proc_keys: &mut Vec<H::Slot>,
-    inbox_keys: &mut Vec<H::Slot>,
-) -> H::Slot
-where
-    H: StateHasher + ?Sized,
-    P: Protocol + Debug,
-{
-    proc_keys.clear();
-    proc_keys.extend(procs.iter().map(|p| hasher.slot(p)));
-    inbox_keys.clear();
-    inbox_keys.extend(inboxes.iter().map(|inbox| hasher.slot(inbox.as_slice())));
-    hasher.slot(outputs)
+/// The slot keys of one state, in one vector: the `n` process keys, then
+/// the `n` inbox keys, then the output history's key. Empty until the
+/// state is keyed.
+#[derive(PartialEq)]
+pub(crate) struct SlotKeys<S>(Vec<S>);
+
+impl<S> SlotKeys<S> {
+    fn new() -> Self {
+        SlotKeys(Vec::new())
+    }
+
+    /// Key every component where it stands. The incremental re-keys in
+    /// [`KeyedState::inherit_keys`] call the same [`StateHasher::slot`]
+    /// on the same component types, so both paths agree key for key.
+    fn of<H, P>(
+        hasher: &H,
+        procs: &[P],
+        inboxes: &[Vec<(ProcessId, P::Msg)>],
+        outputs: &[(ProcessId, P::Output)],
+    ) -> Self
+    where
+        H: StateHasher<Slot = S> + ?Sized,
+        P: Protocol + Debug,
+    {
+        let procs = procs.iter().map(|p| hasher.slot(p));
+        let inboxes = inboxes.iter().map(|inbox| hasher.slot(inbox.as_slice()));
+        SlotKeys(procs.chain(inboxes).chain([hasher.slot(outputs)]).collect())
+    }
+
+    fn n(&self) -> usize {
+        self.0.len() / 2
+    }
+
+    fn procs(&self) -> &[S] {
+        &self.0[..self.n()]
+    }
+
+    fn inboxes(&self) -> &[S] {
+        &self.0[self.n()..2 * self.n()]
+    }
+
+    fn outputs(&self) -> &S {
+        self.0.last().expect("keyed state")
+    }
+
+    /// The identity composition: every slot keyed where it stands.
+    fn compose<H>(&self, hasher: &H, started: &[bool]) -> H::Key
+    where
+        H: StateHasher<Slot = S> + ?Sized,
+    {
+        hasher.compose(
+            self.procs()
+                .iter()
+                .zip(self.inboxes())
+                .zip(started)
+                .map(|((p, i), &s)| (p, i, s)),
+            self.outputs(),
+        )
+    }
 }
 
-/// The identity composition: every slot keyed where it stands.
-fn compose_slots<H: StateHasher + ?Sized>(
-    hasher: &H,
-    proc_keys: &[H::Slot],
-    inbox_keys: &[H::Slot],
-    started: &[bool],
-    out_key: &H::Slot,
-) -> H::Key {
-    hasher.compose(
-        proc_keys
-            .iter()
-            .zip(inbox_keys)
-            .zip(started)
-            .map(|((p, i), &s)| (p, i, s)),
-        out_key,
-    )
+/// An explorer state with its slot keys. The two travel as one object
+/// through the stack, the survivors, the child buffers and the
+/// free-list, so a recycled state reuses its key allocation too. The
+/// keys stay empty when dedup is off: nothing reads them then.
+struct KeyedState<P: Protocol, S> {
+    state: State<P>,
+    keys: SlotKeys<S>,
+}
+
+impl<P, S> KeyedState<P, S>
+where
+    P: Protocol + Debug,
+    S: Clone,
+{
+    fn blank() -> Self {
+        KeyedState {
+            state: State::blank(),
+            keys: SlotKeys::new(),
+        }
+    }
+
+    /// Key every slot from scratch (the root, and the debug-build check).
+    fn full_keys<H>(&self, hasher: &H, outputs: &mut Vec<(ProcessId, P::Output)>) -> SlotKeys<S>
+    where
+        H: StateHasher<Slot = S>,
+    {
+        let state = &self.state;
+        materialize_outputs(&state.outputs, state.outputs_len, outputs);
+        SlotKeys::of(hasher, &state.procs, &state.inboxes, outputs)
+    }
+
+    /// Key this state, which `actor`'s step just produced from `parent`:
+    /// inherit the parent's slot keys and re-key only what the step
+    /// touched. That is the actor's process state; the actor's inbox when
+    /// the step delivered from it (a delivery that re-sends to the actor
+    /// itself leaves the length unchanged, so the length alone cannot
+    /// tell); every inbox whose length changed (other inboxes only ever
+    /// receive appends, and a send to a crashed process is dropped); and
+    /// the output history when the step emitted. `started` is composed
+    /// directly and `pending_inv` is not keyed, so neither has a slot.
+    fn inherit_keys<H>(
+        &mut self,
+        hasher: &H,
+        parent: &KeyedState<P, S>,
+        actor: ProcessId,
+        outputs: &mut Vec<(ProcessId, P::Output)>,
+    ) where
+        H: StateHasher<Slot = S>,
+    {
+        let (state, before) = (&self.state, &parent.state);
+        let keys = &mut self.keys;
+        // `clone_from` reuses the allocation a recycled state kept.
+        keys.0.clone_from(&parent.keys.0);
+        let (n, a) = (state.procs.len(), actor.index());
+        keys.0[a] = hasher.slot(&state.procs[a]);
+        // The step's recorded decision carries a message index exactly
+        // when it delivered one.
+        let delivered = state
+            .decisions
+            .as_ref()
+            .is_some_and(|d| d.decision.1.is_some());
+        for (j, (inbox, old)) in state.inboxes.iter().zip(&before.inboxes).enumerate() {
+            if inbox.len() != old.len() || (j == a && delivered) {
+                keys.0[n + j] = hasher.slot(inbox.as_slice());
+            }
+        }
+        if state.outputs_len != before.outputs_len {
+            materialize_outputs(&state.outputs, state.outputs_len, outputs);
+            keys.0[2 * n] = hasher.slot(outputs.as_slice());
+        }
+    }
 }
 
 /// The default [`StateHasher`]: each component is the 128-bit
@@ -1034,15 +1136,13 @@ impl<S: Eq + Hash + Clone> SlotMemo<S> {
 /// deterministic; and since the key is a pure function of the state, it
 /// does not depend on what the memo already holds.
 ///
-/// The explorer keeps one per worker across its whole run. It is public
-/// so differential tests can check it against [`StateHasher::key`] of
-/// materialized renamed states.
+/// The explorer keeps one per worker across its whole run and feeds it
+/// the slot keys its states carry. It is public so differential tests
+/// can check it against [`StateHasher::key`] of materialized renamed
+/// states.
 pub struct Canonicalizer<'h, H: StateHasher, P> {
     hasher: &'h H,
     perms: Vec<SymPerm>,
-    /// The current state's own component keys, slot by slot.
-    proc_keys: Vec<H::Slot>,
-    inbox_keys: Vec<H::Slot>,
     /// The current state's memo row starts, slot by slot.
     proc_rows: Vec<usize>,
     inbox_rows: Vec<usize>,
@@ -1074,8 +1174,6 @@ where
         Canonicalizer {
             hasher,
             perms,
-            proc_keys: Vec::new(),
-            inbox_keys: Vec::new(),
             proc_rows: Vec::new(),
             inbox_rows: Vec::new(),
             procs: SlotMemo::new(),
@@ -1085,7 +1183,8 @@ where
         }
     }
 
-    /// The canonical key of the given state components.
+    /// The canonical key of the given state components: key every
+    /// component, then canonicalize from those slot keys.
     pub fn key(
         &mut self,
         procs: &[P],
@@ -1093,7 +1192,8 @@ where
         started: &[bool],
         outputs: &[(ProcessId, P::Output)],
     ) -> H::Key {
-        self.canonical(procs, inboxes, started, outputs).0
+        let keys = SlotKeys::of(self.hasher, procs, inboxes, outputs);
+        self.canonical(procs, inboxes, started, outputs, &keys).0
     }
 
     /// Memo rows held across the process, inbox and output-history
@@ -1102,25 +1202,29 @@ where
         self.procs.rows.len() + self.inboxes.rows.len() + self.outputs.rows.len()
     }
 
-    /// The canonical key, plus the index of the group element that
-    /// realized it (`None` when the identity is least).
-    fn canonical(
+    /// Whether a non-identity group element is ever tried. Without one
+    /// the canonical key is the identity composition, and `outputs` is
+    /// never read.
+    fn has_group(&self) -> bool {
+        !self.perms.is_empty()
+    }
+
+    /// The canonical key of a state whose components carry the slot keys
+    /// `keys`, plus the index of the group element that realized it
+    /// (`None` when the identity is least). The components are read only
+    /// on a memo miss, to rename them; `outputs` only on an output-memo
+    /// miss, so a caller without a group (see
+    /// [`has_group`](Canonicalizer::has_group)) may pass an empty slice.
+    pub(crate) fn canonical(
         &mut self,
         procs: &[P],
         inboxes: &[Vec<(ProcessId, P::Msg)>],
         started: &[bool],
         outputs: &[(ProcessId, P::Output)],
+        keys: &SlotKeys<H::Slot>,
     ) -> (H::Key, Option<usize>) {
         let hasher = self.hasher;
-        let out_key = slot_keys(
-            hasher,
-            procs,
-            inboxes,
-            outputs,
-            &mut self.proc_keys,
-            &mut self.inbox_keys,
-        );
-        let mut best = compose_slots(hasher, &self.proc_keys, &self.inbox_keys, started, &out_key);
+        let mut best = keys.compose(hasher, started);
         if self.perms.is_empty() {
             return (best, None);
         }
@@ -1129,7 +1233,7 @@ where
         self.inboxes.trim();
         self.outputs.trim();
         self.proc_rows.clear();
-        for (proc, key) in procs.iter().zip(&self.proc_keys) {
+        for (proc, key) in procs.iter().zip(keys.procs()) {
             self.proc_rows.push(self.procs.row(key, |images| {
                 images.extend(perms.iter().map(|sp| {
                     let mut renamed = proc.clone();
@@ -1139,7 +1243,7 @@ where
             }));
         }
         self.inbox_rows.clear();
-        for (inbox, key) in inboxes.iter().zip(&self.inbox_keys) {
+        for (inbox, key) in inboxes.iter().zip(keys.inboxes()) {
             self.inbox_rows.push(self.inboxes.row(key, |images| {
                 images.extend(perms.iter().map(|sp| {
                     let renamed: Vec<(ProcessId, P::Msg)> = inbox
@@ -1154,7 +1258,7 @@ where
                 }));
             }));
         }
-        let out_row = self.outputs.row(&out_key, |images| {
+        let out_row = self.outputs.row(keys.outputs(), |images| {
             images.extend(perms.iter().map(|sp| {
                 let renamed: Vec<(ProcessId, P::Output)> = outputs
                     .iter()
@@ -1193,17 +1297,22 @@ where
 // ---------------------------------------------------------------------------
 
 /// Return a no-longer-needed state to the arena (dropping its shared
-/// history links so unshared chain segments are freed promptly).
-fn recycle<P: Protocol>(mut s: State<P>, pool: &mut Vec<State<P>>) {
+/// history links so unshared chain segments are freed promptly). Its
+/// slot keys stay allocated for the next state to overwrite.
+fn recycle<P: Protocol, S>(mut s: KeyedState<P, S>, pool: &mut Vec<KeyedState<P, S>>) {
     if pool.len() >= POOL_CAP {
         return;
     }
-    s.outputs = None;
-    s.decisions = None;
-    s.sleep.clear();
-    s.restrict = None;
+    let state = &mut s.state;
+    state.outputs = None;
+    state.decisions = None;
+    state.sleep.clear();
+    state.restrict = None;
     pool.push(s);
 }
+
+/// One worker's slot of the free-list arena or of the child buffers.
+type WorkerStates<P, S> = Mutex<Vec<KeyedState<P, S>>>;
 
 /// A violation as collected inside a batch, pre-materialized.
 struct FoundViolation {
@@ -1212,8 +1321,8 @@ struct FoundViolation {
 }
 
 /// What one expansion chunk hands back to the merge step.
-struct ChunkOut<P: Protocol> {
-    children: Vec<State<P>>,
+struct ChunkOut<P: Protocol, S> {
+    children: Vec<KeyedState<P, S>>,
     violations: Vec<FoundViolation>,
     depth_bounded: bool,
     /// Children skipped because their decision was asleep. Only merged
@@ -1305,14 +1414,18 @@ where
 ///
 /// Traversal: batched depth-first. Each round pops up to
 /// [`ExploreConfig::batch`] states off the frontier stack (`batch == 1` is
-/// bit-for-bit the classic DFS), fingerprints them in parallel against
-/// the sharded seen-table, resolves the budget-aware revisit rule
-/// *sequentially in batch order* (the rule is order-dependent), then
-/// pre-samples the batch's detector answers sequentially (oracles are
-/// pure in `(p, t)`, so the workers read them from a lock-free map), then
-/// fans the survivors across the workers for safety checking and
-/// expansion. Children are merged back onto the stack in survivor order,
-/// and a batch with violations reports the lexicographically-least
+/// bit-for-bit the classic DFS), composes (and, under symmetry,
+/// canonicalizes) their keys in parallel from the slot keys each state
+/// carries and pre-reads them against the sharded seen-table, resolves
+/// the budget-aware revisit rule *sequentially in batch order* (the rule
+/// is order-dependent), then pre-samples the batch's detector answers
+/// sequentially (oracles are pure in `(p, t)`, so the workers read them
+/// from a lock-free map), then fans the survivors across the workers for
+/// safety checking and expansion. Expansion keys each child as it is
+/// built: the child inherits its parent's slot keys and re-keys only the
+/// slots its step touched (the root alone is keyed in full; see
+/// [`StateHasher`]). Children are merged back onto the stack in survivor
+/// order, and a batch with violations reports the lexicographically-least
 /// decision list among them — every step is either order-independent or
 /// resolved in a fixed order, which is why the worker count cannot
 /// change the report.
@@ -1360,9 +1473,17 @@ where
     } else {
         Vec::new()
     };
-    let root = initial_state(make_procs(), invocations);
-    let n = root.procs.len();
+    let mut root = KeyedState {
+        state: initial_state(make_procs(), invocations),
+        keys: SlotKeys::new(),
+    };
+    let n = root.state.procs.len();
     let env = StepEnv { pattern, n };
+    // Slot keys exist for the dedup key only. The root is keyed in full;
+    // every other state inherits its parent's keys during expansion.
+    if cfg.dedup {
+        root.keys = root.full_keys(&hasher, &mut Vec::new());
+    }
 
     // Seen-table: state key → the Pareto front of recorded expansions
     // (depth, sleep set) — see [`SeenCover`]. A revisit is pruned only
@@ -1383,9 +1504,9 @@ where
     // across batches. All hand-offs move `Vec` *headers* (O(1)), never
     // elements — shuffling states between a shared arena and per-chunk
     // lists element-wise costs more than the allocations it saves.
-    let free_pools: Vec<Mutex<Vec<State<P>>>> =
+    let free_pools: Vec<WorkerStates<P, H::Slot>> =
         (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    let child_bufs: Vec<Mutex<Vec<State<P>>>> =
+    let child_bufs: Vec<WorkerStates<P, H::Slot>> =
         (0..threads).map(|_| Mutex::new(Vec::new())).collect();
     // One key canonicalizer per worker, its slot memo persistent across
     // batches. With no usable symmetry group it keys the identity only.
@@ -1393,7 +1514,7 @@ where
         .map(|_| Mutex::new(Canonicalizer::with_perms(&hasher, sym_perms.clone())))
         .collect();
     let mut next_pool = 0usize;
-    let mut survivors: Vec<State<P>> = Vec::new();
+    let mut survivors: Vec<KeyedState<P, H::Slot>> = Vec::new();
     let mut fd_cache: FdTable<P::Fd> = FdTable::new(n, cfg.max_depth);
     // Per-batch map: survivor depth `t` → whether the failure pattern and
     // the detector are stable across times `t` and `t + 1` (the
@@ -1431,7 +1552,7 @@ where
         obs.record(HistId::ExploreBatchSize, take as u64);
 
         survivors.clear();
-        let mut recycle_rr = |s: State<P>| {
+        let mut recycle_rr = |s: KeyedState<P, H::Slot>| {
             recycle(
                 s,
                 &mut free_pools[next_pool % threads]
@@ -1441,17 +1562,18 @@ where
             next_pool = next_pool.wrapping_add(1);
         };
         if cfg.dedup {
-            // Key phase (parallel): fingerprint every batch state and
-            // pre-read the committed table. Committed depths only ever
-            // decrease, so a pre-read prune verdict can never be
-            // invalidated by the sequential pass below — pre-reads are a
-            // pure early-out that moves lookup work into the parallel
-            // section, so with one worker they are skipped outright (the
-            // resolution pass below is authoritative either way).
+            // Key phase (parallel): compose (and canonicalize) every batch
+            // state's key from the slot keys it carries, and pre-read the
+            // committed table. Committed depths only ever decrease, so a
+            // pre-read prune verdict can never be invalidated by the
+            // sequential pass below — pre-reads are a pure early-out that
+            // moves lookup work into the parallel section, so with one
+            // worker they are skipped outright (the resolution pass below
+            // is authoritative either way).
             let pre_read = threads > 1;
             let ranges = chunk_ranges(take, threads);
             let key_phase = obs.phase(PhaseId::ExploreKey);
-            let keyed = par_map_with(&ranges, threads, |slot, range| {
+            let batch_keys = par_map_with(&ranges, threads, |slot, range| {
                 let mut keys = Vec::with_capacity(range.len());
                 let mut canon_sleeps = Vec::with_capacity(range.len());
                 let mut arg_perms = Vec::with_capacity(range.len());
@@ -1460,10 +1582,30 @@ where
                 let mut outputs = Vec::new();
                 let mut canon = canonicalizers[slot].lock().expect("canonicalizer poisoned");
                 for j in range.clone() {
-                    let state = &stack[top - 1 - j];
-                    materialize_outputs(&state.outputs, state.outputs_len, &mut outputs);
-                    let (key, arg_perm) =
-                        canon.canonical(&state.procs, &state.inboxes, &state.started, &outputs);
+                    let node = &stack[top - 1 - j];
+                    let state = &node.state;
+                    // Inherited keys must equal a full re-key.
+                    #[cfg(debug_assertions)]
+                    assert!(
+                        node.full_keys(&hasher, &mut outputs) == node.keys,
+                        "inherited slot keys diverge from a full re-key at depth {} \
+                         (decisions {:?})",
+                        state.depth,
+                        state.collect_decisions(),
+                    );
+                    // Only an output-memo miss reads the history, and only
+                    // a group can miss.
+                    outputs.clear();
+                    if canon.has_group() {
+                        materialize_outputs(&state.outputs, state.outputs_len, &mut outputs);
+                    }
+                    let (key, arg_perm) = canon.canonical(
+                        &state.procs,
+                        &state.inboxes,
+                        &state.started,
+                        &outputs,
+                        &node.keys,
+                    );
                     sym_hits += usize::from(arg_perm.is_some());
                     // The sleep set enters the seen-table in the *same*
                     // coordinates as the key: mapped through the
@@ -1506,7 +1648,7 @@ where
             // rule is order-dependent *within* a batch, so it runs in the
             // one fixed order every thread count shares.
             let _revisit_phase = obs.phase(PhaseId::ExploreRevisit);
-            for (keys, canon_sleeps, arg_perms, pre_pruned, sym_hits) in keyed {
+            for (keys, canon_sleeps, arg_perms, pre_pruned, sym_hits) in batch_keys {
                 symmetry_canonical_hits += sym_hits;
                 for (((key, canon_sleep), arg_perm), pre) in keys
                     .into_iter()
@@ -1514,7 +1656,8 @@ where
                     .zip(arg_perms)
                     .zip(pre_pruned)
                 {
-                    let mut state = stack.pop().expect("batch within stack");
+                    let mut node = stack.pop().expect("batch within stack");
+                    let state = &mut node.state;
                     let keep = !pre && {
                         let mut shard = shards[H::shard(&key, shard_count)]
                             .lock()
@@ -1611,10 +1754,10 @@ where
                         }
                     };
                     if keep {
-                        survivors.push(state);
+                        survivors.push(node);
                     } else {
                         dedup_hits += 1;
-                        recycle_rr(state);
+                        recycle_rr(node);
                     }
                 }
             }
@@ -1633,7 +1776,7 @@ where
         let mut full_visits = 0usize;
         let mut cut = survivors.len();
         for (i, s) in survivors.iter().enumerate() {
-            if s.restrict.is_none() {
+            if s.state.restrict.is_none() {
                 if full_visits == remaining {
                     cut = i;
                     break;
@@ -1660,7 +1803,7 @@ where
         let oracle_phase = obs.phase(PhaseId::ExploreOracle);
         fd_cache.clear();
         dpor_stable.clear();
-        for state in &survivors {
+        for KeyedState { state, .. } in &survivors {
             obs.record(HistId::ExploreStateDepth, state.depth as u64);
             if state.depth >= cfg.max_depth {
                 continue;
@@ -1690,8 +1833,9 @@ where
         drop(oracle_phase);
 
         // Expansion phase (parallel): safety-check and expand each
-        // survivor chunk; each chunk draws from (and returns to) its own
-        // slot of the free-list arena.
+        // survivor chunk, keying every child from its parent's slot keys;
+        // each chunk draws from (and returns to) its own slot of the
+        // free-list arena.
         let expand_phase = obs.phase(PhaseId::ExploreExpand);
         let ranges = chunk_ranges(survivors.len(), threads);
         let outs = par_map_with(&ranges, threads, |slot, range| {
@@ -1715,7 +1859,8 @@ where
             // the current state (with theirs).
             let mut sleep_fps: Vec<(ExploreDecision, Footprint)> = Vec::new();
             let mut executed: Vec<(ExploreDecision, Footprint)> = Vec::new();
-            for state in &survivors[range.clone()] {
+            for node in &survivors[range.clone()] {
+                let state = &node.state;
                 // A restricted revisit's safety verdict is fixed by its
                 // first visit — the key covers the procs and the output
                 // history, and a violation there would have ended the
@@ -1792,26 +1937,30 @@ where
                         }
                         let fd = fd_cache.get(p.index(), t);
                         let fp = decision_footprint(state, d, n);
-                        let mut dst = free.pop().unwrap_or_else(State::blank);
+                        let mut dst = free.pop().unwrap_or_else(KeyedState::blank);
                         apply_step_into(
                             &env,
                             state,
-                            &mut dst,
+                            &mut dst.state,
                             p,
                             fd.clone(),
                             choice,
                             &mut bufs,
                             Some(&fp),
                         );
+                        if cfg.dedup {
+                            dst.inherit_keys(&hasher, node, p, &mut outputs);
+                        }
                         if stable {
-                            dst.sleep.extend(
+                            let sleep = &mut dst.state.sleep;
+                            sleep.extend(
                                 sleep_fps
                                     .iter()
                                     .chain(executed.iter())
                                     .filter(|(e, efp)| independent(*e, efp, d, &fp, &state.started))
                                     .map(|(e, _)| *e),
                             );
-                            dst.sleep.sort_unstable();
+                            sleep.sort_unstable();
                         }
                         out.children.push(dst);
                         executed.push((d, fp));
@@ -1819,17 +1968,20 @@ where
                 } else {
                     for &(p, choice) in &enabled {
                         let fd = fd_cache.get(p.index(), t);
-                        let mut dst = free.pop().unwrap_or_else(State::blank);
+                        let mut dst = free.pop().unwrap_or_else(KeyedState::blank);
                         apply_step_into(
                             &env,
                             state,
-                            &mut dst,
+                            &mut dst.state,
                             p,
                             fd.clone(),
                             choice,
                             &mut bufs,
                             None,
                         );
+                        if cfg.dedup {
+                            dst.inherit_keys(&hasher, node, p, &mut outputs);
+                        }
                         out.children.push(dst);
                     }
                 }

@@ -153,13 +153,16 @@ metric_ids! {
     pub enum PhaseId {
         /// The engine's step loop ([`crate::Sim::run_until`]).
         EngineRun => "engine_run",
-        /// Explorer: parallel fingerprint/pre-read of a batch.
+        /// Explorer: parallel key composition (and symmetry
+        /// canonicalization) from carried slot keys, and seen-table
+        /// pre-read, of a batch.
         ExploreKey => "explore_key",
         /// Explorer: sequential budget-aware revisit resolution.
         ExploreRevisit => "explore_revisit",
         /// Explorer: sequential per-batch detector pre-sampling.
         ExploreOracle => "explore_oracle",
-        /// Explorer: parallel safety-check + expansion of survivors.
+        /// Explorer: parallel safety-check + expansion of survivors,
+        /// including re-keying the slots each child's step touched.
         ExploreExpand => "explore_expand",
         /// Explorer: sequential merge of children and violations.
         ExploreMerge => "explore_merge",
