@@ -507,7 +507,10 @@ impl ExploreReport {
 ///
 /// A state is `n` process slots plus an output history. Slot `i`
 /// contributes the key of process `i`'s state, the key of its inbox and
-/// its `started` bit; the output history contributes one more key.
+/// a `u64` word of per-slot scalars; the output history contributes one
+/// more key. The explorer's word is the `started` bit (`0` or `1`); the
+/// liveness checker, which keys its fair-graph nodes through the same
+/// composition, folds the slot's fairness counters into it too.
 /// [`slot`](StateHasher::slot) keys each component and
 /// [`compose`](StateHasher::compose) folds the components, slot by slot,
 /// into the state's key. Together they determine everything the safety
@@ -559,20 +562,23 @@ pub trait StateHasher: Sync {
     /// Key one state component from its `Debug` rendering.
     fn slot<T: Debug + ?Sized>(&self, component: &T) -> Self::Slot;
 
-    /// Fold slot keys into a state key: one `(process, inbox, started)`
+    /// Fold slot keys into a state key: one `(process, inbox, word)`
     /// triple per slot, in slot order, then the output history's key.
-    /// Must be injective over its inputs up to the key type's collision
-    /// rate — the seen-table trusts key equality.
+    /// The word is an arbitrary `u64` (see the trait docs for what the
+    /// explorer and the liveness checker put there). Must be injective
+    /// over its inputs up to the key type's collision rate — the
+    /// seen-table trusts key equality.
     fn compose<'s>(
         &self,
-        slots: impl Iterator<Item = (&'s Self::Slot, &'s Self::Slot, bool)>,
+        slots: impl Iterator<Item = (&'s Self::Slot, &'s Self::Slot, u64)>,
         outputs: &Self::Slot,
     ) -> Self::Key
     where
         Self::Slot: 's;
 
-    /// Key the given state components: [`slot`](StateHasher::slot) each
-    /// one, then [`compose`](StateHasher::compose) them in slot order.
+    /// Key the given explorer state components: [`slot`](StateHasher::slot)
+    /// each one, then [`compose`](StateHasher::compose) them in slot order
+    /// with each slot's `started` bit as its word.
     fn key<P: Protocol + Debug>(
         &self,
         procs: &[P],
@@ -580,7 +586,7 @@ pub trait StateHasher: Sync {
         started: &[bool],
         outputs: &[(ProcessId, P::Output)],
     ) -> Self::Key {
-        SlotKeys::of(self, procs, inboxes, outputs).compose(self, started)
+        SlotKeys::of(self, procs, inboxes, outputs).compose(self, &started_words(started))
     }
 
     /// Which of `shards` seen-table shards a key lives in. The default
@@ -593,21 +599,26 @@ pub trait StateHasher: Sync {
     }
 }
 
+/// The explorer's per-slot words: each slot's `started` bit.
+fn started_words(started: &[bool]) -> Vec<u64> {
+    started.iter().map(|&s| u64::from(s)).collect()
+}
+
 /// The slot keys of one state, in one vector: the `n` process keys, then
 /// the `n` inbox keys, then the output history's key. Empty until the
 /// state is keyed.
-#[derive(PartialEq)]
-pub(crate) struct SlotKeys<S>(Vec<S>);
+#[derive(Debug, PartialEq)]
+pub(crate) struct SlotKeys<S>(pub(crate) Vec<S>);
 
 impl<S> SlotKeys<S> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SlotKeys(Vec::new())
     }
 
     /// Key every component where it stands. The incremental re-keys in
-    /// [`KeyedState::inherit_keys`] call the same [`StateHasher::slot`]
-    /// on the same component types, so both paths agree key for key.
-    fn of<H, P>(
+    /// [`SlotKeys::inherit`] call the same [`StateHasher::slot`] on the
+    /// same component types, so both paths agree key for key.
+    pub(crate) fn of<H, P>(
         hasher: &H,
         procs: &[P],
         inboxes: &[Vec<(ProcessId, P::Msg)>],
@@ -638,8 +649,9 @@ impl<S> SlotKeys<S> {
         self.0.last().expect("keyed state")
     }
 
-    /// The identity composition: every slot keyed where it stands.
-    fn compose<H>(&self, hasher: &H, started: &[bool]) -> H::Key
+    /// The identity composition: every slot keyed where it stands, slot
+    /// `i` with word `words[i]`.
+    pub(crate) fn compose<H>(&self, hasher: &H, words: &[u64]) -> H::Key
     where
         H: StateHasher<Slot = S> + ?Sized,
     {
@@ -647,10 +659,51 @@ impl<S> SlotKeys<S> {
             self.procs()
                 .iter()
                 .zip(self.inboxes())
-                .zip(started)
-                .map(|((p, i), &s)| (p, i, s)),
+                .zip(words)
+                .map(|((p, i), &w)| (p, i, w)),
             self.outputs(),
         )
+    }
+
+    /// Become the slot keys of a state that `actor`'s step produced from
+    /// a state keyed `parent`: inherit the parent's keys and re-key only
+    /// what the step touched. That is the actor's process state; the
+    /// actor's inbox when the step `delivered` from it (a delivery that
+    /// re-sends to the actor itself leaves the length unchanged, so the
+    /// length alone cannot tell); and every inbox whose length changed
+    /// (other inboxes only ever receive appends, and a send to a crashed
+    /// process is dropped). `before` is the parent's inboxes. The output
+    /// key is inherited as is; a caller whose step may emit re-keys it.
+    ///
+    /// `delivered` is explicit because the two callers learn it
+    /// differently: the explorer from the decision the state recorded,
+    /// the liveness checker (whose nodes record none) from the decision
+    /// and the parent.
+    #[allow(clippy::too_many_arguments)] // the step's inputs, each documented above
+    pub(crate) fn inherit<H, P>(
+        &mut self,
+        hasher: &H,
+        parent: &[S],
+        procs: &[P],
+        inboxes: &[Vec<(ProcessId, P::Msg)>],
+        before: &[Vec<(ProcessId, P::Msg)>],
+        actor: ProcessId,
+        delivered: bool,
+    ) where
+        H: StateHasher<Slot = S> + ?Sized,
+        P: Protocol + Debug,
+        S: Clone,
+    {
+        // Reuses the allocation a recycled key vector kept.
+        self.0.clear();
+        self.0.extend_from_slice(parent);
+        let (n, a) = (procs.len(), actor.index());
+        self.0[a] = hasher.slot(&procs[a]);
+        for (j, (inbox, old)) in inboxes.iter().zip(before).enumerate() {
+            if inbox.len() != old.len() || (j == a && delivered) {
+                self.0[n + j] = hasher.slot(inbox.as_slice());
+            }
+        }
     }
 }
 
@@ -687,13 +740,9 @@ where
 
     /// Key this state, which `actor`'s step just produced from `parent`:
     /// inherit the parent's slot keys and re-key only what the step
-    /// touched. That is the actor's process state; the actor's inbox when
-    /// the step delivered from it (a delivery that re-sends to the actor
-    /// itself leaves the length unchanged, so the length alone cannot
-    /// tell); every inbox whose length changed (other inboxes only ever
-    /// receive appends, and a send to a crashed process is dropped); and
-    /// the output history when the step emitted. `started` is composed
-    /// directly and `pending_inv` is not keyed, so neither has a slot.
+    /// touched ([`SlotKeys::inherit`]), plus the output history when the
+    /// step emitted. `started` is composed directly and `pending_inv` is
+    /// not keyed, so neither has a slot.
     fn inherit_keys<H>(
         &mut self,
         hasher: &H,
@@ -704,25 +753,25 @@ where
         H: StateHasher<Slot = S>,
     {
         let (state, before) = (&self.state, &parent.state);
-        let keys = &mut self.keys;
-        // `clone_from` reuses the allocation a recycled state kept.
-        keys.0.clone_from(&parent.keys.0);
-        let (n, a) = (state.procs.len(), actor.index());
-        keys.0[a] = hasher.slot(&state.procs[a]);
         // The step's recorded decision carries a message index exactly
         // when it delivered one.
         let delivered = state
             .decisions
             .as_ref()
             .is_some_and(|d| d.decision.1.is_some());
-        for (j, (inbox, old)) in state.inboxes.iter().zip(&before.inboxes).enumerate() {
-            if inbox.len() != old.len() || (j == a && delivered) {
-                keys.0[n + j] = hasher.slot(inbox.as_slice());
-            }
-        }
+        self.keys.inherit(
+            hasher,
+            &parent.keys.0,
+            &state.procs,
+            &state.inboxes,
+            &before.inboxes,
+            actor,
+            delivered,
+        );
         if state.outputs_len != before.outputs_len {
             materialize_outputs(&state.outputs, state.outputs_len, outputs);
-            keys.0[2 * n] = hasher.slot(outputs.as_slice());
+            let n = state.procs.len();
+            self.keys.0[2 * n] = hasher.slot(outputs.as_slice());
         }
     }
 }
@@ -730,8 +779,8 @@ where
 /// The default [`StateHasher`]: each component is the 128-bit
 /// fingerprint of its `Debug` rendering, computed streaming (no `String`
 /// is allocated), and the state key is the fingerprint of the slot
-/// fingerprints and `started` bits in slot order, then the output
-/// history's. Collisions are possible in principle (2⁻¹²⁸-ish); the
+/// fingerprints and words in slot order, then the output history's.
+/// Collisions are possible in principle (2⁻¹²⁸-ish); the
 /// `explore_dedup` property suite continuously checks verdict
 /// equivalence against [`ExactKeyHasher`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -747,14 +796,14 @@ impl StateHasher for FingerprintHasher {
 
     fn compose<'s>(
         &self,
-        slots: impl Iterator<Item = (&'s u128, &'s u128, bool)>,
+        slots: impl Iterator<Item = (&'s u128, &'s u128, u64)>,
         outputs: &u128,
     ) -> u128 {
         let mut w = Fingerprint128::new();
-        for (proc, inbox, started) in slots {
+        for (proc, inbox, word) in slots {
             w.write_u128(*proc);
             w.write_u128(*inbox);
-            w.write_u64(u64::from(started));
+            w.write_u64(word);
         }
         w.write_u128(*outputs);
         w.finish()
@@ -767,10 +816,11 @@ impl StateHasher for FingerprintHasher {
 
 /// The exact [`StateHasher`]: each component is its full `Debug`
 /// rendering, and the state key frames every rendering with its byte
-/// length (`len:rendering`), slot by slot with the `started` bit as `0`
-/// or `1`, then the output history. The framing makes the key injective
-/// over component renderings, so two states share a key exactly when
-/// every component renders alike. Slow and memory-hungry; selected by
+/// length (`len:rendering`), slot by slot with the word framed the same
+/// way in decimal, then the output history. The framing makes the key
+/// injective over component renderings and words, so two states share a
+/// key exactly when every component renders alike and every word is
+/// equal. Slow and memory-hungry; selected by
 /// equivalence tests (and available to callers that want certainty over
 /// speed) to cross-check [`FingerprintHasher`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -786,7 +836,7 @@ impl StateHasher for ExactKeyHasher {
 
     fn compose<'s>(
         &self,
-        slots: impl Iterator<Item = (&'s String, &'s String, bool)>,
+        slots: impl Iterator<Item = (&'s String, &'s String, u64)>,
         outputs: &String,
     ) -> String {
         fn framed(key: &mut String, part: &str) {
@@ -795,10 +845,10 @@ impl StateHasher for ExactKeyHasher {
             key.push_str(part);
         }
         let mut key = String::new();
-        for (proc, inbox, started) in slots {
+        for (proc, inbox, word) in slots {
             framed(&mut key, proc);
             framed(&mut key, inbox);
-            key.push(if started { '1' } else { '0' });
+            framed(&mut key, &word.to_string());
         }
         framed(&mut key, outputs);
         key
@@ -1124,8 +1174,9 @@ impl<S: Eq + Hash + Clone> SlotMemo<S> {
 /// original slot `π⁻¹(j)`, with every embedded id rewritten forward
 /// ([`Protocol::permute`], [`Protocol::permute_msg`],
 /// [`Protocol::permute_output`], and inbox senders and output emitters
-/// mapped through `π`). Inbox and output order are preserved — appends
-/// are order-sensitive state.
+/// mapped through `π`). Slot words hold id-free scalars, so they move
+/// with their slot unchanged. Inbox and output order are preserved —
+/// appends are order-sensitive state.
 ///
 /// A renamed state is never built. The key of a component after `π`
 /// comes from a memo indexed by the component's own key: a miss clones
@@ -1137,15 +1188,18 @@ impl<S: Eq + Hash + Clone> SlotMemo<S> {
 /// does not depend on what the memo already holds.
 ///
 /// The explorer keeps one per worker across its whole run and feeds it
-/// the slot keys its states carry. It is public so differential tests
-/// can check it against [`StateHasher::key`] of materialized renamed
-/// states.
+/// the slot keys its states carry; the liveness checker does the same
+/// for its fair-graph nodes, and also takes the winning renaming's slot
+/// keys from the memo rows. It is public so differential tests can check
+/// it against [`StateHasher::key`] of materialized renamed states.
 pub struct Canonicalizer<'h, H: StateHasher, P> {
     hasher: &'h H,
     perms: Vec<SymPerm>,
-    /// The current state's memo row starts, slot by slot.
+    /// The current state's memo row starts, slot by slot, and its
+    /// output history's.
     proc_rows: Vec<usize>,
     inbox_rows: Vec<usize>,
+    out_row: usize,
     procs: SlotMemo<H::Slot>,
     inboxes: SlotMemo<H::Slot>,
     outputs: SlotMemo<H::Slot>,
@@ -1170,12 +1224,13 @@ where
         Self::with_perms(hasher, perms)
     }
 
-    fn with_perms(hasher: &'h H, perms: Vec<SymPerm>) -> Self {
+    pub(crate) fn with_perms(hasher: &'h H, perms: Vec<SymPerm>) -> Self {
         Canonicalizer {
             hasher,
             perms,
             proc_rows: Vec::new(),
             inbox_rows: Vec::new(),
+            out_row: 0,
             procs: SlotMemo::new(),
             inboxes: SlotMemo::new(),
             outputs: SlotMemo::new(),
@@ -1183,8 +1238,9 @@ where
         }
     }
 
-    /// The canonical key of the given state components: key every
-    /// component, then canonicalize from those slot keys.
+    /// The canonical key of the given explorer state components: key
+    /// every component, then canonicalize from those slot keys with each
+    /// slot's `started` bit as its word.
     pub fn key(
         &mut self,
         procs: &[P],
@@ -1193,7 +1249,8 @@ where
         outputs: &[(ProcessId, P::Output)],
     ) -> H::Key {
         let keys = SlotKeys::of(self.hasher, procs, inboxes, outputs);
-        self.canonical(procs, inboxes, started, outputs, &keys).0
+        let words = started_words(started);
+        self.canonical(procs, inboxes, &words, outputs, &keys).0
     }
 
     /// Memo rows held across the process, inbox and output-history
@@ -1210,21 +1267,21 @@ where
     }
 
     /// The canonical key of a state whose components carry the slot keys
-    /// `keys`, plus the index of the group element that realized it
-    /// (`None` when the identity is least). The components are read only
-    /// on a memo miss, to rename them; `outputs` only on an output-memo
-    /// miss, so a caller without a group (see
+    /// `keys` and the slot words `words`, plus the index of the group
+    /// element that realized it (`None` when the identity is least). The
+    /// components are read only on a memo miss, to rename them; `outputs`
+    /// only on an output-memo miss, so a caller without a group (see
     /// [`has_group`](Canonicalizer::has_group)) may pass an empty slice.
     pub(crate) fn canonical(
         &mut self,
         procs: &[P],
         inboxes: &[Vec<(ProcessId, P::Msg)>],
-        started: &[bool],
+        words: &[u64],
         outputs: &[(ProcessId, P::Output)],
         keys: &SlotKeys<H::Slot>,
     ) -> (H::Key, Option<usize>) {
         let hasher = self.hasher;
-        let mut best = keys.compose(hasher, started);
+        let mut best = keys.compose(hasher, words);
         if self.perms.is_empty() {
             return (best, None);
         }
@@ -1258,7 +1315,7 @@ where
                 }));
             }));
         }
-        let out_row = self.outputs.row(keys.outputs(), |images| {
+        self.out_row = self.outputs.row(keys.outputs(), |images| {
             images.extend(perms.iter().map(|sp| {
                 let renamed: Vec<(ProcessId, P::Output)> = outputs
                     .iter()
@@ -1278,10 +1335,10 @@ where
                     (
                         &self.procs.images[self.proc_rows[i] + g],
                         &self.inboxes.images[self.inbox_rows[i] + g],
-                        started[i],
+                        words[i],
                     )
                 }),
-                &self.outputs.images[out_row + g],
+                &self.outputs.images[self.out_row + g],
             );
             if key < best {
                 best = key;
@@ -1289,6 +1346,20 @@ where
             }
         }
         (best, best_perm)
+    }
+
+    /// Overwrite `keys` with the slot keys of the last
+    /// [`canonical`](Canonicalizer::canonical) call's state renamed by
+    /// group element `g` (the index it returned), read off the memo rows
+    /// that call filled: canonical slot `j` takes the image of original
+    /// slot `π⁻¹(j)`.
+    pub(crate) fn renamed_keys(&self, g: usize, keys: &mut SlotKeys<H::Slot>) {
+        let (n, sp) = (self.proc_rows.len(), &self.perms[g]);
+        for (j, &i) in sp.inverse.iter().enumerate() {
+            keys.0[j].clone_from(&self.procs.images[self.proc_rows[i] + g]);
+            keys.0[n + j].clone_from(&self.inboxes.images[self.inbox_rows[i] + g]);
+        }
+        keys.0[2 * n].clone_from(&self.outputs.images[self.out_row + g]);
     }
 }
 
@@ -1339,7 +1410,7 @@ struct ChunkOut<P: Protocol, S> {
 
 /// Contiguous, near-even, in-order split of `0..len` into at most
 /// `chunks` non-empty ranges.
-fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
     if len == 0 {
         return Vec::new();
     }
@@ -1580,6 +1651,7 @@ where
                 let mut pre_pruned = Vec::with_capacity(range.len());
                 let mut sym_hits = 0usize;
                 let mut outputs = Vec::new();
+                let mut words = Vec::new();
                 let mut canon = canonicalizers[slot].lock().expect("canonicalizer poisoned");
                 for j in range.clone() {
                     let node = &stack[top - 1 - j];
@@ -1599,13 +1671,10 @@ where
                     if canon.has_group() {
                         materialize_outputs(&state.outputs, state.outputs_len, &mut outputs);
                     }
-                    let (key, arg_perm) = canon.canonical(
-                        &state.procs,
-                        &state.inboxes,
-                        &state.started,
-                        &outputs,
-                        &node.keys,
-                    );
+                    words.clear();
+                    words.extend(state.started.iter().map(|&s| u64::from(s)));
+                    let (key, arg_perm) =
+                        canon.canonical(&state.procs, &state.inboxes, &words, &outputs, &node.keys);
                     sym_hits += usize::from(arg_perm.is_some());
                     // The sleep set enters the seen-table in the *same*
                     // coordinates as the key: mapped through the
@@ -2588,7 +2657,7 @@ mod tests {
 
         fn compose<'s>(
             &self,
-            slots: impl Iterator<Item = (&'s String, &'s String, bool)>,
+            slots: impl Iterator<Item = (&'s String, &'s String, u64)>,
             _outputs: &String,
         ) -> String {
             ExactKeyHasher.compose(slots, &String::new())

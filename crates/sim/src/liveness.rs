@@ -47,16 +47,46 @@
 //!   remaining run is real, so `Violated` verdicts stand; a `Holds` over
 //!   a truncated graph degrades to `Inconclusive`.
 //!
+//! # Node keys
+//!
+//! Dedup is exact: a node's fingerprint picks a bucket and structural
+//! equality (`node_eq`) confirms the match, so graph numbering (BFS
+//! discovery order) never depends on the fingerprint. The fingerprint
+//! is built like an explorer key ([`StateHasher`](crate::StateHasher)): one
+//! [`FingerprintHasher`] key per process state and per inbox, composed
+//! slot by slot with a `u64` word of the slot's fairness bookkeeping
+//! (`started`, step-gap counter, message ages), then the depth. Slot
+//! keys are incremental, as in the explorer: each BFS frontier entry
+//! carries its node's keys, and a successor inherits them and re-keys
+//! only the slots its step touched. Graph nodes themselves keep no keys;
+//! the frontier is the only place they live.
+//!
 //! # Symmetry
 //!
 //! With [`ReductionConfig::symmetry`](crate::ReductionConfig) on (via
 //! [`LivenessConfig::reduction`]), nodes are canonicalized under the
 //! scenario-preserving subgroup of [`Protocol::symmetry`] (the same
-//! restriction the safety explorer applies). Propositions must then be
-//! symmetric — invariant under the declared group — which is checked on
-//! every canonicalization. The quotient preserves verdicts; to keep
+//! restriction the safety explorer applies), through the explorer's
+//! memoized [`Canonicalizer`]. The representative of an orbit is the
+//! renaming with the least composed slot-key fingerprint (the identity
+//! on ties, then the earlier group element); only that one renamed node
+//! is built. Propositions must be symmetric — invariant under the
+//! declared group — which is checked against every group element on
+//! every successor. The quotient preserves verdicts; to keep
 //! counterexamples concrete, a violation found under symmetry is re-run
 //! without it to extract the replayable lasso.
+//!
+//! The quotient's *size*, unlike its verdict, depends on which renaming
+//! represents an orbit: the fair decision set is not itself symmetric,
+//! since `enabled_fair` breaks forcing ties toward the lowest process
+//! id, so renamed nodes can reach differently sized sets of orbits. On
+//! the benchmark's FS accuracy case (`TimeoutFs`, G = D = 3, failure
+//! free) the least whole-node `Debug` fingerprint, the representative
+//! before slot keys, gave 8,295 nodes at n = 4 and 20,693 at n = 3; the
+//! least composed slot key gives 9,542 and 17,108. Every one of them
+//! holds. What guards the quotient is the verdict ladder in
+//! `tests/liveness.rs` (symmetry on and off must agree), not a node
+//! count.
 //!
 //! # DPOR
 //!
@@ -68,9 +98,11 @@
 //! need it. A configuration sweep that flips the flag gets an explicit
 //! error instead of a quietly identical verdict.
 
-use crate::explore::{scenario_symmetry, SymPerm};
+use crate::explore::{
+    chunk_ranges, scenario_symmetry, Canonicalizer, FingerprintHasher, SlotKeys, SymPerm,
+};
 use crate::failure::FailurePattern;
-use crate::fingerprint::debug_fp;
+use crate::fingerprint::Fingerprint128;
 use crate::id::{ProcessId, Time};
 use crate::json::Json;
 use crate::machine::{node_eq, ExploreDecision, FairMachine, LiveNode, ReductionConfig, State};
@@ -78,7 +110,10 @@ use crate::oracle::FdOracle;
 use crate::par::{explore_threads, par_map_with};
 use crate::protocol::{PropView, Protocol, SendBuf};
 use std::collections::BTreeMap;
+// wfd-lint: allow(d1-hash-collections, imported only for the fair-graph dedup index and the product interner, both keyed lookup/insert only; nothing iterates them)
+use std::collections::HashMap;
 use std::fmt::{self, Debug, Display};
+use std::sync::Mutex;
 
 /// The most propositions a protocol may declare — valuations are packed
 /// into a `u32` bitmask.
@@ -709,18 +744,79 @@ impl LivenessReport {
 
 // `LiveNode` (the graph node: machine state + fairness bookkeeping) and
 // its structural equality live in [`crate::machine`], shared with the
-// lasso replayer; the fingerprint stays here with the other
-// `debug_fp`-based hashing.
-fn node_fp<P: Protocol + Debug>(node: &LiveNode<P>) -> u128 {
-    debug_fp(&(
+// lasso replayer.
+
+/// The slot keys of a fair-graph node, laid out as the explorer's: one
+/// [`FingerprintHasher`] key per process state, one per inbox, then the
+/// output history's. Nodes drop their outputs, so that last key is the
+/// empty history's, a constant.
+type NodeKeys = SlotKeys<u128>;
+
+/// Key every slot of `node` from scratch (the root, and the key check).
+fn full_keys<P: Protocol + Debug>(node: &LiveNode<P>) -> NodeKeys {
+    let no_outputs: &[(ProcessId, P::Output)] = &[];
+    SlotKeys::of(
+        &FingerprintHasher,
         &node.state.procs,
         &node.state.inboxes,
-        &node.state.started,
-        &node.state.pending_inv,
-        node.state.depth,
-        &node.since,
-        &node.ages,
-    ))
+        no_outputs,
+    )
+}
+
+/// The per-slot words of `node` into `words`: slot `i`'s `started` bit,
+/// step-gap counter and message ages, fingerprinted into one `u64`.
+/// They are id-free, so a renaming moves them with their slot. Pending
+/// invocations need no word: `started` and the fixed initial invocation
+/// vector determine them.
+fn slot_words<P: Protocol>(node: &LiveNode<P>, words: &mut Vec<u64>) {
+    words.clear();
+    for (i, ages) in node.ages.iter().enumerate() {
+        let mut w = Fingerprint128::new();
+        w.write_u64(u64::from(node.state.started[i]));
+        w.write_u64(node.since[i]);
+        for &age in ages {
+            w.write_u64(age);
+        }
+        words.push(w.finish() as u64);
+    }
+}
+
+/// A node's fingerprint: its composed slot key, then its depth (the one
+/// component that has no slot).
+fn fingerprint(composed: u128, depth: usize) -> u128 {
+    let mut w = Fingerprint128::new();
+    w.write_u128(composed);
+    w.write_u64(depth as u64);
+    w.finish()
+}
+
+/// A node's fingerprint keyed from scratch, as if it were its own
+/// representative.
+fn fresh_fingerprint<P: Protocol + Debug>(node: &LiveNode<P>) -> u128 {
+    let mut words = Vec::new();
+    slot_words(node, &mut words);
+    let composed = full_keys(node).compose(&FingerprintHasher, &words);
+    fingerprint(composed, node.state.depth)
+}
+
+/// Assert that `keys`, and `fp` when given, are what keying `node` from
+/// scratch gives: a stale inherited or renamed key would otherwise
+/// silently split one node into two. Runs when [`GraphEnv::check_keys`]
+/// is on.
+fn assert_keys_fresh<P>(node: &LiveNode<P>, keys: &NodeKeys, fp: Option<u128>, what: &str)
+where
+    P: Protocol + Debug,
+{
+    assert!(
+        full_keys(node) == *keys,
+        "{what} slot keys diverge from a full re-key at depth {}",
+        node.state.depth
+    );
+    assert!(
+        fp.is_none_or(|fp| fresh_fingerprint(node) == fp),
+        "{what} fingerprint diverges from a full re-key at depth {}",
+        node.state.depth
+    );
 }
 
 /// Everything the expansion workers share read-only.
@@ -735,9 +831,60 @@ struct GraphEnv<'a, P: Protocol> {
     correct: Vec<bool>,
     perms: Vec<SymPerm>,
     prop_count: usize,
+    /// Re-key every node from scratch and assert its carried slot keys
+    /// and fingerprint match (see [`assert_keys_fresh`]). On in debug
+    /// builds.
+    check_keys: bool,
 }
 
-impl<P: Protocol> GraphEnv<'_, P> {
+impl<'a, P: Protocol> GraphEnv<'a, P> {
+    /// Pre-sample the detector for every alive `(p, t)` up to
+    /// `t_stable` (workers cannot query the mutable oracle) and resolve
+    /// the scenario's symmetry group when `cfg` asks for it.
+    fn new<D>(
+        cfg: &'a LivenessConfig,
+        pattern: &'a FailurePattern,
+        invocations: &[Option<P::Inv>],
+        detector: &mut D,
+    ) -> Self
+    where
+        D: FdOracle<Value = P::Fd>,
+    {
+        let n = pattern.n();
+        let stride = cfg.t_stable as usize + 1;
+        let mut fd: Vec<Option<P::Fd>> = vec![None; n * stride];
+        let mut alive: Vec<Vec<bool>> = Vec::with_capacity(stride);
+        for t in 0..stride {
+            let t = t as Time;
+            alive.push(
+                (0..n)
+                    .map(|q| !pattern.is_crashed(ProcessId(q), t))
+                    .collect(),
+            );
+            for q in 0..n {
+                if !pattern.is_crashed(ProcessId(q), t) {
+                    fd[q * stride + t as usize] = Some(detector.query(ProcessId(q), t));
+                }
+            }
+        }
+        let perms = if cfg.reduction.symmetry {
+            scenario_symmetry::<P, _>(n, stride, pattern, invocations, detector)
+        } else {
+            Vec::new()
+        };
+        GraphEnv {
+            pattern,
+            cfg,
+            fd,
+            stride,
+            alive,
+            correct: (0..n).map(|q| pattern.is_correct(ProcessId(q))).collect(),
+            perms,
+            prop_count: P::props().len(),
+            check_keys: cfg!(debug_assertions),
+        }
+    }
+
     fn fd_at(&self, p: usize, t: Time) -> &P::Fd {
         self.fd[p * self.stride + t as usize]
             .as_ref()
@@ -797,24 +944,54 @@ fn permute_node<P: Protocol + Clone>(node: &LiveNode<P>, sp: &SymPerm) -> LiveNo
     LiveNode { state, since, ages }
 }
 
-/// Canonicalize under the scenario symmetry group: the permuted variant
-/// with the least fingerprint wins (identity on ties, then the earlier
-/// group element). Checks that the proposition valuation is invariant —
-/// the soundness obligation symmetric protocols take on.
-fn canonicalize<P>(env: &GraphEnv<'_, P>, node: LiveNode<P>) -> Result<LiveNode<P>, String>
+/// One worker's keying state: its canonicalizer, whose memo persists
+/// across BFS levels as the explorer's per-worker ones do, and scratch.
+struct Keyer<P: Protocol> {
+    canon: Canonicalizer<'static, FingerprintHasher, P>,
+    words: Vec<u64>,
+    /// The renamed process states the proposition check evaluates.
+    renamed: Vec<P>,
+}
+
+impl<P: Protocol + Clone + Debug> Keyer<P> {
+    fn new(perms: &[SymPerm]) -> Self {
+        Keyer {
+            canon: Canonicalizer::with_perms(&FingerprintHasher, perms.to_vec()),
+            words: Vec::new(),
+            renamed: Vec::new(),
+        }
+    }
+}
+
+/// Canonicalize `node`, whose slot keys are `keys`, and return the
+/// representative with its fingerprint and proposition valuation; `keys`
+/// is left holding the representative's slot keys.
+///
+/// Without a symmetry group the node is its own representative. With
+/// one, the representative is the renaming with the least composed key
+/// (see [`Canonicalizer`]): the only renamed node built, its slot keys
+/// read off the memo rows. The valuation must be invariant under every
+/// group element — the soundness obligation symmetric protocols take on.
+fn canonicalize<P>(
+    env: &GraphEnv<'_, P>,
+    keyer: &mut Keyer<P>,
+    node: LiveNode<P>,
+    keys: &mut NodeKeys,
+) -> Result<(LiveNode<P>, u128, u32), String>
 where
     P: Protocol + Clone + Debug,
 {
-    if env.perms.is_empty() {
-        return Ok(node);
-    }
     let t = node.state.depth as Time;
     let val = env.eval(&node.state.procs, t);
-    let mut best_fp = node_fp(&node);
-    let mut best: Option<LiveNode<P>> = None;
     for sp in &env.perms {
-        let permuted = permute_node(&node, sp);
-        if env.eval(&permuted.state.procs, t) != val {
+        let procs = &node.state.procs;
+        keyer.renamed.clear();
+        keyer.renamed.extend(sp.inverse.iter().map(|&i| {
+            let mut proc = procs[i].clone();
+            proc.permute(&sp.perm);
+            proc
+        }));
+        if env.eval(&keyer.renamed, t) != val {
             return Err(format!(
                 "propositions of {} are not invariant under its declared \
                  symmetry group; liveness props must be symmetric \
@@ -822,13 +999,24 @@ where
                 std::any::type_name::<P>()
             ));
         }
-        let fp = node_fp(&permuted);
-        if fp < best_fp {
-            best_fp = fp;
-            best = Some(permuted);
-        }
     }
-    Ok(best.unwrap_or(node))
+    slot_words(&node, &mut keyer.words);
+    let (composed, g) = keyer.canon.canonical(
+        &node.state.procs,
+        &node.state.inboxes,
+        &keyer.words,
+        &[],
+        keys,
+    );
+    let node = match g {
+        None => node,
+        Some(g) => {
+            keyer.canon.renamed_keys(g, keys);
+            permute_node(&node, &env.perms[g])
+        }
+    };
+    let fp = fingerprint(composed, node.state.depth);
+    Ok((node, fp, val))
 }
 
 struct LiveGraph<P: Protocol> {
@@ -839,9 +1027,38 @@ struct LiveGraph<P: Protocol> {
     capped: bool,
 }
 
+/// The end of a fingerprint's collision chain in [`build_graph`].
+const NO_NODE: u32 = u32::MAX;
+
+/// One canonical successor of node `src`, as a worker hands it to the
+/// merge.
+struct Edge<P: Protocol> {
+    src: u32,
+    dec: ExploreDecision,
+    node: LiveNode<P>,
+    fp: u128,
+    val: u32,
+}
+
+/// What one worker chunk of a BFS level hands back: its frontier nodes'
+/// successors in frontier and decision order, their slot keys flat in
+/// the same order, and whether an inbox overflow dropped any.
+struct Expansion<P: Protocol> {
+    edges: Vec<Edge<P>>,
+    keys: Vec<u128>,
+    truncated: bool,
+}
+
 /// Build the deduplicated fair state graph, breadth-first in parallel
 /// batches with a sequential deterministic merge (identical graphs at
 /// any thread count).
+///
+/// Each frontier entry carries its node's slot keys; a successor
+/// inherits them ([`SlotKeys::inherit`]) and re-keys only the actor's
+/// process state, the actor's inbox on a delivery, and every inbox whose
+/// length changed. Dedup is exact: the fingerprint finds a candidate
+/// chain and [`node_eq`] confirms, so the numbering is BFS discovery
+/// order whatever the fingerprints are.
 fn build_graph<P>(
     env: &GraphEnv<'_, P>,
     procs: Vec<P>,
@@ -870,73 +1087,134 @@ where
         env.cfg.t_stable,
         |p: ProcessId, t: Time| env.fd_at(p.index(), t).clone(),
     );
-    let root = canonicalize(env, machine.initial(procs, invocations))?;
-    let root_fp = node_fp(&root);
-    let root_val = env.eval(&root.state.procs, 0);
+    // One keyer per worker chunk; without symmetry it only composes.
+    let keyers: Vec<Mutex<Keyer<P>>> = (0..threads)
+        .map(|_| Mutex::new(Keyer::new(&env.perms)))
+        .collect();
+    let root = machine.initial(procs, invocations);
+    let mut root_keys = full_keys(&root);
+    let (root, root_fp, root_val) = canonicalize(
+        env,
+        &mut keyers[0].lock().expect("keyer poisoned"),
+        root,
+        &mut root_keys,
+    )?;
+    if env.check_keys {
+        assert_keys_fresh(&root, &root_keys, Some(root_fp), "root");
+    }
+    let width = root_keys.0.len();
     let mut nodes = vec![root];
     let mut vals = vec![root_val];
     let mut succs: Vec<Vec<(u32, ExploreDecision)>> = vec![Vec::new()];
-    let mut buckets: BTreeMap<u128, Vec<u32>> = BTreeMap::new();
-    buckets.insert(root_fp, vec![0]);
+    // Dedup index: fingerprint → the first node with it, and per node
+    // the next node with the same fingerprint (collisions only).
+    // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates it)
+    let mut first: HashMap<u128, u32> = HashMap::new();
+    first.insert(root_fp, 0);
+    let mut next: Vec<u32> = vec![NO_NODE];
+    // The BFS frontier: node ids and, `width` per node, their slot keys.
     let mut frontier: Vec<u32> = vec![0];
+    let mut frontier_keys: Vec<u128> = root_keys.0;
     let mut truncated = false;
     let mut capped = false;
     while !frontier.is_empty() && !capped {
-        type Expanded<P> = Result<(Vec<(ExploreDecision, LiveNode<P>, u128, u32)>, bool), String>;
-        let results: Vec<Expanded<P>> = par_map_with(&frontier, threads, |_, &id| {
-            let node = &nodes[id as usize];
+        let ranges = chunk_ranges(frontier.len(), threads);
+        let chunks = par_map_with(&ranges, threads, |slot, range| {
+            let mut keyer = keyers[slot].lock().expect("keyer poisoned");
+            let mut out = Expansion {
+                edges: Vec::new(),
+                keys: Vec::new(),
+                truncated: false,
+            };
             let mut decisions = Vec::new();
-            machine.enabled_fair(node, &mut decisions);
             let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
-            let mut out = Vec::with_capacity(decisions.len());
-            let mut trunc = false;
-            for dec in decisions {
+            let mut keys = SlotKeys::new();
+            for k in range.clone() {
+                let src = frontier[k];
+                let node = &nodes[src as usize];
+                let parent_keys = &frontier_keys[k * width..(k + 1) * width];
                 let t = node.state.depth as Time;
-                let fd = env.fd_at(dec.0.index(), t).clone();
-                let succ = machine.step_with(node, dec, fd, &mut bufs);
-                if succ
-                    .state
-                    .inboxes
-                    .iter()
-                    .any(|ib| ib.len() > env.cfg.max_inbox)
-                {
-                    trunc = true;
-                    continue;
-                }
-                let succ = canonicalize(env, succ)?;
-                let fp = node_fp(&succ);
-                let val = env.eval(&succ.state.procs, succ.state.depth as Time);
-                out.push((dec, succ, fp, val));
-            }
-            Ok((out, trunc))
-        });
-        let batch = std::mem::take(&mut frontier);
-        for (src, res) in batch.iter().zip(results) {
-            let (edges, trunc) = res?;
-            truncated |= trunc;
-            for (dec, succ, fp, val) in edges {
-                let bucket = buckets.entry(fp).or_default();
-                let found = bucket
-                    .iter()
-                    .copied()
-                    .find(|&id| node_eq(&nodes[id as usize], &succ));
-                let id = match found {
-                    Some(id) => id,
-                    None => {
-                        if nodes.len() >= env.cfg.max_states {
-                            capped = true;
-                            continue;
-                        }
-                        let id = nodes.len() as u32;
-                        nodes.push(succ);
-                        vals.push(val);
-                        succs.push(Vec::new());
-                        bucket.push(id);
-                        frontier.push(id);
-                        id
+                decisions.clear();
+                machine.enabled_fair(node, &mut decisions);
+                for &dec in &decisions {
+                    let (p, choice) = dec;
+                    let a = p.index();
+                    let fd = env.fd_at(a, t).clone();
+                    let succ = machine.step_with(node, dec, fd, &mut bufs);
+                    if succ
+                        .state
+                        .inboxes
+                        .iter()
+                        .any(|ib| ib.len() > env.cfg.max_inbox)
+                    {
+                        out.truncated = true;
+                        continue;
                     }
-                };
-                succs[*src as usize].push((id, dec));
+                    // `step_with` clears the decision chain, so whether
+                    // the step delivered comes from the decision and the
+                    // parent, exactly as the step resolved it.
+                    let delivered = node.state.started[a]
+                        && choice.is_some()
+                        && !node.state.inboxes[a].is_empty();
+                    keys.inherit(
+                        &FingerprintHasher,
+                        parent_keys,
+                        &succ.state.procs,
+                        &succ.state.inboxes,
+                        &node.state.inboxes,
+                        p,
+                        delivered,
+                    );
+                    if env.check_keys {
+                        assert_keys_fresh(&succ, &keys, None, "inherited");
+                    }
+                    let (succ, fp, val) = canonicalize(env, &mut keyer, succ, &mut keys)?;
+                    if env.check_keys {
+                        assert_keys_fresh(&succ, &keys, Some(fp), "canonical");
+                    }
+                    out.keys.extend_from_slice(&keys.0);
+                    out.edges.push(Edge {
+                        src,
+                        dec,
+                        node: succ,
+                        fp,
+                        val,
+                    });
+                }
+            }
+            Ok::<_, String>(out)
+        });
+        frontier.clear();
+        frontier_keys.clear();
+        for chunk in chunks {
+            let chunk = chunk?;
+            truncated |= chunk.truncated;
+            for (edge, keys) in chunk.edges.into_iter().zip(chunk.keys.chunks_exact(width)) {
+                let mut id = first.get(&edge.fp).copied().unwrap_or(NO_NODE);
+                let mut tail = NO_NODE;
+                while id != NO_NODE && !node_eq(&nodes[id as usize], &edge.node) {
+                    tail = id;
+                    id = next[id as usize];
+                }
+                if id == NO_NODE {
+                    if nodes.len() >= env.cfg.max_states {
+                        capped = true;
+                        continue;
+                    }
+                    id = nodes.len() as u32;
+                    if tail == NO_NODE {
+                        first.insert(edge.fp, id);
+                    } else {
+                        next[tail as usize] = id;
+                    }
+                    nodes.push(edge.node);
+                    vals.push(edge.val);
+                    succs.push(Vec::new());
+                    next.push(NO_NODE);
+                    frontier.push(id);
+                    frontier_keys.extend_from_slice(keys);
+                }
+                succs[edge.src as usize].push((id, edge.dec));
             }
         }
     }
@@ -961,7 +1239,8 @@ fn find_lasso<P: Protocol>(graph: &LiveGraph<P>, ba: &Buchi) -> (Option<LassoWit
         return (None, 0);
     }
     // Product state = (graph node, automaton state, acceptance counter).
-    let mut index: BTreeMap<(u32, u32, u32), u32> = BTreeMap::new();
+    // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates it)
+    let mut index: HashMap<(u32, u32, u32), u32> = HashMap::new();
     // Product state: (graph node, Büchi state, acceptance counter).
     type Key = (u32, u32, u32);
     // Interner threaded into `succs_of` by mutable reference: it must
@@ -1272,41 +1551,8 @@ where
     let tableau = gpvw(&arena, neg_root);
     let ba = build_buchi(&arena, &tableau);
 
-    // Pre-sample the detector for every alive (p, t) in the non-frozen
-    // region — workers cannot query the (mutable) oracle.
-    let stride = cfg.t_stable as usize + 1;
-    let mut fd: Vec<Option<P::Fd>> = vec![None; n * stride];
-    let mut alive: Vec<Vec<bool>> = Vec::with_capacity(stride);
-    for t in 0..stride {
-        let t = t as Time;
-        alive.push(
-            (0..n)
-                .map(|q| !pattern.is_crashed(ProcessId(q), t))
-                .collect(),
-        );
-        for q in 0..n {
-            if !pattern.is_crashed(ProcessId(q), t) {
-                fd[q * stride + t as usize] = Some(detector.query(ProcessId(q), t));
-            }
-        }
-    }
-    let correct: Vec<bool> = (0..n).map(|q| pattern.is_correct(ProcessId(q))).collect();
-    let perms = if cfg.reduction.symmetry {
-        scenario_symmetry::<P, _>(n, stride, pattern, &invocations, &mut detector)
-    } else {
-        Vec::new()
-    };
-    let used_symmetry = !perms.is_empty();
-    let env = GraphEnv::<P> {
-        pattern,
-        cfg: &cfg,
-        fd,
-        stride,
-        alive,
-        correct,
-        perms,
-        prop_count: P::props().len(),
-    };
+    let env = GraphEnv::<P>::new(&cfg, pattern, &invocations, &mut detector);
+    let used_symmetry = !env.perms.is_empty();
     let graph = build_graph(&env, procs, invocations.clone())?;
     let (lasso, product_states) = find_lasso(&graph, &ba);
     let edges = graph.succs.iter().map(Vec::len).sum();
@@ -1372,10 +1618,12 @@ where
 // ---------------------------------------------------------------------------
 
 /// Tiny protocols exercising the liveness checker: a planted livelock
-/// the nested DFS must catch, and a terminating counterpart.
+/// the nested DFS must catch, a terminating counterpart, and a protocol
+/// whose renaming hooks really rewrite ids, for the symmetry reduction.
 pub mod fixtures {
     use super::*;
-    use crate::protocol::{Ctx, Symmetry};
+    use crate::id::ProcessSet;
+    use crate::protocol::{Ctx, Permutation, Symmetry};
 
     /// The planted livelock: on start every process sends one token to
     /// every other; every token is bounced straight back to its sender,
@@ -1464,11 +1712,114 @@ pub mod fixtures {
                 .all(|(p, &c)| !c || p.decided)
         }
     }
+
+    /// A two-round join-quorum protocol whose state and messages embed
+    /// process ids, so its renaming hooks really rewrite. Each round a
+    /// process broadcasts `Join`, every process answers with an `Ack`
+    /// naming itself, and the first majority of acks becomes the round's
+    /// quorum; a λ step with a first-round quorum starts the second
+    /// round. `F "formed"` (every correct process holds a second-round
+    /// quorum) holds exactly when a majority is correct.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct JoinQuorum {
+        /// `0` before the first step, then `1` or `2`.
+        pub round: u8,
+        /// The processes that acknowledged this round so far.
+        pub acks: ProcessSet,
+        /// This round's quorum, once a majority acknowledged.
+        pub quorum: Option<ProcessSet>,
+    }
+
+    /// [`JoinQuorum`]'s messages.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum JoinMsg {
+        /// Round `k` asks for acknowledgements.
+        Join(u8),
+        /// The named process acknowledges round `k`.
+        Ack(u8, ProcessId),
+    }
+
+    impl JoinQuorum {
+        /// `n` fresh processes.
+        pub fn fleet(n: usize) -> Vec<JoinQuorum> {
+            (0..n)
+                .map(|_| JoinQuorum {
+                    round: 0,
+                    acks: ProcessSet::new(),
+                    quorum: None,
+                })
+                .collect()
+        }
+    }
+
+    fn rename(set: &ProcessSet, perm: &Permutation) -> ProcessSet {
+        set.iter().map(|p| perm.apply(p)).collect()
+    }
+
+    impl Protocol for JoinQuorum {
+        type Msg = JoinMsg;
+        type Output = ();
+        type Inv = ();
+        type Fd = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<Self>) {
+            self.round = 1;
+            ctx.broadcast(JoinMsg::Join(1));
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, msg: JoinMsg) {
+            match msg {
+                JoinMsg::Join(k) => ctx.send(from, JoinMsg::Ack(k, ctx.me())),
+                JoinMsg::Ack(k, who) if k == self.round && self.quorum.is_none() => {
+                    self.acks.insert(who);
+                    if self.acks.len() * 2 > ctx.n() {
+                        self.quorum = Some(self.acks.clone());
+                    }
+                }
+                JoinMsg::Ack(..) => {}
+            }
+        }
+
+        fn on_tick(&mut self, ctx: &mut Ctx<Self>) {
+            if self.round == 1 && self.quorum.is_some() {
+                self.round = 2;
+                self.acks = ProcessSet::new();
+                self.quorum = None;
+                ctx.broadcast(JoinMsg::Join(2));
+            }
+        }
+
+        fn symmetry(_n: usize) -> Symmetry {
+            Symmetry::Full
+        }
+
+        fn permute(&mut self, perm: &Permutation) {
+            self.acks = rename(&self.acks, perm);
+            self.quorum = self.quorum.as_ref().map(|q| rename(q, perm));
+        }
+
+        fn permute_msg(msg: &mut JoinMsg, perm: &Permutation) {
+            if let JoinMsg::Ack(_, who) = msg {
+                *who = perm.apply(*who);
+            }
+        }
+
+        fn props() -> &'static [&'static str] {
+            &["formed"]
+        }
+
+        fn eval_prop(_prop: usize, procs: &[Self], view: &PropView<'_>) -> bool {
+            procs
+                .iter()
+                .zip(view.correct)
+                .all(|(p, &c)| !c || (p.round == 2 && p.quorum.is_some()))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::fixtures::{Decider, PingPong};
+    use super::fixtures::{Decider, JoinQuorum, PingPong};
     use super::*;
     use crate::machine::Replay;
     use crate::oracle::NoDetector;
@@ -1674,5 +2025,79 @@ mod tests {
         if report.truncated {
             assert_eq!(report.verdict, LivenessVerdict::Inconclusive);
         }
+    }
+
+    /// Build one scenario's fair graph with the key check on, whatever
+    /// the build profile, so every carried slot key and fingerprint is
+    /// compared with a full re-key as it is made; then check that no two
+    /// nodes are structurally equal (a stale key splits a node in two)
+    /// and, under symmetry, that every renaming of every node
+    /// canonicalizes back to that node. Returns how many renamings it
+    /// checked.
+    fn audit<P>(procs: fn(usize) -> Vec<P>, cfg: &LivenessConfig, pattern: &FailurePattern) -> usize
+    where
+        P: Protocol<Inv = (), Fd = ()> + Clone + Debug + PartialEq + Send + Sync,
+        P::Msg: PartialEq + Send + Sync,
+        P::Output: Send + Sync,
+    {
+        let n = pattern.n();
+        let mut env = GraphEnv::<P>::new(cfg, pattern, &vec![None; n], &mut NoDetector);
+        env.check_keys = true;
+        let graph = build_graph(&env, procs(n), vec![None; n]).expect("well-formed scenario");
+        assert!(!graph.truncated && !graph.capped);
+        let mut by_fp: BTreeMap<u128, Vec<usize>> = BTreeMap::new();
+        for (i, node) in graph.nodes.iter().enumerate() {
+            let twins = by_fp.entry(fresh_fingerprint(node)).or_default();
+            if let Some(&j) = twins.iter().find(|&&j| node_eq(&graph.nodes[j], node)) {
+                panic!("nodes {j} and {i} are equal");
+            }
+            twins.push(i);
+        }
+        let mut keyer = Keyer::new(&env.perms);
+        for (i, node) in graph.nodes.iter().enumerate() {
+            for sp in &env.perms {
+                let renamed = permute_node(node, sp);
+                let mut keys = full_keys(&renamed);
+                let (canon, fp, val) =
+                    canonicalize(&env, &mut keyer, renamed, &mut keys).expect("symmetric props");
+                assert_eq!(val, graph.vals[i], "node {i}: the valuation moved");
+                assert!(
+                    node_eq(&canon, node),
+                    "node {i} is not its orbit's representative"
+                );
+                assert_eq!(
+                    fp,
+                    fresh_fingerprint(node),
+                    "node {i}: fingerprint depends on the renaming"
+                );
+                assert_eq!(keys, full_keys(node), "node {i}: stale representative keys");
+            }
+        }
+        graph.nodes.len() * env.perms.len()
+    }
+
+    #[test]
+    fn carried_keys_match_a_full_re_key_and_leave_no_duplicate_nodes() {
+        let mut renamings = 0;
+        for n in [2, 3] {
+            for crash in [false, true] {
+                let mut pattern = FailurePattern::failure_free(n);
+                if crash {
+                    pattern = pattern.with_crash(ProcessId(0), 0);
+                }
+                for (gap, delay) in [(2, 2), (2, 3), (3, 2), (3, 3)] {
+                    for (symmetry, threads) in [(false, 1), (false, 2), (true, 1), (true, 2)] {
+                        let cfg = LivenessConfig::new(gap, delay, 0)
+                            .with_max_inbox(12)
+                            .with_symmetry(symmetry)
+                            .with_threads(threads);
+                        renamings += audit(PingPong::fleet, &cfg, &pattern);
+                        renamings += audit(Decider::fleet, &cfg, &pattern);
+                        renamings += audit(JoinQuorum::fleet, &cfg, &pattern);
+                    }
+                }
+            }
+        }
+        assert!(renamings > 0, "no renaming was checked");
     }
 }
