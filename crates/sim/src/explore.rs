@@ -32,19 +32,25 @@
 //! The inner loop is built for throughput, SPIN-style:
 //!
 //! * **Fingerprinted dedup** — visited states are keyed by composing
-//!   per-slot keys: each process state, each inbox and the output
-//!   history is fingerprinted (128 bits, [`FingerprintHasher`]) straight
-//!   off its `Debug` rendering, and the slot fingerprints are folded in
-//!   slot order; no rendering is ever stored. Slot keys are incremental:
-//!   every state carries its own, and a child inherits its parent's and
-//!   re-renders only the slots its step touched — the actor's process
-//!   state, the inboxes it delivered from or sent to, and the output
-//!   history if it emitted — so a step costs one or a few renderings, not
-//!   `2n + 1`. [`ExactKeyHasher`] keeps length-framed renderings as a
-//!   `String` key and exists to property-test that the fingerprint never
-//!   changes a verdict; select between them with
-//!   [`ExploreConfig::with_hasher`], or plug any [`StateHasher`] in via
-//!   [`explore_custom`].
+//!   per-slot keys: each process state, each pending message and the
+//!   output history is fingerprinted (128 bits, [`FingerprintHasher`])
+//!   straight off its `Debug` rendering, each inbox is the fingerprint of
+//!   its messages' fingerprints in order, and the slot fingerprints are
+//!   folded in slot order; no rendering is ever stored. Keys are
+//!   incremental and almost never rendered: every state carries its slot
+//!   and message keys, a child inherits its parent's, and what the step
+//!   produced (the actor's new state, the messages it sent) is keyed from
+//!   a per-worker transition memo looked up by the actor, the step time,
+//!   whether it had started, its process key and the delivered message's
+//!   key. A delivery or an append recomposes an inbox key from message
+//!   keys; only a memo miss renders (the actor's state and each sent
+//!   message, once), and a step that emits re-renders the output history.
+//!   The benchmark's paper protocols reach a few thousand distinct steps
+//!   over hundreds of thousands of children. [`ExactKeyHasher`] keeps
+//!   length-framed renderings as a `String` key and exists to
+//!   property-test that the fingerprint never changes a verdict; select
+//!   between them with [`ExploreConfig::with_hasher`], or plug any
+//!   [`StateHasher`] in via [`explore_custom`].
 //! * **Shared-prefix states** — the per-branch decision and output
 //!   histories are `Arc`-linked cons-lists sharing their prefix with the
 //!   parent state, materialized into flat vectors only when the safety
@@ -508,36 +514,46 @@ impl ExploreReport {
 /// A state is `n` process slots plus an output history. Slot `i`
 /// contributes the key of process `i`'s state, the key of its inbox and
 /// a `u64` word of per-slot scalars; the output history contributes one
-/// more key. The explorer's word is the `started` bit (`0` or `1`); the
-/// liveness checker, which keys its fair-graph nodes through the same
-/// composition, folds the slot's fairness counters into it too.
-/// [`slot`](StateHasher::slot) keys each component and
-/// [`compose`](StateHasher::compose) folds the components, slot by slot,
-/// into the state's key. Together they determine everything the safety
-/// predicate and the expansion can observe (`pending_inv` is determined
-/// by `started` plus the fixed initial invocation vector, so it needs no
-/// key component).
+/// more key. An inbox's key is a [`seq`](StateHasher::seq) of message
+/// keys: one [`slot`](StateHasher::slot) per pending `(sender, message)`
+/// entry, in inbox order. The explorer's word is the `started` bit (`0`
+/// or `1`); the liveness checker, which keys its fair-graph nodes
+/// through the same composition, folds the slot's fairness counters into
+/// it too. [`compose`](StateHasher::compose) folds the components, slot
+/// by slot, into the state's key. Together they determine everything
+/// the safety predicate and the expansion can observe (`pending_inv` is
+/// determined by `started` plus the fixed initial invocation vector, so
+/// it needs no key component).
 ///
 /// The composition is what makes symmetry canonicalization cheap. A
 /// process renaming moves whole slots and rewrites the ids inside each
 /// component, so the key of a renamed state is the renamed components'
 /// keys in the new slot order. The explorer memoizes, per worker, the
-/// key of every component it has seen under every element of the
-/// scenario's group, and canonicalizes by reordering those memoized
-/// keys ([`Canonicalizer`]); it never builds a renamed state. A memo hit
-/// returns the images computed for an earlier component with the same
-/// key, so it relies on the assumption every key already makes:
-/// components with equal keys (for the shipped hashers, equal `Debug`
-/// renderings) are equal.
+/// key of every process state, message and output history it has seen
+/// under every element of the scenario's group (a renamed inbox's key is
+/// the `seq` of its renamed messages' keys), and canonicalizes by
+/// reordering those memoized keys ([`Canonicalizer`]); it never builds a
+/// renamed state. A memo hit returns the images computed for an earlier
+/// component with the same key, so it relies on the assumption every key
+/// already makes: components with equal keys (for the shipped hashers,
+/// equal `Debug` renderings) are equal.
 ///
 /// The composition is also what lets the explorer key states
-/// incrementally. A slot key is a pure function of its component, so a
-/// component a step did not touch keeps its key. Every explorer state
-/// carries its slot keys; a child inherits its parent's and re-keys only
-/// the slots the step touched: the actor's process state, the inboxes
-/// the step delivered from or appended to, and the output history when
-/// the step emitted. The composed key is the same as keying the child in
-/// full, so inheriting keys changes no report.
+/// incrementally, almost without rendering. Every explorer state carries
+/// its slot keys and its pending messages' keys, and a child inherits
+/// its parent's: a delivery drops the delivered message's key, an append
+/// adds the sent message's, and every touched inbox recomposes its `seq`
+/// from message keys. What the step itself produced (the actor's new
+/// process key, the keys of the messages it sent) comes from a
+/// per-worker transition memo looked up by everything that determines
+/// it: the actor, the step time, whether the actor had started, its
+/// process key and the delivered message's key. That lookup is sound
+/// under the same assumption, because a [`Protocol`] handler's effect is
+/// a function of its state, the step and `Ctx::{me, n, now, fd}`. Only a
+/// memo miss renders (the actor's new state and each message it sent,
+/// once), and the output history is re-keyed when a step emits. The
+/// composed key is the same as keying the child in full, so inheriting
+/// keys changes no report.
 ///
 /// Two implementations ship: [`FingerprintHasher`] (the default, 128-bit
 /// fingerprints) and [`ExactKeyHasher`] (length-framed renderings;
@@ -548,8 +564,8 @@ impl ExploreReport {
 ///
 /// [`key`]: StateHasher::key
 pub trait StateHasher: Sync {
-    /// The key of one state component: a process state, an inbox, or the
-    /// output history.
+    /// The key of one state component: a process state, a message, an
+    /// inbox, or the output history.
     ///
     /// `Sync` because slot keys travel with the explorer's states, which
     /// the parallel key and expansion phases read from every worker.
@@ -559,8 +575,18 @@ pub trait StateHasher: Sync {
     /// the least key over the candidate permutations deterministically.
     type Key: Eq + Ord + Hash + Clone + Send;
 
-    /// Key one state component from its `Debug` rendering.
+    /// Key one state component from its `Debug` rendering: a process
+    /// state, one pending `(sender, message)` entry, or the output
+    /// history.
     fn slot<T: Debug + ?Sized>(&self, component: &T) -> Self::Slot;
+
+    /// Key a sequence of keys, in order: an inbox from its messages'
+    /// keys. Must be injective over sequences (their length and order
+    /// included) up to the slot type's collision rate, as
+    /// [`compose`](StateHasher::compose) must be.
+    fn seq<'s>(&self, items: impl Iterator<Item = &'s Self::Slot>) -> Self::Slot
+    where
+        Self::Slot: 's;
 
     /// Fold slot keys into a state key: one `(process, inbox, word)`
     /// triple per slot, in slot order, then the output history's key.
@@ -576,9 +602,11 @@ pub trait StateHasher: Sync {
     where
         Self::Slot: 's;
 
-    /// Key the given explorer state components: [`slot`](StateHasher::slot)
-    /// each one, then [`compose`](StateHasher::compose) them in slot order
-    /// with each slot's `started` bit as its word.
+    /// Key the given explorer state components: key each process state,
+    /// each message, each inbox as the [`seq`](StateHasher::seq) of its
+    /// messages and the output history, then
+    /// [`compose`](StateHasher::compose) them in slot order with each
+    /// slot's `started` bit as its word.
     fn key<P: Protocol + Debug>(
         &self,
         procs: &[P],
@@ -604,20 +632,44 @@ fn started_words(started: &[bool]) -> Vec<u64> {
     started.iter().map(|&s| u64::from(s)).collect()
 }
 
-/// The slot keys of one state, in one vector: the `n` process keys, then
-/// the `n` inbox keys, then the output history's key. Empty until the
-/// state is keyed.
+/// The keys of one state: its slot keys (the `n` process keys, then the
+/// `n` inbox keys, then the output history's) and its pending messages'
+/// keys, inbox by inbox, each inbox in order. A state's inboxes give the
+/// length of each inbox's run of message keys, so the runs carry no
+/// bounds of their own. Empty until the state is keyed.
 #[derive(Debug, PartialEq)]
-pub(crate) struct SlotKeys<S>(pub(crate) Vec<S>);
+pub(crate) struct SlotKeys<S> {
+    pub(crate) slots: Vec<S>,
+    pub(crate) msgs: Vec<S>,
+}
+
+/// One step, as [`SlotKeys::inherit`] and the transition memo see it.
+#[derive(Clone, Copy)]
+pub(crate) struct Step {
+    pub(crate) actor: ProcessId,
+    /// The step's time: the parent's depth (the liveness checker's
+    /// clamps at `t_stable`).
+    pub(crate) t: Time,
+    /// Whether the actor had started before the step; a first step runs
+    /// `on_start`, then `on_invoke` with the run's fixed invocation.
+    pub(crate) started: bool,
+    /// The parent-inbox position of the message the step delivered (as
+    /// the step clamped it), if it delivered one.
+    pub(crate) delivered: Option<usize>,
+}
 
 impl<S> SlotKeys<S> {
     pub(crate) fn new() -> Self {
-        SlotKeys(Vec::new())
+        SlotKeys {
+            slots: Vec::new(),
+            msgs: Vec::new(),
+        }
     }
 
-    /// Key every component where it stands. The incremental re-keys in
-    /// [`SlotKeys::inherit`] call the same [`StateHasher::slot`] on the
-    /// same component types, so both paths agree key for key.
+    /// Key every component where it stands. The incremental path in
+    /// [`SlotKeys::inherit`] calls the same [`StateHasher::slot`] on the
+    /// same component types and the same [`StateHasher::seq`] over the
+    /// same message keys, so both paths agree key for key.
     pub(crate) fn of<H, P>(
         hasher: &H,
         procs: &[P],
@@ -628,25 +680,32 @@ impl<S> SlotKeys<S> {
         H: StateHasher<Slot = S> + ?Sized,
         P: Protocol + Debug,
     {
-        let procs = procs.iter().map(|p| hasher.slot(p));
-        let inboxes = inboxes.iter().map(|inbox| hasher.slot(inbox.as_slice()));
-        SlotKeys(procs.chain(inboxes).chain([hasher.slot(outputs)]).collect())
+        let mut keys = SlotKeys::new();
+        keys.slots.extend(procs.iter().map(|p| hasher.slot(p)));
+        for inbox in inboxes {
+            let start = keys.msgs.len();
+            keys.msgs
+                .extend(inbox.iter().map(|entry| hasher.slot(entry)));
+            keys.slots.push(hasher.seq(keys.msgs[start..].iter()));
+        }
+        keys.slots.push(hasher.slot(outputs));
+        keys
     }
 
     fn n(&self) -> usize {
-        self.0.len() / 2
+        self.slots.len() / 2
     }
 
     fn procs(&self) -> &[S] {
-        &self.0[..self.n()]
+        &self.slots[..self.n()]
     }
 
     fn inboxes(&self) -> &[S] {
-        &self.0[self.n()..2 * self.n()]
+        &self.slots[self.n()..2 * self.n()]
     }
 
     fn outputs(&self) -> &S {
-        self.0.last().expect("keyed state")
+        self.slots.last().expect("keyed state")
     }
 
     /// The identity composition: every slot keyed where it stands, slot
@@ -665,51 +724,105 @@ impl<S> SlotKeys<S> {
         )
     }
 
-    /// Become the slot keys of a state that `actor`'s step produced from
-    /// a state keyed `parent`: inherit the parent's keys and re-key only
-    /// what the step touched. That is the actor's process state; the
-    /// actor's inbox when the step `delivered` from it (a delivery that
-    /// re-sends to the actor itself leaves the length unchanged, so the
-    /// length alone cannot tell); and every inbox whose length changed
-    /// (other inboxes only ever receive appends, and a send to a crashed
-    /// process is dropped). `before` is the parent's inboxes. The output
-    /// key is inherited as is; a caller whose step may emit re-keys it.
+    /// Become the keys of the state `step` produced (components `procs`
+    /// and `inboxes`) from a state whose keys are `parent` (slot keys,
+    /// message keys) and whose inboxes are `before`, without rendering
+    /// on a memo hit. Returns whether `memo` held the step.
     ///
-    /// `delivered` is explicit because the two callers learn it
-    /// differently: the explorer from the decision the state recorded,
-    /// the liveness checker (whose nodes record none) from the decision
-    /// and the parent.
+    /// The actor's process key and the keys of the messages the step
+    /// appended come from `memo`; a miss renders them and records them.
+    /// Every inbox keeps its parent's message keys, less the delivered
+    /// one for the actor's, plus the appended ones; an inbox the step
+    /// delivered from or appended to recomposes its key with
+    /// [`StateHasher::seq`], and every other slot key is inherited. The
+    /// output key is inherited as is; a caller whose step may emit
+    /// re-keys it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a memoized effect does not fit the step's inboxes: the
+    /// handler's effect was not a function of what the memo is keyed by
+    /// (see [`Protocol`]).
     #[allow(clippy::too_many_arguments)] // the step's inputs, each documented above
     pub(crate) fn inherit<H, P>(
         &mut self,
         hasher: &H,
-        parent: &[S],
+        memo: &mut StepMemo<S>,
+        parent: (&[S], &[S]),
+        before: &[Vec<(ProcessId, P::Msg)>],
         procs: &[P],
         inboxes: &[Vec<(ProcessId, P::Msg)>],
-        before: &[Vec<(ProcessId, P::Msg)>],
-        actor: ProcessId,
-        delivered: bool,
-    ) where
+        step: Step,
+    ) -> bool
+    where
         H: StateHasher<Slot = S> + ?Sized,
         P: Protocol + Debug,
-        S: Clone,
+        S: Eq + Hash + Clone,
     {
-        // Reuses the allocation a recycled key vector kept.
-        self.0.clear();
-        self.0.extend_from_slice(parent);
-        let (n, a) = (procs.len(), actor.index());
-        self.0[a] = hasher.slot(&procs[a]);
+        let (parent_slots, parent_msgs) = parent;
+        let (n, a) = (procs.len(), step.actor.index());
+        let actor_run: usize = before[..a].iter().map(Vec::len).sum();
+        let key = StepKey {
+            actor: a,
+            t: step.t,
+            started: step.started,
+            proc: parent_slots[a].clone(),
+            delivered: step.delivered.map(|i| parent_msgs[actor_run + i].clone()),
+        };
+        let (effect, hit) = memo.effect(key, || {
+            let mut sent = Vec::new();
+            for (j, (inbox, old)) in inboxes.iter().zip(before).enumerate() {
+                let kept = old.len() - usize::from(j == a && step.delivered.is_some());
+                sent.extend(inbox[kept..].iter().map(|entry| (j, hasher.slot(entry))));
+            }
+            StepEffect {
+                proc: hasher.slot(&procs[a]),
+                sent,
+            }
+        });
+        // Reuses the allocations a recycled key vector kept.
+        self.slots.clear();
+        self.slots.extend_from_slice(parent_slots);
+        self.slots[a].clone_from(&effect.proc);
+        self.msgs.clear();
+        let mut sent = effect.sent.iter().peekable();
+        let mut old_start = 0;
         for (j, (inbox, old)) in inboxes.iter().zip(before).enumerate() {
-            if inbox.len() != old.len() || (j == a && delivered) {
-                self.0[n + j] = hasher.slot(inbox.as_slice());
+            let old_keys = &parent_msgs[old_start..old_start + old.len()];
+            old_start += old.len();
+            let start = self.msgs.len();
+            let removed = step.delivered.filter(|_| j == a);
+            match removed {
+                Some(i) => {
+                    self.msgs.extend_from_slice(&old_keys[..i]);
+                    self.msgs.extend_from_slice(&old_keys[i + 1..]);
+                }
+                None => self.msgs.extend_from_slice(old_keys),
+            }
+            let mut touched = removed.is_some();
+            while let Some((_, key)) = sent.next_if(|(to, _)| *to == j) {
+                self.msgs.push(key.clone());
+                touched = true;
+            }
+            assert_eq!(
+                self.msgs.len() - start,
+                inbox.len(),
+                "a memoized step of {} does not fit its successor's inbox {j}: a \
+                 handler's effect must be a function of its state, the step and \
+                 Ctx::{{me, n, now, fd}}",
+                std::any::type_name::<P>(),
+            );
+            if touched {
+                self.slots[n + j] = hasher.seq(self.msgs[start..].iter());
             }
         }
+        hit
     }
 }
 
-/// An explorer state with its slot keys. The two travel as one object
+/// An explorer state with its keys. The two travel as one object
 /// through the stack, the survivors, the child buffers and the
-/// free-list, so a recycled state reuses its key allocation too. The
+/// free-list, so a recycled state reuses its key allocations too. The
 /// keys stay empty when dedup is off: nothing reads them then.
 struct KeyedState<P: Protocol, S> {
     state: State<P>,
@@ -719,7 +832,7 @@ struct KeyedState<P: Protocol, S> {
 impl<P, S> KeyedState<P, S>
 where
     P: Protocol + Debug,
-    S: Clone,
+    S: Eq + Hash + Clone,
 {
     fn blank() -> Self {
         KeyedState {
@@ -739,47 +852,54 @@ where
     }
 
     /// Key this state, which `actor`'s step just produced from `parent`:
-    /// inherit the parent's slot keys and re-key only what the step
-    /// touched ([`SlotKeys::inherit`]), plus the output history when the
+    /// inherit the parent's keys through the transition memo
+    /// ([`SlotKeys::inherit`]), and re-key the output history when the
     /// step emitted. `started` is composed directly and `pending_inv` is
-    /// not keyed, so neither has a slot.
+    /// not keyed, so neither has a slot. Returns whether the memo held
+    /// the step.
     fn inherit_keys<H>(
         &mut self,
         hasher: &H,
+        memo: &mut StepMemo<S>,
         parent: &KeyedState<P, S>,
         actor: ProcessId,
         outputs: &mut Vec<(ProcessId, P::Output)>,
-    ) where
+    ) -> bool
+    where
         H: StateHasher<Slot = S>,
     {
         let (state, before) = (&self.state, &parent.state);
-        // The step's recorded decision carries a message index exactly
-        // when it delivered one.
-        let delivered = state
-            .decisions
-            .as_ref()
-            .is_some_and(|d| d.decision.1.is_some());
-        self.keys.inherit(
+        // The step's recorded decision carries the (clamped) inbox
+        // position of the message it delivered, if it delivered one.
+        let step = Step {
+            actor,
+            t: before.depth as Time,
+            started: before.started[actor.index()],
+            delivered: state.decisions.as_ref().and_then(|d| d.decision.1),
+        };
+        let hit = self.keys.inherit(
             hasher,
-            &parent.keys.0,
+            memo,
+            (&parent.keys.slots, &parent.keys.msgs),
+            &before.inboxes,
             &state.procs,
             &state.inboxes,
-            &before.inboxes,
-            actor,
-            delivered,
+            step,
         );
         if state.outputs_len != before.outputs_len {
             materialize_outputs(&state.outputs, state.outputs_len, outputs);
             let n = state.procs.len();
-            self.keys.0[2 * n] = hasher.slot(outputs.as_slice());
+            self.keys.slots[2 * n] = hasher.slot(outputs.as_slice());
         }
+        hit
     }
 }
 
 /// The default [`StateHasher`]: each component is the 128-bit
 /// fingerprint of its `Debug` rendering, computed streaming (no `String`
-/// is allocated), and the state key is the fingerprint of the slot
-/// fingerprints and words in slot order, then the output history's.
+/// is allocated); an inbox is the fingerprint of its message
+/// fingerprints in order, and the state key is the fingerprint of the
+/// slot fingerprints and words in slot order, then the output history's.
 /// Collisions are possible in principle (2⁻¹²⁸-ish); the
 /// `explore_dedup` property suite continuously checks verdict
 /// equivalence against [`ExactKeyHasher`].
@@ -792,6 +912,14 @@ impl StateHasher for FingerprintHasher {
 
     fn slot<T: Debug + ?Sized>(&self, component: &T) -> u128 {
         debug_fp(component)
+    }
+
+    fn seq<'s>(&self, items: impl Iterator<Item = &'s u128>) -> u128 {
+        let mut w = Fingerprint128::new();
+        for item in items {
+            w.write_u128(*item);
+        }
+        w.finish()
     }
 
     fn compose<'s>(
@@ -814,15 +942,23 @@ impl StateHasher for FingerprintHasher {
     }
 }
 
+/// Append `part` to `key` framed with its byte length (`len:part`).
+fn framed(key: &mut String, part: &str) {
+    key.push_str(&part.len().to_string());
+    key.push(':');
+    key.push_str(part);
+}
+
 /// The exact [`StateHasher`]: each component is its full `Debug`
-/// rendering, and the state key frames every rendering with its byte
-/// length (`len:rendering`), slot by slot with the word framed the same
-/// way in decimal, then the output history. The framing makes the key
-/// injective over component renderings and words, so two states share a
-/// key exactly when every component renders alike and every word is
-/// equal. Slow and memory-hungry; selected by
-/// equivalence tests (and available to callers that want certainty over
-/// speed) to cross-check [`FingerprintHasher`].
+/// rendering, an inbox is its messages' renderings framed with their
+/// byte lengths (`len:rendering`) in order, and the state key frames
+/// every slot key the same way, slot by slot with the word framed in
+/// decimal, then the output history. The framing makes both injective
+/// over renderings and words, so two states share a key exactly when
+/// every component renders alike and every word is equal. Slow and
+/// memory-hungry; selected by equivalence tests (and available to
+/// callers that want certainty over speed) to cross-check
+/// [`FingerprintHasher`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactKeyHasher;
 
@@ -834,16 +970,19 @@ impl StateHasher for ExactKeyHasher {
         debug_string(component)
     }
 
+    fn seq<'s>(&self, items: impl Iterator<Item = &'s String>) -> String {
+        let mut key = String::new();
+        for item in items {
+            framed(&mut key, item);
+        }
+        key
+    }
+
     fn compose<'s>(
         &self,
         slots: impl Iterator<Item = (&'s String, &'s String, u64)>,
         outputs: &String,
     ) -> String {
-        fn framed(key: &mut String, part: &str) {
-            key.push_str(&part.len().to_string());
-            key.push(':');
-            key.push_str(part);
-        }
         let mut key = String::new();
         for (proc, inbox, word) in slots {
             framed(&mut key, proc);
@@ -1124,8 +1263,8 @@ where
         .collect()
 }
 
-/// Rows per component table above which a worker's memo is dropped and
-/// refilled: bounds the memo's memory on long explorations.
+/// Rows per memo table above which a worker's table is dropped and
+/// refilled: bounds the memos' memory on long explorations.
 const MEMO_ROWS_CAP: usize = 1 << 15;
 
 /// One component table of a [`Canonicalizer`] memo: for every component
@@ -1166,6 +1305,90 @@ impl<S: Eq + Hash + Clone> SlotMemo<S> {
     }
 }
 
+/// What determines a step's effect on a state's keys (see [`StepMemo`]).
+#[derive(PartialEq, Eq, Hash)]
+struct StepKey<S> {
+    actor: usize,
+    t: Time,
+    started: bool,
+    /// The actor's process key before the step.
+    proc: S,
+    /// The delivered `(sender, message)` entry's key, if the step
+    /// delivered one.
+    delivered: Option<S>,
+}
+
+/// What a step did, in keys: the actor's new process key, and the keys
+/// of the messages it appended, destination by destination (ascending),
+/// each destination's in send order. Sends a crash dropped are not
+/// among them.
+struct StepEffect<S> {
+    proc: S,
+    sent: Vec<(usize, S)>,
+}
+
+/// A worker's transition memo: what each step it has keyed did to the
+/// keys, looked up by everything that determines it — the actor, the
+/// step time, whether the actor had started, the actor's process key and
+/// the delivered message's key.
+///
+/// The lookup is sound under the [`StateHasher`] contract (components
+/// with equal keys are equal) because a step's effect is a function of
+/// exactly those. A handler reads only its state, the step (the
+/// delivered entry; on a first step the pending invocation, which is
+/// fixed per run) and `Ctx::{me, n, now, fd}` ([`Protocol`]); the
+/// detector is pure in `(p, t)`; and which sends a crash drops depends
+/// only on `t`. The explorer keeps one per worker next to its
+/// [`Canonicalizer`], and the liveness checker one per worker chunk.
+/// Bounded like the canonicalizer's memo: dropped once it holds
+/// [`MEMO_ROWS_CAP`] rows.
+pub(crate) struct StepMemo<S> {
+    rows: HashMap<StepKey<S>, StepEffect<S>>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the transition memo)
+}
+
+impl<S: Eq + Hash> StepMemo<S> {
+    pub(crate) fn new() -> Self {
+        StepMemo {
+            rows: HashMap::new(), // wfd-lint: allow(d1-hash-collections, constructor for the transition memo excused above)
+        }
+    }
+
+    /// The effect recorded for `key`, computed by `fill` on a miss, and
+    /// whether it was a hit.
+    fn effect(
+        &mut self,
+        key: StepKey<S>,
+        fill: impl FnOnce() -> StepEffect<S>,
+    ) -> (&StepEffect<S>, bool) {
+        if self.rows.len() >= MEMO_ROWS_CAP {
+            self.rows.clear();
+        }
+        match self.rows.entry(key) {
+            Entry::Occupied(e) => (e.into_mut(), true),
+            Entry::Vacant(v) => (v.insert(fill()), false),
+        }
+    }
+}
+
+/// The start of the row of the pending `(sender, message)` entry keyed
+/// `key` in the message memo `msgs`; a miss renames the entry and keys
+/// it once per element of `perms`.
+fn message_row<H: StateHasher, P: Protocol>(
+    msgs: &mut SlotMemo<H::Slot>,
+    hasher: &H,
+    perms: &[SymPerm],
+    key: &H::Slot,
+    (from, msg): &(ProcessId, P::Msg),
+) -> usize {
+    msgs.row(key, |row| {
+        row.extend(perms.iter().map(|sp| {
+            let mut msg = msg.clone();
+            P::permute_msg(&mut msg, &sp.perm);
+            hasher.slot(&(sp.perm.apply(*from), msg))
+        }));
+    })
+}
+
 /// Symmetry canonicalization of dedup keys from memoized per-slot keys.
 ///
 /// The canonical key of a state is the least
@@ -1179,19 +1402,24 @@ impl<S: Eq + Hash + Clone> SlotMemo<S> {
 /// appends are order-sensitive state.
 ///
 /// A renamed state is never built. The key of a component after `π`
-/// comes from a memo indexed by the component's own key: a miss clones
-/// that one component, renames it and keys it once per group element; a
-/// hit reuses the row, which is sound as long as components with equal
-/// keys are equal (see [`StateHasher`]). Ties break toward the identity,
-/// then toward the earlier group element, so the choice is
-/// deterministic; and since the key is a pure function of the state, it
-/// does not depend on what the memo already holds.
+/// comes from a memo indexed by the component's own key: a process-state
+/// or output-history miss clones that one component, renames it and
+/// keys it once per group element; an inbox miss composes each group
+/// element's image as the [`seq`](StateHasher::seq) of its messages'
+/// images, which come from a per-message memo (a message miss renames
+/// and keys that one entry). A hit reuses the row, which is sound as
+/// long as components with equal keys are equal (see [`StateHasher`]).
+/// Ties break toward the identity, then toward the earlier group
+/// element, so the choice is deterministic; and since the key is a pure
+/// function of the state, it does not depend on what the memo already
+/// holds.
 ///
 /// The explorer keeps one per worker across its whole run and feeds it
-/// the slot keys its states carry; the liveness checker does the same
-/// for its fair-graph nodes, and also takes the winning renaming's slot
-/// keys from the memo rows. It is public so differential tests can check
-/// it against [`StateHasher::key`] of materialized renamed states.
+/// the keys its states carry; the liveness checker does the same for its
+/// fair-graph nodes, and also takes the winning renaming's slot and
+/// message keys from the memo rows. It is public so differential tests
+/// can check it against [`StateHasher::key`] of materialized renamed
+/// states.
 pub struct Canonicalizer<'h, H: StateHasher, P> {
     hasher: &'h H,
     perms: Vec<SymPerm>,
@@ -1202,7 +1430,12 @@ pub struct Canonicalizer<'h, H: StateHasher, P> {
     out_row: usize,
     procs: SlotMemo<H::Slot>,
     inboxes: SlotMemo<H::Slot>,
+    msgs: SlotMemo<H::Slot>,
     outputs: SlotMemo<H::Slot>,
+    /// Scratch: one inbox's message row starts while its row is filled,
+    /// and the original message keys while a renaming's are written.
+    msg_rows: Vec<usize>,
+    old_msgs: Vec<H::Slot>,
     _protocol: PhantomData<fn() -> P>,
 }
 
@@ -1233,13 +1466,16 @@ where
             out_row: 0,
             procs: SlotMemo::new(),
             inboxes: SlotMemo::new(),
+            msgs: SlotMemo::new(),
             outputs: SlotMemo::new(),
+            msg_rows: Vec::new(),
+            old_msgs: Vec::new(),
             _protocol: PhantomData,
         }
     }
 
     /// The canonical key of the given explorer state components: key
-    /// every component, then canonicalize from those slot keys with each
+    /// every component, then canonicalize from those keys with each
     /// slot's `started` bit as its word.
     pub fn key(
         &mut self,
@@ -1253,10 +1489,14 @@ where
         self.canonical(procs, inboxes, &words, outputs, &keys).0
     }
 
-    /// Memo rows held across the process, inbox and output-history
-    /// tables (one per distinct component key since the last trim).
+    /// Memo rows held across the process, inbox, message and
+    /// output-history tables (one per distinct component key since the
+    /// last trim).
     pub fn memo_rows(&self) -> usize {
-        self.procs.rows.len() + self.inboxes.rows.len() + self.outputs.rows.len()
+        self.procs.rows.len()
+            + self.inboxes.rows.len()
+            + self.msgs.rows.len()
+            + self.outputs.rows.len()
     }
 
     /// Whether a non-identity group element is ever tried. Without one
@@ -1266,7 +1506,7 @@ where
         !self.perms.is_empty()
     }
 
-    /// The canonical key of a state whose components carry the slot keys
+    /// The canonical key of a state whose components carry the keys
     /// `keys` and the slot words `words`, plus the index of the group
     /// element that realized it (`None` when the identity is least). The
     /// components are read only on a memo miss, to rename them; `outputs`
@@ -1288,6 +1528,7 @@ where
         let perms = &self.perms;
         self.procs.trim();
         self.inboxes.trim();
+        self.msgs.trim();
         self.outputs.trim();
         self.proc_rows.clear();
         for (proc, key) in procs.iter().zip(keys.procs()) {
@@ -1300,19 +1541,20 @@ where
             }));
         }
         self.inbox_rows.clear();
+        let mut start = 0;
         for (inbox, key) in inboxes.iter().zip(keys.inboxes()) {
+            let msg_keys = &keys.msgs[start..start + inbox.len()];
+            start += inbox.len();
+            let (msgs, msg_rows) = (&mut self.msgs, &mut self.msg_rows);
             self.inbox_rows.push(self.inboxes.row(key, |images| {
-                images.extend(perms.iter().map(|sp| {
-                    let renamed: Vec<(ProcessId, P::Msg)> = inbox
-                        .iter()
-                        .map(|(from, msg)| {
-                            let mut msg = msg.clone();
-                            P::permute_msg(&mut msg, &sp.perm);
-                            (sp.perm.apply(*from), msg)
-                        })
-                        .collect();
-                    hasher.slot(renamed.as_slice())
-                }));
+                msg_rows.clear();
+                for (entry, msg_key) in inbox.iter().zip(msg_keys) {
+                    msg_rows.push(message_row::<H, P>(msgs, hasher, perms, msg_key, entry));
+                }
+                images.extend(
+                    (0..perms.len())
+                        .map(|g| hasher.seq(msg_rows.iter().map(|&r| &msgs.images[r + g]))),
+                );
             }));
         }
         self.out_row = self.outputs.row(keys.outputs(), |images| {
@@ -1348,18 +1590,33 @@ where
         (best, best_perm)
     }
 
-    /// Overwrite `keys` with the slot keys of the last
-    /// [`canonical`](Canonicalizer::canonical) call's state renamed by
-    /// group element `g` (the index it returned), read off the memo rows
-    /// that call filled: canonical slot `j` takes the image of original
-    /// slot `π⁻¹(j)`.
-    pub(crate) fn renamed_keys(&self, g: usize, keys: &mut SlotKeys<H::Slot>) {
-        let (n, sp) = (self.proc_rows.len(), &self.perms[g]);
+    /// Overwrite `keys` with the keys of the last
+    /// [`canonical`](Canonicalizer::canonical) call's state, whose
+    /// inboxes are `inboxes`, renamed by group element `g` (the index it
+    /// returned): canonical slot `j` takes the images of original slot
+    /// `π⁻¹(j)`, its process, inbox and output keys read off the rows
+    /// that call filled, its message keys off the message memo (a miss
+    /// renames and keys that one entry).
+    pub(crate) fn renamed_keys(
+        &mut self,
+        g: usize,
+        inboxes: &[Vec<(ProcessId, P::Msg)>],
+        keys: &mut SlotKeys<H::Slot>,
+    ) {
+        let (n, hasher, sp) = (self.proc_rows.len(), self.hasher, &self.perms[g]);
+        let perms = &self.perms;
+        std::mem::swap(&mut self.old_msgs, &mut keys.msgs);
+        keys.msgs.clear();
         for (j, &i) in sp.inverse.iter().enumerate() {
-            keys.0[j].clone_from(&self.procs.images[self.proc_rows[i] + g]);
-            keys.0[n + j].clone_from(&self.inboxes.images[self.inbox_rows[i] + g]);
+            keys.slots[j].clone_from(&self.procs.images[self.proc_rows[i] + g]);
+            keys.slots[n + j].clone_from(&self.inboxes.images[self.inbox_rows[i] + g]);
+            let start: usize = inboxes[..i].iter().map(Vec::len).sum();
+            for (entry, key) in inboxes[i].iter().zip(&self.old_msgs[start..]) {
+                let row = message_row::<H, P>(&mut self.msgs, hasher, perms, key, entry);
+                keys.msgs.push(self.msgs.images[row + g].clone());
+            }
         }
-        keys.0[2 * n].clone_from(&self.outputs.images[self.out_row + g]);
+        keys.slots[2 * n].clone_from(&self.outputs.images[self.out_row + g]);
     }
 }
 
@@ -1493,8 +1750,8 @@ where
 /// sequentially (oracles are pure in `(p, t)`, so the workers read them
 /// from a lock-free map), then fans the survivors across the workers for
 /// safety checking and expansion. Expansion keys each child as it is
-/// built: the child inherits its parent's slot keys and re-keys only the
-/// slots its step touched (the root alone is keyed in full; see
+/// built from its parent's keys and the worker's transition memo, which
+/// renders only on a miss (the root alone is keyed in full; see
 /// [`StateHasher`]). Children are merged back onto the stack in survivor
 /// order, and a batch with violations reports the lexicographically-least
 /// decision list among them — every step is either order-independent or
@@ -1584,6 +1841,10 @@ where
     let canonicalizers: Vec<Mutex<Canonicalizer<'_, H, P>>> = (0..threads)
         .map(|_| Mutex::new(Canonicalizer::with_perms(&hasher, sym_perms.clone())))
         .collect();
+    // And one transition memo per worker, persistent likewise: it gives
+    // each child the keys its step produced, so a hit renders nothing.
+    let step_memos: Vec<Mutex<StepMemo<H::Slot>>> =
+        (0..threads).map(|_| Mutex::new(StepMemo::new())).collect();
     let mut next_pool = 0usize;
     let mut survivors: Vec<KeyedState<P, H::Slot>> = Vec::new();
     let mut fd_cache: FdTable<P::Fd> = FdTable::new(n, cfg.max_depth);
@@ -1920,6 +2181,23 @@ where
             };
             let mut outputs = Vec::new();
             let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
+            let mut memo = step_memos[slot].lock().expect("step memo poisoned");
+            let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
+            // Key a child through the memo (only dedup reads keys), counting
+            // hits per child for the obs counters.
+            let mut key_child =
+                |dst: &mut KeyedState<P, H::Slot>,
+                 parent: &KeyedState<P, H::Slot>,
+                 p: ProcessId,
+                 outputs: &mut Vec<(ProcessId, P::Output)>| {
+                    if cfg.dedup {
+                        if dst.inherit_keys(&hasher, &mut memo, parent, p, outputs) {
+                            memo_hits += 1;
+                        } else {
+                            memo_misses += 1;
+                        }
+                    }
+                };
             // The machine-layer enabled set of the current state, reused
             // across the chunk.
             let mut enabled: Vec<ExploreDecision> = Vec::new();
@@ -2017,9 +2295,7 @@ where
                             &mut bufs,
                             Some(&fp),
                         );
-                        if cfg.dedup {
-                            dst.inherit_keys(&hasher, node, p, &mut outputs);
-                        }
+                        key_child(&mut dst, node, p, &mut outputs);
                         if stable {
                             let sleep = &mut dst.state.sleep;
                             sleep.extend(
@@ -2048,13 +2324,13 @@ where
                             &mut bufs,
                             None,
                         );
-                        if cfg.dedup {
-                            dst.inherit_keys(&hasher, node, p, &mut outputs);
-                        }
+                        key_child(&mut dst, node, p, &mut outputs);
                         out.children.push(dst);
                     }
                 }
             }
+            obs.add(CounterId::ExploreStepMemoHits, memo_hits);
+            obs.add(CounterId::ExploreStepMemoMisses, memo_misses);
             // Hand the (possibly drained) free list back — a Vec-header
             // move, not an element copy.
             *free_pools[slot].lock().expect("pool poisoned") = free;
@@ -2653,6 +2929,10 @@ mod tests {
 
         fn slot<T: Debug + ?Sized>(&self, component: &T) -> String {
             ExactKeyHasher.slot(component)
+        }
+
+        fn seq<'s>(&self, items: impl Iterator<Item = &'s String>) -> String {
+            ExactKeyHasher.seq(items)
         }
 
         fn compose<'s>(

@@ -1,14 +1,17 @@
 //! `Debug`-rendering state identity: the one place that turns a value's
 //! `Debug` output into a key.
 //!
-//! The explorer keys states per slot ([`crate::explore::StateHasher`]),
-//! the liveness checker keys its fair-graph nodes per slot the same way
-//! (it no longer fingerprints whole nodes: its slot keys are the
+//! The explorer keys states per component ([`crate::explore::StateHasher`]:
+//! process states, pending messages and output histories; an inbox key
+//! is composed from its messages' keys, not rendered), the liveness
+//! checker keys its fair-graph nodes the same way (its keys are the
 //! explorer's, composed with word-sized fairness counters), and the
 //! scenario symmetry filter compares invocation slots — all through the
-//! renderers below. Keeping them in one small file keeps the
-//! `d4-debug-format` audit's exemption this narrow: no other explorer
-//! code may format a `{:?}` placeholder.
+//! renderers below. Both engines render only on a transition-memo or
+//! canonicalizer-memo miss, so rendering is off their hot paths. Keeping
+//! the renderers in one small file keeps the `d4-debug-format` audit's
+//! exemption this narrow: no other explorer code may format a `{:?}`
+//! placeholder.
 //!
 //! Every key made here assumes that equal renderings mean equal values.
 
@@ -78,9 +81,10 @@ impl Fingerprint128 {
             .wrapping_add(0x3855_4107);
     }
 
-    /// Mix in one whole word. Used to compose slot fingerprints and to
-    /// fold the liveness checker's per-slot counters; never interleaved
-    /// with [`std::fmt::Write`] input.
+    /// Mix in one whole word. Used to compose inbox and state keys from
+    /// component fingerprints and to fold the liveness checker's
+    /// per-slot counters; never interleaved with [`std::fmt::Write`]
+    /// input.
     #[inline]
     pub(crate) fn write_u64(&mut self, w: u64) {
         debug_assert_eq!(self.buf_len, 0, "word input after a partial byte word");
@@ -150,15 +154,15 @@ impl Write for Fingerprint128 {
 }
 
 /// Fingerprint one `Debug` rendering, streamed (no `String` is built).
-/// The slot renderer of [`crate::FingerprintHasher`], and so of liveness
-/// graph nodes too; also compares invocation slots.
+/// The component renderer of [`crate::FingerprintHasher`], and so of
+/// liveness graph nodes too; also compares invocation slots.
 pub(crate) fn debug_fp<T: Debug + ?Sized>(v: &T) -> u128 {
     let mut w = Fingerprint128::new();
     write!(w, "{v:?}").expect("fingerprint writer is infallible");
     w.finish()
 }
 
-/// One `Debug` rendering as a `String`: the slot renderer of
+/// One `Debug` rendering as a `String`: the component renderer of
 /// [`crate::ExactKeyHasher`].
 pub(crate) fn debug_string<T: Debug + ?Sized>(v: &T) -> String {
     format!("{v:?}")

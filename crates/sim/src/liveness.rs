@@ -53,13 +53,17 @@
 //! equality (`node_eq`) confirms the match, so graph numbering (BFS
 //! discovery order) never depends on the fingerprint. The fingerprint
 //! is built like an explorer key ([`StateHasher`](crate::StateHasher)): one
-//! [`FingerprintHasher`] key per process state and per inbox, composed
-//! slot by slot with a `u64` word of the slot's fairness bookkeeping
-//! (`started`, step-gap counter, message ages), then the depth. Slot
-//! keys are incremental, as in the explorer: each BFS frontier entry
-//! carries its node's keys, and a successor inherits them and re-keys
-//! only the slots its step touched. Graph nodes themselves keep no keys;
-//! the frontier is the only place they live.
+//! [`FingerprintHasher`] key per process state and per inbox (itself
+//! composed from one key per pending message), composed slot by slot
+//! with a `u64` word of the slot's fairness bookkeeping (`started`,
+//! step-gap counter, message ages), then the depth. Keys are
+//! incremental, as in the explorer: each BFS frontier entry carries its
+//! node's slot and message keys, and a successor inherits them through
+//! the worker's transition memo, keyed by the actor, the (frozen) step
+//! time, whether it had started, its process key and the delivered
+//! message's key. A successor renders only on a memo miss; its touched
+//! inboxes recompose from message keys. Graph nodes themselves keep no
+//! keys; the frontier is the only place they live.
 //!
 //! # Symmetry
 //!
@@ -83,10 +87,11 @@
 //! the benchmark's FS accuracy case (`TimeoutFs`, G = D = 3, failure
 //! free) the least whole-node `Debug` fingerprint, the representative
 //! before slot keys, gave 8,295 nodes at n = 4 and 20,693 at n = 3; the
-//! least composed slot key gives 9,542 and 17,108. Every one of them
-//! holds. What guards the quotient is the verdict ladder in
-//! `tests/liveness.rs` (symmetry on and off must agree), not a node
-//! count.
+//! least composed slot key gave 9,542 and 17,108 while an inbox was
+//! keyed by its whole rendering, and gives 8,903 and 20,654 with inbox
+//! keys composed from message keys. Every one of them holds. What
+//! guards the quotient is the verdict ladder in `tests/liveness.rs`
+//! (symmetry on and off must agree), not a node count.
 //!
 //! # DPOR
 //!
@@ -99,7 +104,8 @@
 //! error instead of a quietly identical verdict.
 
 use crate::explore::{
-    chunk_ranges, scenario_symmetry, Canonicalizer, FingerprintHasher, SlotKeys, SymPerm,
+    chunk_ranges, scenario_symmetry, Canonicalizer, FingerprintHasher, SlotKeys, Step, StepMemo,
+    SymPerm,
 };
 use crate::failure::FailurePattern;
 use crate::fingerprint::Fingerprint128;
@@ -746,10 +752,10 @@ impl LivenessReport {
 // its structural equality live in [`crate::machine`], shared with the
 // lasso replayer.
 
-/// The slot keys of a fair-graph node, laid out as the explorer's: one
+/// The keys of a fair-graph node, laid out as the explorer's: one
 /// [`FingerprintHasher`] key per process state, one per inbox, then the
-/// output history's. Nodes drop their outputs, so that last key is the
-/// empty history's, a constant.
+/// output history's, plus one per pending message. Nodes drop their
+/// outputs, so the output key is the empty history's, a constant.
 type NodeKeys = SlotKeys<u128>;
 
 /// Key every slot of `node` from scratch (the root, and the key check).
@@ -807,9 +813,15 @@ fn assert_keys_fresh<P>(node: &LiveNode<P>, keys: &NodeKeys, fp: Option<u128>, w
 where
     P: Protocol + Debug,
 {
+    let full = full_keys(node);
     assert!(
-        full_keys(node) == *keys,
+        full.slots == keys.slots,
         "{what} slot keys diverge from a full re-key at depth {}",
+        node.state.depth
+    );
+    assert!(
+        full.msgs == keys.msgs,
+        "{what} message keys diverge from a full re-key at depth {}",
         node.state.depth
     );
     assert!(
@@ -944,10 +956,12 @@ fn permute_node<P: Protocol + Clone>(node: &LiveNode<P>, sp: &SymPerm) -> LiveNo
     LiveNode { state, since, ages }
 }
 
-/// One worker's keying state: its canonicalizer, whose memo persists
-/// across BFS levels as the explorer's per-worker ones do, and scratch.
+/// One worker's keying state: its canonicalizer and transition memo,
+/// which persist across BFS levels as the explorer's per-worker ones do,
+/// and scratch.
 struct Keyer<P: Protocol> {
     canon: Canonicalizer<'static, FingerprintHasher, P>,
+    memo: StepMemo<u128>,
     words: Vec<u64>,
     /// The renamed process states the proposition check evaluates.
     renamed: Vec<P>,
@@ -957,20 +971,21 @@ impl<P: Protocol + Clone + Debug> Keyer<P> {
     fn new(perms: &[SymPerm]) -> Self {
         Keyer {
             canon: Canonicalizer::with_perms(&FingerprintHasher, perms.to_vec()),
+            memo: StepMemo::new(),
             words: Vec::new(),
             renamed: Vec::new(),
         }
     }
 }
 
-/// Canonicalize `node`, whose slot keys are `keys`, and return the
+/// Canonicalize `node`, whose keys are `keys`, and return the
 /// representative with its fingerprint and proposition valuation; `keys`
-/// is left holding the representative's slot keys.
+/// is left holding the representative's slot and message keys.
 ///
 /// Without a symmetry group the node is its own representative. With
 /// one, the representative is the renaming with the least composed key
-/// (see [`Canonicalizer`]): the only renamed node built, its slot keys
-/// read off the memo rows. The valuation must be invariant under every
+/// (see [`Canonicalizer`]): the only renamed node built, its keys read
+/// off the memo rows. The valuation must be invariant under every
 /// group element — the soundness obligation symmetric protocols take on.
 fn canonicalize<P>(
     env: &GraphEnv<'_, P>,
@@ -1011,7 +1026,7 @@ where
     let node = match g {
         None => node,
         Some(g) => {
-            keyer.canon.renamed_keys(g, keys);
+            keyer.canon.renamed_keys(g, &node.state.inboxes, keys);
             permute_node(&node, &env.perms[g])
         }
     };
@@ -1040,12 +1055,51 @@ struct Edge<P: Protocol> {
     val: u32,
 }
 
+/// The keys of a run of nodes, flat: `width` slot keys per node, and
+/// each node's message keys, which end at its entry in `msg_ends`.
+struct FlatKeys {
+    width: usize,
+    slots: Vec<u128>,
+    msgs: Vec<u128>,
+    msg_ends: Vec<usize>,
+}
+
+impl FlatKeys {
+    fn new(width: usize) -> Self {
+        FlatKeys {
+            width,
+            slots: Vec::new(),
+            msgs: Vec::new(),
+            msg_ends: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.msgs.clear();
+        self.msg_ends.clear();
+    }
+
+    fn push(&mut self, slots: &[u128], msgs: &[u128]) {
+        self.slots.extend_from_slice(slots);
+        self.msgs.extend_from_slice(msgs);
+        self.msg_ends.push(self.msgs.len());
+    }
+
+    /// Node `k`'s slot keys and message keys.
+    fn get(&self, k: usize) -> (&[u128], &[u128]) {
+        let start = if k == 0 { 0 } else { self.msg_ends[k - 1] };
+        let slots = &self.slots[k * self.width..(k + 1) * self.width];
+        (slots, &self.msgs[start..self.msg_ends[k]])
+    }
+}
+
 /// What one worker chunk of a BFS level hands back: its frontier nodes'
-/// successors in frontier and decision order, their slot keys flat in
-/// the same order, and whether an inbox overflow dropped any.
+/// successors in frontier and decision order, their keys in the same
+/// order, and whether an inbox overflow dropped any.
 struct Expansion<P: Protocol> {
     edges: Vec<Edge<P>>,
-    keys: Vec<u128>,
+    keys: FlatKeys,
     truncated: bool,
 }
 
@@ -1053,12 +1107,13 @@ struct Expansion<P: Protocol> {
 /// batches with a sequential deterministic merge (identical graphs at
 /// any thread count).
 ///
-/// Each frontier entry carries its node's slot keys; a successor
-/// inherits them ([`SlotKeys::inherit`]) and re-keys only the actor's
-/// process state, the actor's inbox on a delivery, and every inbox whose
-/// length changed. Dedup is exact: the fingerprint finds a candidate
-/// chain and [`node_eq`] confirms, so the numbering is BFS discovery
-/// order whatever the fingerprints are.
+/// Each frontier entry carries its node's slot and message keys; a
+/// successor inherits them through the worker's transition memo
+/// ([`SlotKeys::inherit`]), so it renders only on a memo miss, and
+/// recomposes the inboxes its step delivered from or appended to. Dedup
+/// is exact: the fingerprint finds a candidate chain and [`node_eq`]
+/// confirms, so the numbering is BFS discovery order whatever the
+/// fingerprints are.
 fn build_graph<P>(
     env: &GraphEnv<'_, P>,
     procs: Vec<P>,
@@ -1102,7 +1157,7 @@ where
     if env.check_keys {
         assert_keys_fresh(&root, &root_keys, Some(root_fp), "root");
     }
-    let width = root_keys.0.len();
+    let width = root_keys.slots.len();
     let mut nodes = vec![root];
     let mut vals = vec![root_val];
     let mut succs: Vec<Vec<(u32, ExploreDecision)>> = vec![Vec::new()];
@@ -1112,9 +1167,10 @@ where
     let mut first: HashMap<u128, u32> = HashMap::new();
     first.insert(root_fp, 0);
     let mut next: Vec<u32> = vec![NO_NODE];
-    // The BFS frontier: node ids and, `width` per node, their slot keys.
+    // The BFS frontier: node ids and their keys.
     let mut frontier: Vec<u32> = vec![0];
-    let mut frontier_keys: Vec<u128> = root_keys.0;
+    let mut frontier_keys = FlatKeys::new(width);
+    frontier_keys.push(&root_keys.slots, &root_keys.msgs);
     let mut truncated = false;
     let mut capped = false;
     while !frontier.is_empty() && !capped {
@@ -1123,7 +1179,7 @@ where
             let mut keyer = keyers[slot].lock().expect("keyer poisoned");
             let mut out = Expansion {
                 edges: Vec::new(),
-                keys: Vec::new(),
+                keys: FlatKeys::new(width),
                 truncated: false,
             };
             let mut decisions = Vec::new();
@@ -1132,7 +1188,7 @@ where
             for k in range.clone() {
                 let src = frontier[k];
                 let node = &nodes[src as usize];
-                let parent_keys = &frontier_keys[k * width..(k + 1) * width];
+                let parent_keys = frontier_keys.get(k);
                 let t = node.state.depth as Time;
                 decisions.clear();
                 machine.enabled_fair(node, &mut decisions);
@@ -1150,20 +1206,27 @@ where
                         out.truncated = true;
                         continue;
                     }
-                    // `step_with` clears the decision chain, so whether
-                    // the step delivered comes from the decision and the
-                    // parent, exactly as the step resolved it.
-                    let delivered = node.state.started[a]
-                        && choice.is_some()
-                        && !node.state.inboxes[a].is_empty();
+                    // `step_with` clears the decision chain, so what the
+                    // step delivered comes from the decision and the
+                    // parent, clamped exactly as the step resolved it.
+                    let started = node.state.started[a];
+                    let inbox_len = node.state.inboxes[a].len();
+                    let step = Step {
+                        actor: p,
+                        t,
+                        started,
+                        delivered: choice
+                            .filter(|_| started && inbox_len > 0)
+                            .map(|i| i.min(inbox_len - 1)),
+                    };
                     keys.inherit(
                         &FingerprintHasher,
+                        &mut keyer.memo,
                         parent_keys,
+                        &node.state.inboxes,
                         &succ.state.procs,
                         &succ.state.inboxes,
-                        &node.state.inboxes,
-                        p,
-                        delivered,
+                        step,
                     );
                     if env.check_keys {
                         assert_keys_fresh(&succ, &keys, None, "inherited");
@@ -1172,7 +1235,7 @@ where
                     if env.check_keys {
                         assert_keys_fresh(&succ, &keys, Some(fp), "canonical");
                     }
-                    out.keys.extend_from_slice(&keys.0);
+                    out.keys.push(&keys.slots, &keys.msgs);
                     out.edges.push(Edge {
                         src,
                         dec,
@@ -1189,7 +1252,7 @@ where
         for chunk in chunks {
             let chunk = chunk?;
             truncated |= chunk.truncated;
-            for (edge, keys) in chunk.edges.into_iter().zip(chunk.keys.chunks_exact(width)) {
+            for (e, edge) in chunk.edges.into_iter().enumerate() {
                 let mut id = first.get(&edge.fp).copied().unwrap_or(NO_NODE);
                 let mut tail = NO_NODE;
                 while id != NO_NODE && !node_eq(&nodes[id as usize], &edge.node) {
@@ -1212,7 +1275,8 @@ where
                     succs.push(Vec::new());
                     next.push(NO_NODE);
                     frontier.push(id);
-                    frontier_keys.extend_from_slice(keys);
+                    let (slots, msgs) = chunk.keys.get(e);
+                    frontier_keys.push(slots, msgs);
                 }
                 succs[edge.src as usize].push((id, edge.dec));
             }
@@ -2028,12 +2092,12 @@ mod tests {
     }
 
     /// Build one scenario's fair graph with the key check on, whatever
-    /// the build profile, so every carried slot key and fingerprint is
-    /// compared with a full re-key as it is made; then check that no two
-    /// nodes are structurally equal (a stale key splits a node in two)
-    /// and, under symmetry, that every renaming of every node
-    /// canonicalizes back to that node. Returns how many renamings it
-    /// checked.
+    /// the build profile, so every carried slot key, message key and
+    /// fingerprint is compared with a full re-key as it is made; then
+    /// check that no two nodes are structurally equal (a stale key splits
+    /// a node in two) and, under symmetry, that every renaming of every
+    /// node canonicalizes back to that node, with that node's slot and
+    /// message keys. Returns how many renamings it checked.
     fn audit<P>(procs: fn(usize) -> Vec<P>, cfg: &LivenessConfig, pattern: &FailurePattern) -> usize
     where
         P: Protocol<Inv = (), Fd = ()> + Clone + Debug + PartialEq + Send + Sync,
@@ -2070,7 +2134,15 @@ mod tests {
                     fresh_fingerprint(node),
                     "node {i}: fingerprint depends on the renaming"
                 );
-                assert_eq!(keys, full_keys(node), "node {i}: stale representative keys");
+                let full = full_keys(node);
+                assert_eq!(
+                    keys.slots, full.slots,
+                    "node {i}: stale representative slot keys"
+                );
+                assert_eq!(
+                    keys.msgs, full.msgs,
+                    "node {i}: stale representative message keys"
+                );
             }
         }
         graph.nodes.len() * env.perms.len()

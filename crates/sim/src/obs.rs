@@ -120,6 +120,12 @@ metric_ids! {
         ExploreSymmetryHits => "explore_symmetry_hits",
         /// Completed [`explore`](crate::explore()) calls.
         ExploreRuns => "explore_runs",
+        /// Explored children keyed from the transition memo, without
+        /// rendering the actor's state or the messages it sent.
+        ExploreStepMemoHits => "explore_step_memo_hits",
+        /// Explored children whose step missed the transition memo and
+        /// was rendered and recorded.
+        ExploreStepMemoMisses => "explore_step_memo_misses",
         /// Runs completed by an instrumented sweep.
         SweepRuns => "sweep_runs",
         /// Forest evaluations served incrementally (prefix extension).
@@ -162,7 +168,8 @@ metric_ids! {
         /// Explorer: sequential per-batch detector pre-sampling.
         ExploreOracle => "explore_oracle",
         /// Explorer: parallel safety-check + expansion of survivors,
-        /// including re-keying the slots each child's step touched.
+        /// including keying each child from its parent's keys and the
+        /// transition memo.
         ExploreExpand => "explore_expand",
         /// Explorer: sequential merge of children and violations.
         ExploreMerge => "explore_merge",

@@ -263,6 +263,19 @@ impl Symmetry {
 ///
 /// Handlers interact with the world exclusively through [`Ctx`], which makes
 /// protocols trivially testable in isolation (see [`Ctx::detached`]).
+///
+/// # Handler contract
+///
+/// A handler's effect — the new local state, the sends in order and the
+/// outputs — must be a function of `self`, the step (the delivered
+/// `(from, msg)`, or the invocation) and [`Ctx::me`], [`Ctx::n`],
+/// [`Ctx::now`] and [`Ctx::fd`]; no global state, interior mutability or
+/// randomness. The explorer and the liveness checker rely on it: they
+/// memoize each step by the actor's state key, the delivered message's
+/// key and the step time, and replay the recorded effect's keys for an
+/// equal step instead of rendering its result (see
+/// [`StateHasher`](crate::StateHasher)). A memoized effect that does not
+/// fit the successor's inboxes panics.
 pub trait Protocol: Sized {
     /// Message type exchanged between processes.
     type Msg: Clone + Debug;

@@ -10,15 +10,17 @@
 //! * engine runs with `Obs::off()` vs `Obs::on()` produce identical
 //!   outcomes and identical traces (full `Debug` form),
 //! * explorations with metrics off vs on produce byte-identical reports
-//!   at 1 and 4 worker threads,
+//!   at 1 and 4 worker threads, with either hasher and with the
+//!   reductions on or off,
 //! * and while invisible to results, the metrics are *not* inert: the
-//!   snapshot carries the exact traversal counters and its JSON export
+//!   snapshot carries the exact traversal counters (the transition memo's
+//!   hits and misses included: one per keyed child) and its JSON export
 //!   round-trips through the crate's own parser.
 
 use wfd_sim::json::Json;
 use wfd_sim::{
-    explore, CounterId, Ctx, ExploreConfig, ExploreReport, FailurePattern, NoDetector, Obs,
-    ProcessId, Protocol, RoundRobin, Sim, SimConfig,
+    explore, CounterId, Ctx, ExploreConfig, ExploreReport, FailurePattern, Hasher, NoDetector, Obs,
+    ProcessId, Protocol, ReductionConfig, RoundRobin, Sim, SimConfig,
 };
 
 /// A small token-relay protocol with enough branching to exercise the
@@ -84,10 +86,11 @@ fn run_sim(obs: Obs) -> String {
 }
 
 fn run_explore(obs: Obs, threads: usize) -> ExploreReport {
-    let cfg = ExploreConfig::new(7)
-        .with_max_states(500_000)
-        .with_threads(threads)
-        .with_obs(obs);
+    run_explore_with(ExploreConfig::new(7).with_obs(obs), threads)
+}
+
+fn run_explore_with(cfg: ExploreConfig, threads: usize) -> ExploreReport {
+    let cfg = cfg.with_max_states(500_000).with_threads(threads);
     explore(
         cfg,
         make_procs,
@@ -105,14 +108,51 @@ fn engine_outcome_and_trace_are_identical_with_metrics_on() {
 
 #[test]
 fn explore_reports_are_byte_identical_with_metrics_on_at_any_thread_count() {
+    let reduced = ReductionConfig::none().with_dpor(true).with_symmetry(true);
     for threads in [1, 4] {
-        let off = run_explore(Obs::off(), threads);
-        let on = run_explore(Obs::on(), threads);
-        assert_eq!(
-            format!("{off:?}"),
-            format!("{on:?}"),
-            "{threads} threads: metrics changed the report"
+        for hasher in [Hasher::Fingerprint, Hasher::ExactKey] {
+            for reduction in [ReductionConfig::none(), reduced] {
+                let cfg = ExploreConfig::new(7)
+                    .with_hasher(hasher)
+                    .with_reduction(reduction);
+                let off = run_explore_with(cfg.clone().with_obs(Obs::off()), threads);
+                let on = run_explore_with(cfg.with_obs(Obs::on()), threads);
+                assert_eq!(
+                    format!("{off:?}"),
+                    format!("{on:?}"),
+                    "{threads} threads, {hasher:?}, {reduction:?}: metrics changed the report"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn step_memo_counters_count_every_keyed_child() {
+    for threads in [1, 4] {
+        let obs = Obs::on();
+        let report = explore(
+            ExploreConfig::new(7)
+                .with_threads(threads)
+                .with_obs(obs.clone()),
+            make_procs,
+            vec![None, None],
+            &FailurePattern::failure_free(2),
+            NoDetector,
+            |_, _| Ok(()),
         );
+        assert!(report.violation.is_none() && !report.states_capped);
+        let snap = obs.snapshot().expect("metrics are on");
+        let hits = snap.counter(CounterId::ExploreStepMemoHits);
+        let misses = snap.counter(CounterId::ExploreStepMemoMisses);
+        // Without reductions or a violation every popped state but the
+        // root is a child, keyed once, through the memo.
+        assert_eq!(
+            hits + misses,
+            (report.states_visited + report.dedup_hits - 1) as u64,
+            "{threads} threads"
+        );
+        assert!(hits > 0, "{threads} threads: the memo never served a child");
     }
 }
 
