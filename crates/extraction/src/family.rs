@@ -20,7 +20,9 @@ pub trait QcFamily {
     /// The detector value type `A` queries (the range of `D`).
     type Fd: Clone + Debug + PartialEq;
     /// `A` instantiated for binary proposals (the simulated trees).
-    type Binary: Protocol<Inv = u8, Output = ConsensusOutput<QcDecision<u8>>, Fd = Self::Fd>;
+    /// `Clone` because the Σ rounds of lines 24–32 fork one simulated
+    /// configuration per schedule prefix (see [`crate::runner`]).
+    type Binary: Protocol<Inv = u8, Output = ConsensusOutput<QcDecision<u8>>, Fd = Self::Fd> + Clone;
     /// `A` instantiated for critical-tuple proposals (the real execution).
     type Multi: Protocol<
         Inv = ExtractProposal<Self::Fd>,

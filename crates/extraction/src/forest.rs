@@ -44,8 +44,10 @@ pub fn evaluate_tree<F: QcFamily>(
     let procs: Vec<F::Binary> = (0..n).map(|_| family.binary()).collect();
     let mut runner = Runner::new(procs, initial_proposals(n, ones));
     let mut decision = None;
+    let mut schedule = Vec::new();
     for s in window {
-        runner.step(s.q, s.val);
+        runner.step(s.q, s.val.clone());
+        schedule.push((s.q, s.val));
         if let Some((_, ConsensusOutput::Decided(d))) = runner.outputs().first() {
             decision = Some(d.clone());
             break;
@@ -54,7 +56,7 @@ pub fn evaluate_tree<F: QcFamily>(
     TreeRun {
         ones,
         decision,
-        schedule: runner.schedule().to_vec(),
+        schedule,
     }
 }
 

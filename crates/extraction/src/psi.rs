@@ -15,7 +15,11 @@
 //!   - **Σ** exactly as lines 24–32: per round, reconstruct the
 //!     configuration set `C` from all prefixes of the agreed schedules,
 //!     extend each with *fresh* samples until it decides, and output the
-//!     union of the step-takers;
+//!     union of the step-takers. One [`Runner`] per schedule advances a
+//!     step per prefix and each configuration is extended on a clone of
+//!     it, so a round replays |S| + |S′| steps, not every prefix. Every
+//!     extension consumes a prefix of the same fresh window, so the union
+//!     of the step-takers is the step-takers of the longest extension;
 //!   - **Ω** by re-evaluating the critical index of the simulated forest
 //!     on the same fresh windows (the executable counterpart of the CHT
 //!     limit-forest procedure of line 22 — see DESIGN.md §6).
@@ -32,7 +36,7 @@ use std::fmt::Debug;
 use wfd_consensus::ConsensusOutput;
 use wfd_detectors::value::{OmegaSigma, PsiValue, Signal};
 use wfd_quittable::QcDecision;
-use wfd_sim::obs::Obs;
+use wfd_sim::obs::{CounterId, Obs, PhaseId};
 use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind, Time};
 
 /// The critical tuple `(I, I′, S, S′)` of Figure 3 line 13: two adjacent
@@ -109,8 +113,9 @@ pub struct PsiExtraction<F: QcFamily> {
     /// with the watermark it started from (lines 22/24–32); replaced
     /// whenever the watermark advances.
     round_forest: Option<(Time, ForestEvaluator<F>)>,
-    /// Observability handle, forwarded to every [`ForestEvaluator`] this
-    /// process creates (off by default; never influences extraction).
+    /// Observability handle for the Σ rounds, forwarded to every
+    /// [`ForestEvaluator`] this process creates (off by default; never
+    /// influences extraction).
     obs: Obs,
 }
 
@@ -136,7 +141,10 @@ impl<F: QcFamily> PsiExtraction<F> {
 
     /// Attach an observability handle (see [`wfd_sim::obs`]): the forest
     /// evaluators created by this process report their incremental vs
-    /// full-replay split through it. Metrics never change what is
+    /// full-replay split through it, and each Σ round of lines 24–32 its
+    /// time ([`PhaseId::ExtractionSigmaRound`]) and work
+    /// ([`CounterId::SigmaConfigsExtended`],
+    /// [`CounterId::SigmaRunnerSteps`]). Metrics never change what is
     /// extracted.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -172,17 +180,14 @@ impl<F: QcFamily> PsiExtraction<F> {
         matches!(self.phase, Phase::Red | Phase::OmegaSigma { .. })
     }
 
-    fn current_output(&self, ctx: &Ctx<Self>) -> PsiValue {
+    fn current_output(&self) -> PsiValue {
         match &self.phase {
             Phase::Simulating | Phase::RealExec => PsiValue::Bot,
             Phase::Red => PsiValue::Fs(Signal::Red),
-            Phase::OmegaSigma { leader, quorum, .. } => {
-                let _ = ctx;
-                PsiValue::OmegaSigma(OmegaSigma {
-                    leader: *leader,
-                    quorum: quorum.clone(),
-                })
-            }
+            Phase::OmegaSigma { leader, quorum, .. } => PsiValue::OmegaSigma(OmegaSigma {
+                leader: *leader,
+                quorum: quorum.clone(),
+            }),
         }
     }
 
@@ -279,7 +284,6 @@ impl<F: QcFamily> PsiExtraction<F> {
         else {
             return;
         };
-        let tuple = tuple.clone();
         let watermark = *watermark;
         let window: Vec<Sample<F::Fd>> = self.store.window_after(watermark).collect();
         if window.is_empty() {
@@ -315,16 +319,18 @@ impl<F: QcFamily> PsiExtraction<F> {
 
         // Σ (lines 24–32): extend every configuration in C with fresh
         // samples until it decides; the quorum is the union of the
-        // extension step-takers.
-        let mut quorum = ProcessSet::new();
-        for (ones, schedule) in [(tuple.zero_tree, &tuple.s0), (tuple.one_tree, &tuple.s1)] {
-            for prefix_len in 0..=schedule.len() {
-                match self.extend_to_decision(n, ones, &schedule[..prefix_len], &window) {
-                    Some(steppers) => quorum.extend(steppers.iter()),
-                    None => return, // this configuration needs more fresh samples
-                }
-            }
-        }
+        // extension step-takers, i.e. the step-takers of the longest
+        // extension, since every extension is a prefix of one window.
+        let mut work = SigmaWork::default();
+        let quorum = {
+            let _span = self.obs.phase(PhaseId::ExtractionSigmaRound);
+            sigma_quorum(&self.family, n, tuple, &window, &mut work)
+        };
+        self.obs.add(CounterId::SigmaConfigsExtended, work.configs);
+        self.obs.add(CounterId::SigmaRunnerSteps, work.steps);
+        let Some(quorum) = quorum else {
+            return; // a configuration needs more fresh samples
+        };
 
         if let Phase::OmegaSigma {
             watermark: wm,
@@ -340,38 +346,6 @@ impl<F: QcFamily> PsiExtraction<F> {
         }
         self.round_forest = None; // round done — next one starts fresh
         ctx.output(PsiValue::OmegaSigma(OmegaSigma { leader, quorum }));
-    }
-
-    /// Replay `prefix` from initial configuration `I_ones`, then extend
-    /// with the fresh window until a decision appears. Returns the set of
-    /// processes taking steps in the *extension* (empty if the prefix had
-    /// already decided), or `None` if the window is not yet sufficient.
-    fn extend_to_decision(
-        &self,
-        n: usize,
-        ones: usize,
-        prefix: &[(ProcessId, F::Fd)],
-        window: &[Sample<F::Fd>],
-    ) -> Option<ProcessSet> {
-        let procs: Vec<F::Binary> = (0..n).map(|_| self.family.binary()).collect();
-        let mut runner = Runner::replay(procs, initial_proposals(n, ones), prefix);
-        let decided = |r: &Runner<F::Binary>| {
-            r.outputs()
-                .iter()
-                .any(|(_, o)| matches!(o, ConsensusOutput::Decided(_)))
-        };
-        if decided(&runner) {
-            return Some(ProcessSet::new());
-        }
-        let mut steppers = ProcessSet::new();
-        for s in window {
-            runner.step(s.q, s.val.clone());
-            steppers.insert(s.q);
-            if decided(&runner) {
-                return Some(steppers);
-            }
-        }
-        None
     }
 
     /// Work done on every step: sampling, periodic evaluation, periodic
@@ -405,10 +379,87 @@ impl<F: QcFamily> PsiExtraction<F> {
 
         // Periodic (re-)emission so checkers see dense histories.
         if self.own_steps.is_multiple_of(self.out_interval) {
-            let out = self.current_output(ctx);
-            ctx.output(out);
+            ctx.output(self.current_output());
         }
     }
+}
+
+/// The work of one Σ round, reported to [`Obs`] once per round.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct SigmaWork {
+    /// Configurations of `C` whose extension was attempted.
+    configs: u64,
+    /// Runner steps: prefix advances plus extension steps.
+    steps: u64,
+}
+
+/// Figure 3 lines 24–32: the Σ quorum of one round, or `None` if some
+/// configuration of `C` does not decide within `window`.
+///
+/// `C` holds the configuration after every prefix of `S` (from
+/// `I_{zero_tree}`) and of `S′` (from `I_{one_tree}`), the empty and the
+/// full prefix included. Each is extended with `window`'s samples, in
+/// order, until it decides, and the quorum is the set of processes that
+/// took an extension step. Every extension is a prefix of the same
+/// window, so the union of their step-takers is the step-takers of the
+/// longest one.
+///
+/// One runner per schedule starts at its initial configuration and
+/// advances one step per prefix; each configuration is extended on a
+/// clone of it, so a round replays |S| + |S′| steps instead of every
+/// prefix. Configurations are visited in prefix order, `S` before `S′`,
+/// and the first that does not decide ends the round.
+fn sigma_quorum<F: QcFamily>(
+    family: &F,
+    n: usize,
+    tuple: &CriticalTuple<F::Fd>,
+    window: &[Sample<F::Fd>],
+    work: &mut SigmaWork,
+) -> Option<ProcessSet> {
+    let mut longest = 0;
+    for (ones, schedule) in [(tuple.zero_tree, &tuple.s0), (tuple.one_tree, &tuple.s1)] {
+        let procs = (0..n).map(|_| family.binary()).collect();
+        let mut runner = Runner::new(procs, initial_proposals(n, ones));
+        let mut rest = schedule.iter();
+        loop {
+            work.configs += 1;
+            longest = longest.max(extend_to_decision(&runner, window, work)?);
+            let Some((q, fd)) = rest.next() else { break };
+            runner.step(*q, fd.clone());
+            work.steps += 1;
+        }
+    }
+    Some(window[..longest].iter().map(|s| s.q).collect())
+}
+
+/// Extend a clone of `config` with `window`'s samples until it decides.
+/// Returns how many samples that took (0 if `config` had already
+/// decided), or `None` if the window runs out first.
+fn extend_to_decision<P>(
+    config: &Runner<P>,
+    window: &[Sample<P::Fd>],
+    work: &mut SigmaWork,
+) -> Option<usize>
+where
+    P: Protocol<Output = ConsensusOutput<QcDecision<u8>>> + Clone,
+{
+    let decided = |r: &Runner<P>| {
+        r.outputs()
+            .iter()
+            .any(|(_, o)| matches!(o, ConsensusOutput::Decided(_)))
+    };
+    if decided(config) {
+        return Some(0);
+    }
+    let mut runner = config.clone();
+    for (consumed, s) in (1..).zip(window) {
+        runner.step(s.q, s.val.clone());
+        work.steps += 1;
+        if decided(&runner) {
+            return Some(consumed);
+        }
+    }
+    None
 }
 
 impl<F: QcFamily> Protocol for PsiExtraction<F> {
@@ -448,11 +499,12 @@ impl<F: QcFamily> Protocol for PsiExtraction<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::PsiQcFamily;
+    use crate::family::{OmegaSigmaQcFamily, PsiQcFamily};
+    use crate::forest::evaluate_forest;
     use wfd_detectors::check::{check_psi, PsiPhase};
     use wfd_detectors::history::history_from_outputs;
-    use wfd_detectors::oracles::{PsiMode, PsiOracle};
-    use wfd_sim::{FailurePattern, RandomFair, Sim, SimConfig};
+    use wfd_detectors::oracles::{OmegaOracle, PairOracle, PsiMode, PsiOracle, SigmaOracle};
+    use wfd_sim::{FailurePattern, FdOracle, RandomFair, Sim, SimConfig, SimRng};
 
     type Host = PsiExtraction<PsiQcFamily>;
 
@@ -531,9 +583,6 @@ mod tests {
         // A = consensus-that-never-quits, D = (Ω, Σ): the simulated runs
         // can never decide Q, so the extraction must take the (Ω, Σ)
         // branch — with a crash present and all.
-        use crate::family::OmegaSigmaQcFamily;
-        use wfd_detectors::oracles::{OmegaOracle, PairOracle, SigmaOracle};
-
         let n = 3;
         let pattern = FailurePattern::with_crashes(n, &[(ProcessId(2), 300)]);
         let fd = PairOracle::new(
@@ -559,5 +608,323 @@ mod tests {
     #[should_panic(expected = "sample interval")]
     fn zero_sample_interval_rejected() {
         let _ = PsiExtraction::new(PsiQcFamily).with_sample_interval(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "eval interval")]
+    fn zero_eval_interval_rejected() {
+        let _ = PsiExtraction::new(PsiQcFamily).with_eval_interval(0);
+    }
+
+    #[test]
+    fn metrics_never_change_the_extracted_history() {
+        let n = 3;
+        let pattern = FailurePattern::failure_free(n);
+        let run = |obs: Obs| {
+            let psi = PsiOracle::new(&pattern, PsiMode::OmegaSigma, 10, 20, 5);
+            let mut sim = Sim::new(
+                SimConfig::new(n).with_horizon(8_000),
+                (0..n)
+                    .map(|_| {
+                        Host::new(PsiQcFamily)
+                            .with_eval_interval(48)
+                            .with_obs(obs.clone())
+                    })
+                    .collect(),
+                pattern.clone(),
+                psi,
+                RandomFair::new(5),
+            );
+            sim.run();
+            sim.trace()
+                .outputs()
+                .map(|(t, p, o)| format!("{t} {p:?} {o:?}"))
+                .collect::<Vec<_>>()
+        };
+        let obs = Obs::on();
+        assert_eq!(run(obs.clone()), run(Obs::off()));
+        let m = obs.snapshot().expect("metrics on");
+        let configs = m.counter(CounterId::SigmaConfigsExtended);
+        assert!(configs > 0, "no Σ round ran");
+        // An undecided configuration takes at least one extension step;
+        // the full prefixes decided already, but advancing to them took
+        // at least one step each.
+        assert!(m.counter(CounterId::SigmaRunnerSteps) >= configs);
+        let rounds = m.phase(PhaseId::ExtractionSigmaRound).expect("phase");
+        assert!(rounds.calls > 0 && rounds.calls <= configs);
+    }
+
+    /// Figure 3 lines 24–32 read literally, the reference for
+    /// [`sigma_quorum`]: every configuration replayed from its initial
+    /// configuration, the quorum the union of every extension's
+    /// step-takers. Counts the configurations it visits into `configs`.
+    fn replay_every_prefix<F: QcFamily>(
+        family: &F,
+        n: usize,
+        tuple: &CriticalTuple<F::Fd>,
+        window: &[Sample<F::Fd>],
+        configs: &mut u64,
+    ) -> Option<ProcessSet> {
+        let mut quorum = ProcessSet::new();
+        for (ones, schedule) in [(tuple.zero_tree, &tuple.s0), (tuple.one_tree, &tuple.s1)] {
+            for prefix_len in 0..=schedule.len() {
+                *configs += 1;
+                match replay_and_extend(family, n, ones, &schedule[..prefix_len], window) {
+                    Some(steppers) => quorum.extend(steppers.iter()),
+                    None => return None,
+                }
+            }
+        }
+        Some(quorum)
+    }
+
+    /// Replay `prefix` from `I_ones`, then extend with `window` until a
+    /// decision appears: the extension's step-takers, or `None`.
+    fn replay_and_extend<F: QcFamily>(
+        family: &F,
+        n: usize,
+        ones: usize,
+        prefix: &[(ProcessId, F::Fd)],
+        window: &[Sample<F::Fd>],
+    ) -> Option<ProcessSet> {
+        let procs: Vec<F::Binary> = (0..n).map(|_| family.binary()).collect();
+        let mut runner = Runner::new(procs, initial_proposals(n, ones));
+        for (q, fd) in prefix {
+            runner.step(*q, fd.clone());
+        }
+        let decided = |r: &Runner<F::Binary>| {
+            r.outputs()
+                .iter()
+                .any(|(_, o)| matches!(o, ConsensusOutput::Decided(_)))
+        };
+        if decided(&runner) {
+            return Some(ProcessSet::new());
+        }
+        let mut steppers = ProcessSet::new();
+        for s in window {
+            runner.step(s.q, s.val.clone());
+            steppers.insert(s.q);
+            if decided(&runner) {
+                return Some(steppers);
+            }
+        }
+        None
+    }
+
+    /// `len` samples at times `from, from + 1, ...`, each taken by a
+    /// process drawn from `rng` among those alive at that time.
+    fn random_window<D: FdOracle>(
+        fd: &mut D,
+        pattern: &FailurePattern,
+        rng: &mut SimRng,
+        from: Time,
+        len: u64,
+    ) -> Vec<Sample<D::Value>> {
+        (from..from + len)
+            .map(|t| {
+                let alive: Vec<ProcessId> = ProcessId::all(pattern.n())
+                    .filter(|&p| !pattern.is_crashed(p, t))
+                    .collect();
+                let q = alive[rng.gen_range(alive.len() as u64) as usize];
+                Sample {
+                    q,
+                    t,
+                    val: fd.query(q, t),
+                }
+            })
+            .collect()
+    }
+
+    /// How often each outcome of `sigma_quorum` came up.
+    #[derive(Debug, Default)]
+    struct Outcomes {
+        tuples: usize,
+        aborted: usize,
+        decided: usize,
+    }
+
+    /// Compare `sigma_quorum` with the replay-every-prefix oracle for the
+    /// critical tuple of a real forest over `history`, on every
+    /// truncation of the `fresh` window up to a few samples past the
+    /// shortest one on which the round completes (beyond it the oracle
+    /// only repeats itself, at the cost of a full replay each).
+    fn check_against_oracle<F: QcFamily>(
+        family: &F,
+        n: usize,
+        history: &[Sample<F::Fd>],
+        fresh: &[Sample<F::Fd>],
+        seen: &mut Outcomes,
+    ) {
+        let runs = evaluate_forest(family, n, history);
+        if !runs.iter().all(|r| r.decision.is_some()) {
+            return;
+        }
+        let Some((zero_tree, one_tree)) = critical_pair(&runs) else {
+            return;
+        };
+        let tuple = CriticalTuple {
+            zero_tree,
+            one_tree,
+            s0: runs[zero_tree].schedule.clone(),
+            s1: runs[one_tree].schedule.clone(),
+        };
+        seen.tuples += 1;
+        let completes = |len: usize| {
+            sigma_quorum(family, n, &tuple, &fresh[..len], &mut SigmaWork::default()).is_some()
+        };
+        let last = (0..=fresh.len())
+            .find(|&len| completes(len))
+            .map_or(fresh.len(), |len| fresh.len().min(len + 4));
+        for len in 0..=last {
+            let window = &fresh[..len];
+            let mut work = SigmaWork::default();
+            let mut configs = 0;
+            let got = sigma_quorum(family, n, &tuple, window, &mut work);
+            let want = replay_every_prefix(family, n, &tuple, window, &mut configs);
+            assert_eq!(got, want, "window of {len} fresh samples");
+            assert_eq!(work.configs, configs, "window of {len} fresh samples");
+            match got {
+                None => seen.aborted += 1,
+                Some(_) => {
+                    seen.decided += 1;
+                    // Each schedule is advanced to its end, and every
+                    // configuration but the decided full prefixes takes
+                    // at least one extension step.
+                    let advances = (tuple.s0.len() + tuple.s1.len()) as u64;
+                    assert_eq!(configs, advances + 2);
+                    assert!(work.steps >= advances + configs - 2);
+                }
+            }
+        }
+    }
+
+    /// A QC algorithm whose only decider is the last process, on its
+    /// first step, deciding its own proposal: the step that ends every
+    /// extension is that process's first.
+    #[derive(Clone, Debug)]
+    struct LastDecides<V>(std::marker::PhantomData<V>);
+
+    impl<V: Clone + Debug> Protocol for LastDecides<V> {
+        type Msg = ();
+        type Output = ConsensusOutput<QcDecision<V>>;
+        type Inv = V;
+        type Fd = ();
+
+        fn on_invoke(&mut self, ctx: &mut Ctx<Self>, v: V) {
+            if ctx.me().index() == ctx.n() - 1 {
+                ctx.output(ConsensusOutput::Decided(QcDecision::Value(v)));
+            }
+        }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<Self>, _from: ProcessId, _msg: ()) {}
+    }
+
+    #[derive(Clone, Debug)]
+    struct LastDecidesFamily;
+
+    impl QcFamily for LastDecidesFamily {
+        type Fd = ();
+        type Binary = LastDecides<u8>;
+        type Multi = LastDecides<ExtractProposal<()>>;
+
+        fn binary(&self) -> Self::Binary {
+            LastDecides(std::marker::PhantomData)
+        }
+
+        fn multi(&self) -> Self::Multi {
+            LastDecides(std::marker::PhantomData)
+        }
+    }
+
+    #[test]
+    fn sigma_quorum_keeps_the_step_taker_that_decides_last() {
+        let (n, family) = (3, LastDecidesFamily);
+        let samples = |qs: &[usize]| -> Vec<Sample<()>> {
+            (0..)
+                .zip(qs)
+                .map(|(t, &q)| Sample {
+                    q: ProcessId(q),
+                    t,
+                    val: (),
+                })
+                .collect()
+        };
+        // Every tree decides at p2's first step; only tree 3 has p2
+        // propose 1, so trees 2 and 3 are the critical pair.
+        let runs = evaluate_forest(&family, n, &samples(&[0, 1, 2]));
+        assert_eq!(critical_pair(&runs), Some((2, 3)));
+        let tuple = CriticalTuple {
+            zero_tree: 2,
+            one_tree: 3,
+            s0: runs[2].schedule.clone(),
+            s1: runs[3].schedule.clone(),
+        };
+        // Each of the six undecided prefixes decides on the fresh
+        // window's fourth sample, p2's only one.
+        let fresh = samples(&[0, 1, 0, 2, 1]);
+        let mut work = SigmaWork::default();
+        let mut configs = 0;
+        let quorum = sigma_quorum(&family, n, &tuple, &fresh, &mut work);
+        assert_eq!(quorum, Some(ProcessSet::full(n)));
+        assert_eq!(
+            quorum,
+            replay_every_prefix(&family, n, &tuple, &fresh, &mut configs)
+        );
+        assert_eq!(
+            work,
+            SigmaWork {
+                configs: 8,
+                steps: 6 + 6 * 4
+            }
+        );
+        assert_eq!(configs, 8);
+        // One sample short of p2's, the first configuration ends the
+        // round before any other is extended.
+        let mut work = SigmaWork::default();
+        assert_eq!(
+            sigma_quorum(&family, n, &tuple, &fresh[..3], &mut work),
+            None
+        );
+        assert_eq!(
+            work,
+            SigmaWork {
+                configs: 1,
+                steps: 3
+            }
+        );
+    }
+
+    #[test]
+    fn sigma_quorum_matches_replaying_every_prefix() {
+        let n = 3;
+        let (mut psi_seen, mut pair_seen) = (Outcomes::default(), Outcomes::default());
+        for seed in 0..12 {
+            let pattern = if seed % 3 == 2 {
+                FailurePattern::failure_free(n).with_crash(ProcessId(seed as usize % n), 150)
+            } else {
+                FailurePattern::failure_free(n)
+            };
+            let mut rng = SimRng::new(seed);
+            let mut psi = PsiOracle::new(&pattern, PsiMode::OmegaSigma, 60, 20, seed);
+            let history = random_window(&mut psi, &pattern, &mut rng, 0, 400);
+            let fresh = random_window(&mut psi, &pattern, &mut rng, 400, 96);
+            check_against_oracle(&PsiQcFamily, n, &history, &fresh, &mut psi_seen);
+
+            let mut pair = PairOracle::new(
+                OmegaOracle::new(&pattern, 60, seed),
+                SigmaOracle::new(&pattern, 60, seed),
+            );
+            let history = random_window(&mut pair, &pattern, &mut rng, 0, 400);
+            let fresh = random_window(&mut pair, &pattern, &mut rng, 400, 96);
+            check_against_oracle(&OmegaSigmaQcFamily, n, &history, &fresh, &mut pair_seen);
+        }
+        for (family, seen) in [("psi", &psi_seen), ("omega-sigma", &pair_seen)] {
+            assert!(
+                seen.tuples >= 8,
+                "{family}: too few critical tuples: {seen:?}"
+            );
+            assert!(seen.aborted > 0, "{family}: no round aborted: {seen:?}");
+            assert!(seen.decided >= seen.tuples, "{family}: {seen:?}");
+        }
     }
 }

@@ -8,21 +8,29 @@
 //! sequence, so two extractors feeding the same samples reconstruct
 //! byte-identical runs — the convergence the CHT limit-forest argument
 //! needs.
+//!
+//! A runner is the configuration its steps reached and nothing more: it
+//! records no schedule (callers that need one, like
+//! [`crate::forest::evaluate_tree`], keep their own), and it is `Clone`.
+//! Figure 3 line 25's configurations `C` — one per prefix of a critical
+//! schedule — are therefore clones of one runner advanced a step at a
+//! time along that schedule, not replays from the initial configuration.
 
 use std::collections::VecDeque;
 use std::fmt::Debug;
 use wfd_sim::{Ctx, ProcessId, Protocol, Time};
 
 /// A deterministic simulated execution of `n` instances of protocol `P`.
-#[derive(Debug)]
+/// Cloning it forks the execution: the clone and the original continue
+/// independently from the same configuration.
+#[derive(Clone, Debug)]
 pub struct Runner<P: Protocol> {
     procs: Vec<P>,
     started: Vec<bool>,
     pending_inv: Vec<Option<P::Inv>>,
     inboxes: Vec<VecDeque<(ProcessId, P::Msg)>>,
     outputs: Vec<(ProcessId, P::Output)>,
-    /// The schedule executed so far: `(process, detector value)` pairs.
-    schedule: Vec<(ProcessId, P::Fd)>,
+    /// Steps executed so far; also the simulated clock.
     clock: Time,
 }
 
@@ -47,7 +55,6 @@ impl<P: Protocol> Runner<P> {
             pending_inv: invocations,
             inboxes: (0..n).map(|_| VecDeque::new()).collect(),
             outputs: Vec::new(),
-            schedule: Vec::new(),
             clock: 0,
         }
     }
@@ -62,9 +69,8 @@ impl<P: Protocol> Runner<P> {
     /// oldest pending message, or λ if the inbox is empty.
     pub fn step(&mut self, q: ProcessId, fd: P::Fd) {
         let i = q.index();
-        let mut ctx = Ctx::<P>::detached(q, self.procs.len(), self.clock, fd.clone());
+        let mut ctx = Ctx::<P>::detached(q, self.procs.len(), self.clock, fd);
         self.clock += 1;
-        self.schedule.push((q, fd));
         if !self.started[i] {
             self.started[i] = true;
             self.procs[i].on_start(&mut ctx);
@@ -89,33 +95,14 @@ impl<P: Protocol> Runner<P> {
         &self.outputs
     }
 
-    /// The schedule executed so far.
-    pub fn schedule(&self) -> &[(ProcessId, P::Fd)] {
-        &self.schedule
-    }
-
     /// Steps executed.
     pub fn len(&self) -> usize {
-        self.schedule.len()
+        self.clock as usize
     }
 
     /// Whether no steps have been executed.
     pub fn is_empty(&self) -> bool {
-        self.schedule.is_empty()
-    }
-
-    /// Replay a pre-recorded schedule prefix onto fresh instances — used
-    /// to reconstruct the configurations `C` of Figure 3 line 25.
-    pub fn replay(
-        procs: Vec<P>,
-        invocations: Vec<Option<P::Inv>>,
-        prefix: &[(ProcessId, P::Fd)],
-    ) -> Self {
-        let mut r = Runner::new(procs, invocations);
-        for (q, fd) in prefix {
-            r.step(*q, fd.clone());
-        }
-        r
+        self.clock == 0
     }
 }
 
@@ -124,7 +111,7 @@ mod tests {
     use super::*;
 
     /// Counts messages; replies to each ping with a pong to the sender.
-    #[derive(Debug, Default)]
+    #[derive(Clone, Debug, Default)]
     struct Echo {
         got: u32,
     }
@@ -200,18 +187,26 @@ mod tests {
     }
 
     #[test]
-    fn replay_reproduces_prefix_state() {
+    fn clone_forks_an_execution() {
         let (procs, invs) = fresh(2);
         let mut r = Runner::new(procs, invs);
         for _ in 0..3 {
             r.step(ProcessId(0), 7);
             r.step(ProcessId(1), 7);
         }
-        let prefix = r.schedule().to_vec();
-        let (procs2, invs2) = fresh(2);
-        let replayed = Runner::replay(procs2, invs2, &prefix);
-        assert_eq!(replayed.outputs(), r.outputs());
-        assert_eq!(replayed.schedule(), r.schedule());
+        let mut fork = r.clone();
+        let tail = [(ProcessId(0), 8), (ProcessId(0), 9), (ProcessId(1), 8)];
+        for (q, fd) in tail {
+            fork.step(q, fd);
+        }
+        // The original is untouched by the fork's steps...
+        assert_eq!(r.len(), 6);
+        // ...and stepping it the same way reaches the same configuration.
+        for (q, fd) in tail {
+            r.step(q, fd);
+        }
+        assert_eq!(r.outputs(), fork.outputs());
+        assert_eq!(format!("{r:?}"), format!("{fork:?}"));
     }
 
     #[test]

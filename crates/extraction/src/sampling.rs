@@ -78,16 +78,6 @@ impl<V: Clone + Debug> SampleStore<V> {
                 val: val.clone(),
             })
     }
-
-    /// Number of distinct processes with at least one sample after
-    /// `watermark`.
-    pub fn processes_after(&self, watermark: Time) -> usize {
-        let mut seen = std::collections::BTreeSet::new();
-        for s in self.window_after(watermark) {
-            seen.insert(s.q);
-        }
-        seen.len()
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +121,6 @@ mod tests {
         }
         let w: Vec<Time> = store.window_after(4).map(|x| x.t).collect();
         assert_eq!(w, vec![5, 6, 7, 8, 9]);
-        assert_eq!(store.processes_after(4), 1);
     }
 
     #[test]
@@ -139,6 +128,6 @@ mod tests {
         let store: SampleStore<u32> = SampleStore::new();
         assert!(store.is_empty());
         assert_eq!(store.max_time(), None);
-        assert_eq!(store.processes_after(0), 0);
+        assert_eq!(store.window_after(0).count(), 0);
     }
 }

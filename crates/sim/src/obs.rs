@@ -135,6 +135,13 @@ metric_ids! {
         /// Samples fed to forest runners (delta on incremental paths,
         /// whole window on replays).
         ForestSamplesConsumed => "forest_samples_consumed",
+        /// Figure 3 Σ rounds (lines 24–32): configurations of `C` whose
+        /// extension was attempted, one per schedule prefix visited.
+        SigmaConfigsExtended => "sigma_configs_extended",
+        /// Figure 3 Σ rounds: simulated runner steps, counting both the
+        /// advance of a critical schedule by one prefix step and each
+        /// extension step on a fresh sample.
+        SigmaRunnerSteps => "sigma_runner_steps",
     }
 }
 
@@ -179,6 +186,9 @@ metric_ids! {
         ForestEvalIncremental => "forest_eval_incremental",
         /// Full-replay forest evaluation.
         ForestEvalFullReplay => "forest_eval_full_replay",
+        /// One Figure 3 Σ round (lines 24–32): extending every
+        /// configuration of `C` with the fresh window until it decides.
+        ExtractionSigmaRound => "extraction_sigma_round",
     }
 }
 
