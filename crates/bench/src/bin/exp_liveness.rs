@@ -22,16 +22,22 @@
 //! truncated where a complete verdict was expected. The summary table is
 //! saved as `E14-liveness.json` in the experiment artifact directory (CI
 //! uploads it), and the lasso artifact as `repros/repro-livelock.json`.
+//!
+//! `--metrics[=PATH]` turns on the [`wfd_sim::obs`] layer for every
+//! check (the `liveness_*` phase timers and node, edge, product-state and
+//! interned-value counters) and appends the `metrics` block to the
+//! artifact, or writes it standalone to `PATH` and leaves the artifact
+//! as it is without the flag.
 
 use std::process::ExitCode;
-use wfd_bench::Table;
+use wfd_bench::{MetricsFlag, Table};
 use wfd_consensus::OmegaSigmaConsensus;
 use wfd_detectors::impls::{HeartbeatOmega, TimeoutFs};
 use wfd_detectors::oracles::{OmegaOracle, PairOracle, SigmaOracle};
 use wfd_sim::liveness::fixtures::PingPong;
 use wfd_sim::{
     check_liveness, shrink, FailurePattern, LivenessConfig, LivenessReport, LivenessVerdict, Ltl,
-    NoDetector, OracleSpec, ProcessId, Replay, Repro,
+    NoDetector, Obs, OracleSpec, ProcessId, Replay, Repro,
 };
 
 /// One table row: a named check with its expectation and outcome.
@@ -83,9 +89,9 @@ fn run_case(
 
 /// The planted-livelock leg: catch the bug, then push the lasso through
 /// the full artifact pipeline (JSON round-trip → replay → shrink).
-fn livelock_leg(outcomes: &mut Vec<Outcome>) {
+fn livelock_leg(outcomes: &mut Vec<Outcome>, obs: &Obs) {
     let n = 3;
-    let cfg = || LivenessConfig::new(3, 3, 0);
+    let cfg = || LivenessConfig::new(3, 3, 0).with_obs(obs.clone());
     let pattern = FailurePattern::failure_free(n);
     let goal = Ltl::prop("decided").eventually();
     let mut out = run_case(
@@ -191,7 +197,7 @@ fn livelock_leg(outcomes: &mut Vec<Outcome>) {
 
 /// Ω stabilization: `F G "leader-agreed"` over all fair runs, with the
 /// adaptive-timeout heartbeat implementation.
-fn omega_leg(outcomes: &mut Vec<Outcome>) {
+fn omega_leg(outcomes: &mut Vec<Outcome>, obs: &Obs) {
     let n = 2;
     // Worst-case staleness between two beats (receiver's own steps):
     // `beat_interval · G + D` global steps; 8 > 2·2 + 2 keeps the
@@ -202,7 +208,7 @@ fn omega_leg(outcomes: &mut Vec<Outcome>) {
         "omega/stabilize-ff",
         LivenessVerdict::Holds,
         check_liveness(
-            LivenessConfig::new(2, 2, 0),
+            LivenessConfig::new(2, 2, 0).with_obs(obs.clone()),
             procs,
             vec![None; n],
             &FailurePattern::failure_free(n),
@@ -217,7 +223,7 @@ fn omega_leg(outcomes: &mut Vec<Outcome>) {
         "omega/stabilize-crash",
         LivenessVerdict::Holds,
         check_liveness(
-            LivenessConfig::new(2, 2, 0),
+            LivenessConfig::new(2, 2, 0).with_obs(obs.clone()),
             procs,
             vec![None; n],
             &pattern,
@@ -229,7 +235,7 @@ fn omega_leg(outcomes: &mut Vec<Outcome>) {
 }
 
 /// FS accuracy and completeness as temporal properties.
-fn fs_leg(outcomes: &mut Vec<Outcome>) {
+fn fs_leg(outcomes: &mut Vec<Outcome>, obs: &Obs) {
     let n = 2;
     let procs = || (0..n).map(|_| TimeoutFs::new(n, 8)).collect();
     let accuracy = Ltl::prop("some-correct-red").not().always();
@@ -237,7 +243,9 @@ fn fs_leg(outcomes: &mut Vec<Outcome>) {
         "fs/accuracy-ff",
         LivenessVerdict::Holds,
         check_liveness(
-            LivenessConfig::new(2, 2, 0).with_symmetry(true),
+            LivenessConfig::new(2, 2, 0)
+                .with_symmetry(true)
+                .with_obs(obs.clone()),
             procs,
             vec![None; n],
             &FailurePattern::failure_free(n),
@@ -252,7 +260,7 @@ fn fs_leg(outcomes: &mut Vec<Outcome>) {
         "fs/completeness-crash",
         LivenessVerdict::Holds,
         check_liveness(
-            LivenessConfig::new(2, 2, 0),
+            LivenessConfig::new(2, 2, 0).with_obs(obs.clone()),
             procs,
             vec![None; n],
             &pattern,
@@ -265,7 +273,7 @@ fn fs_leg(outcomes: &mut Vec<Outcome>) {
 
 /// (Ω, Σ) consensus termination: `F "all-decided"` over all fair runs,
 /// with stationary Ω and Σ oracles.
-fn consensus_leg(outcomes: &mut Vec<Outcome>) {
+fn consensus_leg(outcomes: &mut Vec<Outcome>, obs: &Obs) {
     let goal = Ltl::prop("all-decided").eventually();
     let run = |name: &'static str, pattern: FailurePattern, proposals: Vec<u64>| {
         let n = pattern.n();
@@ -277,7 +285,7 @@ fn consensus_leg(outcomes: &mut Vec<Outcome>) {
             name,
             LivenessVerdict::Holds,
             check_liveness(
-                LivenessConfig::new(2, 2, 0),
+                LivenessConfig::new(2, 2, 0).with_obs(obs.clone()),
                 || (0..n).map(|_| OmegaSigmaConsensus::<u64>::new()).collect(),
                 proposals.into_iter().map(Some).collect(),
                 &pattern,
@@ -304,11 +312,13 @@ fn consensus_leg(outcomes: &mut Vec<Outcome>) {
 }
 
 fn main() -> ExitCode {
+    let metrics = MetricsFlag::from_args();
+    let obs = metrics.resolve_obs();
     let mut outcomes = Vec::new();
-    livelock_leg(&mut outcomes);
-    omega_leg(&mut outcomes);
-    fs_leg(&mut outcomes);
-    consensus_leg(&mut outcomes);
+    livelock_leg(&mut outcomes, &obs);
+    omega_leg(&mut outcomes, &obs);
+    fs_leg(&mut outcomes, &obs);
+    consensus_leg(&mut outcomes, &obs);
 
     let mut table = Table::new(
         "E14-liveness",
@@ -334,7 +344,8 @@ fn main() -> ExitCode {
             detail,
         ]);
     }
-    table.finish();
+    let block = metrics.emit(&obs);
+    table.finish_with_metrics(block.as_ref().filter(|_| metrics.path.is_none()));
     if failures > 0 {
         eprintln!("E14: {failures} case(s) failed");
         return ExitCode::FAILURE;

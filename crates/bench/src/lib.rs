@@ -160,6 +160,13 @@ impl Table {
     /// Print the table and write `<artifact_dir>/<id>.json`; returns the
     /// artifact path on success so callers (and CI) can collect it.
     pub fn finish(&self) -> Option<PathBuf> {
+        self.finish_with_metrics(None)
+    }
+
+    /// [`Table::finish`], with a `metrics` block (see
+    /// [`MetricsFlag::emit`]) appended to the JSON artifact when one is
+    /// given.
+    pub fn finish_with_metrics(&self, metrics: Option<&Json>) -> Option<PathBuf> {
         println!("\n== {} ==", self.id);
         println!("{}", self.caption);
         let widths: Vec<usize> = self
@@ -191,7 +198,7 @@ impl Table {
         for r in &self.rows {
             println!("{}", line(r));
         }
-        match self.save() {
+        match self.save(metrics) {
             Ok(path) => {
                 println!("(saved {})", path.display());
                 Some(path)
@@ -224,11 +231,19 @@ impl Table {
         out
     }
 
-    fn save(&self) -> std::io::Result<PathBuf> {
+    fn save(&self, metrics: Option<&Json>) -> std::io::Result<PathBuf> {
+        let mut json = self.to_json();
+        if let Some(metrics) = metrics {
+            // Splice the block in before the closing brace, then prove
+            // the string-built artifact still parses.
+            json.truncate(json.len() - "\n}".len());
+            json.push_str(&format!(",\n  \"metrics\": {metrics}\n}}"));
+            Json::parse(&json).expect("artifact with metrics block must parse");
+        }
         let dir = Self::artifact_dir();
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.json", self.id));
-        fs::write(&path, self.to_json())?;
+        fs::write(&path, json)?;
         Ok(path)
     }
 }

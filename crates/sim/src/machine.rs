@@ -38,6 +38,14 @@
 //!   combinations that are unsound for cycle detection instead of
 //!   silently ignoring them).
 //!
+//! A step itself has one definition, the crate-internal `step_in_place`,
+//! which applies a decision to a state the caller owns. The explorer
+//! reaches it through `apply_step_into` (`State::copy_from` the parent
+//! into a recycled successor, then step it); [`FairMachine::step_with`]
+//! clones a node and steps the clone; and the liveness graph builder
+//! calls `FairMachine::step_in_place` on a per-worker scratch node,
+//! re-cloning before each step only the slots the previous step touched.
+//!
 //! The two enabled-set semantics differ deliberately. The explorer elides
 //! λ when messages are pending (a receive-agnostic reduction that is
 //! complete for safety up to the depth bound), while the fair machine
@@ -376,7 +384,31 @@ pub(crate) struct StepEnv<'a> {
     pub(crate) n: usize,
 }
 
-/// Apply one step of `src` into `dst` (overwritten; allocations reused).
+/// Apply one step of `src` into `dst` (overwritten; allocations reused):
+/// [`State::copy_from`], then [`step_in_place`]. The explorer's
+/// expansion path.
+#[allow(clippy::too_many_arguments)] // one hot-path fn, each arg documented on step_in_place
+                                     // wfd-lint: allow(d8-machine-purity, dst is the fresh clone being built into the successor; src stays a shared borrow for the whole step)
+pub(crate) fn apply_step_into<P>(
+    env: &StepEnv<'_>,
+    src: &State<P>,
+    dst: &mut State<P>,
+    p: ProcessId,
+    fd: P::Fd,
+    choice: Option<usize>,
+    bufs: &mut (SendBuf<P>, Vec<P::Output>),
+    declared: Option<&Footprint>,
+) where
+    P: Protocol + Clone,
+{
+    dst.copy_from(src);
+    step_in_place(env, dst, p, fd, choice, bufs, declared);
+}
+
+/// Apply one step of process `p` to `state`, in place: the one
+/// definition of a step. Callers that keep the source state copy it
+/// first ([`apply_step_into`]) or step a scratch copy they own (the
+/// liveness graph builder, through [`FairMachine::step_in_place`]).
 ///
 /// `choice` follows the [`ExploreDecision`] convention: `None` for a first
 /// step or λ, `Some(i)` for delivery of the message at inbox position `i`.
@@ -394,23 +426,20 @@ pub(crate) struct StepEnv<'a> {
 /// the executed sends and outputs are validated against it, and an
 /// under-declaration panics — a too-tight footprint must never silently
 /// prune a reachable violation.
-#[allow(clippy::too_many_arguments)] // one hot-path fn, each arg documented above
-                                     // wfd-lint: allow(d8-machine-purity, dst is the fresh clone being built into the successor; src stays a shared borrow for the whole step)
-pub(crate) fn apply_step_into<P>(
+// wfd-lint: allow(d8-machine-purity, dst is the fresh clone being built into the successor; src stays a shared borrow for the whole step)
+pub(crate) fn step_in_place<P>(
     env: &StepEnv<'_>,
-    src: &State<P>,
-    dst: &mut State<P>,
+    state: &mut State<P>,
     p: ProcessId,
     fd: P::Fd,
     choice: Option<usize>,
     bufs: &mut (SendBuf<P>, Vec<P::Output>),
     declared: Option<&Footprint>,
 ) where
-    P: Protocol + Clone,
+    P: Protocol,
 {
-    let t = src.depth as Time;
-    dst.copy_from(src);
-    dst.depth += 1;
+    let t = state.depth as Time;
+    state.depth += 1;
     let mut ctx = Ctx::<P>::with_buffers(
         p,
         env.n,
@@ -424,19 +453,19 @@ pub(crate) fn apply_step_into<P>(
     // the resolution (start-folding, clamping, inbox removal) lives here;
     // the callback routing lives in [`dispatch`], shared with the engine.
     let decision;
-    let step: ResolvedStep<P> = if !dst.started[idx] {
-        dst.started[idx] = true;
+    let step: ResolvedStep<P> = if !state.started[idx] {
+        state.started[idx] = true;
         decision = (p, None);
         ResolvedStep::Start {
-            inv: dst.pending_inv[idx].take(),
+            inv: state.pending_inv[idx].take(),
         }
     } else {
-        let inbox_len = dst.inboxes[idx].len();
+        let inbox_len = state.inboxes[idx].len();
         match choice {
             Some(i) if inbox_len > 0 => {
                 let i = i.min(inbox_len - 1);
                 decision = (p, Some(i));
-                let (from, msg) = dst.inboxes[idx].remove(i);
+                let (from, msg) = state.inboxes[idx].remove(i);
                 ResolvedStep::Deliver { from, msg }
             }
             _ => {
@@ -445,10 +474,10 @@ pub(crate) fn apply_step_into<P>(
             }
         }
     };
-    dispatch(&mut dst.procs[idx], &mut ctx, step);
-    dst.decisions = Some(Arc::new(DecisionNode {
+    dispatch(&mut state.procs[idx], &mut ctx, step);
+    state.decisions = Some(Arc::new(DecisionNode {
         decision,
-        parent: dst.decisions.take(),
+        parent: state.decisions.take(),
     }));
     let (mut sends, mut outs) = ctx.into_buffers();
     if let Some(declared) = declared {
@@ -469,15 +498,15 @@ pub(crate) fn apply_step_into<P>(
     }
     for (to, msg) in sends.drain(..) {
         if !env.pattern.is_crashed(to, t) {
-            dst.inboxes[to.index()].push((p, msg));
+            state.inboxes[to.index()].push((p, msg));
         }
     }
     for out in outs.drain(..) {
-        dst.outputs = Some(Arc::new(OutputNode {
+        state.outputs = Some(Arc::new(OutputNode {
             output: (p, out),
-            parent: dst.outputs.take(),
+            parent: state.outputs.take(),
         }));
-        dst.outputs_len += 1;
+        state.outputs_len += 1;
     }
     bufs.0 = sends;
     bufs.1 = outs;
@@ -647,8 +676,8 @@ impl<P: Protocol + Clone> Clone for LiveNode<P> {
 }
 
 /// Structural equality of fair-graph nodes (state, counters and ages
-/// alike) — the identity the liveness graph dedups on and the cycle
-/// check of lasso replays compares with.
+/// alike) — the identity the liveness graph's row equality stands for,
+/// and what the cycle check of lasso replays compares.
 pub(crate) fn node_eq<P>(a: &LiveNode<P>, b: &LiveNode<P>) -> bool
 where
     P: Protocol + PartialEq,
@@ -772,9 +801,10 @@ where
     }
 
     /// Apply one fair step with a caller-supplied detector value and
-    /// reusable buffers — the graph builder's hot path ([`Machine`]'s
-    /// `transition` wraps this with the fair-feasibility check and the
-    /// machine's own detector sampling).
+    /// reusable buffers, into a fresh node ([`Machine`]'s `transition`
+    /// wraps this with the fair-feasibility check and the machine's own
+    /// detector sampling): a clone of `node`, stepped by
+    /// the crate-internal in-place fair step.
     pub fn step_with(
         &self,
         node: &LiveNode<P>,
@@ -782,78 +812,80 @@ where
         fd: P::Fd,
         bufs: &mut (SendBuf<P>, Vec<P::Output>),
     ) -> LiveNode<P> {
+        let mut next = node.clone();
+        self.step_in_place(&mut next, decision, fd, bufs);
+        next
+    }
+
+    /// Apply one fair step to `node` in place: the protocol step
+    /// ([`step_in_place`]), then the fairness bookkeeping — the output
+    /// and decision histories dropped, the depth clamped at the
+    /// stabilization time, step-gap counters and message ages advanced.
+    /// Returns the parent-inbox position of the message the step
+    /// delivered (clamped as the step resolved it), if it delivered one.
+    /// The liveness graph builder's hot path: it steps a scratch node
+    /// whose untouched slots it never re-clones.
+    // wfd-lint: allow(d8-machine-purity, dst is the fresh clone being built into the successor; src stays a shared borrow for the whole step)
+    pub(crate) fn step_in_place(
+        &self,
+        node: &mut LiveNode<P>,
+        decision: ExploreDecision,
+        fd: P::Fd,
+        bufs: &mut (SendBuf<P>, Vec<P::Output>),
+    ) -> Option<usize> {
         let (p, choice) = decision;
         let idx = p.index();
+        let inbox_len = node.state.inboxes[idx].len();
+        let delivered = match choice {
+            Some(i) if node.state.started[idx] && inbox_len > 0 => Some(i.min(inbox_len - 1)),
+            _ => None,
+        };
         let env = StepEnv {
             pattern: self.pattern,
             n: self.n,
         };
-        let mut dst = State::blank();
-        apply_step_into(&env, &node.state, &mut dst, p, fd, choice, bufs, None);
+        step_in_place(&env, &mut node.state, p, fd, choice, bufs, None);
         // Outputs and decision chains grow without bound over an infinite
         // run; propositions are state predicates, so both are dropped
         // from the node identity.
-        dst.outputs = None;
-        dst.outputs_len = 0;
-        dst.decisions = None;
-        dst.depth = dst.depth.min(self.t_stable as usize);
-        let t_next = dst.depth as Time;
-        let delivered = if node.state.started[idx] {
-            match choice {
-                Some(i) if !node.state.inboxes[idx].is_empty() => {
-                    Some(i.min(node.state.inboxes[idx].len() - 1))
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let n = self.n;
-        let since_bound = self.max_step_gap + n as Time;
-        let mut since = Vec::with_capacity(n);
-        for q in 0..n {
-            let s = if self.pattern.is_crashed(ProcessId(q), t_next) {
+        let state = &mut node.state;
+        state.outputs = None;
+        state.outputs_len = 0;
+        state.decisions = None;
+        state.depth = state.depth.min(self.t_stable as usize);
+        let t_next = state.depth as Time;
+        let since_bound = self.max_step_gap + self.n as Time;
+        for (q, s) in node.since.iter_mut().enumerate() {
+            *s = if self.pattern.is_crashed(ProcessId(q), t_next) {
                 0
             } else if q == idx {
                 1
             } else {
-                node.since[q] + 1
+                *s + 1
             };
             // Under the forcing rule a counter provably stays below
             // G + n (see the liveness module docs); a violation here
             // means the decisions were not fairness-enumerated.
-            assert!(s < since_bound, "step-gap counter exceeded its fair bound");
-            since.push(s);
+            assert!(*s < since_bound, "step-gap counter exceeded its fair bound");
         }
-        let mut ages = Vec::with_capacity(n);
-        for q in 0..n {
-            let mut a = node.ages[q].clone();
-            if q == idx {
-                if let Some(i) = delivered {
-                    a.remove(i);
-                }
+        for (q, a) in node.ages.iter_mut().enumerate() {
+            if let Some(i) = delivered.filter(|_| q == idx) {
+                a.remove(i);
             }
-            let new_len = dst.inboxes[q].len();
+            let new_len = state.inboxes[q].len();
             debug_assert!(a.len() <= new_len, "ages desynced from inbox");
-            while a.len() < new_len {
-                a.push(0);
-            }
+            a.resize(new_len, 0);
             if self.pattern.is_crashed(ProcessId(q), t_next) {
                 // A crashed inbox is frozen and never forces anything;
                 // zero ages keep the quotient canonical.
                 a.fill(0);
             } else {
-                for x in &mut a {
+                for x in a.iter_mut() {
                     *x = (*x + 1).min(self.max_delay);
                 }
             }
-            ages.push(a);
         }
-        LiveNode {
-            state: dst,
-            since,
-            ages,
-        }
+        delivered
     }
 }
 

@@ -1,10 +1,11 @@
 //! Zero-cost-when-off observability: counters, histograms and phase
-//! timers for the engine, the explorer, the sweep harness and the
-//! Figure 3 extraction host.
+//! timers for the engine, the explorer, the liveness checker, the sweep
+//! harness and the Figure 3 extraction host.
 //!
 //! The design mirrors [`crate::TraceMode::Off`]: an [`Obs`] handle is
-//! carried by [`crate::SimConfig`] / [`crate::ExploreConfig`] (builders
-//! [`crate::SimConfig::with_obs`] / [`crate::ExploreConfig::with_obs`])
+//! carried by [`crate::SimConfig`] / [`crate::ExploreConfig`] /
+//! [`crate::LivenessConfig`] (builders [`crate::SimConfig::with_obs`] /
+//! [`crate::ExploreConfig::with_obs`] / [`crate::LivenessConfig::with_obs`])
 //! and defaults to **off**, in which state every instrumentation call
 //! inlines to a null-pointer check and returns — no clock reads, no
 //! atomics, no allocation. Metrics can never change what a run computes:
@@ -142,6 +143,20 @@ metric_ids! {
         /// advance of a critical schedule by one prefix step and each
         /// extension step on a fresh sample.
         SigmaRunnerSteps => "sigma_runner_steps",
+        /// Fair-graph nodes a liveness check built.
+        LivenessNodes => "liveness_nodes",
+        /// Fair-graph edges a liveness check built.
+        LivenessEdges => "liveness_edges",
+        /// Product states the liveness check's nested DFS visited.
+        LivenessProductStates => "liveness_product_states",
+        /// Distinct process states interned by the fair-graph store.
+        LivenessInternedProcs => "liveness_interned_procs",
+        /// Distinct inboxes interned by the fair-graph store.
+        LivenessInternedInboxes => "liveness_interned_inboxes",
+        /// Distinct node bookkeeping values (`started` bits, step-gap
+        /// counters, message ages, pending invocations) interned by the
+        /// fair-graph store.
+        LivenessInternedBookkeeping => "liveness_interned_bookkeeping",
     }
 }
 
@@ -189,6 +204,20 @@ metric_ids! {
         /// One Figure 3 Σ round (lines 24–32): extending every
         /// configuration of `C` with the fresh window until it decides.
         ExtractionSigmaRound => "extraction_sigma_round",
+        /// Liveness: compiling ¬φ into a Büchi automaton.
+        LivenessBuchi => "liveness_buchi",
+        /// Liveness: parallel expansion of a fair-graph BFS level —
+        /// stepping, keying, canonicalization, the proposition check and
+        /// table lookups.
+        LivenessExpand => "liveness_expand",
+        /// Liveness: sequential merge of a level's successors — interning
+        /// new slot values, node dedup and edge recording.
+        LivenessMerge => "liveness_merge",
+        /// Liveness: the nested-DFS search of the Büchi product.
+        LivenessLasso => "liveness_lasso",
+        /// Liveness: the concrete re-run without symmetry that extracts a
+        /// replayable lasso after a violation under symmetry.
+        LivenessConcrete => "liveness_concrete",
     }
 }
 

@@ -12,15 +12,20 @@
 //! * explorations with metrics off vs on produce byte-identical reports
 //!   at 1 and 4 worker threads, with either hasher and with the
 //!   reductions on or off,
+//! * liveness checks with metrics off vs on produce identical
+//!   [`LivenessReport`]s at 1 and 2 worker threads, with symmetry on or
+//!   off, for a violated and a holding property,
 //! * and while invisible to results, the metrics are *not* inert: the
 //!   snapshot carries the exact traversal counters (the transition memo's
 //!   hits and misses included: one per keyed child) and its JSON export
 //!   round-trips through the crate's own parser.
 
 use wfd_sim::json::Json;
+use wfd_sim::liveness::fixtures::{JoinQuorum, PingPong};
 use wfd_sim::{
-    explore, CounterId, Ctx, ExploreConfig, ExploreReport, FailurePattern, Hasher, NoDetector, Obs,
-    ProcessId, Protocol, ReductionConfig, RoundRobin, Sim, SimConfig,
+    check_liveness, explore, CounterId, Ctx, ExploreConfig, ExploreReport, FailurePattern, Hasher,
+    LivenessConfig, LivenessReport, Ltl, NoDetector, Obs, PhaseId, ProcessId, Protocol,
+    ReductionConfig, RoundRobin, Sim, SimConfig,
 };
 
 /// A small token-relay protocol with enough branching to exercise the
@@ -194,4 +199,112 @@ fn off_handle_never_allocates_a_snapshot() {
     let _ = run_explore(obs.clone(), 1);
     assert!(obs.snapshot().is_none());
     assert!(!obs.is_on());
+}
+
+/// One liveness check of the planted livelock (`F "decided"` is
+/// violated) or of the join quorum (`F "formed"` holds), n = 3.
+fn run_liveness(livelock: bool, cfg: LivenessConfig) -> LivenessReport {
+    let n = 3;
+    let pattern = FailurePattern::failure_free(n);
+    let report = if livelock {
+        check_liveness(
+            cfg,
+            || PingPong::fleet(n),
+            vec![None; n],
+            &pattern,
+            NoDetector,
+            &Ltl::prop("decided").eventually(),
+        )
+    } else {
+        check_liveness(
+            cfg.with_max_inbox(12),
+            || JoinQuorum::fleet(n),
+            vec![None; n],
+            &pattern,
+            NoDetector,
+            &Ltl::prop("formed").eventually(),
+        )
+    };
+    report.expect("valid scenario")
+}
+
+#[test]
+fn liveness_reports_are_identical_with_metrics_on() {
+    for livelock in [true, false] {
+        for threads in [1, 2] {
+            for symmetry in [false, true] {
+                let cfg = LivenessConfig::new(2, 2, 0)
+                    .with_threads(threads)
+                    .with_symmetry(symmetry);
+                let off = run_liveness(livelock, cfg.clone());
+                let on = run_liveness(livelock, cfg.with_obs(Obs::on()));
+                assert_eq!(
+                    format!("{off:?}"),
+                    format!("{on:?}"),
+                    "livelock={livelock}, {threads} threads, symmetry={symmetry}: \
+                     metrics changed the report"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn liveness_metrics_measure_the_check() {
+    for livelock in [true, false] {
+        let obs = Obs::on();
+        let report = run_liveness(livelock, LivenessConfig::new(2, 2, 0).with_obs(obs.clone()));
+        let snap = obs.snapshot().expect("metrics are on");
+        assert_eq!(snap.counter(CounterId::LivenessNodes), report.states as u64);
+        assert_eq!(snap.counter(CounterId::LivenessEdges), report.edges as u64);
+        assert_eq!(
+            snap.counter(CounterId::LivenessProductStates),
+            report.product_states as u64
+        );
+        // A table holds at most one value per slot of each node
+        // (n = 3, and one bookkeeping value per node).
+        for id in [
+            CounterId::LivenessInternedProcs,
+            CounterId::LivenessInternedInboxes,
+            CounterId::LivenessInternedBookkeeping,
+        ] {
+            let interned = snap.counter(id);
+            assert!(
+                interned > 0 && interned <= 3 * report.states as u64,
+                "{}: {interned}",
+                id.name()
+            );
+        }
+        for id in [
+            PhaseId::LivenessBuchi,
+            PhaseId::LivenessExpand,
+            PhaseId::LivenessMerge,
+            PhaseId::LivenessLasso,
+        ] {
+            assert!(snap.phase(id).is_some_and(|p| p.calls > 0), "{}", id.name());
+        }
+        // No symmetry, so no concrete re-run.
+        assert_eq!(
+            snap.phase(PhaseId::LivenessConcrete).map(|p| p.calls),
+            Some(0)
+        );
+    }
+    // A violation under symmetry re-runs concretely, and counts both.
+    let obs = Obs::on();
+    let reduced = run_liveness(
+        true,
+        LivenessConfig::new(2, 2, 0)
+            .with_symmetry(true)
+            .with_obs(obs.clone()),
+    );
+    let concrete = run_liveness(true, LivenessConfig::new(2, 2, 0));
+    let snap = obs.snapshot().expect("metrics are on");
+    assert_eq!(
+        snap.phase(PhaseId::LivenessConcrete).map(|p| p.calls),
+        Some(1)
+    );
+    assert_eq!(
+        snap.counter(CounterId::LivenessNodes),
+        (reduced.states + concrete.states) as u64
+    );
 }
