@@ -22,7 +22,7 @@ pub mod sweep;
 use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
-use wfd_sim::json::Json;
+use wfd_sim::json::{escape, Json};
 use wfd_sim::{EnvOverrides, MetricsMode, Obs};
 
 /// The `--metrics[=PATH]` CLI convention shared by the experiment
@@ -88,9 +88,9 @@ impl MetricsFlag {
     /// Snapshot `obs` into its `metrics` JSON block, self-validated: the
     /// rendered block is parsed back with [`Json::parse`] before it is
     /// returned, so a malformed artifact panics at the source instead of
-    /// corrupting a `BENCH_*.json`. With `--metrics=PATH` the block is
-    /// *also* written standalone to `PATH`. Returns `None` when metrics
-    /// are off.
+    /// corrupting an experiment artifact or metrics file. With
+    /// `--metrics=PATH` the block is *also* written standalone to `PATH`.
+    /// Returns `None` when metrics are off.
     pub fn emit(&self, obs: &Obs) -> Option<Json> {
         let snapshot = obs.snapshot()?;
         let json = snapshot.to_json();
@@ -101,14 +101,6 @@ impl MetricsFlag {
         }
         Some(json)
     }
-}
-
-/// Serialize a string into a JSON string literal.
-///
-/// Delegates to [`wfd_sim::json::escape`] — one escaping implementation
-/// serves every artifact writer in the workspace.
-pub fn json_escape(s: &str) -> String {
-    wfd_sim::json::escape(s)
 }
 
 /// A simple experiment table: named columns, stringly-printed rows, and a
@@ -214,13 +206,13 @@ impl Table {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json_escape(&self.id)));
-        out.push_str(&format!("  \"caption\": {},\n", json_escape(&self.caption)));
-        let cols: Vec<String> = self.columns.iter().map(|c| json_escape(c)).collect();
+        out.push_str(&format!("  \"id\": {},\n", escape(&self.id)));
+        out.push_str(&format!("  \"caption\": {},\n", escape(&self.caption)));
+        let cols: Vec<String> = self.columns.iter().map(|c| escape(c)).collect();
         out.push_str(&format!("  \"columns\": [{}],\n", cols.join(", ")));
         out.push_str("  \"rows\": [");
         for (i, r) in self.rows.iter().enumerate() {
-            let cells: Vec<String> = r.iter().map(|c| json_escape(c)).collect();
+            let cells: Vec<String> = r.iter().map(|c| escape(c)).collect();
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str(&format!("    [{}]", cells.join(", ")));
         }
@@ -266,13 +258,6 @@ mod tests {
     fn arity_is_checked() {
         let mut t = Table::new("T0", "caption", &["a", "b"]);
         t.row(&[&1]);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("plain"), "\"plain\"");
-        assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -94,7 +94,7 @@ static RULES: [Rule; 10] = [
             (
                 "crates/bench/",
                 "the benchmark harness measures wall-clock by design; its \
-                 timings feed BENCH_* artifacts, never protocol decisions",
+                 timings feed experiment tables, never protocol decisions",
             ),
             (
                 "crates/sim/src/obs.rs",

@@ -46,11 +46,11 @@
 //!   keys; only a memo miss renders (the actor's state and each sent
 //!   message, once), and a step that emits re-renders the output history.
 //!   The benchmark's paper protocols reach a few thousand distinct steps
-//!   over hundreds of thousands of children. [`ExactKeyHasher`] keeps
-//!   length-framed renderings as a `String` key and exists to
-//!   property-test that the fingerprint never changes a verdict; select
-//!   between them with [`ExploreConfig::with_hasher`], or plug any
-//!   [`StateHasher`] in via [`explore_custom`].
+//!   over hundreds of thousands of children. [`explore`] always keys
+//!   with [`FingerprintHasher`]. [`ExactKeyHasher`] keeps length-framed
+//!   renderings as a `String` key and exists to property-test that the
+//!   fingerprint never changes a verdict; it, or any other
+//!   [`StateHasher`], goes through [`explore_custom`].
 //! * **Shared-prefix states** — the per-branch decision and output
 //!   histories are `Arc`-linked cons-lists sharing their prefix with the
 //!   parent state, materialized into flat vectors only when the safety
@@ -143,7 +143,7 @@ use crate::id::{ProcessId, Time};
 use crate::json::Json;
 use crate::machine::{
     apply_step_into, enabled_decisions, initial_state, materialize_decisions, materialize_outputs,
-    ReductionConfig, State, StepEnv,
+    State, StepEnv,
 };
 use crate::obs::{CounterId, HistId, Obs, PhaseId};
 use crate::oracle::FdOracle;
@@ -169,7 +169,7 @@ const MAX_SHARD_COUNT: usize = 64;
 /// width, capped at the historical fixed width of 64. Sharding only
 /// partitions the table; it never changes what is explored, so every
 /// width produces the same [`ExploreReport`].
-pub fn seen_shard_width(threads: usize) -> usize {
+fn seen_shard_width(threads: usize) -> usize {
     if threads <= 1 {
         1
     } else {
@@ -184,19 +184,6 @@ const POOL_CAP: usize = 2048;
 /// the worker count — because the batch boundaries are part of the
 /// deterministic traversal order.
 const DEFAULT_BATCH: usize = 256;
-
-/// Which built-in [`StateHasher`] keys the dedup seen-table. Selected on
-/// [`ExploreConfig::with_hasher`]; custom implementations go through
-/// [`explore_custom`] instead.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Hasher {
-    /// 128-bit structural fingerprint ([`FingerprintHasher`]) — the
-    /// default: no allocation, collision-checked by the property suite.
-    #[default]
-    Fingerprint,
-    /// Full `String` key ([`ExactKeyHasher`]): collision-free but slow.
-    ExactKey,
-}
 
 /// Bounds for an exploration.
 #[derive(Clone, Debug)]
@@ -227,22 +214,21 @@ pub struct ExploreConfig {
     /// and exists only so regression tests can prove the fixtures still
     /// catch it.
     pub budget_aware: bool,
-    /// Which built-in hasher keys the seen-table (default:
-    /// [`Hasher::Fingerprint`]).
-    pub hasher: Hasher,
-    /// The state-space reductions ([`ReductionConfig`], shared with
-    /// [`LivenessConfig`](crate::LivenessConfig); default: none). DPOR
+    /// Sleep-set dynamic partial-order reduction (default: off). It
     /// requires honest [`Protocol::footprint`] declarations — the default
-    /// opaque footprint is sound but prunes nothing; symmetry requires
-    /// dedup and a group-invariant safety predicate. See the
+    /// opaque footprint is sound but prunes nothing. See the
     /// [module docs](self#state-space-reduction).
-    pub reduction: ReductionConfig,
+    pub dpor: bool,
+    /// Process-symmetry canonicalization of dedup keys (default: off). It
+    /// requires dedup and a group-invariant safety predicate. See the
+    /// [module docs](self#state-space-reduction).
+    pub symmetry: bool,
     /// Build sleep sets even at depths where the failure pattern or the
     /// detector oracle changes between `t` and `t + 1` — **test-only**:
     /// reintroduces the naive (unsound) sleep-set implementation that
     /// commutes steps across an oracle transition, so the regression
     /// fixture can prove the stability guard is load-bearing. Meaningless
-    /// without [`ReductionConfig::dpor`].
+    /// without [`ExploreConfig::dpor`].
     pub unstable_sleep: bool,
     /// Observability handle (default: [`Obs::off`], which costs nothing).
     /// Metrics never influence the traversal or the report.
@@ -251,7 +237,7 @@ pub struct ExploreConfig {
 
 impl ExploreConfig {
     /// Defaults: the given depth, one million states, dedup on, automatic
-    /// thread count, batch size 256, fingerprint keys, metrics off.
+    /// thread count, batch size 256, reductions off, metrics off.
     pub fn new(max_depth: usize) -> Self {
         ExploreConfig {
             max_depth,
@@ -260,8 +246,8 @@ impl ExploreConfig {
             threads: None,
             batch: DEFAULT_BATCH,
             budget_aware: true,
-            hasher: Hasher::Fingerprint,
-            reduction: ReductionConfig::none(),
+            dpor: false,
+            symmetry: false,
             unstable_sleep: false,
             obs: Obs::off(),
         }
@@ -300,40 +286,24 @@ impl ExploreConfig {
         self
     }
 
-    /// Select which built-in hasher keys the seen-table (default:
-    /// [`Hasher::Fingerprint`]).
-    pub fn with_hasher(mut self, hasher: Hasher) -> Self {
-        self.hasher = hasher;
-        self
-    }
-
-    /// Replace the whole reduction configuration (the struct shared with
-    /// [`LivenessConfig`](crate::LivenessConfig)).
-    pub fn with_reduction(mut self, reduction: ReductionConfig) -> Self {
-        self.reduction = reduction;
-        self
-    }
-
-    /// Enable sleep-set dynamic partial-order reduction (default: off;
-    /// shorthand for toggling [`ExploreConfig::reduction`]). Prunes
-    /// interleavings that merely commute independent steps, as proven by
-    /// the protocol's declared [`Protocol::footprint`]s; with the default
-    /// opaque footprints it is a sound no-op. The verdict is unchanged;
-    /// the traversal-shaped counters legitimately shrink.
+    /// Enable sleep-set dynamic partial-order reduction (default: off).
+    /// Prunes interleavings that merely commute independent steps, as
+    /// proven by the protocol's declared [`Protocol::footprint`]s; with
+    /// the default opaque footprints it is a sound no-op. The verdict is
+    /// unchanged; the traversal-shaped counters legitimately shrink.
     pub fn with_dpor(mut self, dpor: bool) -> Self {
-        self.reduction.dpor = dpor;
+        self.dpor = dpor;
         self
     }
 
     /// Enable process-symmetry canonicalization of dedup keys (default:
-    /// off; shorthand for toggling [`ExploreConfig::reduction`]).
-    /// Effective only with dedup on and a non-trivial declared
+    /// off). Effective only with dedup on and a non-trivial declared
     /// [`Protocol::symmetry`] group; **sound only when the safety
     /// predicate is invariant under that group** (restricted to elements
     /// preserving the failure pattern and invocation vector — the
     /// explorer enforces the restriction itself).
     pub fn with_symmetry(mut self, symmetry: bool) -> Self {
-        self.reduction.symmetry = symmetry;
+        self.symmetry = symmetry;
         self
     }
 
@@ -373,14 +343,6 @@ pub struct ExploreViolation {
     pub decisions: Vec<ExploreDecision>,
 }
 
-impl ExploreViolation {
-    /// The actor sequence of the counterexample (the legacy, ambiguous
-    /// rendering — prefer [`ExploreViolation::decisions`]).
-    pub fn schedule(&self) -> Vec<ProcessId> {
-        self.decisions.iter().map(|(p, _)| *p).collect()
-    }
-}
-
 /// Outcome of an exploration.
 #[derive(Clone, Debug)]
 pub struct ExploreReport {
@@ -414,15 +376,15 @@ pub struct ExploreReport {
     /// High-water mark of the pending-state frontier, in states.
     pub max_frontier_len: usize,
     /// Child states skipped by sleep-set partial-order reduction. 0
-    /// unless [`ReductionConfig::dpor`] is on — and 0 with it on when the
+    /// unless [`ExploreConfig::dpor`] is on — and 0 with it on when the
     /// protocol declares only the opaque default footprint.
     pub states_pruned_dpor: usize,
     /// Keyed states whose canonical form used a non-identity permutation
     /// (a renaming of an already-seen state was collapsed onto it). 0
-    /// unless [`ReductionConfig::symmetry`] found a usable group.
+    /// unless [`ExploreConfig::symmetry`] found a usable group.
     pub symmetry_canonical_hits: usize,
-    /// Whether a state-space reduction ([`ReductionConfig::dpor`] or
-    /// [`ReductionConfig::symmetry`]) was requested for this run.
+    /// Whether a state-space reduction ([`ExploreConfig::dpor`] or
+    /// [`ExploreConfig::symmetry`]) was requested for this run.
     pub reduction_enabled: bool,
     /// The resolved worker count. Informational: it is the one field that
     /// legitimately differs between otherwise identical reports.
@@ -1685,10 +1647,9 @@ pub(crate) fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usi
 }
 
 /// Exhaustively explore message-delivery interleavings. This is *the*
-/// entry point: every knob — including the dedup key representation
-/// ([`ExploreConfig::with_hasher`]) — lives on [`ExploreConfig`]. See
-/// [`explore_custom`] for the traversal mechanics (and for plugging in a
-/// user-defined [`StateHasher`]).
+/// entry point: every knob lives on [`ExploreConfig`], and states are
+/// keyed with [`FingerprintHasher`]. See [`explore_custom`] for the
+/// traversal mechanics and for keying with another [`StateHasher`].
 ///
 /// * `make_procs` builds the initial configuration (fresh per call).
 /// * `invocations[p]` is consumed at `p`'s first step (with `on_start`).
@@ -1713,32 +1674,20 @@ where
     P::Fd: Sync,
     D: FdOracle<Value = P::Fd>,
 {
-    match cfg.hasher {
-        Hasher::Fingerprint => explore_custom(
-            cfg,
-            FingerprintHasher,
-            make_procs,
-            invocations,
-            pattern,
-            detector,
-            safety,
-        ),
-        Hasher::ExactKey => explore_custom(
-            cfg,
-            ExactKeyHasher,
-            make_procs,
-            invocations,
-            pattern,
-            detector,
-            safety,
-        ),
-    }
+    explore_custom(
+        cfg,
+        FingerprintHasher,
+        make_procs,
+        invocations,
+        pattern,
+        detector,
+        safety,
+    )
 }
 
-/// [`explore`] with an explicit, possibly user-defined, [`StateHasher`]
-/// instance (which takes precedence over [`ExploreConfig::hasher`]). For
-/// the two shipped hashers prefer [`explore`] +
-/// [`ExploreConfig::with_hasher`].
+/// [`explore`] keyed with the given [`StateHasher`]: [`ExactKeyHasher`]
+/// for collision-free reference keys, or a user-defined one.
+/// [`explore`] is this function with [`FingerprintHasher`].
 ///
 /// Traversal: batched depth-first. Each round pops up to
 /// [`ExploreConfig::batch`] states off the frontier stack (`batch == 1` is
@@ -1790,7 +1739,7 @@ where
     // Resolve the scenario's usable symmetry group before the invocation
     // vector is consumed by the initial state (the filter compares its
     // slots). Without dedup there is no key to canonicalize.
-    let sym_perms: Vec<SymPerm> = if cfg.reduction.symmetry && cfg.dedup {
+    let sym_perms: Vec<SymPerm> = if cfg.symmetry && cfg.dedup {
         scenario_symmetry::<P, D>(
             invocations.len(),
             cfg.max_depth,
@@ -2144,7 +2093,7 @@ where
                     fd_cache.fill_with(p.index(), t, || detector.query(p, t));
                 }
             }
-            if cfg.reduction.dpor && !dpor_stable.contains(t) {
+            if cfg.dpor && !dpor_stable.contains(t) {
                 // Independence at depth `t` commutes a step between times
                 // `t` and `t + 1`; that is only behavior-preserving when
                 // no process's crash status changes and every alive
@@ -2244,7 +2193,7 @@ where
                 // walks.
                 enabled.clear();
                 enabled_decisions(state, pattern, n, &mut enabled);
-                if cfg.reduction.dpor {
+                if cfg.dpor {
                     // Sleep-set expansion (Godefroid): skip sleeping
                     // decisions; a child's sleep is the still-independent
                     // part of the parent's sleep plus the earlier-executed
@@ -2430,7 +2379,7 @@ where
         max_frontier_len,
         states_pruned_dpor,
         symmetry_canonical_hits,
-        reduction_enabled: cfg.reduction.any(),
+        reduction_enabled: cfg.dpor || cfg.symmetry,
         threads_used: threads,
     }
 }
@@ -2510,7 +2459,7 @@ mod tests {
             "counterexample decisions provided"
         );
         assert!(
-            violation.schedule().contains(&ProcessId(1)),
+            violation.decisions.iter().any(|(p, _)| *p == ProcessId(1)),
             "p1 must have acted"
         );
     }
@@ -2678,8 +2627,8 @@ mod tests {
 
     #[test]
     fn fingerprint_and_exact_key_produce_identical_reports() {
-        let run = |hasher: Hasher| {
-            let cfg = ExploreConfig::new(8).with_threads(2).with_hasher(hasher);
+        fn run<H: StateHasher>(hasher: H) -> ExploreReport {
+            let cfg = ExploreConfig::new(8).with_threads(2);
             let safety = |_: &[Tag], outputs: &[(ProcessId, u8)]| {
                 if outputs.iter().any(|(_, o)| *o == 2) {
                     Err("saw a 2".to_string())
@@ -2688,17 +2637,18 @@ mod tests {
                 }
             };
             let pattern = FailurePattern::failure_free(2);
-            explore(
+            explore_custom(
                 cfg,
+                hasher,
                 two_taggers,
                 vec![Some(1), Some(2)],
                 &pattern,
                 NoDetector,
                 safety,
             )
-        };
-        let fp = run(Hasher::Fingerprint);
-        let exact = run(Hasher::ExactKey);
+        }
+        let fp = run(FingerprintHasher);
+        let exact = run(ExactKeyHasher);
         assert!(fp.same_semantics(&exact), "{fp:?} vs {exact:?}");
     }
 

@@ -1,19 +1,17 @@
-//! The pre-optimization explorer, preserved verbatim as a benchmark
-//! baseline and differential-testing oracle.
+//! The pre-optimization explorer, kept as the differential-testing
+//! oracle.
 //!
-//! This is the PR 2 inner loop: sequential depth-first search, a full
-//! `State` clone (including the O(depth) decision and output vectors) per
-//! branch, a per-(state, process) `choices` vector, and a single
-//! `HashMap` seen-table — parametrized over [`StateHasher`] only so
-//! `exp_explore_bench` can separate the two optimization axes
-//! (string key → fingerprint vs. clone → shared-prefix).
+//! This is the explorer's original inner loop: sequential depth-first
+//! search, a full `State` clone (including the O(depth) decision and
+//! output vectors) per branch, a per-(state, process) `choices` vector,
+//! and a single `HashMap` seen-table keyed from scratch at every state.
+//! It is parametrized over [`StateHasher`] so tests can run it under
+//! either shipped hasher.
 //!
-//! Not public API: it exists so the speedup claimed in
-//! `BENCH_explore.json` is measured against the real former code rather
-//! than a remembered approximation, and so tests can differentially check
+//! Not public API: it exists so tests (`machine_equiv`,
+//! `incremental_keys`, `step_memo`) can differentially check
 //! [`crate::explore()`] against an independent implementation. It is
-//! `#[doc(hidden)]` and may disappear once the trajectory has enough
-//! history.
+//! `#[doc(hidden)]`.
 
 use crate::explore::{
     ExploreConfig, ExploreDecision, ExploreReport, ExploreViolation, StateHasher,

@@ -17,6 +17,12 @@
 
 use std::fmt;
 
+/// How deeply arrays and objects may nest in parsed input. The parser
+/// recurses once per level, so input nested past this is rejected rather
+/// than allowed to overflow the stack. Every artifact the workspace
+/// writes nests fewer than 10 levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -111,11 +117,13 @@ impl Json {
     }
 
     /// Parse a JSON document (must be a single value, optionally
-    /// surrounded by whitespace).
+    /// surrounded by whitespace). Arrays and objects nested more than 128
+    /// levels deep are an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -129,7 +137,7 @@ impl Json {
 
 /// Render a JSON value and self-validate it: the rendered text is parsed
 /// back with [`Json::parse`] before being returned, so a malformed
-/// artifact panics at the source instead of corrupting a `BENCH_*.json`
+/// artifact panics at the source instead of corrupting a metrics block
 /// or lint report downstream. This is the one emit path every artifact
 /// writer in the workspace shares (`wfd_bench::MetricsFlag::emit`,
 /// `wfd-lint --json`).
@@ -214,6 +222,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -254,8 +264,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -263,6 +273,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -451,6 +476,33 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    fn nested(open: &str, inner: &str, close: &str, depth: usize) -> String {
+        format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        for (open, inner, close) in [("[", "", "]"), ("{\"a\": ", "1", "}")] {
+            assert!(Json::parse(&nested(open, inner, close, MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nested(open, inner, close, MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "{err}");
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        for (open, inner, close) in [
+            ("[", "", "]"),
+            ("{\"a\": ", "1", "}"),
+            ("[{\"a\": ", "1", "}]"),
+        ] {
+            assert!(Json::parse(&nested(open, inner, close, 100_000)).is_err());
+        }
+        let err = crate::repro::Repro::from_json(&nested("[", "", "]", 100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

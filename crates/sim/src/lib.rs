@@ -89,8 +89,8 @@ pub use diagram::{Diagram, DiagramConfig, DiagramNode};
 pub use engine::{RunOutcome, Sim, SimConfig, SimParts, StopReason};
 pub use env::{EnvOverrides, MetricsMode};
 pub use explore::{
-    explore, explore_custom, seen_shard_width, ExactKeyHasher, ExploreConfig, ExploreDecision,
-    ExploreReport, ExploreViolation, FingerprintHasher, Hasher, StateHasher,
+    explore, explore_custom, ExactKeyHasher, ExploreConfig, ExploreDecision, ExploreReport,
+    ExploreViolation, FingerprintHasher, StateHasher,
 };
 pub use failure::{Environment, FailurePattern, PatternSampler};
 pub use id::{ProcessId, ProcessSet, Time};
@@ -98,8 +98,7 @@ pub use liveness::{
     check_liveness, LassoWitness, LivenessConfig, LivenessReport, LivenessVerdict, Ltl,
 };
 pub use machine::{
-    oracle_fn, FairMachine, LiveNode, Machine, ProtocolMachine, ReductionConfig, Replay, State,
-    StepResult,
+    oracle_fn, FairMachine, LiveNode, Machine, ProtocolMachine, Replay, State, StepResult,
 };
 pub use obs::{CounterId, HistId, MetricsSnapshot, Obs, PhaseId, PhaseTimer};
 pub use oracle::{ConstDetector, FdOracle, FnDetector, NoDetector};

@@ -98,8 +98,7 @@
 //!
 //! # Symmetry
 //!
-//! With [`ReductionConfig::symmetry`](crate::ReductionConfig) on (via
-//! [`LivenessConfig::reduction`]), nodes are canonicalized under the
+//! With [`LivenessConfig::symmetry`] on, nodes are canonicalized under the
 //! scenario-preserving subgroup of [`Protocol::symmetry`] (the same
 //! restriction the safety explorer applies), through the explorer's
 //! memoized [`Canonicalizer`]. The representative of an orbit is the
@@ -124,15 +123,9 @@
 //! guards the quotient is the verdict ladder in `tests/liveness.rs`
 //! (symmetry on and off must agree), not a node count.
 //!
-//! # DPOR
-//!
-//! [`ReductionConfig::dpor`](crate::ReductionConfig) is **rejected** by
-//! this checker at validation time rather than silently ignored:
-//! sleep-set reduction is unsound for cycle detection without a cycle
-//! proviso (an ignored transition may close the only accepting cycle),
-//! and the fair graphs this checker targets are small enough not to
-//! need it. A configuration sweep that flips the flag gets an explicit
-//! error instead of a quietly identical verdict.
+//! Symmetry is the only reduction here. Sleep-set DPOR is unsound for
+//! cycle detection without a cycle proviso: an ignored transition may
+//! close the only accepting cycle.
 
 use crate::explore::{
     chunk_ranges, scenario_symmetry, Canonicalizer, FingerprintHasher, SlotKeys, Step, StepMemo,
@@ -142,7 +135,7 @@ use crate::failure::FailurePattern;
 use crate::fingerprint::Fingerprint128;
 use crate::id::{ProcessId, Time};
 use crate::json::Json;
-use crate::machine::{ExploreDecision, FairMachine, LiveNode, ReductionConfig, State};
+use crate::machine::{ExploreDecision, FairMachine, LiveNode, State};
 use crate::obs::{CounterId, Obs, PhaseId};
 use crate::oracle::FdOracle;
 use crate::par::{explore_threads, par_map_with};
@@ -616,11 +609,10 @@ pub struct LivenessConfig {
     /// Per-inbox message capacity; edges that would overflow are dropped
     /// (`Holds` then degrades to `Inconclusive`).
     pub max_inbox: usize,
-    /// The shared reduction knobs (see [`ReductionConfig`]). Only
-    /// `symmetry` is usable here; a configuration with `dpor` set is
-    /// **rejected** at validation time (see the module docs' DPOR
-    /// section).
-    pub reduction: ReductionConfig,
+    /// Canonicalize nodes under the scenario's symmetry group (default:
+    /// off; see the module docs' Symmetry section). Sound only for
+    /// propositions invariant under the declared group.
+    pub symmetry: bool,
     /// Worker threads for the graph build; `0` uses
     /// [`explore_threads`] (the `WFD_EXPLORE_THREADS` override or
     /// available parallelism).
@@ -634,7 +626,7 @@ pub struct LivenessConfig {
 
 impl LivenessConfig {
     /// A configuration with the given fairness bounds and stabilization
-    /// time, default budgets, reductions off.
+    /// time, default budgets, symmetry off.
     pub fn new(max_step_gap: Time, max_delay: Time, t_stable: Time) -> Self {
         LivenessConfig {
             max_step_gap,
@@ -642,7 +634,7 @@ impl LivenessConfig {
             t_stable,
             max_states: 250_000,
             max_inbox: 8,
-            reduction: ReductionConfig::none(),
+            symmetry: false,
             threads: 0,
             obs: Obs::off(),
         }
@@ -660,25 +652,9 @@ impl LivenessConfig {
         self
     }
 
-    /// Replace the reduction configuration wholesale.
-    pub fn with_reduction(mut self, reduction: ReductionConfig) -> Self {
-        self.reduction = reduction;
-        self
-    }
-
     /// Toggle symmetry canonicalization.
     pub fn with_symmetry(mut self, on: bool) -> Self {
-        self.reduction.symmetry = on;
-        self
-    }
-
-    /// Toggle the DPOR flag. Note that a liveness check **rejects** a
-    /// configuration with DPOR on (unsound for cycle detection — see the
-    /// module docs); the builder exists so sweeps constructing one
-    /// [`ReductionConfig`] per run get a clear error instead of a
-    /// silently unreduced check.
-    pub fn with_dpor(mut self, on: bool) -> Self {
-        self.reduction.dpor = on;
+        self.symmetry = on;
         self
     }
 
@@ -926,7 +902,7 @@ impl<'a, P: Protocol> GraphEnv<'a, P> {
                 }
             }
         }
-        let perms = if cfg.reduction.symmetry {
+        let perms = if cfg.symmetry {
             scenario_symmetry::<P, _>(n, stride, pattern, invocations, detector)
         } else {
             Vec::new()
@@ -2038,8 +2014,7 @@ fn resolve_props<P: Protocol>() -> Result<BTreeMap<&'static str, u32>, String> {
     Ok(map)
 }
 
-/// Reject ill-formed scenarios and unsound reduction requests before any
-/// graph work. Shared with [`Replay::run_fair`](crate::Replay::run_fair),
+/// Reject ill-formed scenarios before any graph work. Shared with [`Replay::run_fair`](crate::Replay::run_fair),
 /// so replayed artifacts face exactly the checker's preconditions.
 pub(crate) fn validate<P, D>(
     cfg: &LivenessConfig,
@@ -2052,15 +2027,6 @@ where
     P::Fd: PartialEq,
     D: FdOracle<Value = P::Fd>,
 {
-    if cfg.reduction.dpor {
-        return Err(
-            "LivenessConfig requests DPOR, but sleep-set reduction is unsound for \
-             cycle detection without a cycle proviso (an ignored transition may \
-             close the only accepting cycle); clear ReductionConfig::dpor for \
-             liveness checks"
-                .to_string(),
-        );
-    }
     if n == 0 {
         return Err("a system needs at least one process".to_string());
     }
@@ -2553,20 +2519,6 @@ mod tests {
         )
         .expect_err("crash at 5 > t_stable 0");
         assert!(err.contains("t_stable"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn dpor_requests_are_rejected_not_ignored() {
-        let err = check_liveness(
-            cfg().with_dpor(true),
-            || PingPong::fleet(2),
-            vec![None, None],
-            &FailurePattern::failure_free(2),
-            NoDetector,
-            &Ltl::prop("decided").eventually(),
-        )
-        .expect_err("dpor is unsound for cycle detection");
-        assert!(err.contains("DPOR"), "unexpected error: {err}");
     }
 
     #[test]

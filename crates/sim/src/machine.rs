@@ -32,11 +32,6 @@
 //!   ([`Replay::from_repro`]). The pre-0.7.0 free functions
 //!   `replay_explore`/`replay_lasso` were shims over this type and have
 //!   been removed.
-//! * [`ReductionConfig`] — the shared state-space-reduction knobs
-//!   consumed by both [`ExploreConfig`](crate::ExploreConfig) and
-//!   [`LivenessConfig`](crate::LivenessConfig) (which *rejects* the
-//!   combinations that are unsound for cycle detection instead of
-//!   silently ignoring them).
 //!
 //! A step itself has one definition, the crate-internal `step_in_place`,
 //! which applies a decision to a state the caller owns. The explorer
@@ -914,50 +909,6 @@ where
         let fd = (self.fd)(action.0, t);
         let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
         StepResult::Next(self.step_with(node, *action, fd, &mut bufs))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared reduction configuration
-// ---------------------------------------------------------------------------
-
-/// The state-space reduction knobs shared by the safety explorer and the
-/// liveness checker. [`ExploreConfig`](crate::ExploreConfig) consumes
-/// both flags; [`LivenessConfig`](crate::LivenessConfig) consumes
-/// `symmetry` and **rejects** `dpor` at validation time (sleep-set DPOR
-/// is unsound for lasso detection without a cycle proviso — an ignored
-/// transition may close the only accepting cycle).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReductionConfig {
-    /// Sleep-set dynamic partial-order reduction (requires honest
-    /// [`Protocol::footprint`] declarations; safety exploration only).
-    pub dpor: bool,
-    /// Process-symmetry canonicalization of dedup keys (sound only for
-    /// group-invariant predicates/propositions).
-    pub symmetry: bool,
-}
-
-impl ReductionConfig {
-    /// No reductions (the default).
-    pub fn none() -> Self {
-        ReductionConfig::default()
-    }
-
-    /// Toggle sleep-set DPOR.
-    pub fn with_dpor(mut self, on: bool) -> Self {
-        self.dpor = on;
-        self
-    }
-
-    /// Toggle symmetry canonicalization.
-    pub fn with_symmetry(mut self, on: bool) -> Self {
-        self.symmetry = on;
-        self
-    }
-
-    /// Whether any reduction is requested.
-    pub fn any(&self) -> bool {
-        self.dpor || self.symmetry
     }
 }
 

@@ -22,7 +22,9 @@
 //! 4. **Reductions are invisible to the verdict** — DPOR, symmetry
 //!    canonicalization, and their combination agree with the unreduced
 //!    explorer on whether a violation exists, at every worker count, and
-//!    reduced counterexamples still replay.
+//!    reduced counterexamples still replay. On a three-process
+//!    `S_n`-symmetric relay mesh the combination must also visit strictly
+//!    fewer states.
 //!
 //! This is also the regression net for the two historical dedup bugs
 //! (pruning shallower revisits with remaining budget; merging states that
@@ -32,8 +34,9 @@
 //! reproducible via `with_unstable_sleep`).
 
 use wfd_sim::{
-    explore, Ctx, ExploreConfig, ExploreReport, FailurePattern, FnDetector, Footprint, Hasher,
-    NoDetector, OracleSpec, ProcessId, Protocol, Replay, Repro, StepKind, Symmetry, Time,
+    explore, explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern,
+    FingerprintHasher, FnDetector, Footprint, NoDetector, OracleSpec, ProcessId, Protocol, Replay,
+    Repro, StateHasher, StepKind, Symmetry, Time,
 };
 
 /// A seed-parameterized toy protocol: on start, broadcast a burst of
@@ -126,14 +129,17 @@ fn family_cfg(seed: u64) -> ExploreConfig {
 }
 
 fn run_family(seed: u64, mode: Mode, cfg: ExploreConfig) -> ExploreReport {
+    match mode {
+        Mode::DedupOff => run_keyed(seed, FingerprintHasher, cfg.with_dedup(false)),
+        Mode::ExactKey => run_keyed(seed, ExactKeyHasher, cfg),
+        Mode::Fingerprint => run_keyed(seed, FingerprintHasher, cfg),
+    }
+}
+
+fn run_keyed<H: StateHasher>(seed: u64, hasher: H, cfg: ExploreConfig) -> ExploreReport {
     let pattern = family_pattern(seed);
     // A seed-dependent safety bar some families break and others respect.
     let bar = 20 + (seed % 30);
-    let cfg = match mode {
-        Mode::DedupOff => cfg.with_dedup(false),
-        Mode::ExactKey => cfg.with_hasher(Hasher::ExactKey),
-        Mode::Fingerprint => cfg.with_hasher(Hasher::Fingerprint),
-    };
     let make = move || (0..2).map(|_| Mixer::family(seed)).collect::<Vec<_>>();
     let safety = move |_procs: &[Mixer], outputs: &[(ProcessId, u64)]| match outputs
         .iter()
@@ -142,7 +148,15 @@ fn run_family(seed: u64, mode: Mode, cfg: ExploreConfig) -> ExploreReport {
         Some((p, acc)) => Err(format!("{p} accumulated {acc} > {bar}")),
         None => Ok(()),
     };
-    explore(cfg, make, vec![None, None], &pattern, NoDetector, safety)
+    explore_custom(
+        cfg,
+        hasher,
+        make,
+        vec![None, None],
+        &pattern,
+        NoDetector,
+        safety,
+    )
 }
 
 #[test]
@@ -309,6 +323,106 @@ fn reductions_never_change_the_verdict() {
         symmetry_hit_somewhere,
         "symmetry never canonicalized anything"
     );
+}
+
+/// The `S_n`-symmetric token-relay mesh: every process pings every other
+/// on start; each receipt mixes the tag into `acc` and, while its reply
+/// budget lasts, bounces a re-tagged token back to the sender; λ steps
+/// advance a local phase. Identical initial states, reply-to-sender
+/// routing and id-free payloads admit the full symmetry group, and the
+/// footprints are exact (a drained process declares a purely local
+/// delivery), so both reductions have real work to do.
+#[derive(Clone, Debug, PartialEq)]
+struct Relay {
+    acc: u8,
+    phase: u8,
+    replies: u8,
+}
+
+const REPLY_BUDGET: u8 = 2;
+
+impl Protocol for Relay {
+    type Msg = u8;
+    type Output = u8;
+    type Inv = ();
+    type Fd = ();
+
+    fn on_start(&mut self, ctx: &mut Ctx<Self>) {
+        ctx.broadcast_others(1);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, tag: u8) {
+        self.acc = (self.acc.wrapping_mul(5).wrapping_add(tag)) % 64;
+        if self.replies < REPLY_BUDGET {
+            self.replies += 1;
+            ctx.send(from, (tag + 1) % 8);
+        }
+    }
+
+    fn on_tick(&mut self, _ctx: &mut Ctx<Self>) {
+        self.phase = (self.phase + 1) % 3;
+    }
+
+    fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
+        match step {
+            StepKind::Start { .. } => Footprint::local().sends_to_others(n, me),
+            StepKind::Deliver { from, .. } if self.replies < REPLY_BUDGET => {
+                Footprint::local().sends_to(from)
+            }
+            _ => Footprint::local(),
+        }
+    }
+
+    fn symmetry(_n: usize) -> Symmetry {
+        Symmetry::Full
+    }
+}
+
+/// On the three-process relay mesh, each reduction keeps the verdict and
+/// the bound flags, and DPOR with symmetry visits strictly fewer states
+/// than the unreduced run.
+#[test]
+fn reductions_strictly_shrink_the_symmetric_relay_mesh() {
+    let run = |dpor: bool, symmetry: bool| {
+        let relay = Relay {
+            acc: 1,
+            phase: 0,
+            replies: 0,
+        };
+        explore(
+            ExploreConfig::new(8)
+                .with_dpor(dpor)
+                .with_symmetry(symmetry),
+            || vec![relay.clone(); 3],
+            vec![None; 3],
+            &FailurePattern::failure_free(3),
+            NoDetector,
+            |_, _| Ok(()),
+        )
+    };
+    let base = run(false, false);
+    assert!(
+        base.violation.is_none() && !base.states_capped,
+        "the mesh must be clean and uncapped: {base:?}"
+    );
+    for (dpor, symmetry) in [(true, false), (false, true), (true, true)] {
+        let reduced = run(dpor, symmetry);
+        assert!(
+            reduced.reduction_enabled
+                && reduced.violation == base.violation
+                && reduced.depth_bounded == base.depth_bounded
+                && reduced.states_capped == base.states_capped,
+            "dpor={dpor} symmetry={symmetry} changed the verdict\n{reduced:?}\nvs\n{base:?}"
+        );
+        if dpor && symmetry {
+            assert!(
+                reduced.states_visited < base.states_visited,
+                "DPOR with symmetry must visit strictly fewer states: {} vs {}",
+                reduced.states_visited,
+                base.states_visited
+            );
+        }
+    }
 }
 
 /// Counterexamples found under full reduction must replay outside the

@@ -20,8 +20,9 @@
 
 use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::{
-    explore, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern, FingerprintHasher,
-    Footprint, Hasher, NoDetector, ProcessId, Protocol, StateHasher, StepKind, Symmetry, Time,
+    explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern,
+    FingerprintHasher, Footprint, NoDetector, ProcessId, Protocol, StateHasher, StepKind, Symmetry,
+    Time,
 };
 
 /// A seed-parameterized protocol whose steps cover every slot a step can
@@ -153,9 +154,10 @@ fn family_safety(seed: u64) -> impl Fn(&[Echo], &[(ProcessId, u8)]) -> Result<()
     }
 }
 
-fn run(seed: u64, cfg: ExploreConfig) -> ExploreReport {
-    explore(
+fn run<H: StateHasher>(seed: u64, hasher: H, cfg: ExploreConfig) -> ExploreReport {
+    explore_custom(
         cfg,
+        hasher,
         move || Echo::fleet(seed),
         vec![None; N],
         &family_pattern(seed),
@@ -183,54 +185,82 @@ fn normalized(r: &ExploreReport) -> String {
     r.to_json().to_string()
 }
 
+/// One seed of the full re-key ladder under `hasher`: the explorer
+/// against the baseline keyed the same way. Returns the explorer's
+/// single-thread report.
+fn check_against_baseline<H: StateHasher + Copy + std::fmt::Debug>(
+    seed: u64,
+    hasher: H,
+) -> ExploreReport {
+    let base = baseline(seed, hasher);
+    assert!(!base.states_capped, "seed {seed}: state cap hit");
+    let cfg = family_cfg();
+    let dfs = run(seed, hasher, cfg.clone().with_threads(1).with_batch(1));
+    assert_eq!(
+        normalized(&dfs),
+        normalized(&base),
+        "seed {seed}, {hasher:?}, batch 1: incremental keys diverged from the full re-key"
+    );
+    let one = run(seed, hasher, cfg.clone().with_threads(1));
+    let two = run(seed, hasher, cfg.with_threads(2));
+    assert_eq!(
+        normalized(&one),
+        normalized(&two),
+        "seed {seed}, {hasher:?}: report depends on the thread count"
+    );
+    assert_eq!(
+        one.violation.is_some(),
+        base.violation.is_some(),
+        "seed {seed}, {hasher:?}: verdict changed\n{one:?}\nvs\n{base:?}"
+    );
+    if base.violation.is_none() {
+        assert!(
+            one.depth_bounded == base.depth_bounded
+                && one.states_capped == base.states_capped
+                && one.dedup_entries == base.dedup_entries,
+            "seed {seed}, {hasher:?}: distinct states diverged\n{one:?}\nvs\n{base:?}"
+        );
+    }
+    one
+}
+
 #[test]
 fn inherited_keys_reproduce_the_full_rekey_baseline() {
     let (mut violating, mut clean) = (0, 0);
     for seed in 0..40 {
-        for hasher in [Hasher::Fingerprint, Hasher::ExactKey] {
-            let base = match hasher {
-                Hasher::Fingerprint => baseline(seed, FingerprintHasher),
-                Hasher::ExactKey => baseline(seed, ExactKeyHasher),
-            };
-            assert!(!base.states_capped, "seed {seed}: state cap hit");
-            let cfg = family_cfg().with_hasher(hasher);
-            let dfs = run(seed, cfg.clone().with_threads(1).with_batch(1));
-            assert_eq!(
-                normalized(&dfs),
-                normalized(&base),
-                "seed {seed}, {hasher:?}, batch 1: incremental keys diverged from the full re-key"
-            );
-            let one = run(seed, cfg.clone().with_threads(1));
-            let two = run(seed, cfg.with_threads(2));
-            assert_eq!(
-                normalized(&one),
-                normalized(&two),
-                "seed {seed}, {hasher:?}: report depends on the thread count"
-            );
-            assert_eq!(
-                one.violation.is_some(),
-                base.violation.is_some(),
-                "seed {seed}, {hasher:?}: verdict changed\n{one:?}\nvs\n{base:?}"
-            );
-            if base.violation.is_none() {
-                assert!(
-                    one.depth_bounded == base.depth_bounded
-                        && one.states_capped == base.states_capped
-                        && one.dedup_entries == base.dedup_entries,
-                    "seed {seed}, {hasher:?}: distinct states diverged\n{one:?}\nvs\n{base:?}"
-                );
-            }
-            if hasher == Hasher::Fingerprint {
-                match one.violation {
-                    Some(_) => violating += 1,
-                    None => clean += 1,
-                }
-            }
+        match check_against_baseline(seed, FingerprintHasher).violation {
+            Some(_) => violating += 1,
+            None => clean += 1,
         }
+        check_against_baseline(seed, ExactKeyHasher);
     }
     // Only meaningful if both outcomes occur.
     assert!(violating >= 5, "sweep too tame: {violating}");
     assert!(clean >= 5, "sweep too strict: {clean}");
+}
+
+/// One seed of the reduced ladder under `hasher`: DPOR and symmetry keep
+/// the baseline's verdict at 1 and 2 threads. Returns the single-thread
+/// report.
+fn check_reduced<H: StateHasher + Copy + std::fmt::Debug>(
+    seed: u64,
+    hasher: H,
+    base: &ExploreReport,
+) -> ExploreReport {
+    let cfg = family_cfg().with_dpor(true).with_symmetry(true);
+    let one = run(seed, hasher, cfg.clone().with_threads(1));
+    let two = run(seed, hasher, cfg.with_threads(2));
+    assert_eq!(
+        one.violation.is_some(),
+        base.violation.is_some(),
+        "seed {seed}, {hasher:?}: reduction changed the verdict\n{one:?}\nvs\n{base:?}"
+    );
+    assert_eq!(
+        normalized(&one),
+        normalized(&two),
+        "seed {seed}, {hasher:?}: reduced report depends on the thread count"
+    );
+    one
 }
 
 #[test]
@@ -238,23 +268,10 @@ fn inherited_keys_keep_the_reduced_verdict() {
     let (mut pruned, mut sym_hits) = (0, 0);
     for seed in 0..40 {
         let base = baseline(seed, FingerprintHasher);
-        for hasher in [Hasher::Fingerprint, Hasher::ExactKey] {
-            let cfg = family_cfg()
-                .with_hasher(hasher)
-                .with_dpor(true)
-                .with_symmetry(true);
-            let one = run(seed, cfg.clone().with_threads(1));
-            let two = run(seed, cfg.with_threads(2));
-            assert_eq!(
-                one.violation.is_some(),
-                base.violation.is_some(),
-                "seed {seed}, {hasher:?}: reduction changed the verdict\n{one:?}\nvs\n{base:?}"
-            );
-            assert_eq!(
-                normalized(&one),
-                normalized(&two),
-                "seed {seed}, {hasher:?}: reduced report depends on the thread count"
-            );
+        for one in [
+            check_reduced(seed, FingerprintHasher, &base),
+            check_reduced(seed, ExactKeyHasher, &base),
+        ] {
             pruned += one.states_pruned_dpor;
             sym_hits += one.symmetry_canonical_hits;
         }

@@ -60,6 +60,7 @@ fn named_escapes_render_compactly() {
     assert_eq!(escape("\u{1}"), "\"\\u0001\"");
     assert_eq!(escape("\u{1f}"), "\"\\u001f\"");
     assert_eq!(escape("plain"), "\"plain\"");
+    assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
 }
 
 #[test]

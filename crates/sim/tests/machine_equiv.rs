@@ -20,9 +20,9 @@ use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::liveness::fixtures::{Decider, PingPong};
 use wfd_sim::{
     check_liveness, explore, Ctx, Diagram, DiagramConfig, ExploreConfig, ExploreReport,
-    FailurePattern, FingerprintHasher, Footprint, Hasher, LivenessConfig, Ltl, NoDetector,
-    ProcessId, Protocol, RandomFair, RecordedSchedule, ReplaySchedule, Sim, SimConfig, StepKind,
-    Symmetry, Time,
+    FailurePattern, FingerprintHasher, Footprint, LivenessConfig, Ltl, NoDetector, ProcessId,
+    Protocol, RandomFair, RecordedSchedule, ReplaySchedule, Sim, SimConfig, StepKind, Symmetry,
+    Time,
 };
 
 /// The seed family: a two-process broadcast/relay protocol whose tree
@@ -103,7 +103,6 @@ fn run_explore(seed: u64, threads: usize) -> ExploreReport {
     explore(
         ExploreConfig::new(4 + (seed as usize % 4))
             .with_max_states(500_000)
-            .with_hasher(Hasher::Fingerprint)
             .with_threads(threads),
         move || (0..2).map(|_| Mixer::family(seed)).collect::<Vec<_>>(),
         vec![None, None],

@@ -23,9 +23,9 @@
 use wfd_sim::json::Json;
 use wfd_sim::liveness::fixtures::{JoinQuorum, PingPong};
 use wfd_sim::{
-    check_liveness, explore, CounterId, Ctx, ExploreConfig, ExploreReport, FailurePattern, Hasher,
-    LivenessConfig, LivenessReport, Ltl, NoDetector, Obs, PhaseId, ProcessId, Protocol,
-    ReductionConfig, RoundRobin, Sim, SimConfig,
+    check_liveness, explore, explore_custom, CounterId, Ctx, ExactKeyHasher, ExploreConfig,
+    ExploreReport, FailurePattern, FingerprintHasher, LivenessConfig, LivenessReport, Ltl,
+    NoDetector, Obs, PhaseId, ProcessId, Protocol, RoundRobin, Sim, SimConfig, StateHasher,
 };
 
 /// A small token-relay protocol with enough branching to exercise the
@@ -91,13 +91,22 @@ fn run_sim(obs: Obs) -> String {
 }
 
 fn run_explore(obs: Obs, threads: usize) -> ExploreReport {
-    run_explore_with(ExploreConfig::new(7).with_obs(obs), threads)
+    run_explore_with(
+        ExploreConfig::new(7).with_obs(obs),
+        FingerprintHasher,
+        threads,
+    )
 }
 
-fn run_explore_with(cfg: ExploreConfig, threads: usize) -> ExploreReport {
+fn run_explore_with<H: StateHasher>(
+    cfg: ExploreConfig,
+    hasher: H,
+    threads: usize,
+) -> ExploreReport {
     let cfg = cfg.with_max_states(500_000).with_threads(threads);
-    explore(
+    explore_custom(
         cfg,
+        hasher,
         make_procs,
         vec![None, None],
         &FailurePattern::failure_free(2),
@@ -111,24 +120,28 @@ fn engine_outcome_and_trace_are_identical_with_metrics_on() {
     assert_eq!(run_sim(Obs::off()), run_sim(Obs::on()));
 }
 
+/// Metrics off and on give byte-identical reports under `hasher`, with
+/// the reductions off and on.
+fn check_metrics_invisible<H: StateHasher + Copy + std::fmt::Debug>(hasher: H, threads: usize) {
+    for reduced in [false, true] {
+        let cfg = ExploreConfig::new(7)
+            .with_dpor(reduced)
+            .with_symmetry(reduced);
+        let off = run_explore_with(cfg.clone().with_obs(Obs::off()), hasher, threads);
+        let on = run_explore_with(cfg.with_obs(Obs::on()), hasher, threads);
+        assert_eq!(
+            format!("{off:?}"),
+            format!("{on:?}"),
+            "{threads} threads, {hasher:?}, reduced={reduced}: metrics changed the report"
+        );
+    }
+}
+
 #[test]
 fn explore_reports_are_byte_identical_with_metrics_on_at_any_thread_count() {
-    let reduced = ReductionConfig::none().with_dpor(true).with_symmetry(true);
     for threads in [1, 4] {
-        for hasher in [Hasher::Fingerprint, Hasher::ExactKey] {
-            for reduction in [ReductionConfig::none(), reduced] {
-                let cfg = ExploreConfig::new(7)
-                    .with_hasher(hasher)
-                    .with_reduction(reduction);
-                let off = run_explore_with(cfg.clone().with_obs(Obs::off()), threads);
-                let on = run_explore_with(cfg.with_obs(Obs::on()), threads);
-                assert_eq!(
-                    format!("{off:?}"),
-                    format!("{on:?}"),
-                    "{threads} threads, {hasher:?}, {reduction:?}: metrics changed the report"
-                );
-            }
-        }
+        check_metrics_invisible(FingerprintHasher, threads);
+        check_metrics_invisible(ExactKeyHasher, threads);
     }
 }
 

@@ -31,8 +31,8 @@
 
 use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::{
-    check_liveness, explore, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern,
-    FingerprintHasher, FnDetector, Footprint, Hasher, LivenessConfig, LivenessReport, Ltl,
+    check_liveness, explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport,
+    FailurePattern, FingerprintHasher, FnDetector, Footprint, LivenessConfig, LivenessReport, Ltl,
     ProcessId, PropView, Protocol, StateHasher, StepKind, Symmetry, Time,
 };
 
@@ -177,9 +177,10 @@ fn settle(seed: u64) -> Time {
     }
 }
 
-fn run(seed: u64, cfg: ExploreConfig) -> ExploreReport {
-    explore(
+fn run<H: StateHasher>(seed: u64, hasher: H, cfg: ExploreConfig) -> ExploreReport {
+    explore_custom(
         cfg,
+        hasher,
         move || Stamp::fleet(seed),
         vec![None; N],
         &family_pattern(seed),
@@ -209,39 +210,64 @@ fn normalized(r: &ExploreReport) -> String {
 
 const SEEDS: u64 = 24;
 
+/// One seed of the full re-key ladder under `hasher`: the explorer at
+/// batch 1 against the baseline keyed the same way, at 1 and 2 threads.
+/// Returns the baseline's report.
+fn check_against_baseline<H: StateHasher + Copy + std::fmt::Debug>(
+    seed: u64,
+    hasher: H,
+) -> ExploreReport {
+    let base = baseline(seed, hasher);
+    assert!(!base.states_capped, "seed {seed}: state cap hit");
+    for threads in [1, 2] {
+        let cfg = family_cfg().with_threads(threads).with_batch(1);
+        assert_eq!(
+            normalized(&run(seed, hasher, cfg)),
+            normalized(&base),
+            "seed {seed}, {hasher:?}, {threads} threads, batch 1: memoized keys \
+             diverged from the full re-key"
+        );
+    }
+    base
+}
+
 #[test]
 fn memoized_children_reproduce_the_full_rekey_baseline() {
     let (mut violating, mut clean) = (0, 0);
     for seed in 0..SEEDS {
-        for hasher in [Hasher::Fingerprint, Hasher::ExactKey] {
-            let base = match hasher {
-                Hasher::Fingerprint => baseline(seed, FingerprintHasher),
-                Hasher::ExactKey => baseline(seed, ExactKeyHasher),
-            };
-            assert!(!base.states_capped, "seed {seed}: state cap hit");
-            for threads in [1, 2] {
-                let cfg = family_cfg()
-                    .with_hasher(hasher)
-                    .with_threads(threads)
-                    .with_batch(1);
-                assert_eq!(
-                    normalized(&run(seed, cfg)),
-                    normalized(&base),
-                    "seed {seed}, {hasher:?}, {threads} threads, batch 1: memoized keys \
-                     diverged from the full re-key"
-                );
-            }
-            if hasher == Hasher::Fingerprint {
-                match base.violation {
-                    Some(_) => violating += 1,
-                    None => clean += 1,
-                }
-            }
+        match check_against_baseline(seed, FingerprintHasher).violation {
+            Some(_) => violating += 1,
+            None => clean += 1,
         }
+        check_against_baseline(seed, ExactKeyHasher);
     }
     // Only meaningful if both outcomes occur.
     assert!(violating >= 4, "sweep too tame: {violating}");
     assert!(clean >= 4, "sweep too strict: {clean}");
+}
+
+/// One seed of the reduced ladder under `hasher`: DPOR and symmetry keep
+/// the baseline's verdict at 1 and 2 threads. Returns the single-thread
+/// report.
+fn check_reduced<H: StateHasher + Copy + std::fmt::Debug>(
+    seed: u64,
+    hasher: H,
+    base: &ExploreReport,
+) -> ExploreReport {
+    let cfg = family_cfg().with_dpor(true).with_symmetry(true);
+    let one = run(seed, hasher, cfg.clone().with_threads(1));
+    let two = run(seed, hasher, cfg.with_threads(2));
+    assert_eq!(
+        one.violation.is_some(),
+        base.violation.is_some(),
+        "seed {seed}, {hasher:?}: reduction changed the verdict\n{one:?}\nvs\n{base:?}"
+    );
+    assert_eq!(
+        normalized(&one),
+        normalized(&two),
+        "seed {seed}, {hasher:?}: reduced report depends on the thread count"
+    );
+    one
 }
 
 #[test]
@@ -249,23 +275,10 @@ fn memoized_children_keep_the_reduced_verdict() {
     let (mut pruned, mut sym_hits) = (0, 0);
     for seed in 0..SEEDS {
         let base = baseline(seed, FingerprintHasher);
-        for hasher in [Hasher::Fingerprint, Hasher::ExactKey] {
-            let cfg = family_cfg()
-                .with_hasher(hasher)
-                .with_dpor(true)
-                .with_symmetry(true);
-            let one = run(seed, cfg.clone().with_threads(1));
-            let two = run(seed, cfg.with_threads(2));
-            assert_eq!(
-                one.violation.is_some(),
-                base.violation.is_some(),
-                "seed {seed}, {hasher:?}: reduction changed the verdict\n{one:?}\nvs\n{base:?}"
-            );
-            assert_eq!(
-                normalized(&one),
-                normalized(&two),
-                "seed {seed}, {hasher:?}: reduced report depends on the thread count"
-            );
+        for one in [
+            check_reduced(seed, FingerprintHasher, &base),
+            check_reduced(seed, ExactKeyHasher, &base),
+        ] {
             pruned += one.states_pruned_dpor;
             sym_hits += one.symmetry_canonical_hits;
         }
