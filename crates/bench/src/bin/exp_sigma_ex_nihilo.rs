@@ -36,7 +36,7 @@ fn main() {
             RandomFair::new(9),
         );
         sim.run();
-        let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(q.clone()));
+        let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(*q));
         let late = h.since(1_500).count();
         // Conformance is only claimed where the protocol's assumption
         // holds; in blocked runs we check that it emitted nothing late

@@ -84,7 +84,7 @@ impl<V: Clone + Debug + PartialEq> MultivaluedConsensus<V> {
         j: u64,
         f: impl FnOnce(&mut OmegaSigmaConsensus<u8>, &mut Ctx<OmegaSigmaConsensus<u8>>),
     ) {
-        let fd = ctx.fd().clone();
+        let fd = *ctx.fd();
         let mut ictx = Ctx::<OmegaSigmaConsensus<u8>>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
         let inst = self.instances.entry(j).or_default();
         f(inst, &mut ictx);

@@ -158,7 +158,7 @@ impl<V: Clone + Debug + PartialEq> OmegaSigmaConsensus<V> {
     fn decide(&mut self, ctx: &mut Ctx<Self>, v: V, quorum: ProcessSet) {
         if self.decided.is_none() {
             self.decided = Some(v.clone());
-            self.decision_quorum = Some(quorum.clone());
+            self.decision_quorum = Some(quorum);
             self.phase = ProposerPhase::Idle;
             ctx.output(ConsensusOutput::Decided(v.clone()));
             ctx.broadcast_others(PaxosMsg::Decide { v, quorum });
@@ -230,7 +230,7 @@ impl<V: Clone + Debug + PartialEq> OmegaSigmaConsensus<V> {
             }
             ProposerPhase::Accepting { bal, v, responders } => {
                 if self.quorum_satisfied(&responders, ctx) {
-                    let mut quorum = responders.clone();
+                    let mut quorum = responders;
                     quorum.insert(ctx.me());
                     self.decide(ctx, v, quorum);
                 } else {
@@ -280,7 +280,7 @@ impl<V: Clone + Debug + PartialEq> Protocol for OmegaSigmaConsensus<V> {
         if let Some(v) = self.decided.clone() {
             // Help laggards: answer any traffic with the decision.
             if !matches!(msg, PaxosMsg::Decide { .. }) {
-                let quorum = self.decision_quorum.clone().unwrap_or_default();
+                let quorum = self.decision_quorum.unwrap_or_default();
                 ctx.send(from, PaxosMsg::Decide { v, quorum });
             }
             return;

@@ -150,7 +150,7 @@ impl<V: Clone + Debug + PartialEq> RegisterOmegaConsensus<V> {
         idx: usize,
         f: impl FnOnce(&mut AbdRegister<DBlock<V>>, &mut Ctx<AbdRegister<DBlock<V>>>),
     ) {
-        let sigma = ctx.fd().1.clone();
+        let sigma = ctx.fd().1;
         let mut ictx = Ctx::<AbdRegister<DBlock<V>>>::detached(ctx.me(), ctx.n(), ctx.now(), sigma);
         f(&mut self.regs[idx], &mut ictx);
         for (to, msg) in ictx.take_sends() {

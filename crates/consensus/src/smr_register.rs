@@ -116,7 +116,7 @@ impl<V: Clone + Debug + PartialEq> RegisterFromConsensus<V> {
         k: u64,
         f: impl FnOnce(&mut OmegaSigmaConsensus<Command<V>>, &mut Ctx<OmegaSigmaConsensus<Command<V>>>),
     ) {
-        let fd = ctx.fd().clone();
+        let fd = *ctx.fd();
         let mut ictx =
             Ctx::<OmegaSigmaConsensus<Command<V>>>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
         let inst = self.instances.entry(k).or_default();

@@ -163,7 +163,7 @@ pub fn registers_yield_sigma(setup: &RunSetup) -> Result<SigmaStats, SigmaViolat
         RandomFair::new(setup.seed),
     );
     sim.run();
-    let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(q.clone()));
+    let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(*q));
     check_sigma(&h, &setup.pattern)
 }
 
@@ -200,7 +200,7 @@ pub fn consensus_yields_sigma(setup: &RunSetup) -> Result<SigmaStats, SigmaViola
         RandomFair::new(setup.seed),
     );
     sim.run();
-    let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(q.clone()));
+    let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(*q));
     check_sigma(&h, &setup.pattern)
 }
 

@@ -95,8 +95,8 @@ pub fn check_sigma(
         for b in &distinct[i..] {
             if !a.2.intersects(b.2) {
                 return Err(SigmaViolation::Intersection {
-                    a: (a.0, a.1, a.2.clone()),
-                    b: (b.0, b.1, b.2.clone()),
+                    a: (a.0, a.1, *a.2),
+                    b: (b.0, b.1, *b.2),
                 });
             }
         }
@@ -113,7 +113,7 @@ pub fn check_sigma(
                 stabilized_at.get_or_insert(t);
             } else {
                 stabilized_at = None;
-                last_bad = Some((t, q.clone()));
+                last_bad = Some((t, *q));
             }
         }
         match (stabilized_at, last_bad) {
@@ -464,7 +464,7 @@ pub fn check_psi(
         PsiPhase::OmegaSigma => {
             let projected = h.filter(|_, _, v| v.as_omega_sigma().is_some());
             let omega_h = projected.map(|v| v.as_omega_sigma().expect("filtered").leader);
-            let sigma_h = projected.map(|v| v.as_omega_sigma().expect("filtered").quorum.clone());
+            let sigma_h = projected.map(|v| v.as_omega_sigma().expect("filtered").quorum);
             check_omega(&omega_h, pattern).map_err(PsiViolation::Omega)?;
             check_sigma(&sigma_h, pattern).map_err(PsiViolation::Sigma)?;
         }
@@ -494,7 +494,7 @@ pub fn check_omega_sigma(
     pattern: &FailurePattern,
 ) -> Result<(OmegaStats, SigmaStats), OmegaSigmaViolation> {
     let omega_h = h.map(|(l, _)| *l);
-    let sigma_h = h.map(|(_, q)| q.clone());
+    let sigma_h = h.map(|(_, q)| *q);
     let o = check_omega(&omega_h, pattern).map_err(OmegaSigmaViolation::Omega)?;
     let s = check_sigma(&sigma_h, pattern).map_err(OmegaSigmaViolation::Sigma)?;
     Ok((o, s))

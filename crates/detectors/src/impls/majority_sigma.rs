@@ -116,8 +116,8 @@ impl Protocol for MajoritySigma {
                         // counting, so stragglers (possibly from processes
                         // that crashed meanwhile) cannot dirty the quorum.
                         self.round_complete = true;
-                        self.quorum = self.acks.clone();
-                        ctx.output(self.quorum.clone());
+                        self.quorum = self.acks;
+                        ctx.output(self.quorum);
                     }
                 }
             }
@@ -189,7 +189,7 @@ mod tests {
             RandomFair::new(seed),
         );
         sim.run();
-        history_from_outputs(sim.trace(), |q: &ProcessSet| Some(q.clone()))
+        history_from_outputs(sim.trace(), |q: &ProcessSet| Some(*q))
     }
 
     #[test]
@@ -215,7 +215,7 @@ mod tests {
             Adversarial::new(3),
         );
         sim.run();
-        let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(q.clone()));
+        let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(*q));
         assert!(h.len() > 5);
         check_sigma(&h, &pattern).expect("adversarial schedule still conforms");
     }

@@ -88,7 +88,7 @@ impl FdOracle for SigmaOracle {
     type Value = ProcessSet;
 
     fn query(&mut self, p: ProcessId, t: Time) -> ProcessSet {
-        let mut quorum = self.core.clone();
+        let mut quorum = self.core;
         if t < self.stabilisation_of(p) {
             // Noise phase: adjoin a deterministic subset of the processes
             // still alive at t (crashed-but-present members are exactly the

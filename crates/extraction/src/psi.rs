@@ -186,7 +186,7 @@ impl<F: QcFamily> PsiExtraction<F> {
             Phase::Red => PsiValue::Fs(Signal::Red),
             Phase::OmegaSigma { leader, quorum, .. } => PsiValue::OmegaSigma(OmegaSigma {
                 leader: *leader,
-                quorum: quorum.clone(),
+                quorum: *quorum,
             }),
         }
     }
@@ -340,7 +340,7 @@ impl<F: QcFamily> PsiExtraction<F> {
         } = &mut self.phase
         {
             *l = leader;
-            *q = quorum.clone();
+            *q = quorum;
             // Next round must use strictly fresher samples (line 27).
             *wm = window.last().expect("non-empty window").t;
         }

@@ -41,7 +41,7 @@ impl<V: Clone + Debug + PartialEq> ConsensusAsQc<V> {
         f: impl FnOnce(&mut OmegaSigmaConsensus<V>, &mut Ctx<OmegaSigmaConsensus<V>>),
     ) {
         let mut ictx =
-            Ctx::<OmegaSigmaConsensus<V>>::detached(ctx.me(), ctx.n(), ctx.now(), ctx.fd().clone());
+            Ctx::<OmegaSigmaConsensus<V>>::detached(ctx.me(), ctx.n(), ctx.now(), *ctx.fd());
         f(&mut self.inner, &mut ictx);
         for (to, msg) in ictx.take_sends() {
             ctx.send(to, msg);

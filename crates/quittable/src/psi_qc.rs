@@ -64,7 +64,7 @@ impl<V: Clone + Debug + PartialEq> PsiQc<V> {
     /// nor finish a round — acceptor duties are unaffected).
     fn inner_fd(&self, ctx: &Ctx<Self>) -> (ProcessId, ProcessSet) {
         match ctx.fd() {
-            PsiValue::OmegaSigma(os) => (os.leader, os.quorum.clone()),
+            PsiValue::OmegaSigma(os) => (os.leader, os.quorum),
             _ => (
                 ProcessId((ctx.me().index() + 1) % ctx.n()),
                 ProcessSet::new(),

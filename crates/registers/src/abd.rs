@@ -423,7 +423,7 @@ pub fn op_history_from_trace(
                             AbdResp::WriteOk => RegResp::WriteOk,
                         },
                     ));
-                    rec.participants = participants.clone();
+                    rec.participants = *participants;
                 }
             }
         }

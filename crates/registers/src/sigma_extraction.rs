@@ -180,8 +180,8 @@ impl<A: RegisterAlgorithm> SigmaExtraction<A> {
                 // Lines 8–10: record P_i(k), fold it into E_i, seed F_i
                 // with P_i(k−1).
                 let p_k = participants;
-                self.f = self.last_participants.clone();
-                self.last_participants = p_k.clone();
+                self.f = self.last_participants;
+                self.last_participants = p_k;
                 self.e_sets.insert(p_k);
                 self.start_read(ctx, 0);
             }
@@ -192,7 +192,7 @@ impl<A: RegisterAlgorithm> SigmaExtraction<A> {
                     Some(first) => {
                         self.stage = Stage::Probing {
                             j,
-                            current: first.clone(),
+                            current: first,
                             remaining,
                         };
                         self.send_probe(ctx, &first);
@@ -227,7 +227,7 @@ impl<A: RegisterAlgorithm> SigmaExtraction<A> {
         } else {
             // Line 17: Σ-output_i := F_i; then start the next iteration.
             self.iterations += 1;
-            ctx.output(self.f.clone());
+            ctx.output(self.f);
             self.start_write(ctx);
         }
     }
@@ -290,11 +290,10 @@ impl<A: RegisterAlgorithm> Protocol for SigmaExtraction<A> {
                     let j = *j;
                     match remaining.pop_front() {
                         Some(next) => {
-                            let next_clone = next.clone();
                             if let Stage::Probing { current, .. } = &mut self.stage {
                                 *current = next;
                             }
-                            self.send_probe(ctx, &next_clone);
+                            self.send_probe(ctx, &next);
                         }
                         None => self.next_register(ctx, j),
                     }
@@ -359,7 +358,7 @@ mod tests {
             sched,
         );
         sim.run();
-        let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(q.clone()));
+        let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(*q));
         let iters = sim.processes().iter().map(|p| p.iterations()).collect();
         (h, iters)
     }
@@ -451,7 +450,7 @@ mod tests {
             RandomFair::new(5),
         );
         sim.run();
-        let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(q.clone()));
+        let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(*q));
         assert!(h.len() > 5, "extraction should keep emitting quorums");
         check_sigma(&h, &pattern).unwrap_or_else(|v| panic!("{v}"));
     }

@@ -67,22 +67,19 @@ impl<V: Clone + Debug + PartialEq> Protocol for SwmrRegister<V> {
             self.owner,
             ctx.me()
         );
-        let mut ictx =
-            Ctx::<AbdRegister<V>>::detached(ctx.me(), ctx.n(), ctx.now(), ctx.fd().clone());
+        let mut ictx = Ctx::<AbdRegister<V>>::detached(ctx.me(), ctx.n(), ctx.now(), *ctx.fd());
         self.inner.on_invoke(&mut ictx, inv);
         relay(ctx, &mut ictx);
     }
 
     fn on_tick(&mut self, ctx: &mut Ctx<Self>) {
-        let mut ictx =
-            Ctx::<AbdRegister<V>>::detached(ctx.me(), ctx.n(), ctx.now(), ctx.fd().clone());
+        let mut ictx = Ctx::<AbdRegister<V>>::detached(ctx.me(), ctx.n(), ctx.now(), *ctx.fd());
         self.inner.on_tick(&mut ictx);
         relay(ctx, &mut ictx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, msg: AbdMsg<V>) {
-        let mut ictx =
-            Ctx::<AbdRegister<V>>::detached(ctx.me(), ctx.n(), ctx.now(), ctx.fd().clone());
+        let mut ictx = Ctx::<AbdRegister<V>>::detached(ctx.me(), ctx.n(), ctx.now(), *ctx.fd());
         self.inner.on_message(&mut ictx, from, msg);
         relay(ctx, &mut ictx);
     }
@@ -179,7 +176,7 @@ impl<V: Clone + Debug + PartialEq> MwmrFromSwmr<V> {
         f: impl FnOnce(&mut SwmrRegister<Cell<V>>, &mut Ctx<SwmrRegister<Cell<V>>>),
     ) {
         let mut ictx =
-            Ctx::<SwmrRegister<Cell<V>>>::detached(ctx.me(), ctx.n(), ctx.now(), ctx.fd().clone());
+            Ctx::<SwmrRegister<Cell<V>>>::detached(ctx.me(), ctx.n(), ctx.now(), *ctx.fd());
         f(&mut self.regs[idx], &mut ictx);
         for (to, msg) in ictx.take_sends() {
             ctx.send(

@@ -1,6 +1,6 @@
 //! Process identifiers, the global clock, and sets of processes.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// The discrete global clock of the model.
@@ -53,6 +53,13 @@ impl From<usize> for ProcessId {
     }
 }
 
+/// The most processes a [`ProcessSet`] can hold: ids `p0 ..= p63`.
+///
+/// A set is one 64-bit word. Every system in this workspace is far
+/// smaller, and [`Repro`](crate::Repro) artifacts with more processes
+/// are rejected when they load.
+pub const MAX_PROCESSES: usize = 64;
+
 /// An ordered set of processes — quorums, participant sets, correct sets.
 ///
 /// `ProcessSet` is the value type of the quorum failure detector Σ and is
@@ -67,13 +74,51 @@ impl From<usize> for ProcessId {
 /// assert!(!a.is_subset(&b));
 /// assert_eq!(a.to_string(), "{p0, p1}");
 /// ```
-#[derive(Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug, Default)]
-pub struct ProcessSet(BTreeSet<ProcessId>);
+///
+/// # Representation and capacity
+///
+/// The set is one `u64` word whose bit `i` is `ProcessId(i)`, so it is
+/// `Copy` and cloning a Σ value, a quorum or a message that carries one
+/// allocates nothing. It holds ids below [`MAX_PROCESSES`]:
+/// [`insert`](Self::insert), [`singleton`](Self::singleton),
+/// [`full`](Self::full), `collect` and `extend` panic on a larger id,
+/// while [`contains`](Self::contains) and [`remove`](Self::remove) return
+/// `false` for one.
+///
+/// # Order and `Debug`
+///
+/// Sets compare as their sorted member lists do, lexicographically
+/// (`{p0, p5} < {p1}`, and a prefix is smaller), not as their words. This
+/// is the order the set had as a `BTreeSet<ProcessId>`, and collections of
+/// sets, such as Figure 1's `BTreeSet<ProcessSet>`, iterate and render in
+/// it. `Debug` is written by hand to print what the `BTreeSet` derive
+/// printed, `ProcessSet({ProcessId(0), ProcessId(2)})`, in both the `{:?}`
+/// and `{:#?}` forms: the explorer and the liveness checker key their
+/// slots by these renderings, so other text would change their keys.
+///
+/// ```
+/// use wfd_sim::{ProcessId, ProcessSet};
+/// let low: ProcessSet = [0, 5].into_iter().map(ProcessId).collect();
+/// let high = ProcessSet::singleton(ProcessId(1));
+/// assert!(low < high);
+/// assert_eq!(format!("{low:?}"), "ProcessSet({ProcessId(0), ProcessId(5)})");
+/// ```
+#[derive(Copy, Clone, Eq, PartialEq, Hash, Default)]
+pub struct ProcessSet(u64);
+
+/// The word bit of `p`, panicking past the capacity.
+fn bit(p: ProcessId) -> u64 {
+    assert!(
+        p.0 < MAX_PROCESSES,
+        "{p} does not fit in a ProcessSet, which holds ids below MAX_PROCESSES = {MAX_PROCESSES}"
+    );
+    1 << p.0
+}
 
 impl ProcessSet {
     /// The empty set.
     pub fn new() -> Self {
-        ProcessSet(BTreeSet::new())
+        ProcessSet(0)
     }
 
     /// The full system `Π = {p0, …, p{n-1}}`.
@@ -83,84 +128,125 @@ impl ProcessSet {
 
     /// A singleton set.
     pub fn singleton(p: ProcessId) -> Self {
-        let mut s = BTreeSet::new();
-        s.insert(p);
-        ProcessSet(s)
+        ProcessSet(bit(p))
     }
 
     /// Insert a process; returns `true` if it was not already present.
     pub fn insert(&mut self, p: ProcessId) -> bool {
-        self.0.insert(p)
+        let b = bit(p);
+        let fresh = self.0 & b == 0;
+        self.0 |= b;
+        fresh
     }
 
     /// Remove a process; returns `true` if it was present.
     pub fn remove(&mut self, p: ProcessId) -> bool {
-        self.0.remove(&p)
+        let present = self.contains(p);
+        if present {
+            self.0 &= !(1 << p.0);
+        }
+        present
     }
 
     /// Whether `p` belongs to the set.
     pub fn contains(&self, p: ProcessId) -> bool {
-        self.0.contains(&p)
+        p.0 < MAX_PROCESSES && self.0 & (1 << p.0) != 0
     }
 
     /// Number of processes in the set.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.0.count_ones() as usize
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0 == 0
     }
 
     /// Whether the two sets share at least one process — the heart of Σ's
     /// *intersection* property.
     pub fn intersects(&self, other: &ProcessSet) -> bool {
-        let (small, big) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small.iter().any(|p| big.contains(p))
+        self.0 & other.0 != 0
     }
 
     /// Whether `self ⊆ other` — used by Σ's *completeness* property
     /// (`quorum ⊆ correct(F)`).
     pub fn is_subset(&self, other: &ProcessSet) -> bool {
-        self.0.is_subset(&other.0)
+        self.0 & !other.0 == 0
     }
 
     /// Set union.
     pub fn union(&self, other: &ProcessSet) -> ProcessSet {
-        ProcessSet(self.0.union(&other.0).copied().collect())
+        ProcessSet(self.0 | other.0)
     }
 
     /// Set intersection.
     pub fn intersection(&self, other: &ProcessSet) -> ProcessSet {
-        ProcessSet(self.0.intersection(&other.0).copied().collect())
+        ProcessSet(self.0 & other.0)
     }
 
     /// Set difference `self − other`.
     pub fn difference(&self, other: &ProcessSet) -> ProcessSet {
-        ProcessSet(self.0.difference(&other.0).copied().collect())
+        ProcessSet(self.0 & !other.0)
     }
 
     /// Iterate over members in increasing id order.
-    pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.0.iter().copied()
+    pub fn iter(&self) -> ProcessSetIter {
+        ProcessSetIter(self.0)
     }
 
     /// The smallest member, if any — a convenient deterministic
     /// representative (e.g. for leader extraction).
     pub fn first(&self) -> Option<ProcessId> {
-        self.0.iter().next().copied()
+        self.iter().next()
+    }
+}
+
+impl Ord for ProcessSet {
+    /// The lexicographic order of the sorted member lists. Below the lowest
+    /// bit `b` where the words differ the lists agree; the set holding `b`
+    /// lists it next, so it is the smaller one exactly when the other set
+    /// goes on with a member above `b` (and the larger one when the other
+    /// set ends there, being its prefix).
+    fn cmp(&self, other: &Self) -> Ordering {
+        let diff = self.0 ^ other.0;
+        if diff == 0 {
+            return Ordering::Equal;
+        }
+        let low = diff & diff.wrapping_neg();
+        let above = !(low | (low - 1));
+        let self_holds = self.0 & low != 0;
+        let lacker = if self_holds { other.0 } else { self.0 };
+        if self_holds == (lacker & above != 0) {
+            Ordering::Less
+        } else {
+            Ordering::Greater
+        }
+    }
+}
+
+impl PartialOrd for ProcessSet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for ProcessSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Members(ProcessSet);
+        impl fmt::Debug for Members {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0).finish()
+            }
+        }
+        f.debug_tuple("ProcessSet").field(&Members(*self)).finish()
     }
 }
 
 impl fmt::Display for ProcessSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, p) in self.0.iter().enumerate() {
+        for (i, p) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -172,31 +258,62 @@ impl fmt::Display for ProcessSet {
 
 impl FromIterator<ProcessId> for ProcessSet {
     fn from_iter<I: IntoIterator<Item = ProcessId>>(iter: I) -> Self {
-        ProcessSet(iter.into_iter().collect())
+        let mut s = ProcessSet::new();
+        s.extend(iter);
+        s
     }
 }
 
 impl Extend<ProcessId> for ProcessSet {
     fn extend<I: IntoIterator<Item = ProcessId>>(&mut self, iter: I) {
-        self.0.extend(iter)
+        for p in iter {
+            self.insert(p);
+        }
     }
 }
 
-impl<'a> IntoIterator for &'a ProcessSet {
-    type Item = ProcessId;
-    type IntoIter = std::iter::Copied<std::collections::btree_set::Iter<'a, ProcessId>>;
+/// The members of a [`ProcessSet`] in increasing id order: each step pops
+/// the lowest remaining bit.
+#[derive(Clone, Debug)]
+pub struct ProcessSetIter(u64);
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter().copied()
+impl Iterator for ProcessSetIter {
+    type Item = ProcessId;
+
+    fn next(&mut self) -> Option<ProcessId> {
+        if self.0 == 0 {
+            return None;
+        }
+        let p = ProcessId(self.0.trailing_zeros() as usize);
+        self.0 &= self.0 - 1;
+        Some(p)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for ProcessSetIter {}
+
+impl std::iter::FusedIterator for ProcessSetIter {}
+
+impl IntoIterator for &ProcessSet {
+    type Item = ProcessId;
+    type IntoIter = ProcessSetIter;
+
+    fn into_iter(self) -> ProcessSetIter {
+        self.iter()
     }
 }
 
 impl IntoIterator for ProcessSet {
     type Item = ProcessId;
-    type IntoIter = std::collections::btree_set::IntoIter<ProcessId>;
+    type IntoIter = ProcessSetIter;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
+    fn into_iter(self) -> ProcessSetIter {
+        self.iter()
     }
 }
 
@@ -280,7 +397,111 @@ mod tests {
         let s = set(&[1, 3]);
         let t: ProcessSet = (&s).into_iter().collect();
         assert_eq!(s, t);
-        let u: ProcessSet = s.clone().into_iter().collect();
+        let u: ProcessSet = s.into_iter().collect();
         assert_eq!(s, u);
+    }
+
+    /// The set as it was before it became one word. Its derived `Ord` and
+    /// `Debug` are the order and the text the word must keep.
+    mod old {
+        use super::ProcessId;
+        use std::collections::BTreeSet;
+
+        #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+        pub struct ProcessSet(pub BTreeSet<ProcessId>);
+    }
+
+    /// Every subset of {p0, …, p5}, plus sets at the top of the word.
+    fn reference_inputs() -> Vec<Vec<usize>> {
+        let mut inputs: Vec<Vec<usize>> = (0..64)
+            .map(|mask: usize| (0..6).filter(|i| mask >> i & 1 == 1).collect())
+            .collect();
+        inputs.extend([vec![63], vec![0, 63], vec![62, 63]]);
+        inputs
+    }
+
+    fn reference(ids: &[usize]) -> old::ProcessSet {
+        old::ProcessSet(ids.iter().copied().map(ProcessId).collect())
+    }
+
+    fn members(s: ProcessSet) -> Vec<ProcessId> {
+        s.iter().collect()
+    }
+
+    fn listed<'a>(it: impl Iterator<Item = &'a ProcessId>) -> Vec<ProcessId> {
+        it.copied().collect()
+    }
+
+    #[test]
+    fn matches_the_btree_set_reference() {
+        let sets: Vec<(ProcessSet, old::ProcessSet)> = reference_inputs()
+            .iter()
+            .map(|ids| (set(ids), reference(ids)))
+            .collect();
+        for (s, r) in &sets {
+            let list = listed(r.0.iter());
+            assert_eq!(format!("{s:?}"), format!("{r:?}"));
+            assert_eq!(format!("{s:#?}"), format!("{r:#?}"));
+            let shown: Vec<String> = list.iter().map(ProcessId::to_string).collect();
+            assert_eq!(s.to_string(), format!("{{{}}}", shown.join(", ")));
+            assert_eq!(s.first(), list.first().copied());
+            assert_eq!(s.len(), list.len());
+            let mut it = s.iter();
+            for left in (0..=list.len()).rev() {
+                assert_eq!(it.size_hint(), (left, Some(left)));
+                assert_eq!(it.next(), list.get(list.len() - left).copied());
+            }
+            for (t, q) in &sets {
+                assert_eq!(s.cmp(t), r.cmp(q), "{s} vs {t}");
+                assert_eq!(s.partial_cmp(t), r.partial_cmp(q), "{s} vs {t}");
+                assert_eq!(s == t, r == q, "{s} vs {t}");
+                assert_eq!(s.is_subset(t), r.0.is_subset(&q.0), "{s} vs {t}");
+                assert_eq!(s.intersects(t), !r.0.is_disjoint(&q.0), "{s} vs {t}");
+                assert_eq!(members(s.union(t)), listed(r.0.union(&q.0)));
+                assert_eq!(members(s.intersection(t)), listed(r.0.intersection(&q.0)));
+                assert_eq!(members(s.difference(t)), listed(r.0.difference(&q.0)));
+            }
+        }
+    }
+
+    #[test]
+    fn insert_and_remove_report_membership_like_the_reference() {
+        for ids in reference_inputs() {
+            for p in [0, 3, 5, 6, 62, 63].map(ProcessId) {
+                let (mut s, mut r) = (set(&ids), reference(&ids));
+                assert_eq!(s.insert(p), r.0.insert(p));
+                assert_eq!(s.insert(p), r.0.insert(p));
+                assert_eq!(format!("{s:?}"), format!("{r:?}"));
+                assert_eq!(s.remove(p), r.0.remove(&p));
+                assert_eq!(s.remove(p), r.0.remove(&p));
+                assert_eq!(format!("{s:?}"), format!("{r:?}"));
+                let (mut s, mut r) = (set(&ids), reference(&ids));
+                assert_eq!(s.remove(p), r.0.remove(&p));
+                assert_eq!(format!("{s:?}"), format!("{r:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn ids_past_capacity_are_never_members() {
+        let mut s = ProcessSet::full(MAX_PROCESSES);
+        assert_eq!(s.len(), MAX_PROCESSES);
+        assert!(s.contains(ProcessId(63)));
+        assert!(!s.contains(ProcessId(64)));
+        assert!(!s.remove(ProcessId(64)));
+        assert!(!s.contains(ProcessId(usize::MAX)));
+        assert_eq!(s.len(), MAX_PROCESSES);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_PROCESSES = 64")]
+    fn insert_past_capacity_panics() {
+        ProcessSet::new().insert(ProcessId(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_PROCESSES = 64")]
+    fn full_past_capacity_panics() {
+        ProcessSet::full(MAX_PROCESSES + 1);
     }
 }

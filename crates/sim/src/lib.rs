@@ -93,7 +93,7 @@ pub use explore::{
     ExploreViolation, FingerprintHasher, StateHasher,
 };
 pub use failure::{Environment, FailurePattern, PatternSampler};
-pub use id::{ProcessId, ProcessSet, Time};
+pub use id::{ProcessId, ProcessSet, ProcessSetIter, Time, MAX_PROCESSES};
 pub use liveness::{
     check_liveness, LassoWitness, LivenessConfig, LivenessReport, LivenessVerdict, Ltl,
 };

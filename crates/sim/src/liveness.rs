@@ -2358,7 +2358,7 @@ pub mod fixtures {
                 JoinMsg::Ack(k, who) if k == self.round && self.quorum.is_none() => {
                     self.acks.insert(who);
                     if self.acks.len() * 2 > ctx.n() {
-                        self.quorum = Some(self.acks.clone());
+                        self.quorum = Some(self.acks);
                     }
                 }
                 JoinMsg::Ack(..) => {}

@@ -30,7 +30,7 @@
 
 use crate::explore::ExploreDecision;
 use crate::failure::FailurePattern;
-use crate::id::{ProcessId, Time};
+use crate::id::{ProcessId, Time, MAX_PROCESSES};
 use crate::json::{Json, JsonError};
 use crate::scheduler::{Adversarial, Decision, RandomFair, ReplaySchedule, RoundRobin, Scheduler};
 use crate::SimConfig;
@@ -692,6 +692,9 @@ impl Repro {
             None => Vec::new(),
         };
         let n = v.get("n").and_then(Json::as_usize).ok_or("n missing")?;
+        if n > MAX_PROCESSES {
+            return Err(format!("n = {n} exceeds MAX_PROCESSES = {MAX_PROCESSES}"));
+        }
         if crashes.len() != n {
             return Err(format!("crashes has {} entries, n = {n}", crashes.len()));
         }
@@ -918,6 +921,31 @@ mod tests {
         let loaded = Repro::load(&path).unwrap();
         assert_eq!(loaded, r);
         std::fs::remove_file(path).ok();
+    }
+
+    /// The sample artifact widened to `n` processes, the last one crashed.
+    fn repro_with_n(n: usize) -> Repro {
+        let mut r = sample_fuzz_repro();
+        r.n = n;
+        r.crashes = vec![None; n];
+        r.crashes[n - 1] = Some(17);
+        r
+    }
+
+    #[test]
+    fn loads_artifacts_up_to_max_processes() {
+        let r = repro_with_n(MAX_PROCESSES);
+        let json = r.to_json();
+        let parsed = Repro::from_json(&json).unwrap();
+        assert_eq!(parsed, r);
+        assert_eq!(parsed.to_json(), json);
+        assert_eq!(parsed.pattern().faulty().len(), 1);
+    }
+
+    #[test]
+    fn rejects_artifacts_past_max_processes() {
+        let err = Repro::from_json(&repro_with_n(MAX_PROCESSES + 1).to_json()).unwrap_err();
+        assert!(err.contains("MAX_PROCESSES = 64"), "{err}");
     }
 
     #[test]

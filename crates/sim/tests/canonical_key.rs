@@ -127,8 +127,8 @@ impl Protocol for Quorum {
             QuorumMsg::Ack(k, who) if k == self.round => {
                 self.acks.insert(who);
                 if self.acks.len() * 2 > ctx.n() && self.quorum != self.acks {
-                    self.quorum = self.acks.clone();
-                    ctx.output(self.quorum.clone());
+                    self.quorum = self.acks;
+                    ctx.output(self.quorum);
                 }
             }
             QuorumMsg::Ack(..) => {}

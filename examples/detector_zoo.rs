@@ -27,7 +27,7 @@ fn main() {
         RandomFair::new(5),
     );
     sim.run();
-    let sigma_h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(q.clone()));
+    let sigma_h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(*q));
     match check_sigma(&sigma_h, &pattern) {
         Ok(stats) => println!(
             "join-quorum Σ   : conforms ✓ ({} quorum outputs, stabilised by t = {:?})",
@@ -92,7 +92,7 @@ fn main() {
         RandomFair::new(5),
     );
     sim.run();
-    let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(q.clone()));
+    let h = history_from_outputs(sim.trace(), |q: &ProcessSet| Some(*q));
     let late = h.since(1_000).count();
     println!(
         "\nhostile environment {hostile}:\n\

@@ -51,7 +51,7 @@ fn facade_recorder_pipeline() {
     }
     let h = rec.into_history();
     let omega_h = h.map(|(l, _)| *l);
-    let sigma_h = h.map(|(_, q)| q.clone());
+    let sigma_h = h.map(|(_, q)| *q);
     check_omega(&omega_h, &pattern).expect("Ω oracle conforms");
     check_sigma(&sigma_h, &pattern).expect("Σ oracle conforms");
 }
