@@ -85,19 +85,9 @@ impl<V: Clone + Debug + PartialEq> MultivaluedConsensus<V> {
         f: impl FnOnce(&mut OmegaSigmaConsensus<u8>, &mut Ctx<OmegaSigmaConsensus<u8>>),
     ) {
         let fd = *ctx.fd();
-        let mut ictx = Ctx::<OmegaSigmaConsensus<u8>>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
         let inst = self.instances.entry(j).or_default();
-        f(inst, &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(
-                to,
-                MvMsg::Bin {
-                    instance: j,
-                    inner: msg,
-                },
-            );
-        }
-        for out in ictx.take_outputs() {
+        let wrap = |inner| MvMsg::Bin { instance: j, inner };
+        for out in ctx.host(fd, wrap, |ictx| f(inst, ictx)) {
             self.on_instance_output(ctx, j, out);
         }
     }

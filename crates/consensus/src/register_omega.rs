@@ -151,18 +151,11 @@ impl<V: Clone + Debug + PartialEq> RegisterOmegaConsensus<V> {
         f: impl FnOnce(&mut AbdRegister<DBlock<V>>, &mut Ctx<AbdRegister<DBlock<V>>>),
     ) {
         let sigma = ctx.fd().1;
-        let mut ictx = Ctx::<AbdRegister<DBlock<V>>>::detached(ctx.me(), ctx.n(), ctx.now(), sigma);
-        f(&mut self.regs[idx], &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(
-                to,
-                RoMsg::Reg {
-                    instance: idx,
-                    inner: msg,
-                },
-            );
-        }
-        for out in ictx.take_outputs() {
+        let wrap = |inner| RoMsg::Reg {
+            instance: idx,
+            inner,
+        };
+        for out in ctx.host(sigma, wrap, |ictx| f(&mut self.regs[idx], ictx)) {
             self.on_register_output(ctx, idx, out);
         }
     }

@@ -117,14 +117,9 @@ impl<V: Clone + Debug + PartialEq> RegisterFromConsensus<V> {
         f: impl FnOnce(&mut OmegaSigmaConsensus<Command<V>>, &mut Ctx<OmegaSigmaConsensus<Command<V>>>),
     ) {
         let fd = *ctx.fd();
-        let mut ictx =
-            Ctx::<OmegaSigmaConsensus<Command<V>>>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
         let inst = self.instances.entry(k).or_default();
-        f(inst, &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(to, SmrMsg::Slot { k, inner: msg });
-        }
-        for out in ictx.take_outputs() {
+        let wrap = |inner| SmrMsg::Slot { k, inner };
+        for out in ctx.host(fd, wrap, |ictx| f(inst, ictx)) {
             let ConsensusOutput::Decided(cmd) = out;
             self.on_slot_decided(ctx, k, cmd);
         }

@@ -197,12 +197,7 @@ impl<F: QcFamily> PsiExtraction<F> {
         f: impl FnOnce(&mut F::Multi, &mut Ctx<F::Multi>),
     ) {
         let fd = ctx.fd().clone();
-        let mut ictx = Ctx::<F::Multi>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
-        f(&mut self.real, &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(to, Fig3Msg::Real(msg));
-        }
-        for out in ictx.take_outputs() {
+        for out in ctx.host(fd, Fig3Msg::Real, |ictx| f(&mut self.real, ictx)) {
             let ConsensusOutput::Decided(d) = out;
             self.on_real_decision(ctx, d);
         }

@@ -276,12 +276,13 @@ fn protocol_impl_fn(def: &FnDef) -> Option<&str> {
 }
 
 /// What a call contributes to a handler's effect set / a footprint's
-/// capability set.
+/// capability set. `Ctx::host` counts as a send: it queues every message
+/// of the hosted step on the host's context.
 fn send_effect(call: &CallSite) -> bool {
     call.method
         && matches!(
             call.path.last().map(String::as_str),
-            Some("send" | "broadcast" | "broadcast_others")
+            Some("send" | "broadcast" | "broadcast_others" | "host")
         )
 }
 
@@ -294,7 +295,8 @@ fn output_effect(call: &CallSite) -> bool {
 ///
 /// Effects are collected over-approximately from the handler body and
 /// its same-file callees (closure bodies are scanned inline by the
-/// parser, so `with_real`-style hosting helpers are covered). Declared
+/// parser, and a `ctx.host(…)` call in a `with_real`-style hosting
+/// helper counts as a send, so hosted sends are covered). Declared
 /// capabilities are the union of builder mentions across every arm of
 /// the impl's `footprint` fn — so a finding means *no arm at all* can
 /// grant the effect, which the runtime would punish with a panic on
@@ -680,6 +682,36 @@ impl Protocol for Under {
         assert_eq!(d7.len(), 1, "{d7:#?}");
         assert!(d7[0].what.contains("send capability"));
         assert_eq!(d7[0].line, 2, "anchored at the handler");
+    }
+
+    #[test]
+    fn hosted_sends_count_against_the_footprint() {
+        let src = "\
+impl Protocol for Host {
+    fn on_tick(&mut self, ctx: &mut Ctx<Self>) {
+        self.with_inner(ctx, |inner, ictx| inner.on_tick(ictx));
+    }
+    fn footprint(&self, me: ProcessId, n: usize, step: StepKind) -> Footprint {
+        Footprint::local()
+    }
+}
+impl Host {
+    fn with_inner(&mut self, ctx: &mut Ctx<Self>, f: impl FnOnce(&mut Inner, &mut Ctx<Inner>)) {
+        let fd = *ctx.fd();
+        for out in ctx.host(fd, Wrapped, |ictx| f(&mut self.inner, ictx)) {
+            self.absorb(out);
+        }
+    }
+}
+";
+        let findings = run_on(&[("crates/consensus/src/x.rs", src, &[])], None);
+        let d7: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "d7-footprint")
+            .collect();
+        assert_eq!(d7.len(), 1, "{d7:#?}");
+        assert!(d7[0].what.contains("send capability"));
+        assert!(d7[0].what.contains("line 12"), "the `host` call: {d7:#?}");
     }
 
     #[test]

@@ -65,12 +65,7 @@ impl<Q: QcAlgorithm> NbacFromQc<Q> {
 
     fn with_qc(&mut self, ctx: &mut Ctx<Self>, f: impl FnOnce(&mut Q, &mut Ctx<Q>)) {
         let fd = ctx.fd().1.clone();
-        let mut ictx = Ctx::<Q>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
-        f(&mut self.qc, &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(to, NbacMsg::Qc(msg));
-        }
-        for out in ictx.take_outputs() {
+        for out in ctx.host(fd, NbacMsg::Qc, |ictx| f(&mut self.qc, ictx)) {
             let ConsensusOutput::Decided(d) = out;
             self.on_qc_decision(ctx, d);
         }

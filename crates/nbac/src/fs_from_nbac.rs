@@ -70,14 +70,10 @@ impl<N: NbacAlgorithm> FsFromNbac<N> {
 
     fn with_instance(&mut self, ctx: &mut Ctx<Self>, k: u64, f: impl FnOnce(&mut N, &mut Ctx<N>)) {
         let fd = ctx.fd().clone();
-        let mut ictx = Ctx::<N>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
         let make = &mut self.make;
         let inst = self.instances.entry(k).or_insert_with(&mut *make);
-        f(inst, &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(to, TaggedMsg { k, inner: msg });
-        }
-        for out in ictx.take_outputs() {
+        let wrap = |inner| TaggedMsg { k, inner };
+        for out in ctx.host(fd, wrap, |ictx| f(inst, ictx)) {
             if let NbacOutput::Decided(d) = out {
                 self.on_instance_decision(ctx, k, d);
             }

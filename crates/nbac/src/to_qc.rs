@@ -63,12 +63,7 @@ impl<N: NbacAlgorithm> QcFromNbac<N> {
 
     fn with_nbac(&mut self, ctx: &mut Ctx<Self>, f: impl FnOnce(&mut N, &mut Ctx<N>)) {
         let fd = ctx.fd().clone();
-        let mut ictx = Ctx::<N>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
-        f(&mut self.nbac, &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(to, QcMsg::Nbac(msg));
-        }
-        for out in ictx.take_outputs() {
+        for out in ctx.host(fd, QcMsg::Nbac, |ictx| f(&mut self.nbac, ictx)) {
             if let NbacOutput::Decided(d) = out {
                 self.nbac_decision.get_or_insert(d);
             }

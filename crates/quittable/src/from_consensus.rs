@@ -40,13 +40,8 @@ impl<V: Clone + Debug + PartialEq> ConsensusAsQc<V> {
         ctx: &mut Ctx<Self>,
         f: impl FnOnce(&mut OmegaSigmaConsensus<V>, &mut Ctx<OmegaSigmaConsensus<V>>),
     ) {
-        let mut ictx =
-            Ctx::<OmegaSigmaConsensus<V>>::detached(ctx.me(), ctx.n(), ctx.now(), *ctx.fd());
-        f(&mut self.inner, &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(to, msg);
-        }
-        for out in ictx.take_outputs() {
+        let fd = *ctx.fd();
+        for out in ctx.host(fd, |msg| msg, |ictx| f(&mut self.inner, ictx)) {
             let ConsensusOutput::Decided(v) = out;
             ctx.output(ConsensusOutput::Decided(QcDecision::Value(v)));
         }

@@ -84,19 +84,9 @@ impl<V: Clone + Debug + PartialEq> MultivaluedQc<V> {
         f: impl FnOnce(&mut PsiQc<u8>, &mut Ctx<PsiQc<u8>>),
     ) {
         let fd: PsiValue = ctx.fd().clone();
-        let mut ictx = Ctx::<PsiQc<u8>>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
         let inst = self.instances.entry(j).or_default();
-        f(inst, &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(
-                to,
-                MvQcMsg::Bin {
-                    instance: j,
-                    inner: msg,
-                },
-            );
-        }
-        for out in ictx.take_outputs() {
+        let wrap = |inner| MvQcMsg::Bin { instance: j, inner };
+        for out in ctx.host(fd, wrap, |ictx| f(inst, ictx)) {
             let ConsensusOutput::Decided(d) = out;
             self.on_instance_output(ctx, j, d);
         }

@@ -78,12 +78,7 @@ impl<V: Clone + Debug + PartialEq> PsiQc<V> {
         f: impl FnOnce(&mut OmegaSigmaConsensus<V>, &mut Ctx<OmegaSigmaConsensus<V>>),
     ) {
         let fd = self.inner_fd(ctx);
-        let mut ictx = Ctx::<OmegaSigmaConsensus<V>>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
-        f(&mut self.inner, &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(to, msg);
-        }
-        for out in ictx.take_outputs() {
+        for out in ctx.host(fd, |msg| msg, |ictx| f(&mut self.inner, ictx)) {
             let ConsensusOutput::Decided(v) = out;
             self.decide(ctx, QcDecision::Value(v));
         }

@@ -152,18 +152,12 @@ impl<A: RegisterAlgorithm> SigmaExtraction<A> {
         idx: usize,
         f: impl FnOnce(&mut A, &mut Ctx<A>),
     ) {
-        let mut inner_ctx = Ctx::<A>::detached(ctx.me(), ctx.n(), ctx.now(), ctx.fd().clone());
-        f(&mut self.regs[idx], &mut inner_ctx);
-        for (to, msg) in inner_ctx.take_sends() {
-            ctx.send(
-                to,
-                ExtractionMsg::Reg {
-                    instance: idx,
-                    inner: msg,
-                },
-            );
-        }
-        for out in inner_ctx.take_outputs() {
+        let fd = ctx.fd().clone();
+        let wrap = |inner| ExtractionMsg::Reg {
+            instance: idx,
+            inner,
+        };
+        for out in ctx.host(fd, wrap, |ictx| f(&mut self.regs[idx], ictx)) {
             self.on_instance_output(ctx, idx, out);
         }
     }

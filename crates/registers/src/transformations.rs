@@ -52,6 +52,18 @@ impl<V: Clone + Debug + PartialEq> SwmrRegister<V> {
     pub fn owner(&self) -> ProcessId {
         self.owner
     }
+
+    /// Run `f` on the hosted register, forwarding its effects one-to-one.
+    fn with_inner(
+        &mut self,
+        ctx: &mut Ctx<Self>,
+        f: impl FnOnce(&mut AbdRegister<V>, &mut Ctx<AbdRegister<V>>),
+    ) {
+        let fd = *ctx.fd();
+        for out in ctx.host(fd, |msg| msg, |ictx| f(&mut self.inner, ictx)) {
+            ctx.output(out);
+        }
+    }
 }
 
 impl<V: Clone + Debug + PartialEq> Protocol for SwmrRegister<V> {
@@ -67,21 +79,15 @@ impl<V: Clone + Debug + PartialEq> Protocol for SwmrRegister<V> {
             self.owner,
             ctx.me()
         );
-        let mut ictx = Ctx::<AbdRegister<V>>::detached(ctx.me(), ctx.n(), ctx.now(), *ctx.fd());
-        self.inner.on_invoke(&mut ictx, inv);
-        relay(ctx, &mut ictx);
+        self.with_inner(ctx, |inner, ictx| inner.on_invoke(ictx, inv));
     }
 
     fn on_tick(&mut self, ctx: &mut Ctx<Self>) {
-        let mut ictx = Ctx::<AbdRegister<V>>::detached(ctx.me(), ctx.n(), ctx.now(), *ctx.fd());
-        self.inner.on_tick(&mut ictx);
-        relay(ctx, &mut ictx);
+        self.with_inner(ctx, |inner, ictx| inner.on_tick(ictx));
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, msg: AbdMsg<V>) {
-        let mut ictx = Ctx::<AbdRegister<V>>::detached(ctx.me(), ctx.n(), ctx.now(), *ctx.fd());
-        self.inner.on_message(&mut ictx, from, msg);
-        relay(ctx, &mut ictx);
+        self.with_inner(ctx, |inner, ictx| inner.on_message(ictx, from, msg));
     }
 
     fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
@@ -96,19 +102,6 @@ impl<V: Clone + Debug + PartialEq> Protocol for SwmrRegister<V> {
                 StepKind::Deliver { from, msg } => StepKind::Deliver { from, msg },
             },
         )
-    }
-}
-
-/// Forward a hosted register context's effects one-to-one.
-fn relay<V: Clone + Debug + PartialEq>(
-    ctx: &mut Ctx<SwmrRegister<V>>,
-    ictx: &mut Ctx<AbdRegister<V>>,
-) {
-    for (to, msg) in ictx.take_sends() {
-        ctx.send(to, msg);
-    }
-    for out in ictx.take_outputs() {
-        ctx.output(out);
     }
 }
 
@@ -175,19 +168,12 @@ impl<V: Clone + Debug + PartialEq> MwmrFromSwmr<V> {
         idx: usize,
         f: impl FnOnce(&mut SwmrRegister<Cell<V>>, &mut Ctx<SwmrRegister<Cell<V>>>),
     ) {
-        let mut ictx =
-            Ctx::<SwmrRegister<Cell<V>>>::detached(ctx.me(), ctx.n(), ctx.now(), *ctx.fd());
-        f(&mut self.regs[idx], &mut ictx);
-        for (to, msg) in ictx.take_sends() {
-            ctx.send(
-                to,
-                MwMsg {
-                    instance: idx,
-                    inner: msg,
-                },
-            );
-        }
-        for out in ictx.take_outputs() {
+        let fd = *ctx.fd();
+        let wrap = |inner| MwMsg {
+            instance: idx,
+            inner,
+        };
+        for out in ctx.host(fd, wrap, |ictx| f(&mut self.regs[idx], ictx)) {
             self.on_instance_output(ctx, idx, out);
         }
     }

@@ -207,13 +207,6 @@ pub struct ExploreConfig {
     /// therefore *not* derived from the thread count); `1` reproduces a
     /// plain depth-first search exactly.
     pub batch: usize,
-    /// The budget-aware revisit rule: a revisited state is re-expanded
-    /// when the new visit is strictly shallower (it has more remaining
-    /// depth budget than the expansion the seen-table remembers). Enabled
-    /// by default — disabling it reintroduces a historical soundness bug
-    /// and exists only so regression tests can prove the fixtures still
-    /// catch it.
-    pub budget_aware: bool,
     /// Sleep-set dynamic partial-order reduction (default: off). It
     /// requires honest [`Protocol::footprint`] declarations — the default
     /// opaque footprint is sound but prunes nothing. See the
@@ -223,13 +216,6 @@ pub struct ExploreConfig {
     /// requires dedup and a group-invariant safety predicate. See the
     /// [module docs](self#state-space-reduction).
     pub symmetry: bool,
-    /// Build sleep sets even at depths where the failure pattern or the
-    /// detector oracle changes between `t` and `t + 1` — **test-only**:
-    /// reintroduces the naive (unsound) sleep-set implementation that
-    /// commutes steps across an oracle transition, so the regression
-    /// fixture can prove the stability guard is load-bearing. Meaningless
-    /// without [`ExploreConfig::dpor`].
-    pub unstable_sleep: bool,
     /// Observability handle (default: [`Obs::off`], which costs nothing).
     /// Metrics never influence the traversal or the report.
     pub obs: Obs,
@@ -245,10 +231,8 @@ impl ExploreConfig {
             dedup: true,
             threads: None,
             batch: DEFAULT_BATCH,
-            budget_aware: true,
             dpor: false,
             symmetry: false,
-            unstable_sleep: false,
             obs: Obs::off(),
         }
     }
@@ -278,14 +262,6 @@ impl ExploreConfig {
         self
     }
 
-    /// Disable the budget-aware revisit rule — **test-only**: this
-    /// deliberately reintroduces the historical "prune shallower revisits"
-    /// dedup bug so regression fixtures can prove they still detect it.
-    pub fn with_budget_aware(mut self, budget_aware: bool) -> Self {
-        self.budget_aware = budget_aware;
-        self
-    }
-
     /// Enable sleep-set dynamic partial-order reduction (default: off).
     /// Prunes interleavings that merely commute independent steps, as
     /// proven by the protocol's declared [`Protocol::footprint`]s; with
@@ -304,18 +280,6 @@ impl ExploreConfig {
     /// explorer enforces the restriction itself).
     pub fn with_symmetry(mut self, symmetry: bool) -> Self {
         self.symmetry = symmetry;
-        self
-    }
-
-    /// Skip the oracle-stability guard when building sleep sets —
-    /// **test-only**: this deliberately reintroduces the naive (unsound)
-    /// sleep-set implementation that treats locally-independent steps as
-    /// commutable even across a detector transition, so the regression
-    /// fixture in `tests/explore_dedup.rs` can prove the guard is
-    /// load-bearing (the analogue of
-    /// [`ExploreConfig::with_budget_aware`]).
-    pub fn with_unstable_sleep(mut self, unstable: bool) -> Self {
-        self.unstable_sleep = unstable;
         self
     }
 
@@ -1005,15 +969,10 @@ struct SeenCover {
 /// would sleep `sleep`. Coverage only ever *grows* as entries are pushed,
 /// which is what keeps the parallel pre-read sound: a pre-read prune
 /// verdict can never be invalidated by the sequential resolution pass.
-fn covered_by(
-    covers: &[SeenCover],
-    depth: usize,
-    sleep: &[ExploreDecision],
-    budget_aware: bool,
-) -> bool {
+fn covered_by(covers: &[SeenCover], depth: usize, sleep: &[ExploreDecision]) -> bool {
     covers
         .iter()
-        .any(|c| (!budget_aware || c.depth <= depth) && sleep_subset(&c.sleep, sleep))
+        .any(|c| c.depth <= depth && sleep_subset(&c.sleep, sleep))
 }
 
 /// Record a kept (re-)expansion: push its cover and drop entries it
@@ -1908,9 +1867,7 @@ where
                             .lock()
                             .expect("shard poisoned");
                         match shard.get(&key) {
-                            Some(entry) => {
-                                covered_by(entry, state.depth, &canon_sleep, cfg.budget_aware)
-                            }
+                            Some(entry) => covered_by(entry, state.depth, &canon_sleep),
                             None => false,
                         }
                     };
@@ -1943,8 +1900,7 @@ where
                             .expect("shard poisoned");
                         match shard.entry(key) {
                             Entry::Occupied(mut e) => {
-                                if covered_by(e.get(), state.depth, &canon_sleep, cfg.budget_aware)
-                                {
+                                if covered_by(e.get(), state.depth, &canon_sleep) {
                                     false
                                 } else {
                                     // Partial cover — restricted re-expansion
@@ -1969,10 +1925,8 @@ where
                                     // when no cover is valid, or when DPOR is
                                     // off (all sleeps empty then, so any
                                     // valid cover is a full cover).
-                                    let mut valid = e
-                                        .get()
-                                        .iter()
-                                        .filter(|c| !cfg.budget_aware || c.depth <= state.depth);
+                                    let mut valid =
+                                        e.get().iter().filter(|c| c.depth <= state.depth);
                                     let mandatory = valid.next().map(|first| {
                                         let mut m = first.sleep.clone();
                                         for c in valid {
@@ -2199,7 +2153,7 @@ where
                     // part of the parent's sleep plus the earlier-executed
                     // independent decisions — certified only when the
                     // pattern and detector are stable at this depth.
-                    let stable = cfg.unstable_sleep || dpor_stable.get(t).unwrap_or(false);
+                    let stable = dpor_stable.get(t).unwrap_or(false);
                     sleep_fps.clear();
                     sleep_fps.extend(
                         state
@@ -2784,27 +2738,18 @@ mod tests {
         );
         // With dedup on, the first visit of the pre-violation state happens
         // at depth 4 (via p1's tick cycle); the depth-2 revisit must be
-        // re-expanded, not pruned, or the violation is missed.
-        let dedup = depth_bug_report(ExploreConfig::new(6));
-        assert!(
-            dedup.violation.is_some(),
-            "dedup pruned a shallower revisit that still had budget \
-             (the documented exhaustive-up-to-depth guarantee is broken)"
-        );
-    }
-
-    #[test]
-    fn weakened_budget_rule_still_reproduces_the_historical_bug() {
-        // The fixture is only trustworthy if it *fails* when the budget
-        // rule is deliberately weakened back to "prune any revisit"
-        // (batch 1 pins the original DFS visit order the bug needs).
-        let weakened =
-            depth_bug_report(ExploreConfig::new(6).with_batch(1).with_budget_aware(false));
-        assert!(
-            weakened.violation.is_none(),
-            "the weakened rule unexpectedly found the violation — the \
-             regression fixture no longer exercises the budget rule"
-        );
+        // re-expanded, not pruned, or the violation is missed. Batch 1
+        // pins the plain DFS visit order in which a weakened rule misses
+        // it; the default batch checks the shipped traversal too.
+        for cfg in [ExploreConfig::new(6).with_batch(1), ExploreConfig::new(6)] {
+            let batch = cfg.batch;
+            let dedup = depth_bug_report(cfg);
+            assert!(
+                dedup.violation.is_some(),
+                "dedup pruned a shallower revisit that still had budget at batch \
+                 {batch} (the documented exhaustive-up-to-depth guarantee is broken)"
+            );
+        }
     }
 
     /// Regression fixture for the outputs-omitted-from-key dedup bug: both

@@ -327,7 +327,7 @@ pub(crate) fn initial_state<P: Protocol>(
 }
 
 // ---------------------------------------------------------------------------
-// Step application — the ONE place a decision becomes Protocol callbacks
+// Step application — where a decision becomes Protocol callbacks
 // ---------------------------------------------------------------------------
 
 /// A scheduling decision resolved against a concrete configuration: the
@@ -354,10 +354,12 @@ pub(crate) enum ResolvedStep<P: Protocol> {
     Tick,
 }
 
-/// Route one resolved step to the protocol's callbacks. Every consumer —
-/// engine, explorer, liveness graph, replays, diagrams — funnels through
-/// this single function, so "what does a step do" has exactly one
-/// definition in the workspace.
+/// Route one resolved step to the protocol's callbacks. The engine, the
+/// explorer, the liveness graph, replays and diagrams all funnel through
+/// this single function. Two step executors call the handlers directly
+/// instead: `wfd_extraction::Runner::step` (the Figure 3 simulations,
+/// outside this crate) and the `explore_baseline` differential oracle,
+/// which keeps its own copy of the step on purpose.
 pub(crate) fn dispatch<P: Protocol>(proc: &mut P, ctx: &mut Ctx<P>, step: ResolvedStep<P>) {
     match step {
         ResolvedStep::Start { inv } => {

@@ -409,8 +409,9 @@ pub type SendBuf<P> = Vec<(ProcessId, <P as Protocol>::Msg)>;
 
 impl<P: Protocol> Ctx<P> {
     /// Build a stand-alone context, e.g. for unit-testing a protocol
-    /// handler or for hosting a protocol inside another protocol
-    /// (transformation algorithms run *n* inner instances this way).
+    /// handler. To host a protocol inside another protocol (the
+    /// transformation algorithms run *n* inner instances), use
+    /// [`Ctx::host`], which builds and drains the inner context itself.
     ///
     /// `now` is visible to the harness only; protocols must not use it to
     /// make decisions that the paper's model would disallow (processes
@@ -527,6 +528,28 @@ impl<P: Protocol> Ctx<P> {
     pub fn take_outputs(&mut self) -> Vec<P::Output> {
         std::mem::take(&mut self.outputs)
     }
+
+    /// Run one step of a protocol `Q` hosted inside this one: `step` gets
+    /// a context with this step's [`me`](Ctx::me), [`n`](Ctx::n) and
+    /// [`now`](Ctx::now) and the detector value `fd`. Each message the
+    /// inner step sends is queued here as `wrap(msg)`, in send order and
+    /// after anything already queued; the inner outputs are returned in
+    /// emission order and are *not* added to this context's outputs — the
+    /// host decides what they mean.
+    #[inline]
+    pub fn host<Q: Protocol>(
+        &mut self,
+        fd: Q::Fd,
+        mut wrap: impl FnMut(Q::Msg) -> P::Msg,
+        step: impl FnOnce(&mut Ctx<Q>),
+    ) -> Vec<Q::Output> {
+        let mut inner = Ctx::<Q>::detached(self.me, self.n, self.now, fd);
+        step(&mut inner);
+        for (to, msg) in inner.sends {
+            self.send(to, wrap(msg));
+        }
+        inner.outputs
+    }
 }
 
 #[cfg(test)]
@@ -560,6 +583,51 @@ mod tests {
         // Draining twice yields nothing.
         assert!(ctx.take_sends().is_empty());
         assert!(ctx.take_outputs().is_empty());
+    }
+
+    /// A protocol hosted by [`Echo`]: it reports the context it ran in.
+    struct Probe;
+
+    impl Protocol for Probe {
+        type Msg = u32;
+        type Output = (ProcessId, usize, Time, char);
+        type Inv = ();
+        type Fd = char;
+
+        fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, msg: u32) {
+            ctx.send(from, msg);
+            ctx.output((ctx.me(), ctx.n(), ctx.now(), *ctx.fd()));
+            ctx.send(ctx.me(), msg + 1);
+            ctx.output((from, 0, 0, '.'));
+        }
+    }
+
+    #[test]
+    fn host_runs_the_inner_step_in_the_hosts_context() {
+        let mut ctx = Ctx::<Echo>::detached(ProcessId(1), 4, 9, ());
+        ctx.send(ProcessId(3), 7);
+        ctx.output(8);
+        let outs = ctx.host::<Probe>(
+            'x',
+            |m| 1000 + m,
+            |ictx| Probe.on_message(ictx, ProcessId(2), 5),
+        );
+        assert_eq!(
+            outs,
+            vec![(ProcessId(1), 4, 9, 'x'), (ProcessId(2), 0, 0, '.')],
+            "the inner step sees the host's me, n and now and the given fd; \
+             its outputs come back in order"
+        );
+        assert_eq!(
+            ctx.take_sends(),
+            vec![
+                (ProcessId(3), 7),
+                (ProcessId(2), 1005),
+                (ProcessId(1), 1006)
+            ],
+            "inner sends are wrapped, in order, after the host's own"
+        );
+        assert_eq!(ctx.take_outputs(), vec![8], "no inner output is emitted");
     }
 
     #[test]

@@ -120,13 +120,18 @@ impl SchedulerSpec {
         };
         match name {
             "round-robin" => Ok(SchedulerSpec::RoundRobin),
-            "random-fair" => Ok(SchedulerSpec::RandomFair {
-                seed: seed()?,
-                lambda_pct: v
+            "random-fair" => {
+                let seed = seed()?;
+                let pct = v
                     .get("lambda_pct")
                     .and_then(Json::as_u64)
-                    .ok_or("scheduler.lambda_pct missing")? as u32,
-            }),
+                    .ok_or("scheduler.lambda_pct missing")?;
+                let lambda_pct = u32::try_from(pct)
+                    .ok()
+                    .filter(|&p| p <= 100)
+                    .ok_or_else(|| format!("scheduler.lambda_pct {pct} is outside 0..=100"))?;
+                Ok(SchedulerSpec::RandomFair { seed, lambda_pct })
+            }
             "adversarial" => Ok(SchedulerSpec::Adversarial { seed: seed()? }),
             "exhaustive" => Ok(SchedulerSpec::Exhaustive),
             other => Err(format!("unknown scheduler '{other}'")),
@@ -946,6 +951,26 @@ mod tests {
     fn rejects_artifacts_past_max_processes() {
         let err = Repro::from_json(&repro_with_n(MAX_PROCESSES + 1).to_json()).unwrap_err();
         assert!(err.contains("MAX_PROCESSES = 64"), "{err}");
+    }
+
+    #[test]
+    fn lambda_pct_loads_only_as_a_percentage() {
+        let mut r = sample_fuzz_repro();
+        r.scheduler = SchedulerSpec::RandomFair {
+            seed: 42,
+            lambda_pct: 100,
+        };
+        let json = r.to_json();
+        let parsed = Repro::from_json(&json).unwrap();
+        assert_eq!(parsed, r);
+        assert_eq!(parsed.to_json(), json);
+        // 4294967321 is 2^32 + 25: a truncating cast would load it as 25.
+        for bad in ["101", "4294967321"] {
+            let text = json.replace("\"lambda_pct\": 100", &format!("\"lambda_pct\": {bad}"));
+            assert_ne!(text, json);
+            let err = Repro::from_json(&text).unwrap_err();
+            assert!(err.contains("scheduler.lambda_pct"), "{err}");
+        }
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! (pruning shallower revisits with remaining budget; merging states that
 //! differed only in output history — both would break ladder 2) and for
 //! the naive sleep-set implementation that commutes steps across a
-//! detector transition (a hand-traced fixture proves the miss is still
-//! reproducible via `with_unstable_sleep`).
+//! detector transition (a hand-traced fixture that the naive
+//! implementation reports clean).
 
 use wfd_sim::{
     explore, explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern,
@@ -539,8 +539,7 @@ fn reduced_violations_round_trip_through_repro() {
 /// The real implementation certifies independence only at depths where
 /// crash status and detector values are stable between `t` and `t + 1` —
 /// nowhere in this scenario — so it builds no sleep sets and finds the
-/// violation. `with_unstable_sleep` re-enables the naive behavior so
-/// this fixture keeps the miss reproducible.
+/// violation.
 #[test]
 fn naive_sleep_sets_would_miss_the_oracle_transition() {
     #[derive(Clone, Debug, PartialEq)]
@@ -570,47 +569,33 @@ fn naive_sleep_sets_would_miss_the_oracle_transition() {
         }
     }
 
-    let run = |unstable: bool| {
-        explore(
-            ExploreConfig::new(2)
-                .with_threads(1)
-                .with_batch(1)
-                .with_dpor(true)
-                .with_unstable_sleep(unstable),
-            || {
-                (0..2)
-                    .map(|_| TimeBomb {
-                        started: false,
-                        armed: false,
-                    })
-                    .collect()
-            },
-            vec![None, None],
-            &FailurePattern::failure_free(2),
-            FnDetector::new(|_p: ProcessId, t: Time| t),
-            |procs: &[TimeBomb], _: &[(ProcessId, ())]| {
-                if procs[0].started && procs[1].armed {
-                    Err("p1 armed at t = 0 and p0 started after it".into())
-                } else {
-                    Ok(())
-                }
-            },
-        )
-    };
-
-    let sound = run(false);
+    let sound = explore(
+        ExploreConfig::new(2)
+            .with_threads(1)
+            .with_batch(1)
+            .with_dpor(true),
+        || {
+            (0..2)
+                .map(|_| TimeBomb {
+                    started: false,
+                    armed: false,
+                })
+                .collect()
+        },
+        vec![None, None],
+        &FailurePattern::failure_free(2),
+        FnDetector::new(|_p: ProcessId, t: Time| t),
+        |procs: &[TimeBomb], _: &[(ProcessId, ())]| {
+            if procs[0].started && procs[1].armed {
+                Err("p1 armed at t = 0 and p0 started after it".into())
+            } else {
+                Ok(())
+            }
+        },
+    );
     assert!(
         sound.violation.is_some(),
         "the stability guard must keep the armed interleaving reachable: {sound:?}"
-    );
-    let naive = run(true);
-    assert!(
-        naive.violation.is_none(),
-        "fixture stale: naive sleep sets no longer prune the miss: {naive:?}"
-    );
-    assert!(
-        naive.states_pruned_dpor > 0,
-        "the naive miss must come from a sleep prune: {naive:?}"
     );
 }
 
@@ -626,12 +611,9 @@ fn naive_sleep_sets_would_miss_the_oracle_transition() {
 /// cannot see that: `{:?}` says `Opaque(·) == Opaque(·)`, the certificate
 /// wrongly reports the detector stable, sleep sets get built, and the
 /// single armed interleaving is pruned. The historical implementation
-/// compared exactly those fingerprints, so this test fails on it
-/// (`run(false)` reports a clean space); the structural comparison sees
+/// compared exactly those fingerprints, so this test fails on it (it
+/// reports a clean space); the structural comparison sees
 /// `Opaque(0) != Opaque(1)` and keeps the violation reachable.
-/// `with_unstable_sleep` reproduces the miss on demand — for this
-/// scenario it builds the same sleep sets the fingerprint certificate
-/// would have certified.
 #[test]
 fn debug_alike_fd_values_must_not_certify_independence() {
     /// Structurally distinct detector values sharing one `Debug` rendering.
@@ -671,47 +653,33 @@ fn debug_alike_fd_values_must_not_certify_independence() {
         }
     }
 
-    let run = |unstable: bool| {
-        explore(
-            ExploreConfig::new(2)
-                .with_threads(1)
-                .with_batch(1)
-                .with_dpor(true)
-                .with_unstable_sleep(unstable),
-            || {
-                (0..2)
-                    .map(|_| Sleeper {
-                        started: false,
-                        armed: false,
-                    })
-                    .collect()
-            },
-            vec![None, None],
-            &FailurePattern::failure_free(2),
-            FnDetector::new(|_p: ProcessId, t: Time| Opaque(t)),
-            |procs: &[Sleeper], _: &[(ProcessId, ())]| {
-                if procs[0].started && procs[1].armed {
-                    Err("p1 armed behind an opaque rendering and p0 started after it".into())
-                } else {
-                    Ok(())
-                }
-            },
-        )
-    };
-
-    let structural = run(false);
+    let structural = explore(
+        ExploreConfig::new(2)
+            .with_threads(1)
+            .with_batch(1)
+            .with_dpor(true),
+        || {
+            (0..2)
+                .map(|_| Sleeper {
+                    started: false,
+                    armed: false,
+                })
+                .collect()
+        },
+        vec![None, None],
+        &FailurePattern::failure_free(2),
+        FnDetector::new(|_p: ProcessId, t: Time| Opaque(t)),
+        |procs: &[Sleeper], _: &[(ProcessId, ())]| {
+            if procs[0].started && procs[1].armed {
+                Err("p1 armed behind an opaque rendering and p0 started after it".into())
+            } else {
+                Ok(())
+            }
+        },
+    );
     assert!(
         structural.violation.is_some(),
         "a Debug-blind detector transition must still block the certificate: {structural:?}"
-    );
-    let fingerprint_alike = run(true);
-    assert!(
-        fingerprint_alike.violation.is_none(),
-        "fixture stale: the rendering collision no longer prunes the miss: {fingerprint_alike:?}"
-    );
-    assert!(
-        fingerprint_alike.states_pruned_dpor > 0,
-        "the fingerprint miss must come from a sleep prune: {fingerprint_alike:?}"
     );
 }
 
