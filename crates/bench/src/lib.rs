@@ -1,11 +1,11 @@
 //! # wfd-bench — the experiment harness
 //!
 //! One binary per experiment of the per-experiment index in DESIGN.md
-//! (`cargo run -p wfd-bench --bin exp_…`), plus microbenches
-//! (`cargo bench -p wfd-bench`). Each binary prints a human-readable
-//! table and writes the same rows as JSON under `target/experiments/`
-//! (overridable via `WFD_EXPERIMENTS_DIR`), which is what EXPERIMENTS.md
-//! records.
+//! (`cargo run -p wfd-bench --bin exp_…`). Each binary prints a
+//! human-readable table and writes the same rows as JSON under
+//! `target/experiments/` (overridable via `WFD_EXPERIMENTS_DIR`), which
+//! is what EXPERIMENTS.md records. End-to-end timing lives in the
+//! separate `wfd-benchmark` package under `benchmark/`.
 //!
 //! Sweep-style experiments fan their runs across cores with [`sweep`];
 //! every run stays deterministic given its own seed and results are
@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod fuzz;
-pub mod harness;
 pub mod sweep;
 
 use std::fmt::Display;

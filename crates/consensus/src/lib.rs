@@ -18,15 +18,11 @@
 //! * [`smr_register`] — the state-machine step of Corollary 3: registers
 //!   replicated over consensus instances, composing with Figure 1 into
 //!   the executable necessity chain *consensus → registers → Σ*.
-//! * [`multivalued`] — the Mostéfaoui–Raynal–Tronel transformation from
-//!   binary to multivalued consensus, used by the Figure 3 extraction
-//!   argument (footnote 6 of the paper).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chandra_toueg;
-pub mod multivalued;
 pub mod omega_sigma;
 pub mod register_omega;
 pub mod smr_register;

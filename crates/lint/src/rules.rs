@@ -90,18 +90,11 @@ static RULES: [Rule; 10] = [
         summary: "wall-clock time and OS entropy break replayability",
         help: "simulated runs must use the engine's Time; randomness must come \
                from SimRng seeded by the run",
-        excluded: &[
-            (
-                "crates/bench/",
-                "the benchmark harness measures wall-clock by design; its \
-                 timings feed experiment tables, never protocol decisions",
-            ),
-            (
-                "crates/sim/src/obs.rs",
-                "observability timers write to a side table nothing on the \
-                 decision path reads (proven by obs_invariance.rs)",
-            ),
-        ],
+        excluded: &[(
+            "crates/sim/src/obs.rs",
+            "observability timers write to a side table nothing on the \
+             decision path reads (proven by obs_invariance.rs)",
+        )],
         only: None,
         matcher: match_wall_clock,
     },
@@ -195,8 +188,8 @@ static RULES: [Rule; 10] = [
         excluded: &[
             (
                 "crates/bench/",
-                "the harness reads wall-clock and env by contract; nothing \
-                 here feeds protocol decisions",
+                "the fuzz campaign reads its size (`WFD_FUZZ_*`) from the \
+                 environment by contract; nothing here feeds protocol decisions",
             ),
             (
                 "crates/sim/src/obs.rs",
@@ -486,7 +479,7 @@ mod tests {
         assert!(unwrap.applies("crates/sim/src/engine.rs").is_ok());
         assert!(unwrap.applies("crates/registers/src/abd.rs").is_err());
         let d2 = rule_by_id("d2-wall-clock").expect("rule exists");
-        assert!(d2.applies("crates/bench/src/harness.rs").is_err());
+        assert!(d2.applies("crates/sim/src/obs.rs").is_err());
         assert!(d2.applies("crates/sim/src/engine.rs").is_ok());
     }
 }

@@ -144,17 +144,17 @@ fn bad_fixtures_exit_one() {
 
 #[test]
 fn out_of_scope_label_silences_scoped_rules() {
-    // The same known-bad d2 source is fine inside the bench harness,
-    // whose whole purpose is timing.
-    let out = lint_source("crates/bench/src/harness.rs", &fixture("d2_bad.rs"));
+    // The same known-bad d2 source is fine inside the observability
+    // layer, whose timers feed a side table only.
+    let out = lint_source("crates/sim/src/obs.rs", &fixture("d2_bad.rs"));
     assert!(
         out.findings.iter().all(|f| f.rule != "d2-wall-clock"),
-        "bench is out of d2 scope: {:#?}",
+        "obs.rs is out of d2 scope: {:#?}",
         out.findings
     );
-    // The same env-tainted source is sanctioned inside the bench
-    // harness and the env-override boundary.
-    for label in ["crates/bench/src/harness.rs", "crates/sim/src/env.rs"] {
+    // The same env-tainted source is sanctioned inside the fuzz
+    // campaign and the env-override boundary.
+    for label in ["crates/bench/src/fuzz.rs", "crates/sim/src/env.rs"] {
         let out = lint_source(label, &fixture("d6_bad.rs"));
         assert!(
             out.findings.iter().all(|f| f.rule != "d6-taint"),

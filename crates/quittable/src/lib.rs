@@ -12,6 +12,10 @@
 //! * [`psi_qc`] — **Figure 2**: the algorithm solving QC with Ψ. Wait out
 //!   the ⊥ phase; if Ψ turns into FS, return `Q`; if it turns into
 //!   (Ω, Σ), run the consensus algorithm of `wfd-consensus` on it.
+//! * [`multivalued`] — footnote 6: any binary QC algorithm made
+//!   multivalued (Mostéfaoui–Raynal–Tronel). Over [`ConsensusAsQc`],
+//!   which never quits, it is the binary-to-multivalued consensus
+//!   transformation.
 //!
 //! The necessity half (Figure 3, extracting Ψ from any QC algorithm)
 //! lives in `wfd-extraction`.

@@ -14,8 +14,9 @@
 //! * [`registers`] — atomic registers from Σ (ABD), the majority baseline,
 //!   linearizability checking, and the Figure 1 Σ-extraction.
 //! * [`consensus`] — consensus from (Ω, Σ), the register-based Ω algorithm,
-//!   the Chandra–Toueg baseline, and the multivalued transformation.
-//! * [`quittable`] — quittable consensus and the Figure 2 Ψ algorithm.
+//!   and the Chandra–Toueg baseline.
+//! * [`quittable`] — quittable consensus, the Figure 2 Ψ algorithm, and
+//!   footnote 6's binary-to-multivalued transformation.
 //! * [`extraction`] — CHT-style machinery and the Figure 3 Ψ-extraction.
 //! * [`nbac`] — non-blocking atomic commit and the Figure 4/5
 //!   transformations.
