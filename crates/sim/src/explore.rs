@@ -51,6 +51,20 @@
 //!   renderings as a `String` key and exists to property-test that the
 //!   fingerprint never changes a verdict; it, or any other
 //!   [`StateHasher`], goes through [`explore_custom`].
+//! * **Keyed before built** — most children are revisits, and a revisit
+//!   needs only its key. When the transition memo holds a child's step
+//!   and the step emitted nothing, the child's key is composed from its
+//!   parent's keys and the memo row, and the child goes onto the frontier
+//!   unbuilt: its parent (shared), its decision and its key, one entry in
+//!   the stack position a built child would take. The revisit rule reads
+//!   that key as it reads a built state's, so a child it drops is never
+//!   cloned, stepped or recycled, and one it keeps is built by the worker
+//!   that expands it. A parent stays alive while any of its deferred
+//!   children waits on the frontier. Children stay eager under DPOR
+//!   (each executed step's footprint is checked and slept on) and under a
+//!   usable symmetry group (the canonicalizer renames built components).
+//!   On the benchmark's `paper_safety` this skips about 70 % of the
+//!   handler calls; the traversal, and so every report, is unchanged.
 //! * **Shared-prefix states** — the per-branch decision and output
 //!   histories are `Arc`-linked cons-lists sharing their prefix with the
 //!   parent state, materialized into flat vectors only when the safety
@@ -155,7 +169,7 @@ use std::fmt::Debug;
 use std::hash::{Hash, Hasher as _};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering}; // wfd-lint: allow(d3-atomics, the halt flag is an expansion-skip hint only; the merge step resolves every batch deterministically regardless of timing)
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant; // wfd-lint: allow(d2-wall-clock, feeds obs phase timers only, a side table nothing on the decision path reads; proven by obs_invariance.rs)
 
 /// Upper bound on seen-table shards (the historical fixed width).
@@ -337,7 +351,9 @@ pub struct ExploreReport {
     /// not yet cover — and the individual child states a restriction
     /// skipped.
     pub dedup_hits: usize,
-    /// High-water mark of the pending-state frontier, in states.
+    /// High-water mark of the pending frontier, in entries: built states
+    /// and children keyed but not yet built count alike, one entry per
+    /// child.
     pub max_frontier_len: usize,
     /// Child states skipped by sleep-set partial-order reduction. 0
     /// unless [`ExploreConfig::dpor`] is on — and 0 with it on when the
@@ -465,19 +481,23 @@ impl ExploreReport {
 /// equal `Debug` renderings) are equal.
 ///
 /// The composition is also what lets the explorer key states
-/// incrementally, almost without rendering. Every explorer state carries
-/// its slot keys and its pending messages' keys, and a child inherits
-/// its parent's: a delivery drops the delivered message's key, an append
-/// adds the sent message's, and every touched inbox recomposes its `seq`
-/// from message keys. What the step itself produced (the actor's new
-/// process key, the keys of the messages it sent) comes from a
-/// per-worker transition memo looked up by everything that determines
+/// incrementally, almost without rendering. Every built explorer state
+/// carries its slot keys and its pending messages' keys, and a child
+/// inherits its parent's: a delivery drops the delivered message's key,
+/// an append adds the sent message's, and every touched inbox recomposes
+/// its `seq` from message keys. What the step itself produced (the
+/// actor's new process key, the keys of the messages it sent) comes from
+/// a per-worker transition memo looked up by everything that determines
 /// it: the actor, the step time, whether the actor had started, its
 /// process key and the delivered message's key. That lookup is sound
 /// under the same assumption, because a [`Protocol`] handler's effect is
 /// a function of its state, the step and `Ctx::{me, n, now, fd}`. Only a
 /// memo miss renders (the actor's new state and each message it sent,
-/// once), and the output history is re-keyed when a step emits. The
+/// once), and the output history is re-keyed when a step emits. On a
+/// memo hit for a step that emitted nothing, the child's key is composed
+/// from the parent's keys and the memo row before the child is built,
+/// and the child waits on the frontier as that key; it is built, and
+/// its slot keys inherited, only if the revisit rule keeps it. The
 /// composed key is the same as keying the child in full, so inheriting
 /// keys changes no report.
 ///
@@ -498,8 +518,11 @@ pub trait StateHasher: Sync {
     type Slot: Eq + Hash + Clone + Send + Sync;
 
     /// The dedup key type. `Ord` so symmetry canonicalization can take
-    /// the least key over the candidate permutations deterministically.
-    type Key: Eq + Ord + Hash + Clone + Send;
+    /// the least key over the candidate permutations deterministically;
+    /// `Sync` because a child keyed before it is built waits on the
+    /// explorer's frontier as its key, which the parallel key phase reads
+    /// from every worker.
+    type Key: Eq + Ord + Hash + Clone + Send + Sync;
 
     /// Key one state component from its `Debug` rendering: a process
     /// state, one pending `(sender, message)` entry, or the output
@@ -651,24 +674,25 @@ impl<S> SlotKeys<S> {
     }
 
     /// Become the keys of the state `step` produced (components `procs`
-    /// and `inboxes`) from a state whose keys are `parent` (slot keys,
-    /// message keys) and whose inboxes are `before`, without rendering
-    /// on a memo hit. Returns whether `memo` held the step.
+    /// and `inboxes`; `emitted` when it appended to the output history)
+    /// from a state whose keys are `parent` (slot keys, message keys) and
+    /// whose inboxes are `before`, without rendering on a memo hit.
+    /// Returns whether `memo` held the step.
     ///
     /// The actor's process key and the keys of the messages the step
-    /// appended come from `memo`; a miss renders them and records them.
-    /// Every inbox keeps its parent's message keys, less the delivered
-    /// one for the actor's, plus the appended ones; an inbox the step
-    /// delivered from or appended to recomposes its key with
-    /// [`StateHasher::seq`], and every other slot key is inherited. The
-    /// output key is inherited as is; a caller whose step may emit
+    /// appended come from `memo`; a miss renders them and records them,
+    /// with `emitted`. Every inbox keeps its parent's message keys, less
+    /// the delivered one for the actor's, plus the appended ones; an
+    /// inbox the step delivered from or appended to recomposes its key
+    /// with [`StateHasher::seq`], and every other slot key is inherited.
+    /// The output key is inherited as is; a caller whose step emitted
     /// re-keys it.
     ///
     /// # Panics
     ///
-    /// Panics if a memoized effect does not fit the step's inboxes: the
-    /// handler's effect was not a function of what the memo is keyed by
-    /// (see [`Protocol`]).
+    /// Panics if a memoized effect does not fit the step's inboxes or
+    /// `emitted`: the handler's effect was not a function of what the
+    /// memo is keyed by (see [`Protocol`]).
     #[allow(clippy::too_many_arguments)] // the step's inputs, each documented above
     pub(crate) fn inherit<H, P>(
         &mut self,
@@ -678,6 +702,7 @@ impl<S> SlotKeys<S> {
         before: &[Vec<(ProcessId, P::Msg)>],
         procs: &[P],
         inboxes: &[Vec<(ProcessId, P::Msg)>],
+        emitted: bool,
         step: Step,
     ) -> bool
     where
@@ -687,14 +712,7 @@ impl<S> SlotKeys<S> {
     {
         let (parent_slots, parent_msgs) = parent;
         let (n, a) = (procs.len(), step.actor.index());
-        let actor_run: usize = before[..a].iter().map(Vec::len).sum();
-        let key = StepKey {
-            actor: a,
-            t: step.t,
-            started: step.started,
-            proc: parent_slots[a].clone(),
-            delivered: step.delivered.map(|i| parent_msgs[actor_run + i].clone()),
-        };
+        let key = StepKey::new(step, parent, before);
         let (effect, hit) = memo.effect(key, || {
             let mut sent = Vec::new();
             for (j, (inbox, old)) in inboxes.iter().zip(before).enumerate() {
@@ -704,35 +722,31 @@ impl<S> SlotKeys<S> {
             StepEffect {
                 proc: hasher.slot(&procs[a]),
                 sent,
+                emitted,
             }
         });
+        assert_eq!(
+            effect.emitted,
+            emitted,
+            "a memoized step of {} does not fit its successor's output history: a \
+             handler's effect must be a function of its state, the step and \
+             Ctx::{{me, n, now, fd}}",
+            std::any::type_name::<P>(),
+        );
         // Reuses the allocations a recycled key vector kept.
         self.slots.clear();
         self.slots.extend_from_slice(parent_slots);
         self.slots[a].clone_from(&effect.proc);
         self.msgs.clear();
-        let mut sent = effect.sent.iter().peekable();
-        let mut old_start = 0;
-        for (j, (inbox, old)) in inboxes.iter().zip(before).enumerate() {
-            let old_keys = &parent_msgs[old_start..old_start + old.len()];
-            old_start += old.len();
+        effect.for_each_inbox(parent_msgs, before, step, |j, kept, sent, touched| {
             let start = self.msgs.len();
-            let removed = step.delivered.filter(|_| j == a);
-            match removed {
-                Some(i) => {
-                    self.msgs.extend_from_slice(&old_keys[..i]);
-                    self.msgs.extend_from_slice(&old_keys[i + 1..]);
-                }
-                None => self.msgs.extend_from_slice(old_keys),
+            for run in kept {
+                self.msgs.extend_from_slice(run);
             }
-            let mut touched = removed.is_some();
-            while let Some((_, key)) = sent.next_if(|(to, _)| *to == j) {
-                self.msgs.push(key.clone());
-                touched = true;
-            }
+            self.msgs.extend(sent.iter().map(|(_, key)| key.clone()));
             assert_eq!(
                 self.msgs.len() - start,
-                inbox.len(),
+                inboxes[j].len(),
                 "a memoized step of {} does not fit its successor's inbox {j}: a \
                  handler's effect must be a function of its state, the step and \
                  Ctx::{{me, n, now, fd}}",
@@ -741,8 +755,55 @@ impl<S> SlotKeys<S> {
             if touched {
                 self.slots[n + j] = hasher.seq(self.msgs[start..].iter());
             }
-        }
+        });
         hit
+    }
+
+    /// The key of the state `step` produces from a state whose keys are
+    /// `self`, whose inboxes are `before` and whose `started` bits are
+    /// `started`, composed from `memo`'s row for the step without
+    /// building the state: the keys [`SlotKeys::inherit`] would give it,
+    /// composed with the successor's `started` bits as words. `None` when
+    /// `memo` does not hold the step, or when the step emitted, so that
+    /// its output history would need re-keying. `inboxes` is scratch for
+    /// the successor's inbox keys.
+    pub(crate) fn compose_successor<H, M>(
+        &self,
+        hasher: &H,
+        memo: &StepMemo<S>,
+        before: &[Vec<M>],
+        started: &[bool],
+        step: Step,
+        inboxes: &mut Vec<S>,
+    ) -> Option<H::Key>
+    where
+        H: StateHasher<Slot = S> + ?Sized,
+        S: Eq + Hash + Clone,
+    {
+        let key = StepKey::new(step, (&self.slots, &self.msgs), before);
+        let effect = memo.rows.get(&key).filter(|effect| !effect.emitted)?;
+        let a = step.actor.index();
+        inboxes.clear();
+        inboxes.extend_from_slice(self.inboxes());
+        effect.for_each_inbox(
+            &self.msgs,
+            before,
+            step,
+            |j, [head, tail], sent, touched| {
+                if touched {
+                    let kept = head.iter().chain(tail);
+                    inboxes[j] = hasher.seq(kept.chain(sent.iter().map(|(_, key)| key)));
+                }
+            },
+        );
+        let procs = self.procs().iter().enumerate();
+        Some(hasher.compose(
+            procs.zip(inboxes.iter()).map(|((j, proc), inbox)| {
+                let proc = if j == a { &effect.proc } else { proc };
+                (proc, inbox, u64::from(j == a || started[j]))
+            }),
+            self.outputs(),
+        ))
     }
 }
 
@@ -803,6 +864,7 @@ where
             started: before.started[actor.index()],
             delivered: state.decisions.as_ref().and_then(|d| d.decision.1),
         };
+        let emitted = state.outputs_len != before.outputs_len;
         let hit = self.keys.inherit(
             hasher,
             memo,
@@ -810,14 +872,62 @@ where
             &before.inboxes,
             &state.procs,
             &state.inboxes,
+            emitted,
             step,
         );
-        if state.outputs_len != before.outputs_len {
+        if emitted {
             materialize_outputs(&state.outputs, state.outputs_len, outputs);
             let n = state.procs.len();
             self.keys.slots[2 * n] = hasher.slot(outputs.as_slice());
         }
         hit
+    }
+
+    /// The key of this state's child by `decision`, composed from the
+    /// transition memo without building the child, when the memo holds
+    /// the step and the step emitted nothing (see
+    /// [`SlotKeys::compose_successor`]). `inboxes` is scratch.
+    fn child_key<H>(
+        &self,
+        hasher: &H,
+        memo: &StepMemo<S>,
+        (actor, choice): ExploreDecision,
+        inboxes: &mut Vec<S>,
+    ) -> Option<H::Key>
+    where
+        H: StateHasher<Slot = S>,
+    {
+        let state = &self.state;
+        let a = actor.index();
+        let started = state.started[a];
+        let len = state.inboxes[a].len();
+        let step = Step {
+            actor,
+            t: state.depth as Time,
+            started,
+            // Resolved as the step resolves it: a first step or an empty
+            // inbox delivers nothing, and a position is clamped.
+            delivered: choice
+                .filter(|_| started && len > 0)
+                .map(|i| i.min(len - 1)),
+        };
+        self.keys
+            .compose_successor(hasher, memo, &state.inboxes, &state.started, step, inboxes)
+    }
+
+    /// Debug builds: the keys this state inherited must equal a full
+    /// re-key.
+    #[cfg(debug_assertions)]
+    fn assert_keys_fresh<H>(&self, hasher: &H, outputs: &mut Vec<(ProcessId, P::Output)>)
+    where
+        H: StateHasher<Slot = S>,
+    {
+        assert!(
+            self.full_keys(hasher, outputs) == self.keys,
+            "inherited slot keys diverge from a full re-key at depth {} (decisions {:?})",
+            self.state.depth,
+            self.state.collect_decisions(),
+        );
     }
 }
 
@@ -983,14 +1093,15 @@ fn push_cover(entry: &mut Vec<SeenCover>, depth: usize, sleep: Vec<ExploreDecisi
     entry.push(SeenCover { depth, sleep });
 }
 
-/// Dense per-batch cache of one detector value per `(process, time)`
-/// pair, with a touched-slot list so clearing between batches costs
-/// O(entries written), not O(capacity). Replaces a `HashMap` keyed by
-/// `(usize, Time)`: the cache sits on determinism-scoped code, and dense
-/// indexing leaves no iteration-order question for wfd-lint to audit.
+/// Dense cache of one detector value per `(process, time)` pair, filled
+/// once per exploration: oracles are pure in `(p, t)`, so a value stays
+/// valid for every later batch, and a child built batches after its
+/// parent was expanded reads its step's value from here. Replaces a
+/// `HashMap` keyed by `(usize, Time)`: the cache sits on
+/// determinism-scoped code, and dense indexing leaves no iteration-order
+/// question for wfd-lint to audit.
 struct FdTable<F> {
     slots: Vec<Option<F>>,
-    touched: Vec<usize>,
     stride: usize,
 }
 
@@ -1000,30 +1111,21 @@ impl<F> FdTable<F> {
         let stride = max_depth + 1;
         FdTable {
             slots: (0..n * stride).map(|_| None).collect(),
-            touched: Vec::new(),
             stride,
         }
     }
 
-    fn clear(&mut self) {
-        for &i in &self.touched {
-            self.slots[i] = None;
-        }
-        self.touched.clear();
-    }
-
     fn fill_with(&mut self, p: usize, t: Time, f: impl FnOnce() -> F) {
-        let i = p * self.stride + t as usize;
-        if self.slots[i].is_none() {
-            self.slots[i] = Some(f());
-            self.touched.push(i);
+        let slot = &mut self.slots[p * self.stride + t as usize];
+        if slot.is_none() {
+            *slot = Some(f());
         }
     }
 
     fn get(&self, p: usize, t: Time) -> &F {
         self.slots[p * self.stride + t as usize]
             .as_ref()
-            .expect("oracle phase fills every alive (p, t) in the batch")
+            .expect("the oracle phase filled every alive (p, t) of every expanded depth")
     }
 }
 
@@ -1239,13 +1341,68 @@ struct StepKey<S> {
     delivered: Option<S>,
 }
 
+impl<S: Clone> StepKey<S> {
+    /// The memo key of `step` from a state whose keys are `parent` (slot
+    /// keys, message keys) and whose inboxes are `before`.
+    fn new<M>(step: Step, parent: (&[S], &[S]), before: &[Vec<M>]) -> Self {
+        let (slots, msgs) = parent;
+        let a = step.actor.index();
+        let actor_run: usize = before[..a].iter().map(Vec::len).sum();
+        StepKey {
+            actor: a,
+            t: step.t,
+            started: step.started,
+            proc: slots[a].clone(),
+            delivered: step.delivered.map(|i| msgs[actor_run + i].clone()),
+        }
+    }
+}
+
 /// What a step did, in keys: the actor's new process key, and the keys
 /// of the messages it appended, destination by destination (ascending),
 /// each destination's in send order. Sends a crash dropped are not
-/// among them.
+/// among them. `emitted` records whether the step appended to the
+/// output history, which the row does not key; the liveness checker,
+/// whose fair-graph nodes keep no output history, always records
+/// `false`.
 struct StepEffect<S> {
     proc: S,
     sent: Vec<(usize, S)>,
+    emitted: bool,
+}
+
+impl<S> StepEffect<S> {
+    /// Walk the successor's inboxes in order, for a step from a state
+    /// whose message keys are `parent_msgs` and whose inboxes are
+    /// `before`. `f(j, kept, sent, touched)` gets inbox `j`'s parent
+    /// message keys less the one the step delivered, as the runs before
+    /// and after it; the keys of the messages this effect appended to
+    /// it; and whether the step delivered from or appended to it.
+    fn for_each_inbox<M>(
+        &self,
+        parent_msgs: &[S],
+        before: &[Vec<M>],
+        step: Step,
+        mut f: impl FnMut(usize, [&[S]; 2], &[(usize, S)], bool),
+    ) {
+        let (mut old_start, mut sent_start) = (0, 0);
+        for (j, old) in before.iter().enumerate() {
+            let old_keys = &parent_msgs[old_start..old_start + old.len()];
+            old_start += old.len();
+            let sent_len = self.sent[sent_start..]
+                .iter()
+                .take_while(|(to, _)| *to == j)
+                .count();
+            let sent = &self.sent[sent_start..sent_start + sent_len];
+            sent_start += sent_len;
+            let removed = step.delivered.filter(|_| j == step.actor.index());
+            let kept = match removed {
+                Some(i) => [&old_keys[..i], &old_keys[i + 1..]],
+                None => [old_keys, &[]],
+            };
+            f(j, kept, sent, removed.is_some() || !sent.is_empty());
+        }
+    }
 }
 
 /// A worker's transition memo: what each step it has keyed did to the
@@ -1545,23 +1702,133 @@ where
 // The explorer
 // ---------------------------------------------------------------------------
 
-/// Return a no-longer-needed state to the arena (dropping its shared
-/// history links so unshared chain segments are freed promptly). Its
-/// slot keys stay allocated for the next state to overwrite.
-fn recycle<P: Protocol, S>(mut s: KeyedState<P, S>, pool: &mut Vec<KeyedState<P, S>>) {
+/// A built explorer state, shared between the frontier entry or
+/// survivor that holds it and the deferred children that will be built
+/// from it.
+type Shared<P, S> = Arc<KeyedState<P, S>>;
+
+/// A child keyed but not yet built: its parent, the decision that leads
+/// to it, and its key, composed from the parent's keys and the
+/// transition memo's row for the step without running the handler
+/// ([`KeyedState::child_key`]). The revisit rule reads the key as it
+/// reads a built state's; a child the rule drops is never built, and one
+/// it keeps is built by the worker that expands it.
+struct Deferred<P: Protocol, S, K> {
+    parent: Shared<P, S>,
+    decision: ExploreDecision,
+    key: K,
+}
+
+/// One frontier entry: a built state, or a deferred child.
+enum Frontier<P: Protocol, S, K> {
+    Built(Shared<P, S>),
+    Deferred(Deferred<P, S, K>),
+}
+
+impl<P: Protocol, S, K> Frontier<P, S, K> {
+    fn depth(&self) -> usize {
+        match self {
+            Frontier::Built(node) => node.state.depth,
+            Frontier::Deferred(child) => child.parent.state.depth + 1,
+        }
+    }
+
+    /// Whether the revisit rule restricted this entry's expansion (a
+    /// partial cache hit, see [`State::restrict`]). A deferred child
+    /// never is: deferral needs DPOR off, and without it every cover is
+    /// a full cover.
+    fn is_restricted(&self) -> bool {
+        matches!(self, Frontier::Built(node) if node.state.restrict.is_some())
+    }
+
+    /// The shared state this entry holds: its own, or its parent's.
+    fn into_shared(self) -> Shared<P, S> {
+        match self {
+            Frontier::Built(node) => node,
+            Frontier::Deferred(child) => child.parent,
+        }
+    }
+}
+
+/// Release a handle on a shared state. When no deferred child still
+/// holds the state, return it to the arena (dropping its shared history
+/// links so unshared chain segments are freed promptly; its slot keys
+/// stay allocated for the next state to overwrite). Otherwise drop the
+/// handle: the release of the last child's returns it.
+fn recycle<P: Protocol, S>(mut s: Shared<P, S>, pool: &mut Vec<Shared<P, S>>) {
     if pool.len() >= POOL_CAP {
         return;
     }
-    let state = &mut s.state;
-    state.outputs = None;
-    state.decisions = None;
-    state.sleep.clear();
-    state.restrict = None;
-    pool.push(s);
+    if let Some(unshared) = Arc::get_mut(&mut s) {
+        let state = &mut unshared.state;
+        state.outputs = None;
+        state.decisions = None;
+        state.sleep.clear();
+        state.restrict = None;
+        pool.push(s);
+    }
 }
 
-/// One worker's slot of the free-list arena or of the child buffers.
-type WorkerStates<P, S> = Mutex<Vec<KeyedState<P, S>>>;
+/// One worker's slot of the free-list arena.
+type WorkerStates<P, S> = Mutex<Vec<Shared<P, S>>>;
+
+/// One worker's slot of the child buffers.
+type WorkerEntries<P, S, K> = Mutex<Vec<Frontier<P, S, K>>>;
+
+/// What an expansion worker steps children with: its slot of the
+/// arena, its transition memo and its step buffers, reused across its
+/// chunk.
+struct Stepper<'m, P: Protocol, S> {
+    free: Vec<Shared<P, S>>,
+    memo: MutexGuard<'m, StepMemo<S>>,
+    bufs: (SendBuf<P>, Vec<P::Output>),
+    outputs: Vec<(ProcessId, P::Output)>,
+}
+
+impl<P, S> Stepper<'_, P, S>
+where
+    P: Protocol + Clone + Debug,
+    S: Eq + Hash + Clone,
+{
+    /// Build `parent`'s child by `decision` into a state from the arena,
+    /// stepped with the detector value `fd` (and checked against the
+    /// `declared` footprint under DPOR), and key it from `parent`'s keys
+    /// through the memo when a `hasher` is given (dedup on). Returns the
+    /// child and whether the memo held its step. Debug builds re-key the
+    /// child in full and compare.
+    fn build<H: StateHasher<Slot = S>>(
+        &mut self,
+        hasher: Option<&H>,
+        env: &StepEnv<'_>,
+        fd: P::Fd,
+        parent: &KeyedState<P, S>,
+        (p, choice): ExploreDecision,
+        declared: Option<&Footprint>,
+    ) -> (Shared<P, S>, bool) {
+        let mut dst = self
+            .free
+            .pop()
+            .unwrap_or_else(|| Arc::new(KeyedState::blank()));
+        let child = Arc::get_mut(&mut dst).expect("the arena holds unshared states");
+        apply_step_into(
+            env,
+            &parent.state,
+            &mut child.state,
+            p,
+            fd,
+            choice,
+            &mut self.bufs,
+            declared,
+        );
+        let hit = hasher.is_some_and(|hasher| {
+            let hit = child.inherit_keys(hasher, &mut self.memo, parent, p, &mut self.outputs);
+            #[cfg(debug_assertions)]
+            child.assert_keys_fresh(hasher, &mut self.outputs);
+            hit
+        });
+        (dst, hit)
+    }
+}
 
 /// A violation as collected inside a batch, pre-materialized.
 struct FoundViolation {
@@ -1570,8 +1837,8 @@ struct FoundViolation {
 }
 
 /// What one expansion chunk hands back to the merge step.
-struct ChunkOut<P: Protocol, S> {
-    children: Vec<KeyedState<P, S>>,
+struct ChunkOut<P: Protocol, S, K> {
+    children: Vec<Frontier<P, S, K>>,
     violations: Vec<FoundViolation>,
     depth_bounded: bool,
     /// Children skipped because their decision was asleep. Only merged
@@ -1649,22 +1916,27 @@ where
 /// [`explore`] is this function with [`FingerprintHasher`].
 ///
 /// Traversal: batched depth-first. Each round pops up to
-/// [`ExploreConfig::batch`] states off the frontier stack (`batch == 1` is
-/// bit-for-bit the classic DFS), composes (and, under symmetry,
-/// canonicalizes) their keys in parallel from the slot keys each state
-/// carries and pre-reads them against the sharded seen-table, resolves
-/// the budget-aware revisit rule *sequentially in batch order* (the rule
-/// is order-dependent), then pre-samples the batch's detector answers
-/// sequentially (oracles are pure in `(p, t)`, so the workers read them
-/// from a lock-free map), then fans the survivors across the workers for
-/// safety checking and expansion. Expansion keys each child as it is
-/// built from its parent's keys and the worker's transition memo, which
-/// renders only on a miss (the root alone is keyed in full; see
-/// [`StateHasher`]). Children are merged back onto the stack in survivor
-/// order, and a batch with violations reports the lexicographically-least
-/// decision list among them — every step is either order-independent or
-/// resolved in a fixed order, which is why the worker count cannot
-/// change the report.
+/// [`ExploreConfig::batch`] entries off the frontier stack (`batch == 1`
+/// is bit-for-bit the classic DFS), composes (and, under symmetry,
+/// canonicalizes) the keys of its built states in parallel from the slot
+/// keys each carries, takes each deferred child's key as composed at
+/// generation, and pre-reads them against the sharded seen-table,
+/// resolves the budget-aware revisit rule *sequentially in batch order*
+/// (the rule is order-dependent), then samples the detector answers of
+/// the survivors' depths sequentially (oracles are pure in `(p, t)`, so
+/// each pair is queried once per exploration and the workers read the
+/// answers from a lock-free table), then fans the survivors across the
+/// workers for building, safety checking and expansion. A worker builds
+/// each deferred survivor from its parent, then keys each child from its
+/// parent's keys and its transition memo, which renders only on a miss
+/// (the root alone is keyed in full; see [`StateHasher`]). A child whose
+/// step the memo holds and which emitted nothing goes onto the stack
+/// unbuilt, as its parent, its decision and its key, unless DPOR or a
+/// usable symmetry group is on; every other child is built at once.
+/// Children are merged back onto the stack in survivor order, and a batch
+/// with violations reports the lexicographically-least decision list
+/// among them — every step is either order-independent or resolved in a
+/// fixed order, which is why the worker count cannot change the report.
 pub fn explore_custom<H, P, D>(
     cfg: ExploreConfig,
     hasher: H,
@@ -1716,10 +1988,17 @@ where
     let n = root.state.procs.len();
     let env = StepEnv { pattern, n };
     // Slot keys exist for the dedup key only. The root is keyed in full;
-    // every other state inherits its parent's keys during expansion.
+    // every other state inherits its parent's keys when it is built.
     if cfg.dedup {
         root.keys = root.full_keys(&hasher, &mut Vec::new());
     }
+    let keyed = cfg.dedup.then_some(&hasher);
+    // Whether a child may wait on the frontier as its key, built only if
+    // the revisit rule keeps it: when its key is the identity composition
+    // of carried keys. DPOR checks each executed step's footprint and
+    // sleeps on it, and the canonicalizer renames built components, so
+    // both keep children eager.
+    let defer = cfg.dedup && !cfg.dpor && sym_perms.is_empty();
 
     // Seen-table: state key → the Pareto front of recorded expansions
     // (depth, sleep set) — see [`SeenCover`]. A revisit is pruned only
@@ -1735,14 +2014,14 @@ where
         .map(|_| Mutex::new(HashMap::new())) // wfd-lint: allow(d1-hash-collections, constructor for the seen-table excused above)
         .collect();
 
-    let mut stack = vec![root];
+    let mut stack: Vec<Frontier<P, H::Slot, H::Key>> = vec![Frontier::Built(Arc::new(root))];
     // Free-list arena and child buffers, one slot per worker, persistent
     // across batches. All hand-offs move `Vec` *headers* (O(1)), never
     // elements — shuffling states between a shared arena and per-chunk
     // lists element-wise costs more than the allocations it saves.
     let free_pools: Vec<WorkerStates<P, H::Slot>> =
         (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    let child_bufs: Vec<WorkerStates<P, H::Slot>> =
+    let child_bufs: Vec<WorkerEntries<P, H::Slot, H::Key>> =
         (0..threads).map(|_| Mutex::new(Vec::new())).collect();
     // One key canonicalizer per worker, its slot memo persistent across
     // batches. With no usable symmetry group it keys the identity only.
@@ -1754,7 +2033,9 @@ where
     let step_memos: Vec<Mutex<StepMemo<H::Slot>>> =
         (0..threads).map(|_| Mutex::new(StepMemo::new())).collect();
     let mut next_pool = 0usize;
-    let mut survivors: Vec<KeyedState<P, H::Slot>> = Vec::new();
+    let mut survivors: Vec<Frontier<P, H::Slot, H::Key>> = Vec::new();
+    // Filled once per `(p, t)` for the whole exploration: a deferred
+    // child is built batches after its parent's values were sampled.
     let mut fd_cache: FdTable<P::Fd> = FdTable::new(n, cfg.max_depth);
     // Per-batch map: survivor depth `t` → whether the failure pattern and
     // the detector are stable across times `t` and `t + 1` (the
@@ -1780,10 +2061,10 @@ where
             break None;
         }
 
-        // The batch is the top `take` states of the stack; batch index
+        // The batch is the top `take` entries of the stack; batch index
         // `j` is stack slot `len - 1 - j`, so batch order is pop order
         // and `batch == 1` reproduces the depth-first order exactly. The
-        // states are keyed *in place* — they move at most once, straight
+        // entries are keyed *in place* — they move at most once, straight
         // into `survivors`.
         let take = batch_cap.min(stack.len());
         let top = stack.len();
@@ -1792,7 +2073,7 @@ where
         obs.record(HistId::ExploreBatchSize, take as u64);
 
         survivors.clear();
-        let mut recycle_rr = |s: KeyedState<P, H::Slot>| {
+        let mut recycle_rr = |s: Shared<P, H::Slot>| {
             recycle(
                 s,
                 &mut free_pools[next_pool % threads]
@@ -1802,14 +2083,15 @@ where
             next_pool = next_pool.wrapping_add(1);
         };
         if cfg.dedup {
-            // Key phase (parallel): compose (and canonicalize) every batch
-            // state's key from the slot keys it carries, and pre-read the
-            // committed table. Committed depths only ever decrease, so a
-            // pre-read prune verdict can never be invalidated by the
-            // sequential pass below — pre-reads are a pure early-out that
-            // moves lookup work into the parallel section, so with one
-            // worker they are skipped outright (the resolution pass below
-            // is authoritative either way).
+            // Key phase (parallel): compose (and canonicalize) every built
+            // batch state's key from the slot keys it carries, take every
+            // deferred child's key as it was composed at generation, and
+            // pre-read them against the committed table. Committed depths
+            // only ever decrease, so a pre-read prune verdict can never be
+            // invalidated by the sequential pass below — pre-reads are a
+            // pure early-out that moves lookup work into the parallel
+            // section, so with one worker they are skipped outright (the
+            // resolution pass below is authoritative either way).
             let pre_read = threads > 1;
             let ranges = chunk_ranges(take, threads);
             let key_phase = obs.phase(PhaseId::ExploreKey);
@@ -1823,43 +2105,50 @@ where
                 let mut words = Vec::new();
                 let mut canon = canonicalizers[slot].lock().expect("canonicalizer poisoned");
                 for j in range.clone() {
-                    let node = &stack[top - 1 - j];
-                    let state = &node.state;
-                    // Inherited keys must equal a full re-key.
-                    #[cfg(debug_assertions)]
-                    assert!(
-                        node.full_keys(&hasher, &mut outputs) == node.keys,
-                        "inherited slot keys diverge from a full re-key at depth {} \
-                         (decisions {:?})",
-                        state.depth,
-                        state.collect_decisions(),
-                    );
-                    // Only an output-memo miss reads the history, and only
-                    // a group can miss.
-                    outputs.clear();
-                    if canon.has_group() {
-                        materialize_outputs(&state.outputs, state.outputs_len, &mut outputs);
-                    }
-                    words.clear();
-                    words.extend(state.started.iter().map(|&s| u64::from(s)));
-                    let (key, arg_perm) =
-                        canon.canonical(&state.procs, &state.inboxes, &words, &outputs, &node.keys);
-                    sym_hits += usize::from(arg_perm.is_some());
-                    // The sleep set enters the seen-table in the *same*
-                    // coordinates as the key: mapped through the
-                    // canonicalizing permutation (inbox indices survive
-                    // unchanged — permutation preserves inbox order).
-                    let canon_sleep = match arg_perm {
-                        None => state.sleep.clone(),
-                        Some(pi) => {
-                            let perm = &sym_perms[pi].perm;
-                            let mut sl: Vec<ExploreDecision> = state
-                                .sleep
-                                .iter()
-                                .map(|&(p, c)| (perm.apply(p), c))
-                                .collect();
-                            sl.sort_unstable();
-                            sl
+                    let entry = &stack[top - 1 - j];
+                    let (key, canon_sleep, arg_perm) = match entry {
+                        Frontier::Deferred(child) => (child.key.clone(), Vec::new(), None),
+                        Frontier::Built(node) => {
+                            let state = &node.state;
+                            // Only an output-memo miss reads the history,
+                            // and only a group can miss.
+                            outputs.clear();
+                            if canon.has_group() {
+                                materialize_outputs(
+                                    &state.outputs,
+                                    state.outputs_len,
+                                    &mut outputs,
+                                );
+                            }
+                            words.clear();
+                            words.extend(state.started.iter().map(|&s| u64::from(s)));
+                            let (key, arg_perm) = canon.canonical(
+                                &state.procs,
+                                &state.inboxes,
+                                &words,
+                                &outputs,
+                                &node.keys,
+                            );
+                            sym_hits += usize::from(arg_perm.is_some());
+                            // The sleep set enters the seen-table in the
+                            // *same* coordinates as the key: mapped through
+                            // the canonicalizing permutation (inbox indices
+                            // survive unchanged — permutation preserves
+                            // inbox order).
+                            let canon_sleep = match arg_perm {
+                                None => state.sleep.clone(),
+                                Some(pi) => {
+                                    let perm = &sym_perms[pi].perm;
+                                    let mut sl: Vec<ExploreDecision> = state
+                                        .sleep
+                                        .iter()
+                                        .map(|&(p, c)| (perm.apply(p), c))
+                                        .collect();
+                                    sl.sort_unstable();
+                                    sl
+                                }
+                            };
+                            (key, canon_sleep, arg_perm)
                         }
                     };
                     let pruned = pre_read && {
@@ -1867,7 +2156,7 @@ where
                             .lock()
                             .expect("shard poisoned");
                         match shard.get(&key) {
-                            Some(entry) => covered_by(entry, state.depth, &canon_sleep),
+                            Some(covers) => covered_by(covers, entry.depth(), &canon_sleep),
                             None => false,
                         }
                     };
@@ -1892,15 +2181,16 @@ where
                     .zip(arg_perms)
                     .zip(pre_pruned)
                 {
-                    let mut node = stack.pop().expect("batch within stack");
-                    let state = &mut node.state;
+                    let mut entry = stack.pop().expect("batch within stack");
+                    let depth = entry.depth();
+                    let mut restrict = None;
                     let keep = !pre && {
                         let mut shard = shards[H::shard(&key, shard_count)]
                             .lock()
                             .expect("shard poisoned");
                         match shard.entry(key) {
                             Entry::Occupied(mut e) => {
-                                if covered_by(e.get(), state.depth, &canon_sleep) {
+                                if covered_by(e.get(), depth, &canon_sleep) {
                                     false
                                 } else {
                                     // Partial cover — restricted re-expansion
@@ -1925,8 +2215,7 @@ where
                                     // when no cover is valid, or when DPOR is
                                     // off (all sleeps empty then, so any
                                     // valid cover is a full cover).
-                                    let mut valid =
-                                        e.get().iter().filter(|c| c.depth <= state.depth);
+                                    let mut valid = e.get().iter().filter(|c| c.depth <= depth);
                                     let mandatory = valid.next().map(|first| {
                                         let mut m = first.sleep.clone();
                                         for c in valid {
@@ -1950,7 +2239,7 @@ where
                                             if m.iter()
                                                 .all(|d| sleep_contains(&canon_sleep, *d)) =>
                                         {
-                                            push_cover(e.get_mut(), state.depth, m);
+                                            push_cover(e.get_mut(), depth, m);
                                             false
                                         }
                                         Some(mut m) => {
@@ -1966,12 +2255,12 @@ where
                                                 }
                                                 m.sort_unstable();
                                             }
-                                            state.restrict = Some(m);
-                                            push_cover(e.get_mut(), state.depth, cover_sleep);
+                                            restrict = Some(m);
+                                            push_cover(e.get_mut(), depth, cover_sleep);
                                             true
                                         }
                                         None => {
-                                            push_cover(e.get_mut(), state.depth, canon_sleep);
+                                            push_cover(e.get_mut(), depth, canon_sleep);
                                             true
                                         }
                                     }
@@ -1979,19 +2268,28 @@ where
                             }
                             Entry::Vacant(v) => {
                                 v.insert(vec![SeenCover {
-                                    depth: state.depth,
+                                    depth,
                                     sleep: canon_sleep,
                                 }]);
                                 true
                             }
                         }
                     };
-                    if keep {
-                        survivors.push(node);
-                    } else {
+                    if !keep {
                         dedup_hits += 1;
-                        recycle_rr(node);
+                        recycle_rr(entry.into_shared());
+                        continue;
                     }
+                    if restrict.is_some() {
+                        let Frontier::Built(node) = &mut entry else {
+                            unreachable!("a deferred child is never restricted")
+                        };
+                        Arc::get_mut(node)
+                            .expect("an unexpanded state is unshared")
+                            .state
+                            .restrict = restrict;
+                    }
+                    survivors.push(entry);
                 }
             }
         } else {
@@ -2009,7 +2307,7 @@ where
         let mut full_visits = 0usize;
         let mut cut = survivors.len();
         for (i, s) in survivors.iter().enumerate() {
-            if s.state.restrict.is_none() {
+            if !s.is_restricted() {
                 if full_visits == remaining {
                     cut = i;
                     break;
@@ -2020,7 +2318,7 @@ where
         if cut < survivors.len() {
             states_capped = true;
             for s in survivors.drain(cut..) {
-                recycle_rr(s);
+                recycle_rr(s.into_shared());
             }
         }
         states_visited += full_visits;
@@ -2031,17 +2329,17 @@ where
 
         // Oracle phase (sequential): detector answers are pure functions
         // of `(p, t)` (the FdOracle contract), so one query per distinct
-        // pair serves the whole batch from a read-only map — the
+        // pair serves the whole exploration from a read-only table — the
         // expansion workers never contend on the detector.
         let oracle_phase = obs.phase(PhaseId::ExploreOracle);
-        fd_cache.clear();
         dpor_stable.clear();
-        for KeyedState { state, .. } in &survivors {
-            obs.record(HistId::ExploreStateDepth, state.depth as u64);
-            if state.depth >= cfg.max_depth {
+        for entry in &survivors {
+            let depth = entry.depth();
+            obs.record(HistId::ExploreStateDepth, depth as u64);
+            if depth >= cfg.max_depth {
                 continue;
             }
-            let t = state.depth as Time;
+            let t = depth as Time;
             for p in ProcessId::all(n) {
                 if !pattern.is_crashed(p, t) {
                     fd_cache.fill_with(p.index(), t, || detector.query(p, t));
@@ -2065,14 +2363,21 @@ where
         }
         drop(oracle_phase);
 
-        // Expansion phase (parallel): safety-check and expand each
-        // survivor chunk, keying every child from its parent's slot keys;
-        // each chunk draws from (and returns to) its own slot of the
-        // free-list arena.
+        // Expansion phase (parallel): build each deferred survivor,
+        // safety-check and expand each survivor chunk, keying every child
+        // from its parent's slot keys — before building it where the
+        // memo allows, so that it waits on the frontier unbuilt; each
+        // chunk draws from (and returns to) its own slot of the free-list
+        // arena.
         let expand_phase = obs.phase(PhaseId::ExploreExpand);
         let ranges = chunk_ranges(survivors.len(), threads);
         let outs = par_map_with(&ranges, threads, |slot, range| {
-            let mut free = std::mem::take(&mut *free_pools[slot].lock().expect("pool poisoned"));
+            let mut stepper = Stepper {
+                free: std::mem::take(&mut *free_pools[slot].lock().expect("pool poisoned")),
+                memo: step_memos[slot].lock().expect("step memo poisoned"),
+                bufs: (Vec::new(), Vec::new()),
+                outputs: Vec::new(),
+            };
             let mut out = ChunkOut {
                 children: std::mem::take(
                     &mut *child_bufs[slot].lock().expect("child buf poisoned"),
@@ -2082,25 +2387,16 @@ where
                 dpor_pruned: 0,
                 restricted: 0,
             };
-            let mut outputs = Vec::new();
-            let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
-            let mut memo = step_memos[slot].lock().expect("step memo poisoned");
+            // Memo hits and misses, one per child keyed (a deferred child
+            // at generation, where it hits), for the obs counters.
             let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
-            // Key a child through the memo (only dedup reads keys), counting
-            // hits per child for the obs counters.
-            let mut key_child =
-                |dst: &mut KeyedState<P, H::Slot>,
-                 parent: &KeyedState<P, H::Slot>,
-                 p: ProcessId,
-                 outputs: &mut Vec<(ProcessId, P::Output)>| {
-                    if cfg.dedup {
-                        if dst.inherit_keys(&hasher, &mut memo, parent, p, outputs) {
-                            memo_hits += 1;
-                        } else {
-                            memo_misses += 1;
-                        }
-                    }
-                };
+            let mut tally = |hit: bool| match (cfg.dedup, hit) {
+                (false, _) => {}
+                (true, true) => memo_hits += 1,
+                (true, false) => memo_misses += 1,
+            };
+            let (mut deferred, mut deferred_built) = (0u64, 0u64);
+            let mut inbox_keys = Vec::new();
             // The machine-layer enabled set of the current state, reused
             // across the chunk.
             let mut enabled: Vec<ExploreDecision> = Vec::new();
@@ -2109,15 +2405,51 @@ where
             // the current state (with theirs).
             let mut sleep_fps: Vec<(ExploreDecision, Footprint)> = Vec::new();
             let mut executed: Vec<(ExploreDecision, Footprint)> = Vec::new();
-            for node in &survivors[range.clone()] {
+            // A deferred survivor, built for its expansion; returned to the
+            // arena once expanded, unless a child it deferred holds it.
+            let mut built = None;
+            for entry in &survivors[range.clone()] {
+                if let Some(node) = built.take() {
+                    recycle(node, &mut stepper.free);
+                }
+                let node = match entry {
+                    Frontier::Built(node) => node,
+                    Frontier::Deferred(child) => {
+                        let (p, _) = child.decision;
+                        let t = child.parent.state.depth as Time;
+                        let (node, _) = stepper.build(
+                            keyed,
+                            &env,
+                            fd_cache.get(p.index(), t).clone(),
+                            &child.parent,
+                            child.decision,
+                            None,
+                        );
+                        // The key the child waited under must be the one
+                        // its built state composes.
+                        #[cfg(debug_assertions)]
+                        assert!(
+                            node.keys
+                                .compose(&hasher, &started_words(&node.state.started))
+                                == child.key,
+                            "a deferred child's key diverges from its built state's at \
+                             depth {} (decisions {:?})",
+                            node.state.depth,
+                            node.state.collect_decisions(),
+                        );
+                        deferred_built += 1;
+                        &*built.insert(node)
+                    }
+                };
                 let state = &node.state;
                 // A restricted revisit's safety verdict is fixed by its
                 // first visit — the key covers the procs and the output
                 // history, and a violation there would have ended the
                 // exploration — so only full visits are checked.
                 if state.restrict.is_none() {
-                    materialize_outputs(&state.outputs, state.outputs_len, &mut outputs);
-                    if let Err(message) = safety(&state.procs, &outputs) {
+                    let outputs = &mut stepper.outputs;
+                    materialize_outputs(&state.outputs, state.outputs_len, outputs);
+                    if let Err(message) = safety(&state.procs, outputs) {
                         out.violations.push(FoundViolation {
                             message,
                             decisions: materialize_decisions(&state.decisions),
@@ -2163,7 +2495,7 @@ where
                     );
                     executed.clear();
                     for &d in &enabled {
-                        let (p, choice) = d;
+                        let (p, _) = d;
                         if sleep_contains(&state.sleep, d) {
                             out.dpor_pruned += 1;
                             continue;
@@ -2185,22 +2517,21 @@ where
                                 continue;
                             }
                         }
-                        let fd = fd_cache.get(p.index(), t);
                         let fp = decision_footprint(state, d, n);
-                        let mut dst = free.pop().unwrap_or_else(KeyedState::blank);
-                        apply_step_into(
+                        let (mut dst, hit) = stepper.build(
+                            keyed,
                             &env,
-                            state,
-                            &mut dst.state,
-                            p,
-                            fd.clone(),
-                            choice,
-                            &mut bufs,
+                            fd_cache.get(p.index(), t).clone(),
+                            node,
+                            d,
                             Some(&fp),
                         );
-                        key_child(&mut dst, node, p, &mut outputs);
+                        tally(hit);
                         if stable {
-                            let sleep = &mut dst.state.sleep;
+                            let sleep = &mut Arc::get_mut(&mut dst)
+                                .expect("a fresh child is unshared")
+                                .state
+                                .sleep;
                             sleep.extend(
                                 sleep_fps
                                     .iter()
@@ -2210,33 +2541,48 @@ where
                             );
                             sleep.sort_unstable();
                         }
-                        out.children.push(dst);
+                        out.children.push(Frontier::Built(dst));
                         executed.push((d, fp));
                     }
                 } else {
-                    for &(p, choice) in &enabled {
-                        let fd = fd_cache.get(p.index(), t);
-                        let mut dst = free.pop().unwrap_or_else(KeyedState::blank);
-                        apply_step_into(
+                    for &d in &enabled {
+                        let deferred_key = defer
+                            .then(|| node.child_key(&hasher, &stepper.memo, d, &mut inbox_keys))
+                            .flatten();
+                        if let Some(key) = deferred_key {
+                            tally(true);
+                            deferred += 1;
+                            out.children.push(Frontier::Deferred(Deferred {
+                                parent: Arc::clone(node),
+                                decision: d,
+                                key,
+                            }));
+                            continue;
+                        }
+                        let (p, _) = d;
+                        let (dst, hit) = stepper.build(
+                            keyed,
                             &env,
-                            state,
-                            &mut dst.state,
-                            p,
-                            fd.clone(),
-                            choice,
-                            &mut bufs,
+                            fd_cache.get(p.index(), t).clone(),
+                            node,
+                            d,
                             None,
                         );
-                        key_child(&mut dst, node, p, &mut outputs);
-                        out.children.push(dst);
+                        tally(hit);
+                        out.children.push(Frontier::Built(dst));
                     }
                 }
             }
+            if let Some(node) = built {
+                recycle(node, &mut stepper.free);
+            }
             obs.add(CounterId::ExploreStepMemoHits, memo_hits);
             obs.add(CounterId::ExploreStepMemoMisses, memo_misses);
+            obs.add(CounterId::ExploreChildrenDeferred, deferred);
+            obs.add(CounterId::ExploreDeferredBuilt, deferred_built);
             // Hand the (possibly drained) free list back — a Vec-header
             // move, not an element copy.
-            *free_pools[slot].lock().expect("pool poisoned") = free;
+            *free_pools[slot].lock().expect("pool poisoned") = stepper.free;
             out
         });
         drop(expand_phase);
@@ -2281,8 +2627,11 @@ where
             // it back so the next batch reuses the allocation.
             *child_bufs[slot].lock().expect("child buf poisoned") = out.children;
         }
+        // A survivor's state stays shared while any of its deferred
+        // children waits on the stack; the release of the last one
+        // returns it to the arena.
         for s in survivors.drain(..) {
-            recycle_rr(s);
+            recycle_rr(s.into_shared());
         }
         // No `max_frontier_len` update here: the loop top re-reads
         // `stack.len()` before anything can break, so the post-merge
@@ -2854,6 +3203,57 @@ mod tests {
             report.violation.is_none(),
             "the output-blind key unexpectedly found the violation — the \
              regression fixture no longer exercises the outputs key component"
+        );
+    }
+
+    /// Handler calls of [`Forgetful`], across every exploration of it.
+    // wfd-lint: allow(d3-atomics, the fixture breaks the Protocol contract on purpose: the count makes a handler's sends depend on how often it ran)
+    static FORGETFUL_CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// Breaks the [`Protocol`] contract: every handler call sends the
+    /// other process one message more than the call before it, so a step
+    /// handled twice sends more the second time. Nothing is ever output.
+    #[derive(Clone, Debug)]
+    struct Forgetful;
+
+    impl Forgetful {
+        fn send_more(ctx: &mut Ctx<Self>) {
+            let other = ProcessId(1 - ctx.me().index());
+            for _ in 0..=FORGETFUL_CALLS.fetch_add(1, Ordering::Relaxed) {
+                ctx.send(other, ());
+            }
+        }
+    }
+
+    impl Protocol for Forgetful {
+        type Msg = ();
+        type Output = ();
+        type Inv = ();
+        type Fd = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<Self>) {
+            Self::send_more(ctx);
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<Self>, _from: ProcessId, _msg: ()) {
+            Self::send_more(ctx);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn a_handler_outside_the_contract_trips_the_memo_fit_check() {
+        // Different interleavings reach the same step (actor, time,
+        // process key, delivered message), so the memo serves it the
+        // second time, and the child built for it sent more than the
+        // recorded row. One thread, so the panic is the check's own.
+        explore(
+            ExploreConfig::new(4).with_threads(1),
+            || vec![Forgetful, Forgetful],
+            vec![None, None],
+            &FailurePattern::failure_free(2),
+            NoDetector,
+            |_, _| Ok(()),
         );
     }
 

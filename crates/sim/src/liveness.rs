@@ -1696,6 +1696,7 @@ where
                         &parent.node.state.inboxes,
                         &succ.node.state.procs,
                         inboxes,
+                        false, // nodes keep no output history
                         step,
                     );
                     if env.check_keys {
@@ -2707,6 +2708,7 @@ mod tests {
                             &node.state.inboxes,
                             &succ.state.procs,
                             &succ.state.inboxes,
+                            false, // nodes keep no output history
                             step,
                         );
                         let (renamed, fp, val) = canonicalize(env, &mut keyer, &succ, &mut keys)?;

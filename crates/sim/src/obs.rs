@@ -127,6 +127,11 @@ metric_ids! {
         /// Explored children whose step missed the transition memo and
         /// was rendered and recorded.
         ExploreStepMemoMisses => "explore_step_memo_misses",
+        /// Explored children pushed onto the frontier unbuilt, keyed from
+        /// the transition memo before any handler ran.
+        ExploreChildrenDeferred => "explore_children_deferred",
+        /// Deferred children the revisit rule kept, and so built.
+        ExploreDeferredBuilt => "explore_deferred_built",
         /// Runs completed by an instrumented sweep.
         SweepRuns => "sweep_runs",
         /// Forest evaluations served incrementally (prefix extension).
@@ -189,9 +194,10 @@ metric_ids! {
         ExploreRevisit => "explore_revisit",
         /// Explorer: sequential per-batch detector pre-sampling.
         ExploreOracle => "explore_oracle",
-        /// Explorer: parallel safety-check + expansion of survivors,
+        /// Explorer: parallel building of the deferred children the
+        /// revisit rule kept, then safety-check + expansion of survivors,
         /// including keying each child from its parent's keys and the
-        /// transition memo.
+        /// transition memo (before building it, where the memo allows).
         ExploreExpand => "explore_expand",
         /// Explorer: sequential merge of children and violations.
         ExploreMerge => "explore_merge",

@@ -17,8 +17,9 @@
 //!   off, for a violated and a holding property,
 //! * and while invisible to results, the metrics are *not* inert: the
 //!   snapshot carries the exact traversal counters (the transition memo's
-//!   hits and misses included: one per keyed child) and its JSON export
-//!   round-trips through the crate's own parser.
+//!   hits and misses included: one per keyed child; and the children
+//!   deferred unbuilt) and its JSON export round-trips through the
+//!   crate's own parser.
 
 use wfd_sim::json::Json;
 use wfd_sim::liveness::fixtures::{JoinQuorum, PingPong};
@@ -164,13 +165,28 @@ fn step_memo_counters_count_every_keyed_child() {
         let hits = snap.counter(CounterId::ExploreStepMemoHits);
         let misses = snap.counter(CounterId::ExploreStepMemoMisses);
         // Without reductions or a violation every popped state but the
-        // root is a child, keyed once, through the memo.
+        // root is a child, keyed once, through the memo: a child deferred
+        // unbuilt is keyed at generation, where the memo served it.
         assert_eq!(
             hits + misses,
             (report.states_visited + report.dedup_hits - 1) as u64,
             "{threads} threads"
         );
         assert!(hits > 0, "{threads} threads: the memo never served a child");
+        // Starts and λ steps emit nothing, so a memo hit on one waits on
+        // the frontier unbuilt; only the ones the revisit rule keeps are
+        // built. Each worker has its own memo, and at four threads each
+        // sees a quarter of this small model's batches, too few repeats
+        // to serve a step that emits nothing.
+        let deferred = snap.counter(CounterId::ExploreChildrenDeferred);
+        let built = snap.counter(CounterId::ExploreDeferredBuilt);
+        if threads == 1 {
+            assert!(deferred > 0, "no child was deferred");
+        }
+        assert!(
+            built <= deferred,
+            "{threads} threads: built {built} of {deferred} deferred children"
+        );
     }
 }
 
