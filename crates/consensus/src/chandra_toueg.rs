@@ -22,7 +22,7 @@
 use crate::spec::ConsensusOutput;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
-use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, ProcessSet, Protocol};
 
 /// Messages of the Chandra–Toueg algorithm.
 #[derive(Clone, Debug, PartialEq)]
@@ -258,18 +258,6 @@ impl<V: Clone + Debug + PartialEq> Protocol for ChandraToueg<V> {
                 }
             }
             CtMsg::Decide { v } => self.decide(ctx, v),
-        }
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        // Rotating-coordinator traffic may target any process on any
-        // step; `decide` outputs exactly once, guarded by
-        // `decided.is_none()`, so the output channel closes afterwards.
-        let fp = Footprint::local().sends_to_all(n);
-        if self.decided.is_some() {
-            fp
-        } else {
-            fp.outputs()
         }
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::spec::ConsensusOutput;
 use std::fmt::Debug;
-use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, ProcessSet, Protocol};
 
 /// A Paxos ballot: `(attempt, proposer)`, ordered lexicographically.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -371,18 +371,6 @@ impl<V: Clone + Debug + PartialEq> Protocol for OmegaSigmaConsensus<V> {
                 }
             }
             PaxosMsg::Decide { v, quorum } => self.decide(ctx, v, quorum),
-        }
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        // Paxos traffic (prepare/promise/accept/nack/decide) may target
-        // any process on any step; only the output channel narrows —
-        // `decide` outputs exactly once, guarded by `decided.is_none()`.
-        let fp = Footprint::local().sends_to_all(n);
-        if self.decided.is_some() {
-            fp
-        } else {
-            fp.outputs()
         }
     }
 

@@ -25,7 +25,7 @@ use crate::omega_sigma::Ballot;
 use crate::spec::ConsensusOutput;
 use std::fmt::Debug;
 use wfd_registers::abd::{AbdMsg, AbdOp, AbdOutput, AbdRegister, AbdResp, QuorumRule};
-use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, ProcessSet, Protocol};
 
 /// The block each process keeps in its single-writer register.
 #[derive(Clone, Debug, PartialEq)]
@@ -309,18 +309,6 @@ impl<V: Clone + Debug + PartialEq> Protocol for RegisterOmegaConsensus<V> {
                 self.with_instance(ctx, instance, |reg, ictx| reg.on_message(ictx, from, inner));
             }
             RoMsg::Decide { v } => self.decide(ctx, v),
-        }
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        // Hosted ABD instances may message any process on any step, so
-        // sends stay opaque; only the decision channel can be narrowed —
-        // every `ctx.output` is guarded by `decided.is_none()`.
-        let fp = Footprint::local().sends_to_all(n);
-        if self.decided.is_some() {
-            fp
-        } else {
-            fp.outputs()
         }
     }
 }

@@ -25,7 +25,7 @@ use crate::spec::ConsensusOutput;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Debug;
 use wfd_registers::abd::{AbdOp, AbdOutput, AbdResp};
-use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, ProcessSet, Protocol};
 
 /// A register command: who issued it, a per-issuer tag, and the
 /// operation.
@@ -229,14 +229,6 @@ impl<V: Clone + Debug + PartialEq> Protocol for RegisterFromConsensus<V> {
                 self.drive(ctx);
             }
         }
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        // A replicated register never quiesces: every step may drive a
-        // consensus slot (messaging anyone) and complete a pending op
-        // (emitting `Completed`), so the honest declaration is opaque.
-        // wfd-lint: allow(d7-footprint, every step may drive a consensus slot that broadcasts and completes ops; no step kind is effect-free)
-        Footprint::opaque(n)
     }
 }
 

@@ -13,7 +13,7 @@
 //! needs to be known in advance; that is the point of the adaptive
 //! timeout.
 
-use wfd_sim::{Ctx, Footprint, ProcessId, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, Protocol};
 
 /// Messages of the heartbeat Ω implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,22 +158,6 @@ impl Protocol for HeartbeatOmega {
     // would merge states with genuinely different futures. Ω exists to
     // break symmetry; only [`Symmetry::Trivial`](wfd_sim::Symmetry) is
     // sound here.
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        if matches!(step, StepKind::Start { .. }) {
-            return Footprint::local().sends_to_others(n, me).outputs();
-        }
-        // Tick and delivery both funnel through `step_common`: the beat
-        // counter decides the broadcast exactly, while the leader
-        // re-evaluation may output on any step — declaring `outputs`
-        // unconditionally is a sound over-approximation.
-        let fp = Footprint::local().outputs();
-        if self.steps_since_beat + 1 >= self.beat_interval {
-            fp.sends_to_others(n, me)
-        } else {
-            fp
-        }
-    }
-
     fn props() -> &'static [&'static str] {
         &["leader-agreed"]
     }

@@ -12,7 +12,7 @@
 //! protocol blocks (which is exactly the paper's point: with ⌈n/2⌉ or more
 //! faults you genuinely need Σ from outside).
 
-use wfd_sim::{Ctx, Footprint, Permutation, ProcessId, ProcessSet, Protocol, StepKind, Symmetry};
+use wfd_sim::{Ctx, Permutation, ProcessId, ProcessSet, Protocol, Symmetry};
 
 fn permute_set(set: &ProcessSet, perm: &Permutation) -> ProcessSet {
     let mut out = ProcessSet::new();
@@ -121,33 +121,6 @@ impl Protocol for MajoritySigma {
                     }
                 }
             }
-        }
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            StepKind::Start { .. } => Footprint::local().sends_to_all(n),
-            StepKind::Tick => {
-                if self.round_complete && self.ticks_since_complete + 1 >= self.probe_interval {
-                    Footprint::local().sends_to_all(n)
-                } else {
-                    Footprint::local()
-                }
-            }
-            StepKind::Deliver { from, msg } => match msg {
-                SigmaMsg::Join(_) => Footprint::local().sends_to(from),
-                SigmaMsg::Ack(k) => {
-                    let completes = *k == self.round
-                        && !self.round_complete
-                        && self.acks.len() + usize::from(!self.acks.contains(from))
-                            >= Self::majority(n);
-                    if completes {
-                        Footprint::local().outputs()
-                    } else {
-                        Footprint::local()
-                    }
-                }
-            },
         }
     }
 

@@ -15,7 +15,7 @@
 //! power NBAC needs beyond consensus.
 
 use crate::value::Signal;
-use wfd_sim::{Ctx, Footprint, Permutation, ProcessId, Protocol, StepKind, Symmetry};
+use wfd_sim::{Ctx, Permutation, ProcessId, Protocol, Symmetry};
 
 /// Messages of the timeout FS implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,44 +134,6 @@ impl Protocol for TimeoutFs {
                 self.step_common(ctx);
             }
         }
-    }
-
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        if matches!(step, StepKind::Start { .. }) {
-            return Footprint::local().sends_to_others(n, me).outputs();
-        }
-        // Tick and both deliveries funnel through `step_common`; the
-        // counters tell us exactly whether this step reds, beats or
-        // samples. A Beat from `q` zeroes `staleness[q]` before the
-        // timeout scan, so `q` itself can never fire it (threshold > 0).
-        let timeout_fires = |skip: Option<ProcessId>| {
-            (0..n).any(|q| {
-                q != me.index()
-                    && Some(ProcessId(q)) != skip
-                    && self.staleness[q] + 1 > self.threshold
-            })
-        };
-        let turns_red = !self.red
-            && match step {
-                StepKind::Deliver {
-                    msg: FsMsg::Red, ..
-                } => true,
-                StepKind::Deliver {
-                    from,
-                    msg: FsMsg::Beat,
-                } => timeout_fires(Some(from)),
-                _ => timeout_fires(None),
-            };
-        let beats = self.steps_since_beat + 1 >= self.beat_interval;
-        let samples = self.steps_since_output + 1 >= 4;
-        let mut fp = Footprint::local();
-        if turns_red || beats {
-            fp = fp.sends_to_others(n, me);
-        }
-        if turns_red || samples {
-            fp = fp.outputs();
-        }
-        fp
     }
 
     // Fully id-agnostic: handlers treat peers uniformly (the timeout scan

@@ -37,7 +37,7 @@ use wfd_consensus::ConsensusOutput;
 use wfd_detectors::value::{OmegaSigma, PsiValue, Signal};
 use wfd_quittable::QcDecision;
 use wfd_sim::obs::{CounterId, Obs, PhaseId};
-use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind, Time};
+use wfd_sim::{Ctx, ProcessId, ProcessSet, Protocol, Time};
 
 /// The critical tuple `(I, I′, S, S′)` of Figure 3 line 13: two adjacent
 /// initial configurations and schedules deciding 0 and 1 respectively.
@@ -481,13 +481,6 @@ impl<F: QcFamily> Protocol for PsiExtraction<F> {
             }
         }
         self.advance(ctx);
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        // The extraction never quiesces: it gossips samples, drives the
-        // hosted real execution, and re-emits its Ψ output periodically.
-        // wfd-lint: allow(d7-footprint, gossip plus the hosted execution may message anyone on any step and the sampler re-outputs)
-        Footprint::opaque(n)
     }
 }
 

@@ -149,7 +149,7 @@ struct FileCtx {
 /// This is the real core: phase one runs the d1–d5 token rules per
 /// file and parses each file; phase two builds the cross-file symbol
 /// table and runs the d6–d9 analysis passes, whose findings go through
-/// the same per-file allow tables (so an `allow(d7-footprint, …)`
+/// the same per-file allow tables (so an `allow(d8-machine-purity, …)`
 /// suppresses and goes stale exactly like an `allow(d1-…, …)`).
 /// `workspace_version` enables d9; pass `None` to disable it.
 pub fn lint_sources(inputs: &[(String, String)], workspace_version: Option<[u64; 3]>) -> Outcome {

@@ -2,9 +2,8 @@
 //!
 //! The token-sequence rules (d1–d5) answer "does this *line* mention a
 //! nondeterministic primitive?". The analysis passes (d6–d9) need more:
-//! which *function* mentions it, who calls that function, whether a
-//! `Protocol` handler's effects match its declared `Footprint`, and
-//! whether a `Machine` impl takes `&mut` anywhere. This module recovers
+//! which *function* mentions it, who calls that function, and whether
+//! a `Machine` impl takes `&mut` anywhere. This module recovers
 //! exactly that structure — items, impl blocks with their trait and self
 //! type, fn signatures with receiver/`&mut`-param shapes, and fn bodies
 //! reduced to an *expression skeleton* (paths, calls, method calls,
@@ -19,7 +18,7 @@
 //! 2. **Over-approximate bodies.** The skeleton scan walks *through*
 //!    macro invocations, closures, and match arms rather than modelling
 //!    them, so every path and call in a handler is attributed to the
-//!    enclosing fn. d6/d7 soundness rests on this (see `passes`).
+//!    enclosing fn. d6 soundness rests on this (see `passes`).
 //! 3. **Survive the classic traps.** `>>` closing two generic levels
 //!    (the lexer already splits puncts, so each `>` is its own token),
 //!    `->` / `=>` inside angle brackets, const-generic `{ … }` blocks,
@@ -1119,7 +1118,7 @@ mod tests {
         let pf = parse_src(
             "impl<V: Clone> Protocol for Reg<V> where V: Send {\n\
                fn on_tick(&mut self, ctx: &mut Ctx<Self>) { ctx.send(1, m); }\n\
-               fn footprint(&self, me: usize) -> Footprint { Footprint::local() }\n\
+               fn label(&self, me: usize) -> Label { Label::local() }\n\
              }",
         );
         let tick = find(&pf, "on_tick");
@@ -1132,9 +1131,9 @@ mod tests {
         let call = tick.calls.iter().find(|c| c.path == ["send"]).unwrap();
         assert!(call.method);
         assert_eq!(call.receiver.as_deref(), Some("ctx"));
-        let fp = find(&pf, "footprint");
-        assert_eq!(fp.receiver, Receiver::Ref);
-        assert!(fp.calls.iter().any(|c| c.path == ["Footprint", "local"]));
+        let label = find(&pf, "label");
+        assert_eq!(label.receiver, Receiver::Ref);
+        assert!(label.calls.iter().any(|c| c.path == ["Label", "local"]));
     }
 
     #[test]

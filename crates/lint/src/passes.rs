@@ -1,23 +1,21 @@
-//! The workspace analysis passes: d6 (determinism taint), d7 (footprint
-//! completeness), d8 (Machine purity), d9 (deprecation lifecycle).
+//! The workspace analysis passes: d6 (determinism taint), d8 (Machine
+//! purity), d9 (deprecation lifecycle).
 //!
 //! Unlike the d1–d5 token rules, these need the whole workspace at once:
-//! a call graph to propagate taint through, every `Protocol` impl next
-//! to its `footprint` declaration, and the workspace version to compare
+//! a call graph to propagate taint through, every `Machine` impl next to
+//! its same-file helpers, and the workspace version to compare
 //! `#[deprecated(since)]` stamps against. The engine builds a
 //! [`SymbolTable`] and hands it here; findings flow back through the
 //! same suppression/stale machinery as token-rule matches, so an inline
-//! `// wfd-lint: allow(d7-footprint, reason)` works exactly like it
+//! `// wfd-lint: allow(d8-machine-purity, reason)` works exactly like it
 //! does for d1.
 //!
 //! Every pass *over-approximates*: name-resolved call edges may be too
-//! many, never too few (see [`crate::symbols`]); handler effects are
-//! collected from closures and same-file helpers without control-flow
-//! pruning; `footprint` capabilities are unioned across all match arms.
-//! The consequence is the useful one for an audit — a pass staying
+//! many, never too few (see [`crate::symbols`]), and same-file helpers
+//! are followed without control-flow pruning. The consequence is the useful one for an audit — a pass staying
 //! silent is evidence, a pass firing may need a written allow.
 
-use crate::parser::{CallSite, FnDef, Receiver};
+use crate::parser::Receiver;
 use crate::rules::rule_by_id;
 use crate::symbols::{FnIx, SymbolTable};
 use std::collections::BTreeMap;
@@ -49,7 +47,6 @@ pub struct PassFinding {
 pub fn run(table: &SymbolTable, workspace_version: Option<[u64; 3]>) -> Vec<PassFinding> {
     let mut out = Vec::new();
     taint_pass(table, &mut out);
-    footprint_pass(table, &mut out);
     machine_purity_pass(table, &mut out);
     if let Some(version) = workspace_version {
         deprecation_pass(table, version, &mut out);
@@ -256,166 +253,6 @@ fn taint_pass(table: &SymbolTable, out: &mut Vec<PassFinding>) {
             ),
             chain,
         });
-    }
-}
-
-// ---------------------------------------------------------------- d7 --
-
-const HANDLERS: [&str; 4] = ["on_start", "on_message", "on_tick", "on_invoke"];
-
-fn protocol_impl_fn(def: &FnDef) -> Option<&str> {
-    let owner = def.owner.as_ref()?;
-    if owner.trait_name.as_deref() == Some("Protocol")
-        && !owner.self_ty.is_empty()
-        && owner.self_ty != "Self"
-    {
-        Some(&owner.self_ty)
-    } else {
-        None
-    }
-}
-
-/// What a call contributes to a handler's effect set / a footprint's
-/// capability set. `Ctx::host` counts as a send: it queues every message
-/// of the hosted step on the host's context.
-fn send_effect(call: &CallSite) -> bool {
-    call.method
-        && matches!(
-            call.path.last().map(String::as_str),
-            Some("send" | "broadcast" | "broadcast_others" | "host")
-        )
-}
-
-fn output_effect(call: &CallSite) -> bool {
-    call.method && call.path.last().map(String::as_str) == Some("output")
-}
-
-/// d7: every Protocol handler's syntactic effects must be covered by
-/// the union of capabilities its `footprint` fn can declare.
-///
-/// Effects are collected over-approximately from the handler body and
-/// its same-file callees (closure bodies are scanned inline by the
-/// parser, and a `ctx.host(…)` call in a `with_real`-style hosting
-/// helper counts as a send, so hosted sends are covered). Declared
-/// capabilities are the union of builder mentions across every arm of
-/// the impl's `footprint` fn — so a finding means *no arm at all* can
-/// grant the effect, which the runtime would punish with a panic on
-/// the first affected step. No `footprint` override means the opaque
-/// default: sound, silent.
-///
-/// Separately, any `Footprint::opaque(…)` in a scoped impl must carry a
-/// written allow: opaque footprints forfeit DPOR commutativity for
-/// every step of that protocol.
-fn footprint_pass(table: &SymbolTable, out: &mut Vec<PassFinding>) {
-    const RULE: &str = "d7-footprint";
-    for (ix, node) in table.fns.iter().enumerate() {
-        let rel = table.file_of(ix).to_string();
-        if !in_scope(RULE, &rel) {
-            continue;
-        }
-        let def = table.def(ix);
-        let Some(self_ty) = protocol_impl_fn(def).map(str::to_string) else {
-            continue;
-        };
-
-        // Opaque sites inside footprint fns.
-        if def.name == "footprint" {
-            for call in &def.calls {
-                if call
-                    .path
-                    .ends_with(&["Footprint".to_string(), "opaque".to_string()])
-                {
-                    out.push(PassFinding {
-                        file: rel.clone(),
-                        line: call.line,
-                        col: call.col,
-                        rule: RULE,
-                        what: format!(
-                            "`Footprint::opaque` in `{self_ty}::footprint` forfeits DPOR \
-                             commutativity for the affected steps"
-                        ),
-                        chain: Vec::new(),
-                    });
-                }
-            }
-            continue;
-        }
-
-        if !HANDLERS.contains(&def.name.as_str()) || !def.has_body {
-            continue;
-        }
-
-        // Effects: handler plus same-file reachable helpers.
-        let mut sends_at: Option<u32> = None;
-        let mut outputs_at: Option<u32> = None;
-        for reach in table.same_file_closure(ix) {
-            for call in &table.def(reach).calls {
-                if send_effect(call) && sends_at.is_none_or(|l| reach == ix && call.line < l) {
-                    sends_at = Some(call.line);
-                }
-                if output_effect(call) && outputs_at.is_none_or(|l| reach == ix && call.line < l) {
-                    outputs_at = Some(call.line);
-                }
-            }
-        }
-        if sends_at.is_none() && outputs_at.is_none() {
-            continue;
-        }
-
-        // Declared capabilities: the impl's footprint fn, if any.
-        let Some(fp) = table.named("footprint").iter().copied().find(|&f| {
-            table.fns[f].file == node.file
-                && protocol_impl_fn(table.def(f)).map(str::to_string) == Some(self_ty.clone())
-        }) else {
-            continue; // default footprint is opaque: covers everything
-        };
-        let mut cap_send = false;
-        let mut cap_output = false;
-        for reach in table.same_file_closure(fp) {
-            for call in &table.def(reach).calls {
-                match call.path.last().map(String::as_str) {
-                    Some("sends_to" | "sends_to_all" | "sends_to_others") => cap_send = true,
-                    Some("outputs") => cap_output = true,
-                    Some("opaque") => {
-                        cap_send = true;
-                        cap_output = true;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if let Some(line) = sends_at {
-            if !cap_send {
-                out.push(PassFinding {
-                    file: rel.clone(),
-                    line: def.line,
-                    col: def.col,
-                    rule: RULE,
-                    what: format!(
-                        "`{}::{}` sends (line {}) but no `footprint` arm declares a send \
-                         capability — the runtime would panic on the first such step",
-                        self_ty, def.name, line
-                    ),
-                    chain: Vec::new(),
-                });
-            }
-        }
-        if let Some(line) = outputs_at {
-            if !cap_output {
-                out.push(PassFinding {
-                    file: rel.clone(),
-                    line: def.line,
-                    col: def.col,
-                    rule: RULE,
-                    what: format!(
-                        "`{}::{}` emits output (line {}) but no `footprint` arm declares \
-                         `outputs()`",
-                        self_ty, def.name, line
-                    ),
-                    chain: Vec::new(),
-                });
-            }
-        }
     }
 }
 
@@ -660,110 +497,6 @@ fn leaf() { let t = now_shim(); }
         assert!(findings
             .iter()
             .any(|f| f.rule == "d6-taint" && f.what.contains("available_parallelism")));
-    }
-
-    #[test]
-    fn underdeclared_footprint_is_caught() {
-        let src = "\
-impl Protocol for Under {
-    fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, msg: u32) {
-        ctx.send(from, msg);
-    }
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind) -> Footprint {
-        Footprint::local()
-    }
-}
-";
-        let findings = run_on(&[("crates/consensus/src/x.rs", src, &[])], None);
-        let d7: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == "d7-footprint")
-            .collect();
-        assert_eq!(d7.len(), 1, "{d7:#?}");
-        assert!(d7[0].what.contains("send capability"));
-        assert_eq!(d7[0].line, 2, "anchored at the handler");
-    }
-
-    #[test]
-    fn hosted_sends_count_against_the_footprint() {
-        let src = "\
-impl Protocol for Host {
-    fn on_tick(&mut self, ctx: &mut Ctx<Self>) {
-        self.with_inner(ctx, |inner, ictx| inner.on_tick(ictx));
-    }
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind) -> Footprint {
-        Footprint::local()
-    }
-}
-impl Host {
-    fn with_inner(&mut self, ctx: &mut Ctx<Self>, f: impl FnOnce(&mut Inner, &mut Ctx<Inner>)) {
-        let fd = *ctx.fd();
-        for out in ctx.host(fd, Wrapped, |ictx| f(&mut self.inner, ictx)) {
-            self.absorb(out);
-        }
-    }
-}
-";
-        let findings = run_on(&[("crates/consensus/src/x.rs", src, &[])], None);
-        let d7: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == "d7-footprint")
-            .collect();
-        assert_eq!(d7.len(), 1, "{d7:#?}");
-        assert!(d7[0].what.contains("send capability"));
-        assert!(d7[0].what.contains("line 12"), "the `host` call: {d7:#?}");
-    }
-
-    #[test]
-    fn declared_footprint_is_silent_and_opaque_flagged() {
-        let src = "\
-impl Protocol for Ok1 {
-    fn on_tick(&mut self, ctx: &mut Ctx<Self>) { ctx.broadcast(m); ctx.output(v); }
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind) -> Footprint {
-        match step {
-            StepKind::Tick => Footprint::sends_to_all(n).outputs(),
-            _ => Footprint::local(),
-        }
-    }
-}
-impl Protocol for Lazy {
-    fn on_tick(&mut self, ctx: &mut Ctx<Self>) { ctx.broadcast(m); }
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind) -> Footprint {
-        Footprint::opaque(n)
-    }
-}
-";
-        let findings = run_on(&[("crates/consensus/src/x.rs", src, &[])], None);
-        let d7: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == "d7-footprint")
-            .collect();
-        assert_eq!(d7.len(), 1, "only the opaque site fires: {d7:#?}");
-        assert!(d7[0].what.contains("opaque"));
-        assert_eq!(d7[0].line, 13);
-    }
-
-    #[test]
-    fn handler_effects_found_through_local_helpers_and_closures() {
-        let src = "\
-impl Protocol for Hosted {
-    fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, msg: u32) {
-        self.with_slot(ctx, |ctx, slot| {
-            ctx.send(from, reply(slot));
-        });
-    }
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind) -> Footprint {
-        Footprint::local()
-    }
-}
-";
-        let findings = run_on(&[("crates/registers/src/x.rs", src, &[])], None);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == "d7-footprint" && f.what.contains("send capability")),
-            "closure-hosted send must be seen: {findings:#?}"
-        );
     }
 
     #[test]

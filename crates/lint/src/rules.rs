@@ -71,7 +71,7 @@ pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
-static RULES: [Rule; 10] = [
+static RULES: [Rule; 9] = [
     Rule {
         id: "d1-hash-collections",
         summary: "HashMap/HashSet iteration order is nondeterministic",
@@ -174,8 +174,8 @@ static RULES: [Rule; 10] = [
         matcher: match_unwrap,
     },
     // d6–d9 are analysis passes (crate::passes): they need the whole
-    // workspace — a call graph, Protocol impls next to their footprints,
-    // the workspace version — so their matchers are empty and the engine
+    // workspace — a call graph, Machine impls next to their helpers, the
+    // workspace version — so their matchers are empty and the engine
     // invokes them after the per-file token phase. They are registered
     // here so scope config, suppression-id validation, and the report's
     // rule table treat them uniformly.
@@ -212,17 +212,6 @@ static RULES: [Rule; 10] = [
                  uses would seed spurious taint",
             ),
         ],
-        only: None,
-        matcher: match_nothing,
-    },
-    Rule {
-        id: "d7-footprint",
-        summary: "a Protocol handler's effects exceed what its footprint can declare",
-        help: "add the missing sends_to*/outputs capability to the footprint arm \
-               for that step kind — an under-declared footprint lets DPOR prune \
-               interleavings that are not actually commutative, silently \
-               unsoundening every certificate",
-        excluded: &[],
         only: None,
         matcher: match_nothing,
     },

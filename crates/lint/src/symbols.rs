@@ -278,7 +278,7 @@ impl SymbolTable {
 
     /// Indices of all fns defined in the same file as `ix` that are
     /// reachable from `ix` through same-file edges only (including `ix`
-    /// itself). This is the traversal d7 and d8 use: cross-file calls
+    /// itself). This is the traversal d8 uses: cross-file calls
     /// are other subsystems' protocol surfaces, policed by their own
     /// rules.
     pub fn same_file_closure(&self, ix: FnIx) -> Vec<FnIx> {

@@ -60,13 +60,6 @@ const CASES: &[(&str, &str, &str, usize, &str)] = &[
         "crates/registers/src/fixture.rs",
     ),
     (
-        "d7_bad.rs",
-        "d7_allowed.rs",
-        "d7-footprint",
-        2, // undeclared send and undeclared output
-        "crates/registers/src/fixture.rs",
-    ),
-    (
         "d8_bad.rs",
         "d8_allowed.rs",
         "d8-machine-purity",

@@ -20,7 +20,7 @@ use std::fmt::Debug;
 use wfd_consensus::ConsensusOutput;
 use wfd_detectors::Signal;
 use wfd_quittable::QcDecision;
-use wfd_sim::{Ctx, Footprint, ProcessId, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, Protocol};
 
 /// Bound on the QC interface Figure 4 needs.
 pub trait QcAlgorithm: Protocol<Inv = u8, Output = ConsensusOutput<QcDecision<u8>>> {}
@@ -136,17 +136,6 @@ impl<Q: QcAlgorithm> Protocol for NbacFromQc<Q> {
                 self.with_qc(ctx, |qc, ictx| qc.on_message(ictx, from, inner));
                 self.drive(ctx);
             }
-        }
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        // Vote floods and the hosted QC may message anyone on any step;
-        // outputs (`Voted`, `Decided`) all precede `decided` being set.
-        let fp = Footprint::local().sends_to_all(n);
-        if self.decided.is_some() {
-            fp
-        } else {
-            fp.outputs()
         }
     }
 }

@@ -13,7 +13,7 @@ use crate::to_qc::NbacAlgorithm;
 use std::collections::BTreeMap;
 use std::fmt;
 use wfd_detectors::Signal;
-use wfd_sim::{Ctx, Footprint, ProcessId, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, Protocol};
 
 /// Messages: NBAC-instance traffic tagged with the instance number.
 #[derive(Clone, Debug, PartialEq)]
@@ -137,20 +137,6 @@ impl<N: NbacAlgorithm> Protocol for FsFromNbac<N> {
             return;
         }
         self.with_instance(ctx, k, |nbac, ictx| nbac.on_message(ictx, from, inner));
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            // A red process has quiesced for deliveries: `on_message`
-            // returns before touching the hosted instance, so the step
-            // is purely local.
-            StepKind::Deliver { .. } if self.red => Footprint::local(),
-            // Otherwise FS never settles: every fourth tick re-samples
-            // the signal, and the hosted NBAC instance may message
-            // anyone at any time.
-            // wfd-lint: allow(d7-footprint, hosted NBAC rounds may broadcast and the tick sampler outputs; tightening further needs per-instance effect tracking)
-            _ => Footprint::opaque(n),
-        }
     }
 }
 

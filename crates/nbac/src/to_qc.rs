@@ -18,7 +18,7 @@ use crate::spec::{Decision, NbacOutput, Vote};
 use std::fmt::Debug;
 use wfd_consensus::ConsensusOutput;
 use wfd_quittable::QcDecision;
-use wfd_sim::{Ctx, Footprint, ProcessId, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, Protocol};
 
 /// Bound on the NBAC interface Figure 5 needs.
 pub trait NbacAlgorithm: Protocol<Inv = Vote, Output = NbacOutput> {}
@@ -128,18 +128,6 @@ impl<N: NbacAlgorithm> Protocol for QcFromNbac<N> {
             QcMsg::Nbac(inner) => {
                 self.with_nbac(ctx, |nbac, ictx| nbac.on_message(ictx, from, inner));
             }
-        }
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        // Proposal floods and the hosted NBAC may message anyone on any
-        // step; `check_done` outputs exactly once (guarded by
-        // `decided.is_none()`), closing the output channel afterwards.
-        let fp = Footprint::local().sends_to_all(n);
-        if self.decided.is_some() {
-            fp
-        } else {
-            fp.outputs()
         }
     }
 }

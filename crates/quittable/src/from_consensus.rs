@@ -12,7 +12,7 @@ use crate::spec::QcDecision;
 use std::fmt::Debug;
 use wfd_consensus::omega_sigma::{OmegaSigmaConsensus, PaxosMsg};
 use wfd_consensus::ConsensusOutput;
-use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, ProcessSet, Protocol};
 
 /// A QC solution that never quits: the wrapped consensus decides a
 /// proposed value in every run. Its failure detector is (Ω, Σ).
@@ -64,18 +64,6 @@ impl<V: Clone + Debug + PartialEq> Protocol for ConsensusAsQc<V> {
 
     fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, msg: Self::Msg) {
         self.with_inner(ctx, |inner, ictx| inner.on_message(ictx, from, msg));
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        // The wrapped consensus may message anyone; once it has decided it
-        // outputs nothing further (the inner protocol guards on its own
-        // decision flag), so the output channel closes with it.
-        let fp = Footprint::local().sends_to_all(n);
-        if self.inner.decision().is_some() {
-            fp
-        } else {
-            fp.outputs()
-        }
     }
 }
 

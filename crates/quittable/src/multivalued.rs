@@ -23,7 +23,7 @@ use crate::spec::QcDecision;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use wfd_consensus::ConsensusOutput;
-use wfd_sim::{Ctx, Footprint, ProcessId, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, Protocol};
 
 /// A binary QC algorithm the transformation can host: it is proposed a
 /// bit and returns a QC decision on a bit; `Default` is a fresh instance.
@@ -191,18 +191,6 @@ impl<B: BinaryQc, V: Clone + Debug + PartialEq> Protocol for MultivaluedQc<B, V>
                     inst.on_message(ictx, from, inner)
                 });
             }
-        }
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        // Value floods and the binary instances may message anyone on any
-        // step; `settle` outputs exactly once (guarded by
-        // `decided.is_none()`).
-        let fp = Footprint::local().sends_to_all(n);
-        if self.decided.is_some() {
-            fp
-        } else {
-            fp.outputs()
         }
     }
 }

@@ -23,7 +23,7 @@ use std::fmt::Debug;
 use wfd_consensus::omega_sigma::{OmegaSigmaConsensus, PaxosMsg};
 use wfd_consensus::ConsensusOutput;
 use wfd_detectors::PsiValue;
-use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, ProcessSet, Protocol};
 
 /// One process of the Figure 2 algorithm. The failure detector value is
 /// [`PsiValue`].
@@ -136,17 +136,6 @@ impl<V: Clone + Debug + PartialEq> Protocol for PsiQc<V> {
         // laggards moving.
         self.with_inner(ctx, |inner, ictx| inner.on_message(ictx, from, msg));
         self.drive(ctx);
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        // The hosted (Ω, Σ) consensus may message anyone on any step;
-        // `decide` outputs exactly once (guarded by `decided.is_none()`).
-        let fp = Footprint::local().sends_to_all(n);
-        if self.decided.is_some() {
-            fp
-        } else {
-            fp.outputs()
-        }
     }
 }
 

@@ -25,7 +25,7 @@
 use crate::spec::{OpHistory, OpId, OpRecord, RegOp, RegResp, Value};
 use std::collections::VecDeque;
 use std::fmt::Debug;
-use wfd_sim::{Ctx, EventKind, Footprint, ProcessId, ProcessSet, Protocol, StepKind, Trace};
+use wfd_sim::{Ctx, EventKind, ProcessId, ProcessSet, Protocol, Trace};
 
 /// How a phase decides it has heard from "enough" replicas.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -361,21 +361,6 @@ impl<V: Clone + Debug + PartialEq> Protocol for AbdRegister<V> {
                 }
                 self.try_advance(ctx);
             }
-        }
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            // Server-side handlers answer only the asking process and
-            // never complete an operation.
-            StepKind::Deliver {
-                from,
-                msg: AbdMsg::Query { .. } | AbdMsg::Store { .. },
-            } => Footprint::local().sends_to(from),
-            // Everything else funnels through `try_advance`, which may
-            // launch a phase (broadcast) or complete an op (output).
-            // wfd-lint: allow(d7-footprint, try_advance may launch a phase broadcast or complete an op with an output on any non-server step)
-            _ => Footprint::opaque(n),
         }
     }
 }

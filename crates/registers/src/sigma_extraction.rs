@@ -26,7 +26,7 @@
 use crate::abd::{AbdOp, AbdOutput, AbdResp};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Debug;
-use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, ProcessSet, Protocol};
 
 /// What Figure 1 stores in its registers: the write counter `k` together
 /// with the set `E_i` of participant sets of all previous writes.
@@ -293,21 +293,6 @@ impl<A: RegisterAlgorithm> Protocol for SigmaExtraction<A> {
                     }
                 }
             }
-        }
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            // Probes are always answered with a single ack to the asker.
-            StepKind::Deliver {
-                from,
-                msg: ExtractionMsg::Probe { .. },
-            } => Footprint::local().sends_to(from),
-            // Register traffic, acks and ticks drive the extraction loop:
-            // hosted instances may message anyone and each finished
-            // iteration outputs a quorum.
-            // wfd-lint: allow(d7-footprint, the hosted register instances may message anyone and finished iterations output quorums)
-            _ => Footprint::opaque(n),
         }
     }
 }

@@ -28,7 +28,7 @@
 use crate::abd::{AbdMsg, AbdOp, AbdOutput, AbdRegister, AbdResp, QuorumRule, Ts};
 use std::collections::VecDeque;
 use std::fmt::Debug;
-use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind};
+use wfd_sim::{Ctx, ProcessId, ProcessSet, Protocol};
 
 /// A single-writer multi-reader register: a [`AbdRegister`] whose write
 /// operations are restricted to `owner`.
@@ -88,20 +88,6 @@ impl<V: Clone + Debug + PartialEq> Protocol for SwmrRegister<V> {
 
     fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, msg: AbdMsg<V>) {
         self.with_inner(ctx, |inner, ictx| inner.on_message(ictx, from, msg));
-    }
-
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        // One-to-one wrapper (same Msg/Inv types): the hosted ABD
-        // register's declaration is exact for the relayed effects too.
-        self.inner.footprint(
-            me,
-            n,
-            match step {
-                StepKind::Start { inv } => StepKind::Start { inv },
-                StepKind::Tick => StepKind::Tick,
-                StepKind::Deliver { from, msg } => StepKind::Deliver { from, msg },
-            },
-        )
     }
 }
 
@@ -270,22 +256,6 @@ impl<V: Clone + Debug + PartialEq> Protocol for MwmrFromSwmr<V> {
     fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, msg: MwMsg<V>) {
         let MwMsg { instance, inner } = msg;
         self.with_instance(ctx, instance, |reg, ictx| reg.on_message(ictx, from, inner));
-    }
-
-    fn footprint(&self, _me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            // Server-side traffic of a hosted single-writer register
-            // answers only the asking process and completes nothing.
-            StepKind::Deliver { from, msg }
-                if matches!(msg.inner, AbdMsg::Query { .. } | AbdMsg::Store { .. }) =>
-            {
-                Footprint::local().sends_to(from)
-            }
-            // Client-side completions drive the multi-writer stage
-            // machine: new phases broadcast, finished ops output.
-            // wfd-lint: allow(d7-footprint, stage transitions broadcast new phases and completed operations output; only server probes are narrower)
-            _ => Footprint::opaque(n),
-        }
     }
 }
 

@@ -6,8 +6,6 @@ use crate::machine::{dispatch, ResolvedStep};
 use crate::obs::{CounterId, HistId, Obs, PhaseId};
 use crate::oracle::FdOracle;
 use crate::protocol::{Ctx, Protocol};
-#[cfg(debug_assertions)]
-use crate::protocol::{Footprint, StepKind};
 use crate::scheduler::{MsgMeta, Scheduler};
 use crate::trace::{EventKind, Trace, TraceMode, TraceSummary};
 use std::collections::VecDeque;
@@ -370,33 +368,17 @@ where
             std::mem::take(&mut self.out_buf),
         );
 
-        // Debug builds validate every executed step against the declared
-        // footprint: an undeclared send or output is a protocol bug that
-        // would make the explorer's DPOR unsound, so it panics here too.
-        // Invocation steps are exempt — `StepKind` has no invoke variant
-        // (the explorer folds pending invocations into `Start`).
-        #[cfg(debug_assertions)]
-        let mut declared: Option<Footprint> = None;
-
         // Resolve the step kind: start > pending invocation > message/λ.
-        // The resolution (scheduler picks, trace events, footprint
-        // declarations) is the engine's own; the callback routing is the
-        // shared [`dispatch`], so the engine executes the same step
-        // semantics as the explorer and the liveness checker. Invocations
-        // arrive over time here, so they stay stand-alone steps instead
-        // of being folded into `Start` as the machine layer does.
+        // The resolution (scheduler picks, trace events) is the engine's
+        // own; the callback routing is the shared [`dispatch`], so the
+        // engine executes the same step semantics as the explorer and the
+        // liveness checker. Invocations arrive over time here, so they
+        // stay stand-alone steps instead of being folded into `Start` as
+        // the machine layer does.
         let step: ResolvedStep<P> = if !self.started[actor.index()] {
             self.started[actor.index()] = true;
             if record_msgs {
                 self.trace.push(self.now, actor, EventKind::Start);
-            }
-            #[cfg(debug_assertions)]
-            {
-                declared = Some(self.procs[actor.index()].footprint(
-                    actor,
-                    self.cfg.n,
-                    StepKind::Start { inv: None },
-                ));
             }
             ResolvedStep::Start { inv: None }
         } else if self.invocations[actor.index()]
@@ -427,17 +409,6 @@ where
                             },
                         );
                     }
-                    #[cfg(debug_assertions)]
-                    {
-                        declared = Some(self.procs[actor.index()].footprint(
-                            actor,
-                            self.cfg.n,
-                            StepKind::Deliver {
-                                from: env.from,
-                                msg: &env.msg,
-                            },
-                        ));
-                    }
                     ResolvedStep::Deliver {
                         from: env.from,
                         msg: env.msg,
@@ -447,14 +418,6 @@ where
                     if record_msgs {
                         self.trace.push(self.now, actor, EventKind::Lambda);
                     }
-                    #[cfg(debug_assertions)]
-                    {
-                        declared = Some(self.procs[actor.index()].footprint(
-                            actor,
-                            self.cfg.n,
-                            StepKind::Tick,
-                        ));
-                    }
                     ResolvedStep::Tick
                 }
             }
@@ -462,19 +425,6 @@ where
         dispatch(&mut self.procs[actor.index()], &mut ctx, step);
 
         let (mut sends, mut outs) = ctx.into_buffers();
-        #[cfg(debug_assertions)]
-        if let Some(fp) = declared {
-            for (to, _) in &sends {
-                assert!(
-                    fp.may_send_to(*to),
-                    "footprint violation: {actor} sent to {to} without declaring it"
-                );
-            }
-            assert!(
-                outs.is_empty() || fp.may_output(),
-                "footprint violation: {actor} emitted an output without declaring it"
-            );
-        }
         self.cfg
             .obs
             .record(HistId::EngineSendsPerStep, sends.len() as u64);

@@ -60,9 +60,8 @@
 //!   that key as it reads a built state's, so a child it drops is never
 //!   cloned, stepped or recycled, and one it keeps is built by the worker
 //!   that expands it. A parent stays alive while any of its deferred
-//!   children waits on the frontier. Children stay eager under DPOR
-//!   (each executed step's footprint is checked and slept on) and under a
-//!   usable symmetry group (the canonicalizer renames built components).
+//!   children waits on the frontier. Children stay eager under a usable
+//!   symmetry group (the canonicalizer renames built components).
 //!   On the benchmark's `paper_safety` this skips about 70 % of the
 //!   handler calls; the traversal, and so every report, is unchanged.
 //! * **Shared-prefix states** — the per-branch decision and output
@@ -83,27 +82,9 @@
 //!
 //! ## State-space reduction
 //!
-//! On top of the per-state machinery, two opt-in reductions shrink the
-//! space itself — they prune *interleavings*, not soundness:
+//! On top of the per-state machinery, one opt-in reduction shrinks the
+//! space itself — it prunes *interleavings*, not soundness:
 //!
-//! * **Dynamic partial-order reduction** ([`ExploreConfig::with_dpor`]) —
-//!   sleep sets over an explicit independence relation. Protocols declare
-//!   per-step [`Footprint`]s (which inboxes a step may append to, whether
-//!   it may output); two enabled steps of different processes are
-//!   *independent* when their footprints are disjoint, neither both
-//!   output, neither sends into the other's pending λ step, and the
-//!   failure pattern and detector are stable across the two adjacent step
-//!   times. Once a step has been explored from a state, equivalent
-//!   interleavings that merely commute it with independent steps are
-//!   skipped ([`ExploreReport::states_pruned_dpor`]). Sleep sets thread
-//!   through the frontier entries, survive batching, and are stored in
-//!   the seen-table: a revisit is pruned only when the recorded
-//!   exploration covered at least as many steps (a depth- and sleep-aware
-//!   cover check) — the naive "prune any revisit" composition of sleep
-//!   sets with state caching is unsound, and a regression fixture keeps
-//!   it that way. Declared footprints are validated against every
-//!   executed step, so an under-declaration panics instead of silently
-//!   pruning a reachable violation.
 //! * **Process-symmetry canonicalization**
 //!   ([`ExploreConfig::with_symmetry`]) — protocols declare a symmetry
 //!   group ([`Symmetry`], with [`Permutation`] hooks for ids embedded in
@@ -120,9 +101,11 @@
 //!   is sound only when the safety predicate is itself invariant under
 //!   the declared group.
 //!
-//! Both reductions are deterministic and thread-count-invariant, and both
-//! are differentially anchored against the unreduced explorer by the
-//! 40-seed equivalence ladders in `tests/explore_dedup.rs`.
+//! The reduction is deterministic and thread-count-invariant, and it is
+//! differentially anchored against the unreduced explorer by the
+//! 40-seed equivalence ladders in `tests/explore_dedup.rs`. There is no
+//! partial-order reduction: on the paper's workloads sleep sets removed
+//! no visited state, and symmetry does the reducing.
 //!
 //! ```
 //! use wfd_sim::{explore, Ctx, ExploreConfig, FailurePattern, NoDetector,
@@ -162,7 +145,7 @@ use crate::machine::{
 use crate::obs::{CounterId, HistId, Obs, PhaseId};
 use crate::oracle::FdOracle;
 use crate::par::par_map_with;
-use crate::protocol::{Footprint, Permutation, Protocol, SendBuf, StepKind, Symmetry};
+use crate::protocol::{Permutation, Protocol, SendBuf, Symmetry};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap; // wfd-lint: allow(d1-hash-collections, imported only for the sharded seen-table, which is keyed insert/lookup; nothing iterates it)
 use std::fmt::Debug;
@@ -221,11 +204,6 @@ pub struct ExploreConfig {
     /// therefore *not* derived from the thread count); `1` reproduces a
     /// plain depth-first search exactly.
     pub batch: usize,
-    /// Sleep-set dynamic partial-order reduction (default: off). It
-    /// requires honest [`Protocol::footprint`] declarations — the default
-    /// opaque footprint is sound but prunes nothing. See the
-    /// [module docs](self#state-space-reduction).
-    pub dpor: bool,
     /// Process-symmetry canonicalization of dedup keys (default: off). It
     /// requires dedup and a group-invariant safety predicate. See the
     /// [module docs](self#state-space-reduction).
@@ -237,7 +215,7 @@ pub struct ExploreConfig {
 
 impl ExploreConfig {
     /// Defaults: the given depth, one million states, dedup on, automatic
-    /// thread count, batch size 256, reductions off, metrics off.
+    /// thread count, batch size 256, symmetry off, metrics off.
     pub fn new(max_depth: usize) -> Self {
         ExploreConfig {
             max_depth,
@@ -245,7 +223,6 @@ impl ExploreConfig {
             dedup: true,
             threads: None,
             batch: DEFAULT_BATCH,
-            dpor: false,
             symmetry: false,
             obs: Obs::off(),
         }
@@ -276,13 +253,15 @@ impl ExploreConfig {
         self
     }
 
-    /// Enable sleep-set dynamic partial-order reduction (default: off).
-    /// Prunes interleavings that merely commute independent steps, as
-    /// proven by the protocol's declared [`Protocol::footprint`]s; with
-    /// the default opaque footprints it is a sound no-op. The verdict is
-    /// unchanged; the traversal-shaped counters legitimately shrink.
-    pub fn with_dpor(mut self, dpor: bool) -> Self {
-        self.dpor = dpor;
+    /// Inert: returns `self` unchanged, whatever the argument. Kept only
+    /// so callers that still ask for the removed sleep-set reduction
+    /// compile.
+    #[deprecated(
+        since = "0.7.0",
+        note = "inert: sleep-set DPOR was removed; the benchmark-only change (ROADMAP \
+                item 1) drops the last call and the next change deletes this method"
+    )]
+    pub fn with_dpor(self, _dpor: bool) -> Self {
         self
     }
 
@@ -324,12 +303,8 @@ pub struct ExploreViolation {
 /// Outcome of an exploration.
 #[derive(Clone, Debug)]
 pub struct ExploreReport {
-    /// States expanded in full (post-dedup; a state revisited at a
-    /// strictly lower depth is re-expanded and counted again). Revisits
-    /// re-expanded only on a restricted decision subset — partial cache
-    /// hits under the reductions — count in [`dedup_hits`] instead.
-    ///
-    /// [`dedup_hits`]: ExploreReport::dedup_hits
+    /// States expanded (post-dedup; a state revisited at a strictly lower
+    /// depth is re-expanded and counted again).
     pub states_visited: usize,
     /// Whether some branch hit the depth bound (the space is bigger than
     /// what was explored).
@@ -345,26 +320,20 @@ pub struct ExploreReport {
     pub violation: Option<ExploreViolation>,
     /// Distinct keys committed to the dedup seen-table (0 with dedup off).
     pub dedup_entries: usize,
-    /// States pruned as already-covered revisits (0 with dedup off).
-    /// Under the reductions this also counts partial cache hits —
-    /// revisits re-expanded only on the decisions the seen-table does
-    /// not yet cover — and the individual child states a restriction
-    /// skipped.
+    /// Revisits pruned because the seen-table already holds their key at
+    /// an equal or lower depth (0 with dedup off). Under symmetry a
+    /// renaming of a seen state is a revisit too.
     pub dedup_hits: usize,
     /// High-water mark of the pending frontier, in entries: built states
     /// and children keyed but not yet built count alike, one entry per
     /// child.
     pub max_frontier_len: usize,
-    /// Child states skipped by sleep-set partial-order reduction. 0
-    /// unless [`ExploreConfig::dpor`] is on — and 0 with it on when the
-    /// protocol declares only the opaque default footprint.
-    pub states_pruned_dpor: usize,
     /// Keyed states whose canonical form used a non-identity permutation
     /// (a renaming of an already-seen state was collapsed onto it). 0
     /// unless [`ExploreConfig::symmetry`] found a usable group.
     pub symmetry_canonical_hits: usize,
-    /// Whether a state-space reduction ([`ExploreConfig::dpor`] or
-    /// [`ExploreConfig::symmetry`]) was requested for this run.
+    /// Whether the state-space reduction ([`ExploreConfig::symmetry`])
+    /// was requested for this run.
     pub reduction_enabled: bool,
     /// The resolved worker count. Informational: it is the one field that
     /// legitimately differs between otherwise identical reports.
@@ -384,7 +353,6 @@ impl ExploreReport {
             && self.dedup_entries == other.dedup_entries
             && self.dedup_hits == other.dedup_hits
             && self.max_frontier_len == other.max_frontier_len
-            && self.states_pruned_dpor == other.states_pruned_dpor
             && self.symmetry_canonical_hits == other.symmetry_canonical_hits
             && self.reduction_enabled == other.reduction_enabled
             && self.violation == other.violation
@@ -427,10 +395,6 @@ impl ExploreReport {
             (
                 "max_frontier_len".to_string(),
                 Json::usize(self.max_frontier_len),
-            ),
-            (
-                "states_pruned_dpor".to_string(),
-                Json::usize(self.states_pruned_dpor),
             ),
             (
                 "symmetry_canonical_hits".to_string(),
@@ -1031,67 +995,8 @@ impl StateHasher for ExactKeyHasher {
 }
 
 // ---------------------------------------------------------------------------
-// State-space reduction machinery: sleep sets, seen-covers, symmetry
+// State-space reduction machinery: symmetry
 // ---------------------------------------------------------------------------
-
-/// Membership in a sorted sleep set.
-fn sleep_contains(sleep: &[ExploreDecision], d: ExploreDecision) -> bool {
-    sleep.binary_search(&d).is_ok()
-}
-
-/// `a ⊆ b` over sorted decision sets (merge scan).
-fn sleep_subset(a: &[ExploreDecision], b: &[ExploreDecision]) -> bool {
-    let mut b_iter = b.iter();
-    'outer: for x in a {
-        for y in b_iter.by_ref() {
-            match y.cmp(x) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => continue 'outer,
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// One recorded expansion of a seen key: the depth it ran from and the
-/// enabled decisions it *slept* (skipped). A revisit is covered — safely
-/// prunable — only by an entry that had at least as much remaining depth
-/// budget (`depth ≤` the revisit's) and slept at most what the revisit
-/// would sleep (`sleep ⊆` the revisit's): the recorded subtree then
-/// contains every run the revisit could contribute. This is the
-/// sleep-aware caching rule from Godefroid's state-space caching work:
-/// pruning any revisit regardless of its sleep set is unsound in
-/// general, because the earlier visit may have skipped exactly the
-/// direction the revisit still needs. The entries of one key form a
-/// small Pareto front: no entry dominates another. A revisit no single
-/// entry covers is not necessarily re-expanded in full: the resolution
-/// pass restricts it to the intersection of the valid entries' sleeps —
-/// everything outside that intersection is covered by *some* entry (see
-/// [`State::restrict`]).
-struct SeenCover {
-    depth: usize,
-    sleep: Vec<ExploreDecision>,
-}
-
-/// Whether the recorded covers of a key cover a visit at `depth` that
-/// would sleep `sleep`. Coverage only ever *grows* as entries are pushed,
-/// which is what keeps the parallel pre-read sound: a pre-read prune
-/// verdict can never be invalidated by the sequential resolution pass.
-fn covered_by(covers: &[SeenCover], depth: usize, sleep: &[ExploreDecision]) -> bool {
-    covers
-        .iter()
-        .any(|c| c.depth <= depth && sleep_subset(&c.sleep, sleep))
-}
-
-/// Record a kept (re-)expansion: push its cover and drop entries it
-/// dominates. Without reductions every sleep is empty, so this degenerates
-/// to the historical single min-depth entry per key.
-fn push_cover(entry: &mut Vec<SeenCover>, depth: usize, sleep: Vec<ExploreDecision>) {
-    entry.retain(|c| !(depth <= c.depth && sleep_subset(&sleep, &c.sleep)));
-    entry.push(SeenCover { depth, sleep });
-}
 
 /// Dense cache of one detector value per `(process, time)` pair, filled
 /// once per exploration: oracles are pure in `(p, t)`, so a value stays
@@ -1127,93 +1032,6 @@ impl<F> FdTable<F> {
             .as_ref()
             .expect("the oracle phase filled every alive (p, t) of every expanded depth")
     }
-}
-
-/// Dense per-batch map from a survivor depth to the DPOR stability
-/// verdict at that depth (same touched-list clearing discipline as
-/// [`FdTable`], same `HashMap`-replacement rationale).
-struct DepthTable {
-    slots: Vec<Option<bool>>,
-    touched: Vec<usize>,
-}
-
-impl DepthTable {
-    fn new(max_depth: usize) -> Self {
-        DepthTable {
-            slots: vec![None; max_depth + 1],
-            touched: Vec::new(),
-        }
-    }
-
-    fn clear(&mut self) {
-        for &i in &self.touched {
-            self.slots[i] = None;
-        }
-        self.touched.clear();
-    }
-
-    fn contains(&self, t: Time) -> bool {
-        self.slots[t as usize].is_some()
-    }
-
-    fn insert(&mut self, t: Time, v: bool) {
-        let i = t as usize;
-        if self.slots[i].is_none() {
-            self.touched.push(i);
-        }
-        self.slots[i] = Some(v);
-    }
-
-    fn get(&self, t: Time) -> Option<bool> {
-        self.slots[t as usize]
-    }
-}
-
-/// Whether two enabled decisions at the same state are *independent* —
-/// executing them in either order yields the same state, and neither
-/// order hides the other's enabledness. Requires (checked by the caller)
-/// that the failure pattern and detector are stable across the two
-/// adjacent step times. `fa`/`fb` are the decisions' declared footprints;
-/// `started` is the state's started vector.
-fn independent(
-    (p, ca): ExploreDecision,
-    fa: &Footprint,
-    (q, cb): ExploreDecision,
-    fb: &Footprint,
-    started: &[bool],
-) -> bool {
-    // A process's own steps always conflict (they share its local state
-    // and inbox); two outputs conflict (the output history is ordered and
-    // safety-visible); two sends to a common inbox conflict (the append
-    // order is part of the state); a send into a process whose decision
-    // is a λ step disables that step (λ requires an empty inbox) — start
-    // steps are immune, they read no inbox.
-    p != q
-        && !(fa.may_output() && fb.may_output())
-        && !fa.sends_intersect(fb)
-        && !(fa.may_send_to(q) && cb.is_none() && started[q.index()])
-        && !(fb.may_send_to(p) && ca.is_none() && started[p.index()])
-}
-
-/// The declared footprint of one enabled decision at `state`.
-fn decision_footprint<P: Protocol>(state: &State<P>, d: ExploreDecision, n: usize) -> Footprint {
-    let (p, choice) = d;
-    let idx = p.index();
-    if !state.started[idx] {
-        let kind = StepKind::Start {
-            inv: state.pending_inv[idx].as_ref(),
-        };
-        return state.procs[idx].footprint(p, n, kind);
-    }
-    let kind = match choice {
-        Some(i) if !state.inboxes[idx].is_empty() => {
-            let i = i.min(state.inboxes[idx].len() - 1);
-            let (from, msg) = &state.inboxes[idx][i];
-            StepKind::Deliver { from: *from, msg }
-        }
-        _ => StepKind::Tick,
-    };
-    state.procs[idx].footprint(p, n, kind)
 }
 
 /// A usable non-identity symmetry group element, with its inverse image
@@ -1733,14 +1551,6 @@ impl<P: Protocol, S, K> Frontier<P, S, K> {
         }
     }
 
-    /// Whether the revisit rule restricted this entry's expansion (a
-    /// partial cache hit, see [`State::restrict`]). A deferred child
-    /// never is: deferral needs DPOR off, and without it every cover is
-    /// a full cover.
-    fn is_restricted(&self) -> bool {
-        matches!(self, Frontier::Built(node) if node.state.restrict.is_some())
-    }
-
     /// The shared state this entry holds: its own, or its parent's.
     fn into_shared(self) -> Shared<P, S> {
         match self {
@@ -1763,8 +1573,6 @@ fn recycle<P: Protocol, S>(mut s: Shared<P, S>, pool: &mut Vec<Shared<P, S>>) {
         let state = &mut unshared.state;
         state.outputs = None;
         state.decisions = None;
-        state.sleep.clear();
-        state.restrict = None;
         pool.push(s);
     }
 }
@@ -1791,11 +1599,10 @@ where
     S: Eq + Hash + Clone,
 {
     /// Build `parent`'s child by `decision` into a state from the arena,
-    /// stepped with the detector value `fd` (and checked against the
-    /// `declared` footprint under DPOR), and key it from `parent`'s keys
-    /// through the memo when a `hasher` is given (dedup on). Returns the
-    /// child and whether the memo held its step. Debug builds re-key the
-    /// child in full and compare.
+    /// stepped with the detector value `fd`, and key it from `parent`'s
+    /// keys through the memo when a `hasher` is given (dedup on). Returns
+    /// the child and whether the memo held its step. Debug builds re-key
+    /// the child in full and compare.
     fn build<H: StateHasher<Slot = S>>(
         &mut self,
         hasher: Option<&H>,
@@ -1803,7 +1610,6 @@ where
         fd: P::Fd,
         parent: &KeyedState<P, S>,
         (p, choice): ExploreDecision,
-        declared: Option<&Footprint>,
     ) -> (Shared<P, S>, bool) {
         let mut dst = self
             .free
@@ -1818,7 +1624,6 @@ where
             fd,
             choice,
             &mut self.bufs,
-            declared,
         );
         let hit = hasher.is_some_and(|hasher| {
             let hit = child.inherit_keys(hasher, &mut self.memo, parent, p, &mut self.outputs);
@@ -1841,16 +1646,6 @@ struct ChunkOut<P: Protocol, S, K> {
     children: Vec<Frontier<P, S, K>>,
     violations: Vec<FoundViolation>,
     depth_bounded: bool,
-    /// Children skipped because their decision was asleep. Only merged
-    /// from violation-free batches (a violating batch's expansion is
-    /// racily short-circuited, so its count is not deterministic — and it
-    /// never contributes children either).
-    dpor_pruned: usize,
-    /// Children skipped because their decision fell outside a partially
-    /// covered revisit's [`State::restrict`] set — i.e. the seen-table
-    /// already covers their subtree. Merged into `dedup_hits`, under the
-    /// same violation-free-batch guard as `dpor_pruned`.
-    restricted: usize,
 }
 
 /// Contiguous, near-even, in-order split of `0..len` into at most
@@ -1931,8 +1726,8 @@ where
 /// parent's keys and its transition memo, which renders only on a miss
 /// (the root alone is keyed in full; see [`StateHasher`]). A child whose
 /// step the memo holds and which emitted nothing goes onto the stack
-/// unbuilt, as its parent, its decision and its key, unless DPOR or a
-/// usable symmetry group is on; every other child is built at once.
+/// unbuilt, as its parent, its decision and its key, unless a usable
+/// symmetry group is on; every other child is built at once.
 /// Children are merged back onto the stack in survivor order, and a batch
 /// with violations reports the lexicographically-least decision list
 /// among them — every step is either order-independent or resolved in a
@@ -1995,22 +1790,19 @@ where
     let keyed = cfg.dedup.then_some(&hasher);
     // Whether a child may wait on the frontier as its key, built only if
     // the revisit rule keeps it: when its key is the identity composition
-    // of carried keys. DPOR checks each executed step's footprint and
-    // sleeps on it, and the canonicalizer renames built components, so
-    // both keep children eager.
-    let defer = cfg.dedup && !cfg.dpor && sym_perms.is_empty();
+    // of carried keys. The canonicalizer renames built components, so a
+    // usable symmetry group keeps children eager.
+    let defer = cfg.dedup && sym_perms.is_empty();
 
-    // Seen-table: state key → the Pareto front of recorded expansions
-    // (depth, sleep set) — see [`SeenCover`]. A revisit is pruned only
-    // when some recorded expansion had at least as much remaining depth
-    // budget *and* slept no more than the revisit would; without
-    // reductions this degenerates to the historical "lowest expanded
-    // depth" rule. The key includes the output history: the safety
-    // predicate reads outputs, so two branches that converge in
-    // `(procs, inboxes, started)` but emitted different outputs are
-    // *different* states to the checker.
+    // Seen-table: state key → the lowest depth it was expanded at. A
+    // revisit is pruned only when that expansion had at least as much
+    // remaining depth budget (recorded depth ≤ the revisit's); a
+    // shallower revisit is re-expanded and lowers the record. The key
+    // includes the output history: the safety predicate reads outputs,
+    // so two branches that converge in `(procs, inboxes, started)` but
+    // emitted different outputs are *different* states to the checker.
     let shard_count = seen_shard_width(threads);
-    let shards: Vec<Mutex<HashMap<H::Key, Vec<SeenCover>>>> = (0..shard_count) // wfd-lint: allow(d1-hash-collections, keyed insert/lookup only; the dedup_entries sum reads len(), never iterates entries)
+    let shards: Vec<Mutex<HashMap<H::Key, usize>>> = (0..shard_count) // wfd-lint: allow(d1-hash-collections, keyed insert/lookup only; the dedup_entries sum reads len(), never iterates entries)
         .map(|_| Mutex::new(HashMap::new())) // wfd-lint: allow(d1-hash-collections, constructor for the seen-table excused above)
         .collect();
 
@@ -2037,17 +1829,12 @@ where
     // Filled once per `(p, t)` for the whole exploration: a deferred
     // child is built batches after its parent's values were sampled.
     let mut fd_cache: FdTable<P::Fd> = FdTable::new(n, cfg.max_depth);
-    // Per-batch map: survivor depth `t` → whether the failure pattern and
-    // the detector are stable across times `t` and `t + 1` (the
-    // precondition for certifying independence at that depth).
-    let mut dpor_stable = DepthTable::new(cfg.max_depth);
 
     let mut states_visited = 0usize;
     let mut depth_bounded = false;
     let mut states_capped = false;
     let mut dedup_hits = 0usize;
     let mut max_frontier_len = 0usize;
-    let mut states_pruned_dpor = 0usize;
     let mut symmetry_canonical_hits = 0usize;
     let halt = AtomicBool::new(false); // wfd-lint: allow(d3-atomics, benign race: may only skip expansion work; violations and flags stay exact and the merge is deterministic)
 
@@ -2097,8 +1884,6 @@ where
             let key_phase = obs.phase(PhaseId::ExploreKey);
             let batch_keys = par_map_with(&ranges, threads, |slot, range| {
                 let mut keys = Vec::with_capacity(range.len());
-                let mut canon_sleeps = Vec::with_capacity(range.len());
-                let mut arg_perms = Vec::with_capacity(range.len());
                 let mut pre_pruned = Vec::with_capacity(range.len());
                 let mut sym_hits = 0usize;
                 let mut outputs = Vec::new();
@@ -2106,8 +1891,8 @@ where
                 let mut canon = canonicalizers[slot].lock().expect("canonicalizer poisoned");
                 for j in range.clone() {
                     let entry = &stack[top - 1 - j];
-                    let (key, canon_sleep, arg_perm) = match entry {
-                        Frontier::Deferred(child) => (child.key.clone(), Vec::new(), None),
+                    let key = match entry {
+                        Frontier::Deferred(child) => child.key.clone(),
                         Frontier::Built(node) => {
                             let state = &node.state;
                             // Only an output-memo miss reads the history,
@@ -2130,42 +1915,19 @@ where
                                 &node.keys,
                             );
                             sym_hits += usize::from(arg_perm.is_some());
-                            // The sleep set enters the seen-table in the
-                            // *same* coordinates as the key: mapped through
-                            // the canonicalizing permutation (inbox indices
-                            // survive unchanged — permutation preserves
-                            // inbox order).
-                            let canon_sleep = match arg_perm {
-                                None => state.sleep.clone(),
-                                Some(pi) => {
-                                    let perm = &sym_perms[pi].perm;
-                                    let mut sl: Vec<ExploreDecision> = state
-                                        .sleep
-                                        .iter()
-                                        .map(|&(p, c)| (perm.apply(p), c))
-                                        .collect();
-                                    sl.sort_unstable();
-                                    sl
-                                }
-                            };
-                            (key, canon_sleep, arg_perm)
+                            key
                         }
                     };
-                    let pruned = pre_read && {
-                        let shard = shards[H::shard(&key, shard_count)]
+                    let pruned = pre_read
+                        && shards[H::shard(&key, shard_count)]
                             .lock()
-                            .expect("shard poisoned");
-                        match shard.get(&key) {
-                            Some(covers) => covered_by(covers, entry.depth(), &canon_sleep),
-                            None => false,
-                        }
-                    };
+                            .expect("shard poisoned")
+                            .get(&key)
+                            .is_some_and(|&seen| seen <= entry.depth());
                     keys.push(key);
-                    canon_sleeps.push(canon_sleep);
-                    arg_perms.push(arg_perm);
                     pre_pruned.push(pruned);
                 }
-                (keys, canon_sleeps, arg_perms, pre_pruned, sym_hits)
+                (keys, pre_pruned, sym_hits)
             });
             drop(key_phase);
 
@@ -2173,123 +1935,36 @@ where
             // rule is order-dependent *within* a batch, so it runs in the
             // one fixed order every thread count shares.
             let _revisit_phase = obs.phase(PhaseId::ExploreRevisit);
-            for (keys, canon_sleeps, arg_perms, pre_pruned, sym_hits) in batch_keys {
+            for (keys, pre_pruned, sym_hits) in batch_keys {
                 symmetry_canonical_hits += sym_hits;
-                for (((key, canon_sleep), arg_perm), pre) in keys
-                    .into_iter()
-                    .zip(canon_sleeps)
-                    .zip(arg_perms)
-                    .zip(pre_pruned)
-                {
-                    let mut entry = stack.pop().expect("batch within stack");
+                for (key, pre) in keys.into_iter().zip(pre_pruned) {
+                    let entry = stack.pop().expect("batch within stack");
                     let depth = entry.depth();
-                    let mut restrict = None;
                     let keep = !pre && {
                         let mut shard = shards[H::shard(&key, shard_count)]
                             .lock()
                             .expect("shard poisoned");
                         match shard.entry(key) {
                             Entry::Occupied(mut e) => {
-                                if covered_by(e.get(), depth, &canon_sleep) {
-                                    false
-                                } else {
-                                    // Partial cover — restricted re-expansion
-                                    // (Godefroid's state-space caching). Every
-                                    // decision some *valid* cover (one with at
-                                    // least as much remaining depth budget)
-                                    // did not sleep already has an explored
-                                    // subtree; only the intersection of the
-                                    // valid covers' sleeps may still hide
-                                    // unexplored runs. When that intersection
-                                    // is asleep here too, the covers jointly
-                                    // subsume this visit even though no single
-                                    // one does — prune, after strengthening
-                                    // the front with this visit's cover (its
-                                    // claim is backed by the same union).
-                                    // Otherwise keep the state, restricted to
-                                    // the intersection mapped back from the
-                                    // table's canonical coordinates into this
-                                    // state's own ids (inbox positions
-                                    // survive — permutations preserve inbox
-                                    // order). `restrict` stays `None` exactly
-                                    // when no cover is valid, or when DPOR is
-                                    // off (all sleeps empty then, so any
-                                    // valid cover is a full cover).
-                                    let mut valid = e.get().iter().filter(|c| c.depth <= depth);
-                                    let mandatory = valid.next().map(|first| {
-                                        let mut m = first.sleep.clone();
-                                        for c in valid {
-                                            m.retain(|d| sleep_contains(&c.sleep, *d));
-                                        }
-                                        m
-                                    });
-                                    // The cover this visit records claims
-                                    // only what is actually backed: with a
-                                    // restriction, everything outside
-                                    // `mandatory ∩ canon_sleep` is explored —
-                                    // either expanded now (in `mandatory`,
-                                    // awake) or by the cover union (outside
-                                    // `mandatory`). Recording that smaller
-                                    // sleep makes the front converge: repeat
-                                    // revisits with fresh sleeps shrink the
-                                    // recorded sleep toward the intersection
-                                    // until full prunes take over.
-                                    match mandatory {
-                                        Some(m)
-                                            if m.iter()
-                                                .all(|d| sleep_contains(&canon_sleep, *d)) =>
-                                        {
-                                            push_cover(e.get_mut(), depth, m);
-                                            false
-                                        }
-                                        Some(mut m) => {
-                                            let cover_sleep: Vec<ExploreDecision> = m
-                                                .iter()
-                                                .copied()
-                                                .filter(|d| sleep_contains(&canon_sleep, *d))
-                                                .collect();
-                                            if let Some(pi) = arg_perm {
-                                                let inv = &sym_perms[pi].inverse;
-                                                for (p, _) in m.iter_mut() {
-                                                    *p = ProcessId(inv[p.index()]);
-                                                }
-                                                m.sort_unstable();
-                                            }
-                                            restrict = Some(m);
-                                            push_cover(e.get_mut(), depth, cover_sleep);
-                                            true
-                                        }
-                                        None => {
-                                            push_cover(e.get_mut(), depth, canon_sleep);
-                                            true
-                                        }
-                                    }
+                                let seen = e.get_mut();
+                                let shallower = depth < *seen;
+                                if shallower {
+                                    *seen = depth;
                                 }
+                                shallower
                             }
                             Entry::Vacant(v) => {
-                                v.insert(vec![SeenCover {
-                                    depth,
-                                    sleep: canon_sleep,
-                                }]);
+                                v.insert(depth);
                                 true
                             }
                         }
                     };
-                    if !keep {
+                    if keep {
+                        survivors.push(entry);
+                    } else {
                         dedup_hits += 1;
                         recycle_rr(entry.into_shared());
-                        continue;
                     }
-                    if restrict.is_some() {
-                        let Frontier::Built(node) = &mut entry else {
-                            unreachable!("a deferred child is never restricted")
-                        };
-                        Arc::get_mut(node)
-                            .expect("an unexpanded state is unshared")
-                            .state
-                            .restrict = restrict;
-                    }
-                    survivors.push(entry);
                 }
             }
         } else {
@@ -2297,32 +1972,15 @@ where
         }
 
         // Enforce the state cap mid-batch, in batch order, so the set of
-        // expanded states is identical at every thread count. Restricted
-        // revisits (partial cache hits — see [`State::restrict`]) count
-        // neither toward the cap nor toward `states_visited`: the state
-        // itself was already visited in full; only its residual decisions
-        // are expanded. They land in `dedup_hits` with the fully covered
-        // revisits.
+        // expanded states is identical at every thread count.
         let remaining = cfg.max_states - states_visited;
-        let mut full_visits = 0usize;
-        let mut cut = survivors.len();
-        for (i, s) in survivors.iter().enumerate() {
-            if !s.is_restricted() {
-                if full_visits == remaining {
-                    cut = i;
-                    break;
-                }
-                full_visits += 1;
-            }
-        }
-        if cut < survivors.len() {
+        if survivors.len() > remaining {
             states_capped = true;
-            for s in survivors.drain(cut..) {
+            for s in survivors.drain(remaining..) {
                 recycle_rr(s.into_shared());
             }
         }
-        states_visited += full_visits;
-        dedup_hits += survivors.len() - full_visits;
+        states_visited += survivors.len();
         if survivors.is_empty() {
             continue;
         }
@@ -2332,7 +1990,6 @@ where
         // pair serves the whole exploration from a read-only table — the
         // expansion workers never contend on the detector.
         let oracle_phase = obs.phase(PhaseId::ExploreOracle);
-        dpor_stable.clear();
         for entry in &survivors {
             let depth = entry.depth();
             obs.record(HistId::ExploreStateDepth, depth as u64);
@@ -2344,21 +2001,6 @@ where
                 if !pattern.is_crashed(p, t) {
                     fd_cache.fill_with(p.index(), t, || detector.query(p, t));
                 }
-            }
-            if cfg.dpor && !dpor_stable.contains(t) {
-                // Independence at depth `t` commutes a step between times
-                // `t` and `t + 1`; that is only behavior-preserving when
-                // no process's crash status changes and every alive
-                // process sees the same detector value at both times.
-                // The comparison is structural (`P::Fd: PartialEq`): a
-                // `Debug`-fingerprint proxy would wrongly certify
-                // independence for distinct values that print alike.
-                let stable = ProcessId::all(n).all(|p| {
-                    let crashed = pattern.is_crashed(p, t);
-                    crashed == pattern.is_crashed(p, t + 1)
-                        && (crashed || *fd_cache.get(p.index(), t) == detector.query(p, t + 1))
-                });
-                dpor_stable.insert(t, stable);
             }
         }
         drop(oracle_phase);
@@ -2384,8 +2026,6 @@ where
                 ),
                 violations: Vec::new(),
                 depth_bounded: false,
-                dpor_pruned: 0,
-                restricted: 0,
             };
             // Memo hits and misses, one per child keyed (a deferred child
             // at generation, where it hits), for the obs counters.
@@ -2400,11 +2040,6 @@ where
             // The machine-layer enabled set of the current state, reused
             // across the chunk.
             let mut enabled: Vec<ExploreDecision> = Vec::new();
-            // DPOR scratch, reused across the chunk's states: the sleeping
-            // decisions' footprints and the decisions already executed at
-            // the current state (with theirs).
-            let mut sleep_fps: Vec<(ExploreDecision, Footprint)> = Vec::new();
-            let mut executed: Vec<(ExploreDecision, Footprint)> = Vec::new();
             // A deferred survivor, built for its expansion; returned to the
             // arena once expanded, unless a child it deferred holds it.
             let mut built = None;
@@ -2423,7 +2058,6 @@ where
                             fd_cache.get(p.index(), t).clone(),
                             &child.parent,
                             child.decision,
-                            None,
                         );
                         // The key the child waited under must be the one
                         // its built state composes.
@@ -2442,21 +2076,15 @@ where
                     }
                 };
                 let state = &node.state;
-                // A restricted revisit's safety verdict is fixed by its
-                // first visit — the key covers the procs and the output
-                // history, and a violation there would have ended the
-                // exploration — so only full visits are checked.
-                if state.restrict.is_none() {
-                    let outputs = &mut stepper.outputs;
-                    materialize_outputs(&state.outputs, state.outputs_len, outputs);
-                    if let Err(message) = safety(&state.procs, outputs) {
-                        out.violations.push(FoundViolation {
-                            message,
-                            decisions: materialize_decisions(&state.decisions),
-                        });
-                        halt.store(true, Ordering::Relaxed); // wfd-lint: allow(d3-atomics, publishes the expansion-skip hint; relaxed is enough because no result depends on when it lands)
-                        continue;
-                    }
+                let outputs = &mut stepper.outputs;
+                materialize_outputs(&state.outputs, state.outputs_len, outputs);
+                if let Err(message) = safety(&state.procs, outputs) {
+                    out.violations.push(FoundViolation {
+                        message,
+                        decisions: materialize_decisions(&state.decisions),
+                    });
+                    halt.store(true, Ordering::Relaxed); // wfd-lint: allow(d3-atomics, publishes the expansion-skip hint; relaxed is enough because no result depends on when it lands)
+                    continue;
                 }
                 if state.depth >= cfg.max_depth {
                     out.depth_bounded = true;
@@ -2479,98 +2107,25 @@ where
                 // walks.
                 enabled.clear();
                 enabled_decisions(state, pattern, n, &mut enabled);
-                if cfg.dpor {
-                    // Sleep-set expansion (Godefroid): skip sleeping
-                    // decisions; a child's sleep is the still-independent
-                    // part of the parent's sleep plus the earlier-executed
-                    // independent decisions — certified only when the
-                    // pattern and detector are stable at this depth.
-                    let stable = dpor_stable.get(t).unwrap_or(false);
-                    sleep_fps.clear();
-                    sleep_fps.extend(
-                        state
-                            .sleep
-                            .iter()
-                            .map(|&d| (d, decision_footprint(state, d, n))),
-                    );
-                    executed.clear();
-                    for &d in &enabled {
-                        let (p, _) = d;
-                        if sleep_contains(&state.sleep, d) {
-                            out.dpor_pruned += 1;
-                            continue;
-                        }
-                        if let Some(mandatory) = &state.restrict {
-                            if !sleep_contains(mandatory, d) {
-                                // Outside the restriction: an earlier
-                                // visit's recorded expansion already
-                                // covers this subtree (see the
-                                // resolution pass). Skip it, and — when
-                                // independence is certified at this
-                                // depth — let later siblings' children
-                                // sleep it, exactly as if it had been
-                                // executed first.
-                                out.restricted += 1;
-                                if stable {
-                                    sleep_fps.push((d, decision_footprint(state, d, n)));
-                                }
-                                continue;
-                            }
-                        }
-                        let fp = decision_footprint(state, d, n);
-                        let (mut dst, hit) = stepper.build(
-                            keyed,
-                            &env,
-                            fd_cache.get(p.index(), t).clone(),
-                            node,
-                            d,
-                            Some(&fp),
-                        );
-                        tally(hit);
-                        if stable {
-                            let sleep = &mut Arc::get_mut(&mut dst)
-                                .expect("a fresh child is unshared")
-                                .state
-                                .sleep;
-                            sleep.extend(
-                                sleep_fps
-                                    .iter()
-                                    .chain(executed.iter())
-                                    .filter(|(e, efp)| independent(*e, efp, d, &fp, &state.started))
-                                    .map(|(e, _)| *e),
-                            );
-                            sleep.sort_unstable();
-                        }
-                        out.children.push(Frontier::Built(dst));
-                        executed.push((d, fp));
+                for &d in &enabled {
+                    let deferred_key = defer
+                        .then(|| node.child_key(&hasher, &stepper.memo, d, &mut inbox_keys))
+                        .flatten();
+                    if let Some(key) = deferred_key {
+                        tally(true);
+                        deferred += 1;
+                        out.children.push(Frontier::Deferred(Deferred {
+                            parent: Arc::clone(node),
+                            decision: d,
+                            key,
+                        }));
+                        continue;
                     }
-                } else {
-                    for &d in &enabled {
-                        let deferred_key = defer
-                            .then(|| node.child_key(&hasher, &stepper.memo, d, &mut inbox_keys))
-                            .flatten();
-                        if let Some(key) = deferred_key {
-                            tally(true);
-                            deferred += 1;
-                            out.children.push(Frontier::Deferred(Deferred {
-                                parent: Arc::clone(node),
-                                decision: d,
-                                key,
-                            }));
-                            continue;
-                        }
-                        let (p, _) = d;
-                        let (dst, hit) = stepper.build(
-                            keyed,
-                            &env,
-                            fd_cache.get(p.index(), t).clone(),
-                            node,
-                            d,
-                            None,
-                        );
-                        tally(hit);
-                        out.children.push(Frontier::Built(dst));
-                    }
+                    let (p, _) = d;
+                    let (dst, hit) =
+                        stepper.build(keyed, &env, fd_cache.get(p.index(), t).clone(), node, d);
+                    tally(hit);
+                    out.children.push(Frontier::Built(dst));
                 }
             }
             if let Some(node) = built {
@@ -2601,12 +2156,8 @@ where
         // report guarantee.
         let mut outs = outs;
         let mut violations: Vec<FoundViolation> = Vec::new();
-        let mut batch_dpor_pruned = 0usize;
-        let mut batch_restricted = 0usize;
         for out in &mut outs {
             depth_bounded |= out.depth_bounded;
-            batch_dpor_pruned += out.dpor_pruned;
-            batch_restricted += out.restricted;
             violations.append(&mut out.violations);
         }
         if let Some(best) = violations
@@ -2615,12 +2166,6 @@ where
         {
             break Some(best);
         }
-        // Committed only for violation-free batches: in a violating batch
-        // the racy `halt` hint makes the prune counts (like the discarded
-        // children) timing-dependent. Restricted-out children are
-        // seen-table economies, so they land in `dedup_hits`.
-        states_pruned_dpor += batch_dpor_pruned;
-        dedup_hits += batch_restricted;
         for (slot, mut out) in outs.into_iter().enumerate() {
             stack.append(&mut out.children);
             // `append` left `children` empty but with its capacity — hand
@@ -2663,7 +2208,6 @@ where
         obs.add(CounterId::ExploreStatesVisited, states_visited as u64);
         obs.add(CounterId::ExploreDedupHits, dedup_hits as u64);
         obs.add(CounterId::ExploreDedupEntries, dedup_entries as u64);
-        obs.add(CounterId::ExploreDporPruned, states_pruned_dpor as u64);
         obs.add(
             CounterId::ExploreSymmetryHits,
             symmetry_canonical_hits as u64,
@@ -2680,9 +2224,8 @@ where
         dedup_entries,
         dedup_hits,
         max_frontier_len,
-        states_pruned_dpor,
         symmetry_canonical_hits,
-        reduction_enabled: cfg.dpor || cfg.symmetry,
+        reduction_enabled: cfg.symmetry,
         threads_used: threads,
     }
 }
@@ -2979,7 +2522,6 @@ mod tests {
             "max_frontier_len",
             "threads_used",
             "violation",
-            "states_pruned_dpor",
             "symmetry_canonical_hits",
             "reduction_enabled",
         ] {
@@ -3258,8 +2800,7 @@ mod tests {
     }
 
     /// Invocation broadcasts to the others; deliveries are absorbed
-    /// silently — so two deliveries at different processes are genuinely
-    /// independent. Declares precise footprints and full symmetry.
+    /// silently. Declares full symmetry.
     #[derive(Clone, Debug, Default)]
     struct Quiet {
         seen: Vec<u8>,
@@ -3279,15 +2820,6 @@ mod tests {
             self.seen.push(msg);
         }
 
-        fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-            match step {
-                StepKind::Start { inv: Some(_) } => Footprint::local().sends_to_others(n, me),
-                StepKind::Start { inv: None } | StepKind::Tick | StepKind::Deliver { .. } => {
-                    Footprint::local()
-                }
-            }
-        }
-
         fn symmetry(_n: usize) -> Symmetry {
             Symmetry::Full
         }
@@ -3303,28 +2835,6 @@ mod tests {
             NoDetector,
             |_, _| Ok(()),
         )
-    }
-
-    #[test]
-    fn dpor_with_opaque_footprints_is_a_no_op() {
-        // Tag keeps the default `Footprint::opaque`, so every step pair is
-        // dependent and sleep sets never fill: same space, nothing pruned.
-        let run = |dpor: bool| {
-            explore(
-                ExploreConfig::new(8).with_dpor(dpor),
-                two_taggers,
-                vec![Some(1), Some(2)],
-                &FailurePattern::failure_free(2),
-                NoDetector,
-                |_, _| Ok(()),
-            )
-        };
-        let base = run(false);
-        let dpor = run(true);
-        assert_eq!(dpor.states_pruned_dpor, 0);
-        assert_eq!(dpor.states_visited, base.states_visited);
-        assert_eq!(dpor.violation, base.violation);
-        assert!(dpor.reduction_enabled);
     }
 
     #[test]
@@ -3346,25 +2856,6 @@ mod tests {
         assert_eq!(sym.symmetry_canonical_hits, 0);
         assert_eq!(sym.states_visited, base.states_visited);
         assert!(sym.reduction_enabled);
-    }
-
-    #[test]
-    fn precise_footprints_let_dpor_prune() {
-        // Dedup off isolates the sleep sets' own effect: with it on, a
-        // pruned interleaving can also *weaken* a cover (smaller sleep
-        // sets cover fewer revisits), so raw interleavings — not the
-        // dedup'd state count — are the honest measure here.
-        let base = quiet_explore(
-            ExploreConfig::new(10).with_dedup(false),
-            vec![Some(1), Some(2)],
-        );
-        let dpor = quiet_explore(
-            ExploreConfig::new(10).with_dedup(false).with_dpor(true),
-            vec![Some(1), Some(2)],
-        );
-        assert!(dpor.states_pruned_dpor > 0, "{dpor:?}");
-        assert!(dpor.states_visited < base.states_visited);
-        assert_eq!(dpor.violation, base.violation);
     }
 
     #[test]

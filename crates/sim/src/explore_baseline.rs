@@ -188,7 +188,6 @@ where
         dedup_entries: seen.len(),
         dedup_hits,
         max_frontier_len,
-        states_pruned_dpor: 0,
         symmetry_canonical_hits: 0,
         reduction_enabled: false,
         threads_used: 1,

@@ -102,9 +102,9 @@ pub use machine::{
 };
 pub use obs::{CounterId, HistId, MetricsSnapshot, Obs, PhaseId, PhaseTimer};
 pub use oracle::{ConstDetector, FdOracle, FnDetector, NoDetector};
-pub use protocol::{
-    Ctx, Footprint, Permutation, PropView, Protocol, StepKind, Symmetry, FULL_SYMMETRY_MAX_N,
-};
+pub use protocol::{Ctx, Permutation, PropView, Protocol, Symmetry, FULL_SYMMETRY_MAX_N};
+#[allow(deprecated)]
+pub use protocol::{Footprint, StepKind};
 pub use repro::{OracleSpec, Repro, ReproDecisions, ReproInvocation, ReproSource, SchedulerSpec};
 pub use rng::SimRng;
 pub use scheduler::{

@@ -53,7 +53,7 @@
 use crate::failure::FailurePattern;
 use crate::id::{ProcessId, Time};
 use crate::oracle::FdOracle;
-use crate::protocol::{Ctx, Footprint, Protocol, SendBuf};
+use crate::protocol::{Ctx, Protocol, SendBuf};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -205,20 +205,6 @@ pub struct State<P: Protocol> {
     pub(crate) outputs_len: usize,
     pub(crate) depth: usize,
     pub(crate) decisions: Option<Arc<DecisionNode>>,
-    /// DPOR sleep set: enabled decisions whose exploration from this
-    /// state is provably redundant. Sorted; always empty unless
-    /// [`ExploreConfig::dpor`](crate::ExploreConfig) is on. Not part of
-    /// the dedup key — it feeds the seen-table cover check instead.
-    pub(crate) sleep: Vec<ExploreDecision>,
-    /// Restricted re-expansion (Godefroid's state-space caching): when a
-    /// revisit is only *partially* covered by the seen-table, every
-    /// decision some valid cover did **not** sleep already has a fully
-    /// explored subtree with at least as much depth budget — only the
-    /// intersection of the valid covers' sleeps may still hide unexplored
-    /// runs. The resolution pass records that intersection here (sorted,
-    /// in this state's own coordinates) and expansion is limited to it.
-    /// `None` means unrestricted (a first visit, or no valid cover).
-    pub(crate) restrict: Option<Vec<ExploreDecision>>,
 }
 
 impl<P: Protocol> State<P> {
@@ -234,16 +220,11 @@ impl<P: Protocol> State<P> {
             outputs_len: 0,
             depth: 0,
             decisions: None,
-            sleep: Vec::new(),
-            restrict: None,
         }
     }
 
     /// Overwrite `self` with a copy of `src`, reusing every allocation
     /// `self` already owns (`clone_from` down to the per-inbox vectors).
-    /// The sleep set and the expansion restriction are *not* copied —
-    /// they are properties of the visit that created a state, set
-    /// explicitly by the explorer's expansion and resolution passes.
     // wfd-lint: allow(d8-machine-purity, mutates only the scratch successor the explorer is filling in; the source state is a shared borrow)
     pub(crate) fn copy_from(&mut self, src: &State<P>)
     where
@@ -257,8 +238,6 @@ impl<P: Protocol> State<P> {
         self.outputs_len = src.outputs_len;
         self.depth = src.depth;
         self.decisions.clone_from(&src.decisions);
-        self.sleep.clear();
-        self.restrict = None;
     }
 
     /// The protocol instances, indexed by process.
@@ -321,8 +300,6 @@ pub(crate) fn initial_state<P: Protocol>(
         outputs_len: 0,
         depth: 0,
         decisions: None,
-        sleep: Vec::new(),
-        restrict: None,
     }
 }
 
@@ -384,8 +361,7 @@ pub(crate) struct StepEnv<'a> {
 /// Apply one step of `src` into `dst` (overwritten; allocations reused):
 /// [`State::copy_from`], then [`step_in_place`]. The explorer's
 /// expansion path.
-#[allow(clippy::too_many_arguments)] // one hot-path fn, each arg documented on step_in_place
-                                     // wfd-lint: allow(d8-machine-purity, dst is the fresh clone being built into the successor; src stays a shared borrow for the whole step)
+// wfd-lint: allow(d8-machine-purity, dst is the fresh clone being built into the successor; src stays a shared borrow for the whole step)
 pub(crate) fn apply_step_into<P>(
     env: &StepEnv<'_>,
     src: &State<P>,
@@ -394,12 +370,11 @@ pub(crate) fn apply_step_into<P>(
     fd: P::Fd,
     choice: Option<usize>,
     bufs: &mut (SendBuf<P>, Vec<P::Output>),
-    declared: Option<&Footprint>,
 ) where
     P: Protocol + Clone,
 {
     dst.copy_from(src);
-    step_in_place(env, dst, p, fd, choice, bufs, declared);
+    step_in_place(env, dst, p, fd, choice, bufs);
 }
 
 /// Apply one step of process `p` to `state`, in place: the one
@@ -418,11 +393,6 @@ pub(crate) fn apply_step_into<P>(
 ///
 /// `bufs` is the recycled `Ctx` send/output buffer pair — one per worker,
 /// so steady-state stepping allocates nothing.
-///
-/// `declared` is the step's declared [`Footprint`] when DPOR is active:
-/// the executed sends and outputs are validated against it, and an
-/// under-declaration panics — a too-tight footprint must never silently
-/// prune a reachable violation.
 // wfd-lint: allow(d8-machine-purity, dst is the fresh clone being built into the successor; src stays a shared borrow for the whole step)
 pub(crate) fn step_in_place<P>(
     env: &StepEnv<'_>,
@@ -431,7 +401,6 @@ pub(crate) fn step_in_place<P>(
     fd: P::Fd,
     choice: Option<usize>,
     bufs: &mut (SendBuf<P>, Vec<P::Output>),
-    declared: Option<&Footprint>,
 ) where
     P: Protocol,
 {
@@ -477,22 +446,6 @@ pub(crate) fn step_in_place<P>(
         parent: state.decisions.take(),
     }));
     let (mut sends, mut outs) = ctx.into_buffers();
-    if let Some(declared) = declared {
-        for (to, _) in &sends {
-            assert!(
-                declared.may_send_to(*to),
-                "footprint violation in {}: undeclared send {p} -> {to} at t={t} \
-                 (an under-declared Protocol::footprint would make DPOR unsound)",
-                std::any::type_name::<P>(),
-            );
-        }
-        assert!(
-            outs.is_empty() || declared.may_output(),
-            "footprint violation in {}: undeclared output by {p} at t={t} \
-             (an under-declared Protocol::footprint would make DPOR unsound)",
-            std::any::type_name::<P>(),
-        );
-    }
     for (to, msg) in sends.drain(..) {
         if !env.pattern.is_crashed(to, t) {
             state.inboxes[to.index()].push((p, msg));
@@ -625,7 +578,7 @@ where
         };
         let mut dst = State::blank();
         let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
-        apply_step_into(&env, state, &mut dst, p, fd, choice, &mut bufs, None);
+        apply_step_into(&env, state, &mut dst, p, fd, choice, &mut bufs);
         StepResult::Next(dst)
     }
 }
@@ -841,7 +794,7 @@ where
             pattern: self.pattern,
             n: self.n,
         };
-        step_in_place(&env, &mut node.state, p, fd, choice, bufs, None);
+        step_in_place(&env, &mut node.state, p, fd, choice, bufs);
         // Outputs and decision chains grow without bound over an infinite
         // run; propositions are state predicates, so both are dropped
         // from the node identity.

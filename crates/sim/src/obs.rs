@@ -114,7 +114,8 @@ metric_ids! {
         ExploreDedupEntries => "explore_dedup_entries",
         /// Frontier batches the explorer processed.
         ExploreBatches => "explore_batches",
-        /// Child states skipped by sleep-set partial-order reduction.
+        /// Always 0: nothing increments it since sleep-set partial-order
+        /// reduction was removed. Kept so the name table still names it.
         ExploreDporPruned => "explore_dpor_pruned",
         /// Keyed states whose canonical form used a non-identity
         /// permutation (symmetry canonicalization took effect).

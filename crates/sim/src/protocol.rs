@@ -1,109 +1,50 @@
 //! The process automaton abstraction: [`Protocol`] and its step context
-//! [`Ctx`] — plus the reduction-facing declarations ([`Footprint`],
-//! [`Symmetry`], [`Permutation`]) that let the bounded explorer prove
-//! steps independent and states equivalent without executing them.
+//! [`Ctx`] — plus the reduction-facing declarations ([`Symmetry`],
+//! [`Permutation`]) that let the bounded explorer prove states
+//! equivalent without executing them.
 
 use crate::id::{ProcessId, Time};
 use std::fmt::Debug;
 
-/// A conservative, declared bound on what one step may do to the world
-/// outside its own process: which inboxes it may append to and whether it
-/// may emit an output. (Every step implicitly reads and writes its *own*
-/// process — local state, own inbox, started flag — so own-process
-/// effects are not part of the footprint.)
-///
-/// The explorer's dynamic partial-order reduction uses footprints to
-/// prove two enabled steps of different processes *independent*: disjoint
-/// send-sets, at most one output emitter, and neither sending to a
-/// process whose pending step is a λ step (a send would disable it).
-/// Over-declaring (the [`Footprint::opaque`] default) is always sound and
-/// merely disables pruning; **under-declaring is unsound** — the engine
-/// and the explorer therefore validate every executed step against its
-/// declared footprint and panic on a violation.
-///
-/// Process sets are stored as a bitmask, so systems are capped at 64
-/// processes — far above anything the explorer can enumerate.
+/// A footprint declaration, kept only so callers that still build one
+/// compile. Nothing reads it: the explorer reduces by process symmetry
+/// alone ([`Symmetry`]).
+#[deprecated(
+    since = "0.7.0",
+    note = "inert: nothing reads footprints since sleep-set DPOR was removed; the \
+            benchmark-only change (ROADMAP item 1) drops the last use and the next \
+            change deletes this type"
+)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Footprint {
-    sends: u64,
-    output: bool,
-}
+pub struct Footprint;
 
+#[allow(deprecated)]
 impl Footprint {
-    /// A step that sends nothing and outputs nothing (pure local step).
+    /// An inert footprint.
     pub fn local() -> Self {
-        Footprint {
-            sends: 0,
-            output: false,
-        }
+        Footprint
     }
 
-    /// The sound default: may send to everyone and may output. Makes the
-    /// step dependent with every other step, disabling DPOR around it.
-    pub fn opaque(n: usize) -> Self {
-        Footprint {
-            sends: Self::mask_all(n),
-            output: true,
-        }
-    }
-
-    fn mask_all(n: usize) -> u64 {
-        if n >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << n) - 1
-        }
-    }
-
-    fn bit(p: ProcessId) -> u64 {
-        1u64 << (p.index().min(63))
-    }
-
-    /// Builder: the step may send to `p`.
-    pub fn sends_to(mut self, p: ProcessId) -> Self {
-        self.sends |= Self::bit(p);
+    /// Returns `self` unchanged.
+    pub fn sends_to(self, _p: ProcessId) -> Self {
         self
     }
 
-    /// Builder: the step may send to every process (broadcast).
-    pub fn sends_to_all(mut self, n: usize) -> Self {
-        self.sends |= Self::mask_all(n);
+    /// Returns `self` unchanged.
+    pub fn sends_to_others(self, _n: usize, _me: ProcessId) -> Self {
         self
-    }
-
-    /// Builder: the step may send to every process except `me`
-    /// ([`Ctx::broadcast_others`]).
-    pub fn sends_to_others(mut self, n: usize, me: ProcessId) -> Self {
-        self.sends |= Self::mask_all(n) & !Self::bit(me);
-        self
-    }
-
-    /// Builder: the step may emit an output.
-    pub fn outputs(mut self) -> Self {
-        self.output = true;
-        self
-    }
-
-    /// Whether the declared send-set contains `p`.
-    pub fn may_send_to(&self, p: ProcessId) -> bool {
-        self.sends & Self::bit(p) != 0
-    }
-
-    /// Whether the step may emit an output.
-    pub fn may_output(&self) -> bool {
-        self.output
-    }
-
-    /// Whether the two declared send-sets share any recipient (two sends
-    /// to a common inbox do not commute — the append order is visible).
-    pub fn sends_intersect(&self, other: &Footprint) -> bool {
-        self.sends & other.sends != 0
     }
 }
 
-/// What kind of step a decision would take — the explorer hands this to
-/// [`Protocol::footprint`] so the declaration can be per-handler (and,
-/// for deliveries, per-message) rather than a single worst case.
+/// The kind of step a [`Protocol::footprint`] declaration was asked
+/// about. Kept only so callers that still match on it compile; neither
+/// the explorer nor the engine builds one.
+#[deprecated(
+    since = "0.7.0",
+    note = "inert: nothing builds step kinds since sleep-set DPOR was removed; the \
+            benchmark-only change (ROADMAP item 1) drops the last use and the next \
+            change deletes this type"
+)]
 #[derive(Debug)]
 pub enum StepKind<'a, P: Protocol> {
     /// The process's first step: `on_start`, then `on_invoke` if an
@@ -285,10 +226,10 @@ pub trait Protocol: Sized {
     type Inv: Clone + Debug;
     /// The failure detector value this protocol queries each step.
     ///
-    /// `PartialEq` is required because the explorer's reduction layer
-    /// certifies DPOR independence only when the detector answers
-    /// *structurally* equal values at adjacent step times — a `Debug`
-    /// rendering is not a sound proxy (distinct values may print alike).
+    /// `PartialEq` is required because symmetry reduction keeps a
+    /// renaming only when the detector answers *structurally* equal
+    /// values at the processes it swaps — a `Debug` rendering is not a
+    /// sound proxy (distinct values may print alike).
     type Fd: Clone + Debug + PartialEq;
 
     /// First step of the process.
@@ -305,18 +246,17 @@ pub trait Protocol: Sized {
 
     // -- Reduction declarations (all optional, defaults are sound) -------
 
-    /// A conservative bound on what the step described by `step` would do
-    /// beyond this process, given the current local state: which inboxes
-    /// it may append to and whether it may output. The default is
-    /// [`Footprint::opaque`] — sound, but it makes the step dependent
-    /// with everything and so yields no DPOR pruning.
-    ///
-    /// The declaration must *cover* the actual behavior: the explorer and
-    /// the engine check every executed step against it and panic on an
-    /// undeclared send or output, so a too-tight footprint cannot
-    /// silently cause unsound pruning.
-    fn footprint(&self, _me: ProcessId, n: usize, _step: StepKind<'_, Self>) -> Footprint {
-        Footprint::opaque(n)
+    /// Inert: nothing calls it. Kept only so impls that still override it
+    /// compile.
+    #[deprecated(
+        since = "0.7.0",
+        note = "inert: nothing calls footprint since sleep-set DPOR was removed; the \
+                benchmark-only change (ROADMAP item 1) drops the last impl and the next \
+                change deletes this method"
+    )]
+    #[allow(deprecated)]
+    fn footprint(&self, _me: ProcessId, _n: usize, _step: StepKind<'_, Self>) -> Footprint {
+        Footprint::local()
     }
 
     /// The process-id symmetry group this protocol is equivariant under
@@ -648,44 +588,6 @@ mod tests {
     fn processes_enumerates_system() {
         let ctx = Ctx::<Echo>::detached(ProcessId(0), 4, 0, ());
         assert_eq!(ctx.processes().count(), 4);
-    }
-
-    #[test]
-    fn footprint_builders_compose() {
-        let fp = Footprint::local();
-        assert!(!fp.may_output());
-        assert!((0..4).all(|p| !fp.may_send_to(ProcessId(p))));
-
-        let fp = Footprint::local().sends_to(ProcessId(2)).outputs();
-        assert!(fp.may_send_to(ProcessId(2)));
-        assert!(!fp.may_send_to(ProcessId(1)));
-        assert!(fp.may_output());
-
-        let all = Footprint::local().sends_to_all(3);
-        assert!((0..3).all(|p| all.may_send_to(ProcessId(p))));
-        assert!(!all.may_output());
-
-        let others = Footprint::local().sends_to_others(3, ProcessId(1));
-        assert!(others.may_send_to(ProcessId(0)));
-        assert!(!others.may_send_to(ProcessId(1)));
-        assert!(others.may_send_to(ProcessId(2)));
-
-        let opaque = Footprint::opaque(3);
-        assert!(opaque.may_output());
-        assert!((0..3).all(|p| opaque.may_send_to(ProcessId(p))));
-    }
-
-    #[test]
-    fn footprint_send_sets_intersect_only_on_common_recipients() {
-        let a = Footprint::local().sends_to(ProcessId(0));
-        let b = Footprint::local().sends_to(ProcessId(1));
-        let c = Footprint::local()
-            .sends_to(ProcessId(1))
-            .sends_to(ProcessId(2));
-        assert!(!a.sends_intersect(&b));
-        assert!(b.sends_intersect(&c));
-        assert!(!a.sends_intersect(&c));
-        assert!(!Footprint::local().sends_intersect(&Footprint::opaque(4)));
     }
 
     #[test]

@@ -19,24 +19,20 @@
 //!    a dedicated ladder asserts exactly that.)
 //! 3. **Thread count is invisible, period** — reports at 1, 2, and 4
 //!    workers are byte-identical modulo the informational `threads_used`.
-//! 4. **Reductions are invisible to the verdict** — DPOR, symmetry
-//!    canonicalization, and their combination agree with the unreduced
-//!    explorer on whether a violation exists, at every worker count, and
-//!    reduced counterexamples still replay. On a three-process
-//!    `S_n`-symmetric relay mesh the combination must also visit strictly
-//!    fewer states.
+//! 4. **Symmetry is invisible to the verdict** — symmetry
+//!    canonicalization agrees with the unreduced explorer on whether a
+//!    violation exists, at every worker count, and reduced
+//!    counterexamples still replay. On a three-process `S_n`-symmetric
+//!    relay mesh it must also visit strictly fewer states.
 //!
 //! This is also the regression net for the two historical dedup bugs
 //! (pruning shallower revisits with remaining budget; merging states that
-//! differed only in output history — both would break ladder 2) and for
-//! the naive sleep-set implementation that commutes steps across a
-//! detector transition (a hand-traced fixture that the naive
-//! implementation reports clean).
+//! differed only in output history — both would break ladder 2).
 
 use wfd_sim::{
     explore, explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern,
-    FingerprintHasher, FnDetector, Footprint, NoDetector, OracleSpec, ProcessId, Protocol, Replay,
-    Repro, StateHasher, StepKind, Symmetry, Time,
+    FingerprintHasher, NoDetector, OracleSpec, ProcessId, Protocol, RandomFair, Replay, Repro, Sim,
+    SimConfig, StateHasher, Symmetry, Time,
 };
 
 /// A seed-parameterized toy protocol: on start, broadcast a burst of
@@ -80,24 +76,6 @@ impl Protocol for Mixer {
         if self.relays_left > 0 && tag > 0 {
             self.relays_left -= 1;
             ctx.broadcast_others(tag - 1);
-        }
-    }
-
-    // Precise reduction declarations — validated against every executed
-    // step by the explorer whenever DPOR is on, so the ladders also prove
-    // the declarations honest.
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            StepKind::Start { .. } => Footprint::local().sends_to_others(n, me),
-            StepKind::Tick => Footprint::local(),
-            StepKind::Deliver { msg: tag, .. } => {
-                let fp = Footprint::local().outputs();
-                if self.relays_left > 0 && *tag > 0 {
-                    fp.sends_to_others(n, me)
-                } else {
-                    fp
-                }
-            }
         }
     }
 
@@ -254,21 +232,16 @@ fn thread_count_never_changes_the_report() {
     }
 }
 
-/// Ladder 4 (reductions): DPOR, symmetry canonicalization, and their
-/// combination must agree with the unreduced explorer on the *verdict*
-/// for every seed — safe families stay safe, violating families stay
-/// violating — and each reduced configuration must itself be
-/// byte-identical across 1, 2 and 4 worker threads. (Counts legitimately
-/// differ between reduced and unreduced runs: that is the point of the
-/// reductions.)
+/// Ladder 4 (symmetry): symmetry canonicalization must agree with the
+/// unreduced explorer on the *verdict* for every seed — safe families
+/// stay safe, violating families stay violating — and the reduced run
+/// must itself be byte-identical across 1, 2 and 4 worker threads.
+/// (Counts legitimately differ between reduced and unreduced runs: that
+/// is the point of the reduction.)
 #[test]
 fn reductions_never_change_the_verdict() {
-    let reduce = |cfg: ExploreConfig, dpor: bool, symmetry: bool| {
-        cfg.with_dpor(dpor).with_symmetry(symmetry)
-    };
     let mut violating_families = 0;
     let mut clean_families = 0;
-    let mut dpor_pruned_somewhere = false;
     let mut symmetry_hit_somewhere = false;
     for seed in 0..40 {
         let base = run_family(seed, Mode::Fingerprint, family_cfg(seed));
@@ -276,49 +249,43 @@ fn reductions_never_change_the_verdict() {
             Some(_) => violating_families += 1,
             None => clean_families += 1,
         }
-        for (dpor, symmetry) in [(true, false), (false, true), (true, true)] {
-            let one = run_family(
+        let one = run_family(
+            seed,
+            Mode::Fingerprint,
+            family_cfg(seed).with_threads(1).with_symmetry(true),
+        );
+        assert_eq!(
+            one.violation.is_some(),
+            base.violation.is_some(),
+            "seed {seed}: symmetry changed the verdict\n{one:?}\nvs\n{base:?}"
+        );
+        assert!(one.reduction_enabled);
+        symmetry_hit_somewhere |= one.symmetry_canonical_hits > 0;
+        for threads in [2, 4] {
+            let many = run_family(
                 seed,
                 Mode::Fingerprint,
-                reduce(family_cfg(seed).with_threads(1), dpor, symmetry),
+                family_cfg(seed).with_threads(threads).with_symmetry(true),
             );
-            assert_eq!(
-                one.violation.is_some(),
-                base.violation.is_some(),
-                "seed {seed}, dpor={dpor} symmetry={symmetry}: reduction changed the verdict\n\
-                 {one:?}\nvs\n{base:?}"
+            assert!(
+                one.same_semantics(&many),
+                "seed {seed}, {threads} threads: reduced report diverged\n{one:?}\nvs\n{many:?}"
             );
-            assert!(one.reduction_enabled);
-            dpor_pruned_somewhere |= one.states_pruned_dpor > 0;
-            symmetry_hit_somewhere |= one.symmetry_canonical_hits > 0;
-            for threads in [2, 4] {
-                let many = run_family(
-                    seed,
-                    Mode::Fingerprint,
-                    reduce(family_cfg(seed).with_threads(threads), dpor, symmetry),
-                );
-                assert!(
-                    one.same_semantics(&many),
-                    "seed {seed}, dpor={dpor} symmetry={symmetry}, {threads} threads: \
-                     reduced report diverged\n{one:?}\nvs\n{many:?}"
-                );
-                let normalize = |r: &ExploreReport| {
-                    let mut r = r.clone();
-                    r.threads_used = 0;
-                    format!("{r:?}")
-                };
-                assert_eq!(normalize(&one), normalize(&many), "seed {seed}");
-            }
+            let normalize = |r: &ExploreReport| {
+                let mut r = r.clone();
+                r.threads_used = 0;
+                format!("{r:?}")
+            };
+            assert_eq!(normalize(&one), normalize(&many), "seed {seed}");
         }
     }
-    // The sweep is only meaningful if it exercises both outcomes and both
-    // reduction mechanisms.
+    // The sweep is only meaningful if it exercises both outcomes and the
+    // reduction.
     assert!(
         violating_families >= 5,
         "sweep too tame: {violating_families}"
     );
     assert!(clean_families >= 5, "sweep too strict: {clean_families}");
-    assert!(dpor_pruned_somewhere, "DPOR never pruned anything");
     assert!(
         symmetry_hit_somewhere,
         "symmetry never canonicalized anything"
@@ -329,9 +296,8 @@ fn reductions_never_change_the_verdict() {
 /// on start; each receipt mixes the tag into `acc` and, while its reply
 /// budget lasts, bounces a re-tagged token back to the sender; λ steps
 /// advance a local phase. Identical initial states, reply-to-sender
-/// routing and id-free payloads admit the full symmetry group, and the
-/// footprints are exact (a drained process declares a purely local
-/// delivery), so both reductions have real work to do.
+/// routing and id-free payloads admit the full symmetry group, so the
+/// reduction has real work to do.
 #[derive(Clone, Debug, PartialEq)]
 struct Relay {
     acc: u8,
@@ -363,36 +329,23 @@ impl Protocol for Relay {
         self.phase = (self.phase + 1) % 3;
     }
 
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            StepKind::Start { .. } => Footprint::local().sends_to_others(n, me),
-            StepKind::Deliver { from, .. } if self.replies < REPLY_BUDGET => {
-                Footprint::local().sends_to(from)
-            }
-            _ => Footprint::local(),
-        }
-    }
-
     fn symmetry(_n: usize) -> Symmetry {
         Symmetry::Full
     }
 }
 
-/// On the three-process relay mesh, each reduction keeps the verdict and
-/// the bound flags, and DPOR with symmetry visits strictly fewer states
-/// than the unreduced run.
+/// On the three-process relay mesh, symmetry keeps the verdict and the
+/// bound flags, and visits strictly fewer states than the unreduced run.
 #[test]
 fn reductions_strictly_shrink_the_symmetric_relay_mesh() {
-    let run = |dpor: bool, symmetry: bool| {
+    let run = |symmetry: bool| {
         let relay = Relay {
             acc: 1,
             phase: 0,
             replies: 0,
         };
         explore(
-            ExploreConfig::new(8)
-                .with_dpor(dpor)
-                .with_symmetry(symmetry),
+            ExploreConfig::new(8).with_symmetry(symmetry),
             || vec![relay.clone(); 3],
             vec![None; 3],
             &FailurePattern::failure_free(3),
@@ -400,29 +353,112 @@ fn reductions_strictly_shrink_the_symmetric_relay_mesh() {
             |_, _| Ok(()),
         )
     };
-    let base = run(false, false);
+    let base = run(false);
     assert!(
         base.violation.is_none() && !base.states_capped,
         "the mesh must be clean and uncapped: {base:?}"
     );
-    for (dpor, symmetry) in [(true, false), (false, true), (true, true)] {
-        let reduced = run(dpor, symmetry);
-        assert!(
-            reduced.reduction_enabled
-                && reduced.violation == base.violation
-                && reduced.depth_bounded == base.depth_bounded
-                && reduced.states_capped == base.states_capped,
-            "dpor={dpor} symmetry={symmetry} changed the verdict\n{reduced:?}\nvs\n{base:?}"
-        );
-        if dpor && symmetry {
-            assert!(
-                reduced.states_visited < base.states_visited,
-                "DPOR with symmetry must visit strictly fewer states: {} vs {}",
-                reduced.states_visited,
-                base.states_visited
-            );
+    let reduced = run(true);
+    assert!(
+        reduced.reduction_enabled
+            && reduced.violation == base.violation
+            && reduced.depth_bounded == base.depth_bounded
+            && reduced.states_capped == base.states_capped,
+        "symmetry changed the verdict\n{reduced:?}\nvs\n{base:?}"
+    );
+    assert!(
+        reduced.states_visited < base.states_visited,
+        "symmetry must visit strictly fewer states: {} vs {}",
+        reduced.states_visited,
+        base.states_visited
+    );
+}
+
+/// The relay mesh with a `footprint` that panics: the deprecated DPOR
+/// names are inert. `with_dpor(true)` changes no report, at 1 and 4
+/// threads, and neither the explorer nor a debug-build engine run ever
+/// calls `Protocol::footprint`.
+#[test]
+#[allow(deprecated)]
+fn deprecated_dpor_shims_are_inert() {
+    #[derive(Clone, Debug, PartialEq)]
+    struct Tripwire {
+        acc: u8,
+        replies: u8,
+    }
+
+    impl Protocol for Tripwire {
+        type Msg = u8;
+        type Output = u8;
+        type Inv = ();
+        type Fd = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<Self>) {
+            ctx.broadcast_others(1);
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<Self>, from: ProcessId, tag: u8) {
+            self.acc = (self.acc.wrapping_mul(5).wrapping_add(tag)) % 64;
+            ctx.output(self.acc);
+            if self.replies < REPLY_BUDGET {
+                self.replies += 1;
+                ctx.send(from, (tag + 1) % 8);
+            }
+        }
+
+        fn footprint(
+            &self,
+            _me: ProcessId,
+            _n: usize,
+            _step: wfd_sim::StepKind<'_, Self>,
+        ) -> wfd_sim::Footprint {
+            panic!("Protocol::footprint is inert and must never be called")
+        }
+
+        fn symmetry(_n: usize) -> Symmetry {
+            Symmetry::Full
         }
     }
+
+    let fleet = || vec![Tripwire { acc: 1, replies: 0 }; 3];
+    let report = |dpor: Option<bool>, threads: usize| {
+        let cfg = ExploreConfig::new(7)
+            .with_threads(threads)
+            .with_symmetry(true);
+        let cfg = match dpor {
+            Some(dpor) => cfg.with_dpor(dpor),
+            None => cfg,
+        };
+        let mut report = explore(
+            cfg,
+            fleet,
+            vec![None; 3],
+            &FailurePattern::failure_free(3),
+            NoDetector,
+            |_, _| Ok(()),
+        );
+        report.threads_used = 0;
+        format!("{report:?}")
+    };
+    let plain = report(None, 1);
+    for threads in [1, 4] {
+        assert_eq!(report(Some(true), threads), plain, "{threads} threads");
+        assert_eq!(report(None, threads), plain, "{threads} threads");
+    }
+
+    let mut sim = Sim::new(
+        SimConfig::new(3).with_horizon(200),
+        fleet(),
+        FailurePattern::failure_free(3),
+        NoDetector,
+        RandomFair::new(1),
+    );
+    sim.run();
+    let stats = sim.stats();
+    assert!(
+        stats.messages_delivered > 0 && stats.outputs > 0,
+        "{stats:?}"
+    );
 }
 
 /// Counterexamples found under full reduction must replay outside the
@@ -436,7 +472,7 @@ fn reduced_violations_replay() {
         let report = run_family(
             seed,
             Mode::Fingerprint,
-            family_cfg(seed).with_dpor(true).with_symmetry(true),
+            family_cfg(seed).with_symmetry(true),
         );
         let Some(violation) = report.violation else {
             continue;
@@ -477,7 +513,7 @@ fn reduced_violations_round_trip_through_repro() {
         let report = run_family(
             seed,
             Mode::Fingerprint,
-            family_cfg(seed).with_dpor(true).with_symmetry(true),
+            family_cfg(seed).with_symmetry(true),
         );
         let Some(violation) = report.violation else {
             continue;
@@ -518,169 +554,6 @@ fn reduced_violations_round_trip_through_repro() {
         break; // one violating family suffices for the round-trip
     }
     assert!(round_tripped, "no violating family to round-trip");
-}
-
-/// The hand-traced regression fixture for the sleep-set stability guard.
-///
-/// Two processes, depth 2, no messages, honest all-local footprints — so
-/// every pair of steps is *locally* independent. The detector, however,
-/// transitions between `t = 0` and `t = 1` (`fd(p, t) = t`), and p1 arms
-/// itself only when it starts while `fd == 0`. The single violating
-/// state — p1 armed *and* p0 started — is reached by exactly one
-/// interleaving: p1 first (arming at `t = 0`), then p0.
-///
-/// Trace the naive search (batch 1, LIFO frontier): the root enumerates
-/// p0's start, then p1's start, so p1's child inherits sleep `{p0}` —
-/// the footprints commute. The frontier pops p1's child *first*, skips
-/// the sleeping p0 (pruning the armed-then-started state), and the
-/// p0-first subtree can never arm p1 because its start runs at `t = 1`.
-/// The naive explorer reports a clean space.
-///
-/// The real implementation certifies independence only at depths where
-/// crash status and detector values are stable between `t` and `t + 1` —
-/// nowhere in this scenario — so it builds no sleep sets and finds the
-/// violation.
-#[test]
-fn naive_sleep_sets_would_miss_the_oracle_transition() {
-    #[derive(Clone, Debug, PartialEq)]
-    struct TimeBomb {
-        started: bool,
-        armed: bool,
-    }
-
-    impl Protocol for TimeBomb {
-        type Msg = ();
-        type Output = ();
-        type Inv = ();
-        type Fd = Time;
-
-        fn on_start(&mut self, ctx: &mut Ctx<Self>) {
-            self.started = true;
-            if ctx.me() == ProcessId(1) && *ctx.fd() == 0 {
-                self.armed = true;
-            }
-        }
-
-        fn on_message(&mut self, _ctx: &mut Ctx<Self>, _from: ProcessId, _msg: ()) {}
-
-        // Honest and exact: no handler ever sends or outputs.
-        fn footprint(&self, _me: ProcessId, _n: usize, _step: StepKind<'_, Self>) -> Footprint {
-            Footprint::local()
-        }
-    }
-
-    let sound = explore(
-        ExploreConfig::new(2)
-            .with_threads(1)
-            .with_batch(1)
-            .with_dpor(true),
-        || {
-            (0..2)
-                .map(|_| TimeBomb {
-                    started: false,
-                    armed: false,
-                })
-                .collect()
-        },
-        vec![None, None],
-        &FailurePattern::failure_free(2),
-        FnDetector::new(|_p: ProcessId, t: Time| t),
-        |procs: &[TimeBomb], _: &[(ProcessId, ())]| {
-            if procs[0].started && procs[1].armed {
-                Err("p1 armed at t = 0 and p0 started after it".into())
-            } else {
-                Ok(())
-            }
-        },
-    );
-    assert!(
-        sound.violation.is_some(),
-        "the stability guard must keep the armed interleaving reachable: {sound:?}"
-    );
-}
-
-/// Regression fixture for the DPOR stability certificate's detector
-/// comparison: it must be *structural* (`P::Fd: PartialEq`), never a
-/// `Debug`-rendering fingerprint.
-///
-/// The scenario is [`naive_sleep_sets_would_miss_the_oracle_transition`]
-/// verbatim except the detector value is wrapped in [`Opaque`], whose
-/// handwritten `Debug` impl renders every value identically. The detector
-/// still transitions between `t = 0` and `t = 1`, so independence is
-/// *not* certifiable at depth 0 — but a fingerprint of the renderings
-/// cannot see that: `{:?}` says `Opaque(·) == Opaque(·)`, the certificate
-/// wrongly reports the detector stable, sleep sets get built, and the
-/// single armed interleaving is pruned. The historical implementation
-/// compared exactly those fingerprints, so this test fails on it (it
-/// reports a clean space); the structural comparison sees
-/// `Opaque(0) != Opaque(1)` and keeps the violation reachable.
-#[test]
-fn debug_alike_fd_values_must_not_certify_independence() {
-    /// Structurally distinct detector values sharing one `Debug` rendering.
-    #[derive(Clone, PartialEq)]
-    struct Opaque(Time);
-
-    impl std::fmt::Debug for Opaque {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("Opaque(·)")
-        }
-    }
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Sleeper {
-        started: bool,
-        armed: bool,
-    }
-
-    impl Protocol for Sleeper {
-        type Msg = ();
-        type Output = ();
-        type Inv = ();
-        type Fd = Opaque;
-
-        fn on_start(&mut self, ctx: &mut Ctx<Self>) {
-            self.started = true;
-            if ctx.me() == ProcessId(1) && *ctx.fd() == Opaque(0) {
-                self.armed = true;
-            }
-        }
-
-        fn on_message(&mut self, _ctx: &mut Ctx<Self>, _from: ProcessId, _msg: ()) {}
-
-        // Honest and exact: no handler ever sends or outputs.
-        fn footprint(&self, _me: ProcessId, _n: usize, _step: StepKind<'_, Self>) -> Footprint {
-            Footprint::local()
-        }
-    }
-
-    let structural = explore(
-        ExploreConfig::new(2)
-            .with_threads(1)
-            .with_batch(1)
-            .with_dpor(true),
-        || {
-            (0..2)
-                .map(|_| Sleeper {
-                    started: false,
-                    armed: false,
-                })
-                .collect()
-        },
-        vec![None, None],
-        &FailurePattern::failure_free(2),
-        FnDetector::new(|_p: ProcessId, t: Time| Opaque(t)),
-        |procs: &[Sleeper], _: &[(ProcessId, ())]| {
-            if procs[0].started && procs[1].armed {
-                Err("p1 armed behind an opaque rendering and p0 started after it".into())
-            } else {
-                Ok(())
-            }
-        },
-    );
-    assert!(
-        structural.violation.is_some(),
-        "a Debug-blind detector transition must still block the certificate: {structural:?}"
-    );
 }
 
 /// Dedup on a clean family may only *reduce* the states expanded, never

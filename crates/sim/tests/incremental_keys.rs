@@ -11,7 +11,7 @@
 //!   verdict, and on sweeps that found no violation also on the flags
 //!   and `dedup_entries` (a violation stops each traversal at an
 //!   order-shaped point);
-//! * under DPOR and symmetry the verdict still matches.
+//! * under symmetry the verdict still matches.
 //!
 //! A slot left stale by a missed re-key merges distinct states, so it
 //! shows up here as a smaller `dedup_entries` or a lost violation even
@@ -21,8 +21,7 @@
 use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::{
     explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern,
-    FingerprintHasher, Footprint, NoDetector, ProcessId, Protocol, StateHasher, StepKind, Symmetry,
-    Time,
+    FingerprintHasher, NoDetector, ProcessId, Protocol, StateHasher, Symmetry, Time,
 };
 
 /// A seed-parameterized protocol whose steps cover every slot a step can
@@ -99,28 +98,6 @@ impl Protocol for Echo {
 
     fn on_tick(&mut self, _ctx: &mut Ctx<Self>) {
         self.ticks = (self.ticks + 1) % 3;
-    }
-
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            StepKind::Start { .. } if self.wide => Footprint::local().sends_to_all(n),
-            StepKind::Start { .. } => Footprint::local().sends_to_others(n, me),
-            StepKind::Tick => Footprint::local(),
-            StepKind::Deliver { from, msg } => {
-                let mut fp = Footprint::local();
-                if Self::outputs(*msg) {
-                    fp = fp.outputs();
-                }
-                if self.budget > 0 {
-                    fp = fp.sends_to(if Self::resends_to_self(*msg) {
-                        me
-                    } else {
-                        from
-                    });
-                }
-                fp
-            }
-        }
     }
 
     // Id-agnostic: no process ids in local state, messages or outputs,
@@ -239,15 +216,15 @@ fn inherited_keys_reproduce_the_full_rekey_baseline() {
     assert!(clean >= 5, "sweep too strict: {clean}");
 }
 
-/// One seed of the reduced ladder under `hasher`: DPOR and symmetry keep
-/// the baseline's verdict at 1 and 2 threads. Returns the single-thread
+/// One seed of the reduced ladder under `hasher`: symmetry keeps the
+/// baseline's verdict at 1 and 2 threads. Returns the single-thread
 /// report.
 fn check_reduced<H: StateHasher + Copy + std::fmt::Debug>(
     seed: u64,
     hasher: H,
     base: &ExploreReport,
 ) -> ExploreReport {
-    let cfg = family_cfg().with_dpor(true).with_symmetry(true);
+    let cfg = family_cfg().with_symmetry(true);
     let one = run(seed, hasher, cfg.clone().with_threads(1));
     let two = run(seed, hasher, cfg.with_threads(2));
     assert_eq!(
@@ -265,17 +242,15 @@ fn check_reduced<H: StateHasher + Copy + std::fmt::Debug>(
 
 #[test]
 fn inherited_keys_keep_the_reduced_verdict() {
-    let (mut pruned, mut sym_hits) = (0, 0);
+    let mut sym_hits = 0;
     for seed in 0..40 {
         let base = baseline(seed, FingerprintHasher);
         for one in [
             check_reduced(seed, FingerprintHasher, &base),
             check_reduced(seed, ExactKeyHasher, &base),
         ] {
-            pruned += one.states_pruned_dpor;
             sym_hits += one.symmetry_canonical_hits;
         }
     }
-    assert!(pruned > 0, "DPOR never pruned anything");
     assert!(sym_hits > 0, "symmetry never canonicalized anything");
 }

@@ -20,9 +20,8 @@ use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::liveness::fixtures::{Decider, PingPong};
 use wfd_sim::{
     check_liveness, explore, Ctx, Diagram, DiagramConfig, ExploreConfig, ExploreReport,
-    FailurePattern, FingerprintHasher, Footprint, LivenessConfig, Ltl, NoDetector, ProcessId,
-    Protocol, RandomFair, RecordedSchedule, ReplaySchedule, Sim, SimConfig, StepKind, Symmetry,
-    Time,
+    FailurePattern, FingerprintHasher, LivenessConfig, Ltl, NoDetector, ProcessId, Protocol,
+    RandomFair, RecordedSchedule, ReplaySchedule, Sim, SimConfig, Symmetry, Time,
 };
 
 /// The seed family: a two-process broadcast/relay protocol whose tree
@@ -66,21 +65,6 @@ impl Protocol for Mixer {
         if self.relays_left > 0 && tag > 0 {
             self.relays_left -= 1;
             ctx.broadcast_others(tag - 1);
-        }
-    }
-
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            StepKind::Start { .. } => Footprint::local().sends_to_others(n, me),
-            StepKind::Tick => Footprint::local(),
-            StepKind::Deliver { msg: tag, .. } => {
-                let fp = Footprint::local().outputs();
-                if self.relays_left > 0 && *tag > 0 {
-                    fp.sends_to_others(n, me)
-                } else {
-                    fp
-                }
-            }
         }
     }
 

@@ -122,12 +122,10 @@ fn engine_outcome_and_trace_are_identical_with_metrics_on() {
 }
 
 /// Metrics off and on give byte-identical reports under `hasher`, with
-/// the reductions off and on.
+/// symmetry off and on.
 fn check_metrics_invisible<H: StateHasher + Copy + std::fmt::Debug>(hasher: H, threads: usize) {
     for reduced in [false, true] {
-        let cfg = ExploreConfig::new(7)
-            .with_dpor(reduced)
-            .with_symmetry(reduced);
+        let cfg = ExploreConfig::new(7).with_symmetry(reduced);
         let off = run_explore_with(cfg.clone().with_obs(Obs::off()), hasher, threads);
         let on = run_explore_with(cfg.with_obs(Obs::on()), hasher, threads);
         assert_eq!(

@@ -19,7 +19,7 @@
 //!
 //! `explore_baseline` keys every state from scratch, so at batch 1 the
 //! explorer must reproduce it field for field, with both hashers and at
-//! 1 and 2 threads; under DPOR and symmetry it must keep the verdict.
+//! 1 and 2 threads; under symmetry it must keep the verdict.
 //! The liveness checker, with time frozen at `t_stable`, must keep the
 //! unreduced graphs recorded below (dedup there is structural, so its
 //! unreduced graph does not depend on the key function at all) and the
@@ -32,8 +32,8 @@
 use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::{
     check_liveness, explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport,
-    FailurePattern, FingerprintHasher, FnDetector, Footprint, LivenessConfig, LivenessReport, Ltl,
-    ProcessId, PropView, Protocol, StateHasher, StepKind, Symmetry, Time,
+    FailurePattern, FingerprintHasher, FnDetector, LivenessConfig, LivenessReport, Ltl, ProcessId,
+    PropView, Protocol, StateHasher, Symmetry, Time,
 };
 
 const N: usize = 3;
@@ -102,23 +102,6 @@ impl Protocol for Stamp {
 
     fn on_tick(&mut self, _ctx: &mut Ctx<Self>) {
         self.ticks = (self.ticks + 1) % 2;
-    }
-
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            StepKind::Start { .. } => Footprint::local().sends_to(Self::next(me, n)),
-            StepKind::Tick => Footprint::local(),
-            StepKind::Deliver { from, msg } => {
-                let mut fp = Footprint::local();
-                if Self::outputs(*msg) {
-                    fp = fp.outputs();
-                }
-                if self.budget > 0 {
-                    fp = fp.sends_to(if Self::outputs(*msg) { from } else { me });
-                }
-                fp
-            }
-        }
     }
 
     // Sends go to the next process, the sender or the process itself,
@@ -246,15 +229,15 @@ fn memoized_children_reproduce_the_full_rekey_baseline() {
     assert!(clean >= 4, "sweep too strict: {clean}");
 }
 
-/// One seed of the reduced ladder under `hasher`: DPOR and symmetry keep
-/// the baseline's verdict at 1 and 2 threads. Returns the single-thread
+/// One seed of the reduced ladder under `hasher`: symmetry keeps the
+/// baseline's verdict at 1 and 2 threads. Returns the single-thread
 /// report.
 fn check_reduced<H: StateHasher + Copy + std::fmt::Debug>(
     seed: u64,
     hasher: H,
     base: &ExploreReport,
 ) -> ExploreReport {
-    let cfg = family_cfg().with_dpor(true).with_symmetry(true);
+    let cfg = family_cfg().with_symmetry(true);
     let one = run(seed, hasher, cfg.clone().with_threads(1));
     let two = run(seed, hasher, cfg.with_threads(2));
     assert_eq!(
@@ -272,18 +255,16 @@ fn check_reduced<H: StateHasher + Copy + std::fmt::Debug>(
 
 #[test]
 fn memoized_children_keep_the_reduced_verdict() {
-    let (mut pruned, mut sym_hits) = (0, 0);
+    let mut sym_hits = 0;
     for seed in 0..SEEDS {
         let base = baseline(seed, FingerprintHasher);
         for one in [
             check_reduced(seed, FingerprintHasher, &base),
             check_reduced(seed, ExactKeyHasher, &base),
         ] {
-            pruned += one.states_pruned_dpor;
             sym_hits += one.symmetry_canonical_hits;
         }
     }
-    assert!(pruned > 0, "DPOR never pruned anything");
     assert!(sym_hits > 0, "symmetry never canonicalized anything");
 }
 

@@ -5,8 +5,8 @@
 //! with the workload's seed-to-proposal draws:
 //!
 //! * `relay_mesh`: the token-relay mesh, n = 3, unreduced, depth 13;
-//! * `relay_mesh_reduced`: the same mesh under DPOR and symmetry, depth
-//!   16;
+//! * `relay_mesh_reduced`: the same mesh under symmetry, depth 16 (the
+//!   workload's `with_dpor` call is an inert shim);
 //! * `abd_linearizable`: Σ-ABD, n = 3, one write and two reads, depth 9;
 //! * `consensus_agreement`: (Ω, Σ) consensus, n = 4, depth 28;
 //! * `psi_qc_never_quits`: Figure 2's Ψ-QC, n = 3, depth 50;
@@ -15,7 +15,7 @@
 //!
 //! Each golden line is the full `{:?}` of one [`ExploreReport`]: states
 //! visited, dedup entries and hits, batches' high-water frontier, the
-//! reductions' counters and the violation with its decision list. Any
+//! symmetry counter and the violation with its decision list. Any
 //! change to the traversal order, the revisit rule or the keys shows up
 //! here. A change that only makes the explorer faster or smaller must
 //! leave the file byte-identical.
@@ -36,8 +36,8 @@ use weakest_failure_detectors::registers::{
     check_linearizable, AbdRegister, OpHistory, OpRecord, QuorumRule, RegOp, RegResp,
 };
 use weakest_failure_detectors::sim::{
-    explore, Ctx, ExploreConfig, ExploreReport, FailurePattern, Footprint, NoDetector, ProcessId,
-    ProcessSet, Protocol, SimRng, StepKind, Symmetry, Time,
+    explore, Ctx, ExploreConfig, ExploreReport, FailurePattern, NoDetector, ProcessId, ProcessSet,
+    Protocol, SimRng, Symmetry, Time,
 };
 
 const SEED: u64 = 1;
@@ -103,16 +103,6 @@ impl Protocol for Relay {
         self.phase = (self.phase + 1) % 3;
     }
 
-    fn footprint(&self, me: ProcessId, n: usize, step: StepKind<'_, Self>) -> Footprint {
-        match step {
-            StepKind::Start { .. } => Footprint::local().sends_to_others(n, me),
-            StepKind::Deliver { from, .. } if self.replies < REPLY_BUDGET => {
-                Footprint::local().sends_to(from)
-            }
-            _ => Footprint::local(),
-        }
-    }
-
     fn symmetry(_n: usize) -> Symmetry {
         Symmetry::Full
     }
@@ -122,7 +112,7 @@ fn relay_mesh(reduced: bool) -> String {
     let acc = 10 + SimRng::new(SEED).gen_range(54) as u8;
     let depth = if reduced { 16 } else { 13 };
     let report = explore(
-        cfg(depth).with_dpor(reduced).with_symmetry(reduced),
+        cfg(depth).with_symmetry(reduced),
         || {
             (0..RELAY_N)
                 .map(|_| Relay {
