@@ -77,11 +77,7 @@ static RULES: [Rule; 9] = [
         summary: "HashMap/HashSet iteration order is nondeterministic",
         help: "use BTreeMap/BTreeSet (or sort before iterating); membership-only \
                uses may carry an allow stating nothing iterates the collection",
-        excluded: &[(
-            "crates/sim/src/explore_baseline.rs",
-            "the baseline seen-table is keyed insert/lookup only, kept \
-                 byte-identical to PR 2 as a differential anchor",
-        )],
+        excluded: &[],
         only: None,
         matcher: match_hash_collections,
     },
@@ -127,8 +123,8 @@ static RULES: [Rule; 9] = [
             (
                 "crates/sim/src/fingerprint.rs",
                 "the slot renderers deliberately stream Debug output into state \
-                 keys; stability is guarded by the fingerprint-vs-exact-key \
-                 equivalence ladder",
+                 keys; stability is guarded by the equivalence ladders against \
+                 the structural reference explorer",
             ),
             (
                 "crates/bench/src/fuzz.rs",
@@ -205,11 +201,6 @@ static RULES: [Rule; 9] = [
                 "crates/sim/src/env.rs",
                 "the sanctioned env-override boundary: reads happen once at \
                  startup and are recorded into the Repro artifact",
-            ),
-            (
-                "crates/sim/src/explore_baseline.rs",
-                "excluded from d1 as a differential anchor, so its HashMap \
-                 uses would seed spurious taint",
             ),
         ],
         only: None,

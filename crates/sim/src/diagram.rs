@@ -3,10 +3,12 @@
 //! The [`Machine`] layer makes the action space enumerable, which is all
 //! a figure-style state diagram needs: [`Diagram::walk`] breadth-first
 //! walks a [`ProtocolMachine`] over a small scenario (2–3 processes,
-//! bounded depth), dedups configurations, labels every node with the
-//! protocol's declared propositions that hold there, flags the states
-//! where a safety predicate fails, and renders the result as Graphviz
-//! DOT ([`Diagram::to_dot`]) or Mermaid ([`Diagram::to_mermaid`]).
+//! bounded depth), dedups configurations structurally (a fingerprint
+//! picks a collision chain of stored states, `==` confirms, as in the
+//! liveness checker), labels every node with the protocol's declared
+//! propositions that hold there, flags the states where a safety
+//! predicate fails, and renders the result as Graphviz DOT
+//! ([`Diagram::to_dot`]) or Mermaid ([`Diagram::to_mermaid`]).
 //!
 //! The walk is exhaustive within its caps (`max_depth` × `max_states`)
 //! and fully deterministic: nodes are numbered in BFS discovery order,
@@ -18,11 +20,15 @@
 //! checker and nothing in the workspace parses it back.
 
 use crate::failure::FailurePattern;
+use crate::fingerprint::debug_fp;
 use crate::id::ProcessId;
-use crate::machine::{oracle_fn, ExploreDecision, Machine, ProtocolMachine, State, StepResult};
+use crate::liveness::Chains;
+use crate::machine::{
+    oracle_fn, state_eq, ExploreDecision, Machine, ProtocolMachine, State, StepResult,
+};
 use crate::oracle::FdOracle;
 use crate::protocol::{PropView, Protocol};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Debug;
 
 /// Caps and cosmetics of a diagram walk. `new(title)` gives defaults
@@ -129,7 +135,9 @@ fn mermaid_escape(s: &str) -> String {
 impl Diagram {
     /// Exhaustively walk the [`ProtocolMachine`] of a scenario and build
     /// the diagram: breadth-first from the initial configuration, one
-    /// node per distinct configuration, one edge per enabled action.
+    /// node per distinct configuration (process states, inboxes,
+    /// `started` bits, pending invocations and depth, compared with
+    /// `==`), one edge per enabled action.
     /// `safety` is evaluated at every node (on the protocol states and
     /// the output history); an `Err` marks the node violating.
     ///
@@ -143,7 +151,9 @@ impl Diagram {
         mut safety: impl FnMut(&[P], &[(ProcessId, P::Output)]) -> Result<(), String>,
     ) -> Result<Diagram, String>
     where
-        P: Protocol + Clone + Debug,
+        P: Protocol + Clone + Debug + PartialEq,
+        P::Msg: PartialEq,
+        P::Inv: PartialEq,
         D: FdOracle<Value = P::Fd>,
     {
         let procs = make_procs();
@@ -165,15 +175,10 @@ impl Diagram {
         let correct: Vec<bool> = (0..n).map(|q| pattern.is_correct(ProcessId(q))).collect();
         let mut outputs: Vec<(ProcessId, P::Output)> = Vec::new();
 
-        // A node is identified by its full configuration rendering —
-        // exact (no fingerprint collisions) and deterministic, which is
-        // all these tiny graphs need.
-        let render = |s: &State<P>| {
-            format!(
-                // wfd-lint: allow(d4-debug-format, node identity of a figure walker; dedup only, never part of checker output)
-                "{:?}",
-                (&s.procs, &s.inboxes, &s.started, &s.pending_inv, s.depth)
-            )
+        // Every node's state is filed under a fingerprint of what
+        // `state_eq` compares, and `state_eq` confirms a match.
+        let key = |s: &State<P>| {
+            debug_fp(&(&s.procs, &s.inboxes, &s.started, &s.pending_inv, s.depth)) as u64
         };
         let mut describe = |s: &State<P>, outputs: &mut Vec<(ProcessId, P::Output)>| {
             let t = s.depth() as crate::id::Time;
@@ -203,12 +208,12 @@ impl Diagram {
         let mut states: Vec<State<P>> = Vec::new();
         let mut nodes: Vec<DiagramNode> = Vec::new();
         let mut edges: Vec<(usize, usize, String)> = Vec::new();
-        let mut seen: BTreeMap<String, usize> = BTreeMap::new();
+        let mut seen = Chains::new();
         let mut queue: VecDeque<usize> = VecDeque::new();
         let mut truncated = false;
 
         let (props, violation, state_label) = describe(&init, &mut outputs);
-        seen.insert(render(&init), 0);
+        seen.push(key(&init));
         nodes.push(DiagramNode {
             id: 0,
             depth: init.depth(),
@@ -235,10 +240,11 @@ impl Diagram {
                 let StepResult::Next(next) = machine.transition(&states[id], &action) else {
                     continue;
                 };
-                let key = render(&next);
+                let next_key = key(&next);
                 let label = action_label(&states[id], action);
-                let nid = match seen.get(&key) {
-                    Some(&nid) => nid,
+                let known = seen.find(next_key, |nid| state_eq(&states[nid as usize], &next));
+                let nid = match known {
+                    Some(nid) => nid as usize,
                     None => {
                         if nodes.len() >= cfg.max_states {
                             truncated = true;
@@ -246,7 +252,7 @@ impl Diagram {
                         }
                         let nid = nodes.len();
                         let (props, violation, state_label) = describe(&next, &mut outputs);
-                        seen.insert(key, nid);
+                        seen.push(next_key);
                         nodes.push(DiagramNode {
                             id: nid,
                             depth: next.depth(),
@@ -454,6 +460,72 @@ mod tests {
         .expect("well-formed scenario");
         assert!(tight.truncated);
         assert_eq!(tight.nodes.len(), 2);
+    }
+
+    /// p0 sends p1 two tags at start; p1 folds each delivered tag into
+    /// `hidden`, in delivery order, and counts deliveries in `shown`.
+    /// `Debug` prints only `shown`, so both delivery orders end in
+    /// configurations that render alike but differ in `hidden`.
+    #[derive(Clone, Default, PartialEq)]
+    struct Hidden {
+        shown: u8,
+        hidden: u8,
+    }
+
+    impl std::fmt::Debug for Hidden {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "Hidden({})", self.shown)
+        }
+    }
+
+    impl Protocol for Hidden {
+        type Msg = u8;
+        type Output = ();
+        type Inv = ();
+        type Fd = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<Self>) {
+            if ctx.me() == ProcessId(0) {
+                ctx.send(ProcessId(1), 1);
+                ctx.send(ProcessId(1), 2);
+            }
+        }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<Self>, _from: ProcessId, tag: u8) {
+            self.shown += 1;
+            self.hidden = self.hidden * 3 + tag;
+        }
+    }
+
+    #[test]
+    fn configurations_that_render_alike_stay_distinct_nodes() {
+        // Delivering 1 then 2 leaves p1's `hidden` at 5, 2 then 1 at 7,
+        // and only 7 violates. BFS reaches the first order first, so a
+        // rendering key would merge the second into it and drop the
+        // violation.
+        let d = Diagram::walk(
+            &DiagramConfig::new("hidden")
+                .with_max_depth(4)
+                .with_state_labels(true),
+            || vec![Hidden::default(); 2],
+            vec![None, None],
+            &FailurePattern::failure_free(2),
+            NoDetector,
+            |procs: &[Hidden], _| match procs[1].hidden {
+                7 => Err("2 delivered before 1".to_string()),
+                _ => Ok(()),
+            },
+        )
+        .expect("well-formed scenario");
+        let label = Some("[Hidden(0), Hidden(2)]");
+        let violating: Vec<bool> = d
+            .nodes
+            .iter()
+            .filter(|nd| nd.state_label.as_deref() == label)
+            .map(|nd| nd.violation.is_some())
+            .collect();
+        // Two nodes, in discovery order: 1 before 2, then 2 before 1.
+        assert_eq!(violating, [false, true], "{}", d.to_dot());
     }
 
     #[test]

@@ -33,10 +33,10 @@
 //!
 //! * **Fingerprinted dedup** — visited states are keyed by composing
 //!   per-slot keys: each process state, each pending message and the
-//!   output history is fingerprinted (128 bits, [`FingerprintHasher`])
-//!   straight off its `Debug` rendering, each inbox is the fingerprint of
-//!   its messages' fingerprints in order, and the slot fingerprints are
-//!   folded in slot order; no rendering is ever stored. Keys are
+//!   output history is fingerprinted (128 bits) straight off its `Debug`
+//!   rendering, each inbox is the fingerprint of its messages'
+//!   fingerprints in order, and the slot fingerprints are folded in slot
+//!   order; no rendering is ever stored. Keys are
 //!   incremental and almost never rendered: every state carries its slot
 //!   and message keys, a child inherits its parent's, and what the step
 //!   produced (the actor's new state, the messages it sent) is keyed from
@@ -46,11 +46,9 @@
 //!   keys; only a memo miss renders (the actor's state and each sent
 //!   message, once), and a step that emits re-renders the output history.
 //!   The benchmark's paper protocols reach a few thousand distinct steps
-//!   over hundreds of thousands of children. [`explore`] always keys
-//!   with [`FingerprintHasher`]. [`ExactKeyHasher`] keeps length-framed
-//!   renderings as a `String` key and exists to property-test that the
-//!   fingerprint never changes a verdict; it, or any other
-//!   [`StateHasher`], goes through [`explore_custom`].
+//!   over hundreds of thousands of children. The seen-table trusts key
+//!   equality; the equivalence ladders check it against the reference
+//!   explorer, which confirms every fingerprint match with `==`.
 //! * **Keyed before built** — most children are revisits, and a revisit
 //!   needs only its key. When the transition memo holds a child's step
 //!   and the step emitted nothing, the child's key is composed from its
@@ -135,7 +133,7 @@
 //! ```
 
 use crate::failure::FailurePattern;
-use crate::fingerprint::{debug_fp, debug_string, Fingerprint128};
+use crate::fingerprint::{compose, debug_fp, seq, shard};
 use crate::id::{ProcessId, Time};
 use crate::json::Json;
 use crate::machine::{
@@ -149,7 +147,6 @@ use crate::protocol::{Permutation, Protocol, SendBuf, Symmetry};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap; // wfd-lint: allow(d1-hash-collections, imported only for the sharded seen-table, which is keyed insert/lookup; nothing iterates it)
 use std::fmt::Debug;
-use std::hash::{Hash, Hasher as _};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering}; // wfd-lint: allow(d3-atomics, the halt flag is an expansion-skip hint only; the merge step resolves every batch deterministically regardless of timing)
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -414,132 +411,6 @@ impl ExploreReport {
 // State keys
 // ---------------------------------------------------------------------------
 
-/// How the explorer keys a state for deduplication: as a composition of
-/// per-slot keys.
-///
-/// A state is `n` process slots plus an output history. Slot `i`
-/// contributes the key of process `i`'s state, the key of its inbox and
-/// a `u64` word of per-slot scalars; the output history contributes one
-/// more key. An inbox's key is a [`seq`](StateHasher::seq) of message
-/// keys: one [`slot`](StateHasher::slot) per pending `(sender, message)`
-/// entry, in inbox order. The explorer's word is the `started` bit (`0`
-/// or `1`); the liveness checker, which keys its fair-graph nodes
-/// through the same composition, folds the slot's fairness counters into
-/// it too. [`compose`](StateHasher::compose) folds the components, slot
-/// by slot, into the state's key. Together they determine everything
-/// the safety predicate and the expansion can observe (`pending_inv` is
-/// determined by `started` plus the fixed initial invocation vector, so
-/// it needs no key component).
-///
-/// The composition is what makes symmetry canonicalization cheap. A
-/// process renaming moves whole slots and rewrites the ids inside each
-/// component, so the key of a renamed state is the renamed components'
-/// keys in the new slot order. The explorer memoizes, per worker, the
-/// key of every process state, message and output history it has seen
-/// under every element of the scenario's group (a renamed inbox's key is
-/// the `seq` of its renamed messages' keys), and canonicalizes by
-/// reordering those memoized keys ([`Canonicalizer`]); it never builds a
-/// renamed state. A memo hit returns the images computed for an earlier
-/// component with the same key, so it relies on the assumption every key
-/// already makes: components with equal keys (for the shipped hashers,
-/// equal `Debug` renderings) are equal.
-///
-/// The composition is also what lets the explorer key states
-/// incrementally, almost without rendering. Every built explorer state
-/// carries its slot keys and its pending messages' keys, and a child
-/// inherits its parent's: a delivery drops the delivered message's key,
-/// an append adds the sent message's, and every touched inbox recomposes
-/// its `seq` from message keys. What the step itself produced (the
-/// actor's new process key, the keys of the messages it sent) comes from
-/// a per-worker transition memo looked up by everything that determines
-/// it: the actor, the step time, whether the actor had started, its
-/// process key and the delivered message's key. That lookup is sound
-/// under the same assumption, because a [`Protocol`] handler's effect is
-/// a function of its state, the step and `Ctx::{me, n, now, fd}`. Only a
-/// memo miss renders (the actor's new state and each message it sent,
-/// once), and the output history is re-keyed when a step emits. On a
-/// memo hit for a step that emitted nothing, the child's key is composed
-/// from the parent's keys and the memo row before the child is built,
-/// and the child waits on the frontier as that key; it is built, and
-/// its slot keys inherited, only if the revisit rule keeps it. The
-/// composed key is the same as keying the child in full, so inheriting
-/// keys changes no report.
-///
-/// Two implementations ship: [`FingerprintHasher`] (the default, 128-bit
-/// fingerprints) and [`ExactKeyHasher`] (length-framed renderings;
-/// collision-free over renderings but slow, used by equivalence tests to
-/// prove the fingerprint never changes a verdict). [`key`] composes the
-/// components in their own slot order, which is exactly the identity
-/// candidate of a canonicalization.
-///
-/// [`key`]: StateHasher::key
-pub trait StateHasher: Sync {
-    /// The key of one state component: a process state, a message, an
-    /// inbox, or the output history.
-    ///
-    /// `Sync` because slot keys travel with the explorer's states, which
-    /// the parallel key and expansion phases read from every worker.
-    type Slot: Eq + Hash + Clone + Send + Sync;
-
-    /// The dedup key type. `Ord` so symmetry canonicalization can take
-    /// the least key over the candidate permutations deterministically;
-    /// `Sync` because a child keyed before it is built waits on the
-    /// explorer's frontier as its key, which the parallel key phase reads
-    /// from every worker.
-    type Key: Eq + Ord + Hash + Clone + Send + Sync;
-
-    /// Key one state component from its `Debug` rendering: a process
-    /// state, one pending `(sender, message)` entry, or the output
-    /// history.
-    fn slot<T: Debug + ?Sized>(&self, component: &T) -> Self::Slot;
-
-    /// Key a sequence of keys, in order: an inbox from its messages'
-    /// keys. Must be injective over sequences (their length and order
-    /// included) up to the slot type's collision rate, as
-    /// [`compose`](StateHasher::compose) must be.
-    fn seq<'s>(&self, items: impl Iterator<Item = &'s Self::Slot>) -> Self::Slot
-    where
-        Self::Slot: 's;
-
-    /// Fold slot keys into a state key: one `(process, inbox, word)`
-    /// triple per slot, in slot order, then the output history's key.
-    /// The word is an arbitrary `u64` (see the trait docs for what the
-    /// explorer and the liveness checker put there). Must be injective
-    /// over its inputs up to the key type's collision rate — the
-    /// seen-table trusts key equality.
-    fn compose<'s>(
-        &self,
-        slots: impl Iterator<Item = (&'s Self::Slot, &'s Self::Slot, u64)>,
-        outputs: &Self::Slot,
-    ) -> Self::Key
-    where
-        Self::Slot: 's;
-
-    /// Key the given explorer state components: key each process state,
-    /// each message, each inbox as the [`seq`](StateHasher::seq) of its
-    /// messages and the output history, then
-    /// [`compose`](StateHasher::compose) them in slot order with each
-    /// slot's `started` bit as its word.
-    fn key<P: Protocol + Debug>(
-        &self,
-        procs: &[P],
-        inboxes: &[Vec<(ProcessId, P::Msg)>],
-        started: &[bool],
-        outputs: &[(ProcessId, P::Output)],
-    ) -> Self::Key {
-        SlotKeys::of(self, procs, inboxes, outputs).compose(self, &started_words(started))
-    }
-
-    /// Which of `shards` seen-table shards a key lives in. The default
-    /// hashes the key; [`FingerprintHasher`] overrides it with the
-    /// fingerprint's top bits.
-    fn shard(key: &Self::Key, shards: usize) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % shards.max(1)
-    }
-}
-
 /// The explorer's per-slot words: each slot's `started` bit.
 fn started_words(started: &[bool]) -> Vec<u64> {
     started.iter().map(|&s| u64::from(s)).collect()
@@ -550,10 +421,33 @@ fn started_words(started: &[bool]) -> Vec<u64> {
 /// keys, inbox by inbox, each inbox in order. A state's inboxes give the
 /// length of each inbox's run of message keys, so the runs carry no
 /// bounds of their own. Empty until the state is keyed.
+///
+/// A state is `n` process slots plus an output history, and its dedup
+/// key is a composition of per-slot keys. Slot `i` contributes the key
+/// of process `i`'s state, the key of its inbox and a `u64` word of
+/// per-slot scalars; the output history contributes one more key. Every
+/// component key is the 128-bit [`debug_fp`] of the component's `Debug`
+/// rendering, and an inbox's key is the [`seq`] of its message keys: one
+/// per pending `(sender, message)` entry, in inbox order. The explorer's
+/// word is the `started` bit (`0` or `1`); the liveness checker, which
+/// keys its fair-graph nodes through the same composition, folds the
+/// slot's fairness counters into it too. [`compose`] folds the
+/// components, slot by slot, into the state's key. Together they
+/// determine everything the safety predicate and the expansion can
+/// observe (`pending_inv` is determined by `started` plus the fixed
+/// initial invocation vector, so it needs no key component).
+///
+/// Two shortcuts rest on the assumption every key makes, that
+/// components with equal keys (equal renderings) are equal: symmetry
+/// canonicalization reorders memoized component keys ([`Canonicalizer`]),
+/// and incremental keying replays a step's recorded effect for an equal
+/// step ([`SlotKeys::inherit`], [`StepMemo`]). An inherited key equals
+/// keying the state in full ([`SlotKeys::of`], then
+/// [`SlotKeys::compose`]), so neither changes a report.
 #[derive(Debug, PartialEq)]
-pub(crate) struct SlotKeys<S> {
-    pub(crate) slots: Vec<S>,
-    pub(crate) msgs: Vec<S>,
+pub(crate) struct SlotKeys {
+    pub(crate) slots: Vec<u128>,
+    pub(crate) msgs: Vec<u128>,
 }
 
 /// One step, as [`SlotKeys::inherit`] and the transition memo see it.
@@ -571,7 +465,8 @@ pub(crate) struct Step {
     pub(crate) delivered: Option<usize>,
 }
 
-impl<S> SlotKeys<S> {
+impl SlotKeys {
+    #[inline]
     pub(crate) fn new() -> Self {
         SlotKeys {
             slots: Vec::new(),
@@ -580,54 +475,50 @@ impl<S> SlotKeys<S> {
     }
 
     /// Key every component where it stands. The incremental path in
-    /// [`SlotKeys::inherit`] calls the same [`StateHasher::slot`] on the
-    /// same component types and the same [`StateHasher::seq`] over the
-    /// same message keys, so both paths agree key for key.
-    pub(crate) fn of<H, P>(
-        hasher: &H,
+    /// [`SlotKeys::inherit`] calls the same [`debug_fp`] on the same
+    /// component types and the same [`seq`] over the same message keys,
+    /// so both paths agree key for key.
+    pub(crate) fn of<P: Protocol + Debug>(
         procs: &[P],
         inboxes: &[Vec<(ProcessId, P::Msg)>],
         outputs: &[(ProcessId, P::Output)],
-    ) -> Self
-    where
-        H: StateHasher<Slot = S> + ?Sized,
-        P: Protocol + Debug,
-    {
+    ) -> Self {
         let mut keys = SlotKeys::new();
-        keys.slots.extend(procs.iter().map(|p| hasher.slot(p)));
+        keys.slots.extend(procs.iter().map(debug_fp));
         for inbox in inboxes {
             let start = keys.msgs.len();
-            keys.msgs
-                .extend(inbox.iter().map(|entry| hasher.slot(entry)));
-            keys.slots.push(hasher.seq(keys.msgs[start..].iter()));
+            keys.msgs.extend(inbox.iter().map(debug_fp));
+            keys.slots.push(seq(keys.msgs[start..].iter()));
         }
-        keys.slots.push(hasher.slot(outputs));
+        keys.slots.push(debug_fp(outputs));
         keys
     }
 
+    #[inline]
     fn n(&self) -> usize {
         self.slots.len() / 2
     }
 
-    fn procs(&self) -> &[S] {
+    #[inline]
+    fn procs(&self) -> &[u128] {
         &self.slots[..self.n()]
     }
 
-    fn inboxes(&self) -> &[S] {
+    #[inline]
+    fn inboxes(&self) -> &[u128] {
         &self.slots[self.n()..2 * self.n()]
     }
 
-    fn outputs(&self) -> &S {
+    #[inline]
+    fn outputs(&self) -> &u128 {
         self.slots.last().expect("keyed state")
     }
 
     /// The identity composition: every slot keyed where it stands, slot
     /// `i` with word `words[i]`.
-    pub(crate) fn compose<H>(&self, hasher: &H, words: &[u64]) -> H::Key
-    where
-        H: StateHasher<Slot = S> + ?Sized,
-    {
-        hasher.compose(
+    #[inline]
+    pub(crate) fn compose(&self, words: &[u64]) -> u128 {
+        compose(
             self.procs()
                 .iter()
                 .zip(self.inboxes())
@@ -648,9 +539,8 @@ impl<S> SlotKeys<S> {
     /// with `emitted`. Every inbox keeps its parent's message keys, less
     /// the delivered one for the actor's, plus the appended ones; an
     /// inbox the step delivered from or appended to recomposes its key
-    /// with [`StateHasher::seq`], and every other slot key is inherited.
-    /// The output key is inherited as is; a caller whose step emitted
-    /// re-keys it.
+    /// with [`seq`], and every other slot key is inherited. The output
+    /// key is inherited as is; a caller whose step emitted re-keys it.
     ///
     /// # Panics
     ///
@@ -658,22 +548,16 @@ impl<S> SlotKeys<S> {
     /// `emitted`: the handler's effect was not a function of what the
     /// memo is keyed by (see [`Protocol`]).
     #[allow(clippy::too_many_arguments)] // the step's inputs, each documented above
-    pub(crate) fn inherit<H, P>(
+    pub(crate) fn inherit<P: Protocol + Debug>(
         &mut self,
-        hasher: &H,
-        memo: &mut StepMemo<S>,
-        parent: (&[S], &[S]),
+        memo: &mut StepMemo,
+        parent: (&[u128], &[u128]),
         before: &[Vec<(ProcessId, P::Msg)>],
         procs: &[P],
         inboxes: &[Vec<(ProcessId, P::Msg)>],
         emitted: bool,
         step: Step,
-    ) -> bool
-    where
-        H: StateHasher<Slot = S> + ?Sized,
-        P: Protocol + Debug,
-        S: Eq + Hash + Clone,
-    {
+    ) -> bool {
         let (parent_slots, parent_msgs) = parent;
         let (n, a) = (procs.len(), step.actor.index());
         let key = StepKey::new(step, parent, before);
@@ -681,10 +565,10 @@ impl<S> SlotKeys<S> {
             let mut sent = Vec::new();
             for (j, (inbox, old)) in inboxes.iter().zip(before).enumerate() {
                 let kept = old.len() - usize::from(j == a && step.delivered.is_some());
-                sent.extend(inbox[kept..].iter().map(|entry| (j, hasher.slot(entry))));
+                sent.extend(inbox[kept..].iter().map(|entry| (j, debug_fp(entry))));
             }
             StepEffect {
-                proc: hasher.slot(&procs[a]),
+                proc: debug_fp(&procs[a]),
                 sent,
                 emitted,
             }
@@ -700,14 +584,14 @@ impl<S> SlotKeys<S> {
         // Reuses the allocations a recycled key vector kept.
         self.slots.clear();
         self.slots.extend_from_slice(parent_slots);
-        self.slots[a].clone_from(&effect.proc);
+        self.slots[a] = effect.proc;
         self.msgs.clear();
         effect.for_each_inbox(parent_msgs, before, step, |j, kept, sent, touched| {
             let start = self.msgs.len();
             for run in kept {
                 self.msgs.extend_from_slice(run);
             }
-            self.msgs.extend(sent.iter().map(|(_, key)| key.clone()));
+            self.msgs.extend(sent.iter().map(|&(_, key)| key));
             assert_eq!(
                 self.msgs.len() - start,
                 inboxes[j].len(),
@@ -717,7 +601,7 @@ impl<S> SlotKeys<S> {
                 std::any::type_name::<P>(),
             );
             if touched {
-                self.slots[n + j] = hasher.seq(self.msgs[start..].iter());
+                self.slots[n + j] = seq(self.msgs[start..].iter());
             }
         });
         hit
@@ -731,19 +615,14 @@ impl<S> SlotKeys<S> {
     /// `memo` does not hold the step, or when the step emitted, so that
     /// its output history would need re-keying. `inboxes` is scratch for
     /// the successor's inbox keys.
-    pub(crate) fn compose_successor<H, M>(
+    pub(crate) fn compose_successor<M>(
         &self,
-        hasher: &H,
-        memo: &StepMemo<S>,
+        memo: &StepMemo,
         before: &[Vec<M>],
         started: &[bool],
         step: Step,
-        inboxes: &mut Vec<S>,
-    ) -> Option<H::Key>
-    where
-        H: StateHasher<Slot = S> + ?Sized,
-        S: Eq + Hash + Clone,
-    {
+        inboxes: &mut Vec<u128>,
+    ) -> Option<u128> {
         let key = StepKey::new(step, (&self.slots, &self.msgs), before);
         let effect = memo.rows.get(&key).filter(|effect| !effect.emitted)?;
         let a = step.actor.index();
@@ -756,12 +635,12 @@ impl<S> SlotKeys<S> {
             |j, [head, tail], sent, touched| {
                 if touched {
                     let kept = head.iter().chain(tail);
-                    inboxes[j] = hasher.seq(kept.chain(sent.iter().map(|(_, key)| key)));
+                    inboxes[j] = seq(kept.chain(sent.iter().map(|(_, key)| key)));
                 }
             },
         );
         let procs = self.procs().iter().enumerate();
-        Some(hasher.compose(
+        Some(compose(
             procs.zip(inboxes.iter()).map(|((j, proc), inbox)| {
                 let proc = if j == a { &effect.proc } else { proc };
                 (proc, inbox, u64::from(j == a || started[j]))
@@ -775,16 +654,12 @@ impl<S> SlotKeys<S> {
 /// through the stack, the survivors, the child buffers and the
 /// free-list, so a recycled state reuses its key allocations too. The
 /// keys stay empty when dedup is off: nothing reads them then.
-struct KeyedState<P: Protocol, S> {
+struct KeyedState<P: Protocol> {
     state: State<P>,
-    keys: SlotKeys<S>,
+    keys: SlotKeys,
 }
 
-impl<P, S> KeyedState<P, S>
-where
-    P: Protocol + Debug,
-    S: Eq + Hash + Clone,
-{
+impl<P: Protocol + Debug> KeyedState<P> {
     fn blank() -> Self {
         KeyedState {
             state: State::blank(),
@@ -793,13 +668,10 @@ where
     }
 
     /// Key every slot from scratch (the root, and the debug-build check).
-    fn full_keys<H>(&self, hasher: &H, outputs: &mut Vec<(ProcessId, P::Output)>) -> SlotKeys<S>
-    where
-        H: StateHasher<Slot = S>,
-    {
+    fn full_keys(&self, outputs: &mut Vec<(ProcessId, P::Output)>) -> SlotKeys {
         let state = &self.state;
         materialize_outputs(&state.outputs, state.outputs_len, outputs);
-        SlotKeys::of(hasher, &state.procs, &state.inboxes, outputs)
+        SlotKeys::of(&state.procs, &state.inboxes, outputs)
     }
 
     /// Key this state, which `actor`'s step just produced from `parent`:
@@ -808,17 +680,13 @@ where
     /// step emitted. `started` is composed directly and `pending_inv` is
     /// not keyed, so neither has a slot. Returns whether the memo held
     /// the step.
-    fn inherit_keys<H>(
+    fn inherit_keys(
         &mut self,
-        hasher: &H,
-        memo: &mut StepMemo<S>,
-        parent: &KeyedState<P, S>,
+        memo: &mut StepMemo,
+        parent: &KeyedState<P>,
         actor: ProcessId,
         outputs: &mut Vec<(ProcessId, P::Output)>,
-    ) -> bool
-    where
-        H: StateHasher<Slot = S>,
-    {
+    ) -> bool {
         let (state, before) = (&self.state, &parent.state);
         // The step's recorded decision carries the (clamped) inbox
         // position of the message it delivered, if it delivered one.
@@ -830,7 +698,6 @@ where
         };
         let emitted = state.outputs_len != before.outputs_len;
         let hit = self.keys.inherit(
-            hasher,
             memo,
             (&parent.keys.slots, &parent.keys.msgs),
             &before.inboxes,
@@ -842,7 +709,7 @@ where
         if emitted {
             materialize_outputs(&state.outputs, state.outputs_len, outputs);
             let n = state.procs.len();
-            self.keys.slots[2 * n] = hasher.slot(outputs.as_slice());
+            self.keys.slots[2 * n] = debug_fp(outputs.as_slice());
         }
         hit
     }
@@ -851,16 +718,12 @@ where
     /// transition memo without building the child, when the memo holds
     /// the step and the step emitted nothing (see
     /// [`SlotKeys::compose_successor`]). `inboxes` is scratch.
-    fn child_key<H>(
+    fn child_key(
         &self,
-        hasher: &H,
-        memo: &StepMemo<S>,
+        memo: &StepMemo,
         (actor, choice): ExploreDecision,
-        inboxes: &mut Vec<S>,
-    ) -> Option<H::Key>
-    where
-        H: StateHasher<Slot = S>,
-    {
+        inboxes: &mut Vec<u128>,
+    ) -> Option<u128> {
         let state = &self.state;
         let a = actor.index();
         let started = state.started[a];
@@ -876,121 +739,19 @@ where
                 .map(|i| i.min(len - 1)),
         };
         self.keys
-            .compose_successor(hasher, memo, &state.inboxes, &state.started, step, inboxes)
+            .compose_successor(memo, &state.inboxes, &state.started, step, inboxes)
     }
 
     /// Debug builds: the keys this state inherited must equal a full
     /// re-key.
     #[cfg(debug_assertions)]
-    fn assert_keys_fresh<H>(&self, hasher: &H, outputs: &mut Vec<(ProcessId, P::Output)>)
-    where
-        H: StateHasher<Slot = S>,
-    {
+    fn assert_keys_fresh(&self, outputs: &mut Vec<(ProcessId, P::Output)>) {
         assert!(
-            self.full_keys(hasher, outputs) == self.keys,
+            self.full_keys(outputs) == self.keys,
             "inherited slot keys diverge from a full re-key at depth {} (decisions {:?})",
             self.state.depth,
             self.state.collect_decisions(),
         );
-    }
-}
-
-/// The default [`StateHasher`]: each component is the 128-bit
-/// fingerprint of its `Debug` rendering, computed streaming (no `String`
-/// is allocated); an inbox is the fingerprint of its message
-/// fingerprints in order, and the state key is the fingerprint of the
-/// slot fingerprints and words in slot order, then the output history's.
-/// Collisions are possible in principle (2⁻¹²⁸-ish); the
-/// `explore_dedup` property suite continuously checks verdict
-/// equivalence against [`ExactKeyHasher`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FingerprintHasher;
-
-impl StateHasher for FingerprintHasher {
-    type Slot = u128;
-    type Key = u128;
-
-    fn slot<T: Debug + ?Sized>(&self, component: &T) -> u128 {
-        debug_fp(component)
-    }
-
-    fn seq<'s>(&self, items: impl Iterator<Item = &'s u128>) -> u128 {
-        let mut w = Fingerprint128::new();
-        for item in items {
-            w.write_u128(*item);
-        }
-        w.finish()
-    }
-
-    fn compose<'s>(
-        &self,
-        slots: impl Iterator<Item = (&'s u128, &'s u128, u64)>,
-        outputs: &u128,
-    ) -> u128 {
-        let mut w = Fingerprint128::new();
-        for (proc, inbox, word) in slots {
-            w.write_u128(*proc);
-            w.write_u128(*inbox);
-            w.write_u64(word);
-        }
-        w.write_u128(*outputs);
-        w.finish()
-    }
-
-    fn shard(key: &u128, shards: usize) -> usize {
-        ((key >> 96) as usize) % shards.max(1)
-    }
-}
-
-/// Append `part` to `key` framed with its byte length (`len:part`).
-fn framed(key: &mut String, part: &str) {
-    key.push_str(&part.len().to_string());
-    key.push(':');
-    key.push_str(part);
-}
-
-/// The exact [`StateHasher`]: each component is its full `Debug`
-/// rendering, an inbox is its messages' renderings framed with their
-/// byte lengths (`len:rendering`) in order, and the state key frames
-/// every slot key the same way, slot by slot with the word framed in
-/// decimal, then the output history. The framing makes both injective
-/// over renderings and words, so two states share a key exactly when
-/// every component renders alike and every word is equal. Slow and
-/// memory-hungry; selected by equivalence tests (and available to
-/// callers that want certainty over speed) to cross-check
-/// [`FingerprintHasher`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ExactKeyHasher;
-
-impl StateHasher for ExactKeyHasher {
-    type Slot = String;
-    type Key = String;
-
-    fn slot<T: Debug + ?Sized>(&self, component: &T) -> String {
-        debug_string(component)
-    }
-
-    fn seq<'s>(&self, items: impl Iterator<Item = &'s String>) -> String {
-        let mut key = String::new();
-        for item in items {
-            framed(&mut key, item);
-        }
-        key
-    }
-
-    fn compose<'s>(
-        &self,
-        slots: impl Iterator<Item = (&'s String, &'s String, u64)>,
-        outputs: &String,
-    ) -> String {
-        let mut key = String::new();
-        for (proc, inbox, word) in slots {
-            framed(&mut key, proc);
-            framed(&mut key, inbox);
-            framed(&mut key, &word.to_string());
-        }
-        framed(&mut key, outputs);
-        key
     }
 }
 
@@ -1005,14 +766,14 @@ impl StateHasher for ExactKeyHasher {
 /// `HashMap` keyed by `(usize, Time)`: the cache sits on
 /// determinism-scoped code, and dense indexing leaves no iteration-order
 /// question for wfd-lint to audit.
-struct FdTable<F> {
+pub(crate) struct FdTable<F> {
     slots: Vec<Option<F>>,
     stride: usize,
 }
 
 impl<F> FdTable<F> {
     /// One slot per `(p, t)` with `p < n` and `t <= max_depth`.
-    fn new(n: usize, max_depth: usize) -> Self {
+    pub(crate) fn new(n: usize, max_depth: usize) -> Self {
         let stride = max_depth + 1;
         FdTable {
             slots: (0..n * stride).map(|_| None).collect(),
@@ -1020,17 +781,29 @@ impl<F> FdTable<F> {
         }
     }
 
-    fn fill_with(&mut self, p: usize, t: Time, f: impl FnOnce() -> F) {
-        let slot = &mut self.slots[p * self.stride + t as usize];
-        if slot.is_none() {
-            *slot = Some(f());
+    /// Sample `(p, t)` from `detector`, unless the table already holds it
+    /// or `p` is crashed at `t`.
+    pub(crate) fn fill<D: FdOracle<Value = F>>(
+        &mut self,
+        pattern: &FailurePattern,
+        detector: &mut D,
+        p: ProcessId,
+        t: Time,
+    ) {
+        let slot = &mut self.slots[p.index() * self.stride + t as usize];
+        if slot.is_none() && !pattern.is_crashed(p, t) {
+            *slot = Some(detector.query(p, t));
         }
     }
 
-    fn get(&self, p: usize, t: Time) -> &F {
-        self.slots[p * self.stride + t as usize]
-            .as_ref()
-            .expect("the oracle phase filled every alive (p, t) of every expanded depth")
+    /// The value sampled at `(p, t)`, if any.
+    fn sampled(&self, p: usize, t: Time) -> Option<&F> {
+        self.slots[p * self.stride + t as usize].as_ref()
+    }
+
+    pub(crate) fn get(&self, p: usize, t: Time) -> &F {
+        self.sampled(p, t)
+            .expect("the table holds every alive (p, t) a step reads")
     }
 }
 
@@ -1057,13 +830,14 @@ impl SymPerm {
 /// (`P::Fd: PartialEq`; invocations only promise `Debug`). Asymmetric
 /// scenarios thus never inherit a symmetric protocol's full group. The
 /// identity is excluded — it is the implicit first candidate of every
-/// canonicalization.
+/// canonicalization. Detector values are sampled into the caller's `fd`.
 pub(crate) fn scenario_symmetry<P, D>(
     n: usize,
     max_depth: usize,
     pattern: &FailurePattern,
     invocations: &[Option<P::Inv>],
     detector: &mut D,
+    fd: &mut FdTable<P::Fd>,
 ) -> Vec<SymPerm>
 where
     P: Protocol,
@@ -1075,18 +849,13 @@ where
         return Vec::new();
     }
     let inv_fps: Vec<u128> = invocations.iter().map(debug_fp).collect();
-    // One detector sample per (p, t) — oracles are pure in (p, t), so
-    // sampling here cannot perturb the exploration's own queries.
-    let fd_samples: Vec<Vec<Option<P::Fd>>> = ProcessId::all(n)
-        .map(|p| {
-            (0..max_depth)
-                .map(|t| {
-                    let t = t as Time;
-                    (!pattern.is_crashed(p, t)).then(|| detector.query(p, t))
-                })
-                .collect()
-        })
-        .collect();
+    // One detector sample per alive (p, t) — oracles are pure in (p, t),
+    // so sampling here cannot perturb the values the steps read.
+    for p in ProcessId::all(n) {
+        for t in 0..max_depth {
+            fd.fill(pattern, detector, p, t as Time);
+        }
+    }
     group
         .into_iter()
         .filter(|perm| !perm.is_identity())
@@ -1095,8 +864,9 @@ where
                 let q = perm.apply(p);
                 inv_fps[p.index()] == inv_fps[q.index()]
                     && (0..max_depth).all(|t| {
-                        pattern.is_crashed(p, t as Time) == pattern.is_crashed(q, t as Time)
-                            && fd_samples[p.index()][t] == fd_samples[q.index()][t]
+                        let t = t as Time;
+                        pattern.is_crashed(p, t) == pattern.is_crashed(q, t)
+                            && fd.sampled(p.index(), t) == fd.sampled(q.index(), t)
                     })
             })
         })
@@ -1111,13 +881,14 @@ const MEMO_ROWS_CAP: usize = 1 << 15;
 /// One component table of a [`Canonicalizer`] memo: for every component
 /// key seen, a row of that component's keys after each group element,
 /// in group order.
-struct SlotMemo<S> {
+struct SlotMemo {
     /// Component key → start of its row in `images`.
-    rows: HashMap<S, usize>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the memo)
-    images: Vec<S>,
+    rows: HashMap<u128, usize>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the memo)
+    images: Vec<u128>,
 }
 
-impl<S: Eq + Hash + Clone> SlotMemo<S> {
+impl SlotMemo {
+    #[inline]
     fn new() -> Self {
         SlotMemo {
             rows: HashMap::new(), // wfd-lint: allow(d1-hash-collections, constructor for the memo excused above)
@@ -1126,18 +897,19 @@ impl<S: Eq + Hash + Clone> SlotMemo<S> {
     }
 
     /// The start of `key`'s row, filled by `fill` on a miss.
-    fn row(&mut self, key: &S, fill: impl FnOnce(&mut Vec<S>)) -> usize {
-        if let Some(&start) = self.rows.get(key) {
+    fn row(&mut self, key: u128, fill: impl FnOnce(&mut Vec<u128>)) -> usize {
+        if let Some(&start) = self.rows.get(&key) {
             return start;
         }
         let start = self.images.len();
         fill(&mut self.images);
-        self.rows.insert(key.clone(), start);
+        self.rows.insert(key, start);
         start
     }
 
     /// Drop every row once the table is full. Called before a state's
     /// lookups, so no row start handed out for that state goes stale.
+    #[inline]
     fn trim(&mut self) {
         if self.rows.len() >= MEMO_ROWS_CAP {
             self.rows.clear();
@@ -1148,21 +920,21 @@ impl<S: Eq + Hash + Clone> SlotMemo<S> {
 
 /// What determines a step's effect on a state's keys (see [`StepMemo`]).
 #[derive(PartialEq, Eq, Hash)]
-struct StepKey<S> {
+struct StepKey {
     actor: usize,
     t: Time,
     started: bool,
     /// The actor's process key before the step.
-    proc: S,
+    proc: u128,
     /// The delivered `(sender, message)` entry's key, if the step
     /// delivered one.
-    delivered: Option<S>,
+    delivered: Option<u128>,
 }
 
-impl<S: Clone> StepKey<S> {
+impl StepKey {
     /// The memo key of `step` from a state whose keys are `parent` (slot
     /// keys, message keys) and whose inboxes are `before`.
-    fn new<M>(step: Step, parent: (&[S], &[S]), before: &[Vec<M>]) -> Self {
+    fn new<M>(step: Step, parent: (&[u128], &[u128]), before: &[Vec<M>]) -> Self {
         let (slots, msgs) = parent;
         let a = step.actor.index();
         let actor_run: usize = before[..a].iter().map(Vec::len).sum();
@@ -1170,8 +942,8 @@ impl<S: Clone> StepKey<S> {
             actor: a,
             t: step.t,
             started: step.started,
-            proc: slots[a].clone(),
-            delivered: step.delivered.map(|i| msgs[actor_run + i].clone()),
+            proc: slots[a],
+            delivered: step.delivered.map(|i| msgs[actor_run + i]),
         }
     }
 }
@@ -1183,13 +955,13 @@ impl<S: Clone> StepKey<S> {
 /// output history, which the row does not key; the liveness checker,
 /// whose fair-graph nodes keep no output history, always records
 /// `false`.
-struct StepEffect<S> {
-    proc: S,
-    sent: Vec<(usize, S)>,
+struct StepEffect {
+    proc: u128,
+    sent: Vec<(usize, u128)>,
     emitted: bool,
 }
 
-impl<S> StepEffect<S> {
+impl StepEffect {
     /// Walk the successor's inboxes in order, for a step from a state
     /// whose message keys are `parent_msgs` and whose inboxes are
     /// `before`. `f(j, kept, sent, touched)` gets inbox `j`'s parent
@@ -1198,10 +970,10 @@ impl<S> StepEffect<S> {
     /// it; and whether the step delivered from or appended to it.
     fn for_each_inbox<M>(
         &self,
-        parent_msgs: &[S],
+        parent_msgs: &[u128],
         before: &[Vec<M>],
         step: Step,
-        mut f: impl FnMut(usize, [&[S]; 2], &[(usize, S)], bool),
+        mut f: impl FnMut(usize, [&[u128]; 2], &[(usize, u128)], bool),
     ) {
         let (mut old_start, mut sent_start) = (0, 0);
         for (j, old) in before.iter().enumerate() {
@@ -1228,7 +1000,7 @@ impl<S> StepEffect<S> {
 /// step time, whether the actor had started, the actor's process key and
 /// the delivered message's key.
 ///
-/// The lookup is sound under the [`StateHasher`] contract (components
+/// The lookup is sound under the [`SlotKeys`] contract (components
 /// with equal keys are equal) because a step's effect is a function of
 /// exactly those. A handler reads only its state, the step (the
 /// delivered entry; on a first step the pending invocation, which is
@@ -1238,11 +1010,12 @@ impl<S> StepEffect<S> {
 /// [`Canonicalizer`], and the liveness checker one per worker chunk.
 /// Bounded like the canonicalizer's memo: dropped once it holds
 /// [`MEMO_ROWS_CAP`] rows.
-pub(crate) struct StepMemo<S> {
-    rows: HashMap<StepKey<S>, StepEffect<S>>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the transition memo)
+pub(crate) struct StepMemo {
+    rows: HashMap<StepKey, StepEffect>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the transition memo)
 }
 
-impl<S: Eq + Hash> StepMemo<S> {
+impl StepMemo {
+    #[inline]
     pub(crate) fn new() -> Self {
         StepMemo {
             rows: HashMap::new(), // wfd-lint: allow(d1-hash-collections, constructor for the transition memo excused above)
@@ -1251,11 +1024,7 @@ impl<S: Eq + Hash> StepMemo<S> {
 
     /// The effect recorded for `key`, computed by `fill` on a miss, and
     /// whether it was a hit.
-    fn effect(
-        &mut self,
-        key: StepKey<S>,
-        fill: impl FnOnce() -> StepEffect<S>,
-    ) -> (&StepEffect<S>, bool) {
+    fn effect(&mut self, key: StepKey, fill: impl FnOnce() -> StepEffect) -> (&StepEffect, bool) {
         if self.rows.len() >= MEMO_ROWS_CAP {
             self.rows.clear();
         }
@@ -1269,28 +1038,27 @@ impl<S: Eq + Hash> StepMemo<S> {
 /// The start of the row of the pending `(sender, message)` entry keyed
 /// `key` in the message memo `msgs`; a miss renames the entry and keys
 /// it once per element of `perms`.
-fn message_row<H: StateHasher, P: Protocol>(
-    msgs: &mut SlotMemo<H::Slot>,
-    hasher: &H,
+fn message_row<P: Protocol>(
+    msgs: &mut SlotMemo,
     perms: &[SymPerm],
-    key: &H::Slot,
+    key: u128,
     (from, msg): &(ProcessId, P::Msg),
 ) -> usize {
     msgs.row(key, |row| {
         row.extend(perms.iter().map(|sp| {
             let mut msg = msg.clone();
             P::permute_msg(&mut msg, &sp.perm);
-            hasher.slot(&(sp.perm.apply(*from), msg))
+            debug_fp(&(sp.perm.apply(*from), msg))
         }));
     })
 }
 
 /// Symmetry canonicalization of dedup keys from memoized per-slot keys.
 ///
-/// The canonical key of a state is the least
-/// [`compose`](StateHasher::compose) over the identity and every
-/// element `π` of the group. Candidate `π` fills canonical slot `j` from
-/// original slot `π⁻¹(j)`, with every embedded id rewritten forward
+/// The canonical key of a state is the least composition of its slot
+/// keys over the identity and every element `π` of the group. Candidate
+/// `π` fills canonical slot `j` from original slot `π⁻¹(j)`, with every
+/// embedded id rewritten forward
 /// ([`Protocol::permute`], [`Protocol::permute_msg`],
 /// [`Protocol::permute_output`], and inbox senders and output emitters
 /// mapped through `π`). Slot words hold id-free scalars, so they move
@@ -1301,10 +1069,10 @@ fn message_row<H: StateHasher, P: Protocol>(
 /// comes from a memo indexed by the component's own key: a process-state
 /// or output-history miss clones that one component, renames it and
 /// keys it once per group element; an inbox miss composes each group
-/// element's image as the [`seq`](StateHasher::seq) of its messages'
-/// images, which come from a per-message memo (a message miss renames
-/// and keys that one entry). A hit reuses the row, which is sound as
-/// long as components with equal keys are equal (see [`StateHasher`]).
+/// element's image as the fingerprint of its messages' images in order,
+/// which come from a per-message memo (a message miss renames and keys
+/// that one entry). A hit reuses the row, which is sound as long as
+/// components with equal keys (equal `Debug` renderings) are equal.
 /// Ties break toward the identity, then toward the earlier group
 /// element, so the choice is deterministic; and since the key is a pure
 /// function of the state, it does not depend on what the memo already
@@ -1314,48 +1082,43 @@ fn message_row<H: StateHasher, P: Protocol>(
 /// the keys its states carry; the liveness checker does the same for its
 /// fair-graph nodes, and also takes the winning renaming's slot and
 /// message keys from the memo rows. It is public so differential tests
-/// can check it against [`StateHasher::key`] of materialized renamed
-/// states.
-pub struct Canonicalizer<'h, H: StateHasher, P> {
-    hasher: &'h H,
+/// can check it against the unreduced keys of materialized renamed
+/// states (a canonicalizer without a group keys exactly those).
+pub struct Canonicalizer<P> {
     perms: Vec<SymPerm>,
     /// The current state's memo row starts, slot by slot, and its
     /// output history's.
     proc_rows: Vec<usize>,
     inbox_rows: Vec<usize>,
     out_row: usize,
-    procs: SlotMemo<H::Slot>,
-    inboxes: SlotMemo<H::Slot>,
-    msgs: SlotMemo<H::Slot>,
-    outputs: SlotMemo<H::Slot>,
+    procs: SlotMemo,
+    inboxes: SlotMemo,
+    msgs: SlotMemo,
+    outputs: SlotMemo,
     /// Scratch: one inbox's message row starts while its row is filled,
     /// and the original message keys while a renaming's are written.
     msg_rows: Vec<usize>,
-    old_msgs: Vec<H::Slot>,
+    old_msgs: Vec<u128>,
     _protocol: PhantomData<fn() -> P>,
 }
 
-impl<'h, H, P> Canonicalizer<'h, H, P>
-where
-    H: StateHasher,
-    P: Protocol + Clone + Debug,
-{
+impl<P: Protocol + Clone + Debug> Canonicalizer<P> {
     /// A canonicalizer under `group`; identity elements are skipped (the
     /// identity is always the first candidate). An empty or trivial group
-    /// makes [`Canonicalizer::key`] equal to [`StateHasher::key`].
-    pub fn new(hasher: &'h H, group: &[Permutation]) -> Self {
+    /// makes [`Canonicalizer::key`] the unreduced key: every component's
+    /// key composed in its own slot order.
+    pub fn new(group: &[Permutation]) -> Self {
         let perms = group
             .iter()
             .filter(|perm| !perm.is_identity())
             .cloned()
             .map(SymPerm::new)
             .collect();
-        Self::with_perms(hasher, perms)
+        Self::with_perms(perms)
     }
 
-    pub(crate) fn with_perms(hasher: &'h H, perms: Vec<SymPerm>) -> Self {
+    pub(crate) fn with_perms(perms: Vec<SymPerm>) -> Self {
         Canonicalizer {
-            hasher,
             perms,
             proc_rows: Vec::new(),
             inbox_rows: Vec::new(),
@@ -1379,8 +1142,8 @@ where
         inboxes: &[Vec<(ProcessId, P::Msg)>],
         started: &[bool],
         outputs: &[(ProcessId, P::Output)],
-    ) -> H::Key {
-        let keys = SlotKeys::of(self.hasher, procs, inboxes, outputs);
+    ) -> u128 {
+        let keys = SlotKeys::of(procs, inboxes, outputs);
         let words = started_words(started);
         self.canonical(procs, inboxes, &words, outputs, &keys).0
     }
@@ -1414,10 +1177,9 @@ where
         inboxes: &[Vec<(ProcessId, P::Msg)>],
         words: &[u64],
         outputs: &[(ProcessId, P::Output)],
-        keys: &SlotKeys<H::Slot>,
-    ) -> (H::Key, Option<usize>) {
-        let hasher = self.hasher;
-        let mut best = keys.compose(hasher, words);
+        keys: &SlotKeys,
+    ) -> (u128, Option<usize>) {
+        let mut best = keys.compose(words);
         if self.perms.is_empty() {
             return (best, None);
         }
@@ -1427,33 +1189,32 @@ where
         self.msgs.trim();
         self.outputs.trim();
         self.proc_rows.clear();
-        for (proc, key) in procs.iter().zip(keys.procs()) {
+        for (proc, &key) in procs.iter().zip(keys.procs()) {
             self.proc_rows.push(self.procs.row(key, |images| {
                 images.extend(perms.iter().map(|sp| {
                     let mut renamed = proc.clone();
                     renamed.permute(&sp.perm);
-                    hasher.slot(&renamed)
+                    debug_fp(&renamed)
                 }));
             }));
         }
         self.inbox_rows.clear();
         let mut start = 0;
-        for (inbox, key) in inboxes.iter().zip(keys.inboxes()) {
+        for (inbox, &key) in inboxes.iter().zip(keys.inboxes()) {
             let msg_keys = &keys.msgs[start..start + inbox.len()];
             start += inbox.len();
             let (msgs, msg_rows) = (&mut self.msgs, &mut self.msg_rows);
             self.inbox_rows.push(self.inboxes.row(key, |images| {
                 msg_rows.clear();
-                for (entry, msg_key) in inbox.iter().zip(msg_keys) {
-                    msg_rows.push(message_row::<H, P>(msgs, hasher, perms, msg_key, entry));
+                for (entry, &msg_key) in inbox.iter().zip(msg_keys) {
+                    msg_rows.push(message_row::<P>(msgs, perms, msg_key, entry));
                 }
                 images.extend(
-                    (0..perms.len())
-                        .map(|g| hasher.seq(msg_rows.iter().map(|&r| &msgs.images[r + g]))),
+                    (0..perms.len()).map(|g| seq(msg_rows.iter().map(|&r| &msgs.images[r + g]))),
                 );
             }));
         }
-        self.out_row = self.outputs.row(keys.outputs(), |images| {
+        self.out_row = self.outputs.row(*keys.outputs(), |images| {
             images.extend(perms.iter().map(|sp| {
                 let renamed: Vec<(ProcessId, P::Output)> = outputs
                     .iter()
@@ -1463,12 +1224,12 @@ where
                         (sp.perm.apply(*p), out)
                     })
                     .collect();
-                hasher.slot(renamed.as_slice())
+                debug_fp(renamed.as_slice())
             }));
         });
         let mut best_perm = None;
         for (g, sp) in perms.iter().enumerate() {
-            let key = hasher.compose(
+            let key = compose(
                 sp.inverse.iter().map(|&i| {
                     (
                         &self.procs.images[self.proc_rows[i] + g],
@@ -1497,22 +1258,22 @@ where
         &mut self,
         g: usize,
         inboxes: &[Vec<(ProcessId, P::Msg)>],
-        keys: &mut SlotKeys<H::Slot>,
+        keys: &mut SlotKeys,
     ) {
-        let (n, hasher, sp) = (self.proc_rows.len(), self.hasher, &self.perms[g]);
+        let (n, sp) = (self.proc_rows.len(), &self.perms[g]);
         let perms = &self.perms;
         std::mem::swap(&mut self.old_msgs, &mut keys.msgs);
         keys.msgs.clear();
         for (j, &i) in sp.inverse.iter().enumerate() {
-            keys.slots[j].clone_from(&self.procs.images[self.proc_rows[i] + g]);
-            keys.slots[n + j].clone_from(&self.inboxes.images[self.inbox_rows[i] + g]);
+            keys.slots[j] = self.procs.images[self.proc_rows[i] + g];
+            keys.slots[n + j] = self.inboxes.images[self.inbox_rows[i] + g];
             let start: usize = inboxes[..i].iter().map(Vec::len).sum();
-            for (entry, key) in inboxes[i].iter().zip(&self.old_msgs[start..]) {
-                let row = message_row::<H, P>(&mut self.msgs, hasher, perms, key, entry);
-                keys.msgs.push(self.msgs.images[row + g].clone());
+            for (entry, &key) in inboxes[i].iter().zip(&self.old_msgs[start..]) {
+                let row = message_row::<P>(&mut self.msgs, perms, key, entry);
+                keys.msgs.push(self.msgs.images[row + g]);
             }
         }
-        keys.slots[2 * n].clone_from(&self.outputs.images[self.out_row + g]);
+        keys.slots[2 * n] = self.outputs.images[self.out_row + g];
     }
 }
 
@@ -1523,7 +1284,7 @@ where
 /// A built explorer state, shared between the frontier entry or
 /// survivor that holds it and the deferred children that will be built
 /// from it.
-type Shared<P, S> = Arc<KeyedState<P, S>>;
+type Shared<P> = Arc<KeyedState<P>>;
 
 /// A child keyed but not yet built: its parent, the decision that leads
 /// to it, and its key, composed from the parent's keys and the
@@ -1531,19 +1292,19 @@ type Shared<P, S> = Arc<KeyedState<P, S>>;
 /// ([`KeyedState::child_key`]). The revisit rule reads the key as it
 /// reads a built state's; a child the rule drops is never built, and one
 /// it keeps is built by the worker that expands it.
-struct Deferred<P: Protocol, S, K> {
-    parent: Shared<P, S>,
+struct Deferred<P: Protocol> {
+    parent: Shared<P>,
     decision: ExploreDecision,
-    key: K,
+    key: u128,
 }
 
 /// One frontier entry: a built state, or a deferred child.
-enum Frontier<P: Protocol, S, K> {
-    Built(Shared<P, S>),
-    Deferred(Deferred<P, S, K>),
+enum Frontier<P: Protocol> {
+    Built(Shared<P>),
+    Deferred(Deferred<P>),
 }
 
-impl<P: Protocol, S, K> Frontier<P, S, K> {
+impl<P: Protocol> Frontier<P> {
     fn depth(&self) -> usize {
         match self {
             Frontier::Built(node) => node.state.depth,
@@ -1552,7 +1313,7 @@ impl<P: Protocol, S, K> Frontier<P, S, K> {
     }
 
     /// The shared state this entry holds: its own, or its parent's.
-    fn into_shared(self) -> Shared<P, S> {
+    fn into_shared(self) -> Shared<P> {
         match self {
             Frontier::Built(node) => node,
             Frontier::Deferred(child) => child.parent,
@@ -1565,7 +1326,7 @@ impl<P: Protocol, S, K> Frontier<P, S, K> {
 /// links so unshared chain segments are freed promptly; its slot keys
 /// stay allocated for the next state to overwrite). Otherwise drop the
 /// handle: the release of the last child's returns it.
-fn recycle<P: Protocol, S>(mut s: Shared<P, S>, pool: &mut Vec<Shared<P, S>>) {
+fn recycle<P: Protocol>(mut s: Shared<P>, pool: &mut Vec<Shared<P>>) {
     if pool.len() >= POOL_CAP {
         return;
     }
@@ -1578,39 +1339,35 @@ fn recycle<P: Protocol, S>(mut s: Shared<P, S>, pool: &mut Vec<Shared<P, S>>) {
 }
 
 /// One worker's slot of the free-list arena.
-type WorkerStates<P, S> = Mutex<Vec<Shared<P, S>>>;
+type WorkerStates<P> = Mutex<Vec<Shared<P>>>;
 
 /// One worker's slot of the child buffers.
-type WorkerEntries<P, S, K> = Mutex<Vec<Frontier<P, S, K>>>;
+type WorkerEntries<P> = Mutex<Vec<Frontier<P>>>;
 
 /// What an expansion worker steps children with: its slot of the
 /// arena, its transition memo and its step buffers, reused across its
 /// chunk.
-struct Stepper<'m, P: Protocol, S> {
-    free: Vec<Shared<P, S>>,
-    memo: MutexGuard<'m, StepMemo<S>>,
+struct Stepper<'m, P: Protocol> {
+    free: Vec<Shared<P>>,
+    memo: MutexGuard<'m, StepMemo>,
     bufs: (SendBuf<P>, Vec<P::Output>),
     outputs: Vec<(ProcessId, P::Output)>,
 }
 
-impl<P, S> Stepper<'_, P, S>
-where
-    P: Protocol + Clone + Debug,
-    S: Eq + Hash + Clone,
-{
+impl<P: Protocol + Clone + Debug> Stepper<'_, P> {
     /// Build `parent`'s child by `decision` into a state from the arena,
     /// stepped with the detector value `fd`, and key it from `parent`'s
-    /// keys through the memo when a `hasher` is given (dedup on). Returns
-    /// the child and whether the memo held its step. Debug builds re-key
-    /// the child in full and compare.
-    fn build<H: StateHasher<Slot = S>>(
+    /// keys through the memo when `keyed` (dedup on). Returns the child
+    /// and whether the memo held its step. Debug builds re-key the child
+    /// in full and compare.
+    fn build(
         &mut self,
-        hasher: Option<&H>,
+        keyed: bool,
         env: &StepEnv<'_>,
         fd: P::Fd,
-        parent: &KeyedState<P, S>,
+        parent: &KeyedState<P>,
         (p, choice): ExploreDecision,
-    ) -> (Shared<P, S>, bool) {
+    ) -> (Shared<P>, bool) {
         let mut dst = self
             .free
             .pop()
@@ -1625,12 +1382,12 @@ where
             choice,
             &mut self.bufs,
         );
-        let hit = hasher.is_some_and(|hasher| {
-            let hit = child.inherit_keys(hasher, &mut self.memo, parent, p, &mut self.outputs);
+        let hit = keyed && {
+            let hit = child.inherit_keys(&mut self.memo, parent, p, &mut self.outputs);
             #[cfg(debug_assertions)]
-            child.assert_keys_fresh(hasher, &mut self.outputs);
+            child.assert_keys_fresh(&mut self.outputs);
             hit
-        });
+        };
         (dst, hit)
     }
 }
@@ -1642,8 +1399,8 @@ struct FoundViolation {
 }
 
 /// What one expansion chunk hands back to the merge step.
-struct ChunkOut<P: Protocol, S, K> {
-    children: Vec<Frontier<P, S, K>>,
+struct ChunkOut<P: Protocol> {
+    children: Vec<Frontier<P>>,
     violations: Vec<FoundViolation>,
     depth_bounded: bool,
 }
@@ -1669,8 +1426,8 @@ pub(crate) fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usi
 
 /// Exhaustively explore message-delivery interleavings. This is *the*
 /// entry point: every knob lives on [`ExploreConfig`], and states are
-/// keyed with [`FingerprintHasher`]. See [`explore_custom`] for the
-/// traversal mechanics and for keying with another [`StateHasher`].
+/// keyed with 128-bit fingerprints (see the
+/// [performance model](self#performance-model)).
 ///
 /// * `make_procs` builds the initial configuration (fresh per call).
 /// * `invocations[p]` is consumed at `p`'s first step (with `on_start`).
@@ -1679,36 +1436,6 @@ pub(crate) fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usi
 /// * `safety` is evaluated in every reachable state over the protocol
 ///   states and all outputs emitted so far; returning `Err` stops the
 ///   exploration with a replayable counterexample.
-pub fn explore<P, D>(
-    cfg: ExploreConfig,
-    make_procs: impl Fn() -> Vec<P>,
-    invocations: Vec<Option<P::Inv>>,
-    pattern: &FailurePattern,
-    detector: D,
-    safety: impl Fn(&[P], &[(ProcessId, P::Output)]) -> Result<(), String> + Sync,
-) -> ExploreReport
-where
-    P: Protocol + Clone + Debug + Send + Sync,
-    P::Msg: Send + Sync,
-    P::Output: Send + Sync,
-    P::Inv: Send + Sync,
-    P::Fd: Sync,
-    D: FdOracle<Value = P::Fd>,
-{
-    explore_custom(
-        cfg,
-        FingerprintHasher,
-        make_procs,
-        invocations,
-        pattern,
-        detector,
-        safety,
-    )
-}
-
-/// [`explore`] keyed with the given [`StateHasher`]: [`ExactKeyHasher`]
-/// for collision-free reference keys, or a user-defined one.
-/// [`explore`] is this function with [`FingerprintHasher`].
 ///
 /// Traversal: batched depth-first. Each round pops up to
 /// [`ExploreConfig::batch`] entries off the frontier stack (`batch == 1`
@@ -1724,17 +1451,16 @@ where
 /// workers for building, safety checking and expansion. A worker builds
 /// each deferred survivor from its parent, then keys each child from its
 /// parent's keys and its transition memo, which renders only on a miss
-/// (the root alone is keyed in full; see [`StateHasher`]). A child whose
-/// step the memo holds and which emitted nothing goes onto the stack
-/// unbuilt, as its parent, its decision and its key, unless a usable
-/// symmetry group is on; every other child is built at once.
+/// (the root alone is keyed in full). A child whose step the memo holds
+/// and which emitted nothing goes onto the stack unbuilt, as its parent,
+/// its decision and its key, unless a usable symmetry group is on; every
+/// other child is built at once.
 /// Children are merged back onto the stack in survivor order, and a batch
 /// with violations reports the lexicographically-least decision list
 /// among them — every step is either order-independent or resolved in a
 /// fixed order, which is why the worker count cannot change the report.
-pub fn explore_custom<H, P, D>(
+pub fn explore<P, D>(
     cfg: ExploreConfig,
-    hasher: H,
     make_procs: impl Fn() -> Vec<P>,
     invocations: Vec<Option<P::Inv>>,
     pattern: &FailurePattern,
@@ -1742,7 +1468,6 @@ pub fn explore_custom<H, P, D>(
     safety: impl Fn(&[P], &[(ProcessId, P::Output)]) -> Result<(), String> + Sync,
 ) -> ExploreReport
 where
-    H: StateHasher,
     P: Protocol + Clone + Debug + Send + Sync,
     P::Msg: Send + Sync,
     P::Output: Send + Sync,
@@ -1762,6 +1487,9 @@ where
     let obs = cfg.obs.clone();
     // wfd-lint: allow(d2-wall-clock, read once per phase for obs metrics only; never compared on the decision path)
     let t_start = obs.is_on().then(Instant::now);
+    // Filled once per `(p, t)` for the whole exploration: a deferred
+    // child is built batches after its parent's values were sampled.
+    let mut fd_cache: FdTable<P::Fd> = FdTable::new(invocations.len(), cfg.max_depth);
     // Resolve the scenario's usable symmetry group before the invocation
     // vector is consumed by the initial state (the filter compares its
     // slots). Without dedup there is no key to canonicalize.
@@ -1772,6 +1500,7 @@ where
             pattern,
             &invocations,
             &mut detector,
+            &mut fd_cache,
         )
     } else {
         Vec::new()
@@ -1785,9 +1514,8 @@ where
     // Slot keys exist for the dedup key only. The root is keyed in full;
     // every other state inherits its parent's keys when it is built.
     if cfg.dedup {
-        root.keys = root.full_keys(&hasher, &mut Vec::new());
+        root.keys = root.full_keys(&mut Vec::new());
     }
-    let keyed = cfg.dedup.then_some(&hasher);
     // Whether a child may wait on the frontier as its key, built only if
     // the revisit rule keeps it: when its key is the identity composition
     // of carried keys. The canonicalizer renames built components, so a
@@ -1802,33 +1530,28 @@ where
     // so two branches that converge in `(procs, inboxes, started)` but
     // emitted different outputs are *different* states to the checker.
     let shard_count = seen_shard_width(threads);
-    let shards: Vec<Mutex<HashMap<H::Key, usize>>> = (0..shard_count) // wfd-lint: allow(d1-hash-collections, keyed insert/lookup only; the dedup_entries sum reads len(), never iterates entries)
+    let shards: Vec<Mutex<HashMap<u128, usize>>> = (0..shard_count) // wfd-lint: allow(d1-hash-collections, keyed insert/lookup only; the dedup_entries sum reads len(), never iterates entries)
         .map(|_| Mutex::new(HashMap::new())) // wfd-lint: allow(d1-hash-collections, constructor for the seen-table excused above)
         .collect();
 
-    let mut stack: Vec<Frontier<P, H::Slot, H::Key>> = vec![Frontier::Built(Arc::new(root))];
+    let mut stack: Vec<Frontier<P>> = vec![Frontier::Built(Arc::new(root))];
     // Free-list arena and child buffers, one slot per worker, persistent
     // across batches. All hand-offs move `Vec` *headers* (O(1)), never
     // elements — shuffling states between a shared arena and per-chunk
     // lists element-wise costs more than the allocations it saves.
-    let free_pools: Vec<WorkerStates<P, H::Slot>> =
-        (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    let child_bufs: Vec<WorkerEntries<P, H::Slot, H::Key>> =
-        (0..threads).map(|_| Mutex::new(Vec::new())).collect();
+    let free_pools: Vec<WorkerStates<P>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
+    let child_bufs: Vec<WorkerEntries<P>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
     // One key canonicalizer per worker, its slot memo persistent across
     // batches. With no usable symmetry group it keys the identity only.
-    let canonicalizers: Vec<Mutex<Canonicalizer<'_, H, P>>> = (0..threads)
-        .map(|_| Mutex::new(Canonicalizer::with_perms(&hasher, sym_perms.clone())))
+    let canonicalizers: Vec<Mutex<Canonicalizer<P>>> = (0..threads)
+        .map(|_| Mutex::new(Canonicalizer::with_perms(sym_perms.clone())))
         .collect();
     // And one transition memo per worker, persistent likewise: it gives
     // each child the keys its step produced, so a hit renders nothing.
-    let step_memos: Vec<Mutex<StepMemo<H::Slot>>> =
+    let step_memos: Vec<Mutex<StepMemo>> =
         (0..threads).map(|_| Mutex::new(StepMemo::new())).collect();
     let mut next_pool = 0usize;
-    let mut survivors: Vec<Frontier<P, H::Slot, H::Key>> = Vec::new();
-    // Filled once per `(p, t)` for the whole exploration: a deferred
-    // child is built batches after its parent's values were sampled.
-    let mut fd_cache: FdTable<P::Fd> = FdTable::new(n, cfg.max_depth);
+    let mut survivors: Vec<Frontier<P>> = Vec::new();
 
     let mut states_visited = 0usize;
     let mut depth_bounded = false;
@@ -1860,7 +1583,7 @@ where
         obs.record(HistId::ExploreBatchSize, take as u64);
 
         survivors.clear();
-        let mut recycle_rr = |s: Shared<P, H::Slot>| {
+        let mut recycle_rr = |s: Shared<P>| {
             recycle(
                 s,
                 &mut free_pools[next_pool % threads]
@@ -1892,7 +1615,7 @@ where
                 for j in range.clone() {
                     let entry = &stack[top - 1 - j];
                     let key = match entry {
-                        Frontier::Deferred(child) => child.key.clone(),
+                        Frontier::Deferred(child) => child.key,
                         Frontier::Built(node) => {
                             let state = &node.state;
                             // Only an output-memo miss reads the history,
@@ -1919,7 +1642,7 @@ where
                         }
                     };
                     let pruned = pre_read
-                        && shards[H::shard(&key, shard_count)]
+                        && shards[shard(key, shard_count)]
                             .lock()
                             .expect("shard poisoned")
                             .get(&key)
@@ -1941,10 +1664,10 @@ where
                     let entry = stack.pop().expect("batch within stack");
                     let depth = entry.depth();
                     let keep = !pre && {
-                        let mut shard = shards[H::shard(&key, shard_count)]
+                        let mut table = shards[shard(key, shard_count)]
                             .lock()
                             .expect("shard poisoned");
-                        match shard.entry(key) {
+                        match table.entry(key) {
                             Entry::Occupied(mut e) => {
                                 let seen = e.get_mut();
                                 let shallower = depth < *seen;
@@ -1996,11 +1719,8 @@ where
             if depth >= cfg.max_depth {
                 continue;
             }
-            let t = depth as Time;
             for p in ProcessId::all(n) {
-                if !pattern.is_crashed(p, t) {
-                    fd_cache.fill_with(p.index(), t, || detector.query(p, t));
-                }
+                fd_cache.fill(pattern, &mut detector, p, depth as Time);
             }
         }
         drop(oracle_phase);
@@ -2053,7 +1773,7 @@ where
                         let (p, _) = child.decision;
                         let t = child.parent.state.depth as Time;
                         let (node, _) = stepper.build(
-                            keyed,
+                            cfg.dedup,
                             &env,
                             fd_cache.get(p.index(), t).clone(),
                             &child.parent,
@@ -2063,9 +1783,7 @@ where
                         // its built state composes.
                         #[cfg(debug_assertions)]
                         assert!(
-                            node.keys
-                                .compose(&hasher, &started_words(&node.state.started))
-                                == child.key,
+                            node.keys.compose(&started_words(&node.state.started)) == child.key,
                             "a deferred child's key diverges from its built state's at \
                              depth {} (decisions {:?})",
                             node.state.depth,
@@ -2109,7 +1827,7 @@ where
                 enabled_decisions(state, pattern, n, &mut enabled);
                 for &d in &enabled {
                     let deferred_key = defer
-                        .then(|| node.child_key(&hasher, &stepper.memo, d, &mut inbox_keys))
+                        .then(|| node.child_key(&stepper.memo, d, &mut inbox_keys))
                         .flatten();
                     if let Some(key) = deferred_key {
                         tally(true);
@@ -2123,7 +1841,7 @@ where
                     }
                     let (p, _) = d;
                     let (dst, hit) =
-                        stepper.build(keyed, &env, fd_cache.get(p.index(), t).clone(), node, d);
+                        stepper.build(cfg.dedup, &env, fd_cache.get(p.index(), t).clone(), node, d);
                     tally(hit);
                     out.children.push(Frontier::Built(dst));
                 }
@@ -2233,13 +1951,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{DecisionNode, OutputNode, Replay};
+    use crate::explore_baseline::explore_baseline;
+    use crate::machine::{oracle_fn, DecisionNode, Machine, OutputNode, ProtocolMachine, Replay};
     use crate::oracle::NoDetector;
     use crate::protocol::Ctx;
     use std::sync::Arc;
 
     /// Each process outputs every message payload it receives.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, PartialEq)]
     struct Tag {
         sent: bool,
     }
@@ -2472,29 +2191,32 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_and_exact_key_produce_identical_reports() {
-        fn run<H: StateHasher>(hasher: H) -> ExploreReport {
-            let cfg = ExploreConfig::new(8).with_threads(2);
-            let safety = |_: &[Tag], outputs: &[(ProcessId, u8)]| {
-                if outputs.iter().any(|(_, o)| *o == 2) {
-                    Err("saw a 2".to_string())
-                } else {
-                    Ok(())
-                }
-            };
-            let pattern = FailurePattern::failure_free(2);
-            explore_custom(
-                cfg,
-                hasher,
-                two_taggers,
-                vec![Some(1), Some(2)],
-                &pattern,
-                NoDetector,
-                safety,
-            )
-        }
-        let fp = run(FingerprintHasher);
-        let exact = run(ExactKeyHasher);
+    fn fingerprinted_explorer_matches_the_structural_baseline() {
+        let safety = |_: &[Tag], outputs: &[(ProcessId, u8)]| {
+            if outputs.iter().any(|(_, o)| *o == 2) {
+                Err("saw a 2".to_string())
+            } else {
+                Ok(())
+            }
+        };
+        let pattern = FailurePattern::failure_free(2);
+        let inv = vec![Some(1), Some(2)];
+        let fp = explore(
+            ExploreConfig::new(8).with_threads(1).with_batch(1),
+            two_taggers,
+            inv.clone(),
+            &pattern,
+            NoDetector,
+            safety,
+        );
+        let exact = explore_baseline(
+            ExploreConfig::new(8),
+            two_taggers,
+            inv,
+            &pattern,
+            NoDetector,
+            safety,
+        );
         assert!(fp.same_semantics(&exact), "{fp:?} vs {exact:?}");
     }
 
@@ -2646,7 +2368,7 @@ mod tests {
     /// Regression fixture for the outputs-omitted-from-key dedup bug: both
     /// delivery orders of p0's two messages converge to identical
     /// `(procs, inboxes, started)` but different output histories.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, PartialEq)]
     struct EmitBug;
 
     impl Protocol for EmitBug {
@@ -2704,47 +2426,32 @@ mod tests {
         assert_eq!(replayed, Err(violation.message));
     }
 
-    /// A deliberately output-blind key — the historical EmitBug dedup,
-    /// expressed as a [`StateHasher`] to prove the fixture still bites on
-    /// a weakened key and passes on the real fingerprint path.
-    struct OutputBlindHasher;
-
-    impl StateHasher for OutputBlindHasher {
-        type Slot = String;
-        type Key = String;
-
-        fn slot<T: Debug + ?Sized>(&self, component: &T) -> String {
-            ExactKeyHasher.slot(component)
-        }
-
-        fn seq<'s>(&self, items: impl Iterator<Item = &'s String>) -> String {
-            ExactKeyHasher.seq(items)
-        }
-
-        fn compose<'s>(
-            &self,
-            slots: impl Iterator<Item = (&'s String, &'s String, u64)>,
-            _outputs: &String,
-        ) -> String {
-            ExactKeyHasher.compose(slots, &String::new())
-        }
-    }
-
+    /// The fixture still bites: its two delivery orders reach states
+    /// equal in everything but the output history, so a key that
+    /// ignored outputs would merge them and miss the violation.
     #[test]
-    fn output_blind_hasher_still_reproduces_the_historical_bug() {
-        let report = explore_custom(
-            ExploreConfig::new(6).with_batch(1),
-            OutputBlindHasher,
-            || vec![EmitBug, EmitBug],
-            vec![None, None],
-            &FailurePattern::failure_free(2),
-            NoDetector,
-            emit_bug_safety,
-        );
-        assert!(
-            report.violation.is_none(),
-            "the output-blind key unexpectedly found the violation — the \
-             regression fixture no longer exercises the outputs key component"
+    fn emit_bug_orders_differ_only_in_outputs() {
+        let pattern = FailurePattern::failure_free(2);
+        let machine = ProtocolMachine::new(&pattern, oracle_fn(NoDetector));
+        let (p0, p1) = (ProcessId(0), ProcessId(1));
+        // Both starts, then p1 delivers the message at `first` and the
+        // one left.
+        let run = |first: usize| {
+            let mut state = machine.initial(vec![EmitBug, EmitBug], vec![None, None]);
+            for d in [(p0, None), (p1, None), (p1, Some(first)), (p1, Some(0))] {
+                state = machine.transition(&state, &d).next().expect("enabled");
+            }
+            let mut outputs = Vec::new();
+            state.collect_outputs(&mut outputs);
+            (state, outputs)
+        };
+        let ((a, a_out), (b, b_out)) = (run(0), run(1));
+        assert!(a.procs == b.procs && a.inboxes == b.inboxes && a.started == b.started);
+        assert!(emit_bug_safety(&a.procs, &a_out).is_err());
+        assert!(emit_bug_safety(&b.procs, &b_out).is_ok());
+        assert_eq!(
+            (a_out, b_out),
+            (vec![(p1, 1), (p1, 2)], vec![(p1, 2), (p1, 1)])
         );
     }
 

@@ -4,23 +4,24 @@
 //! This is the explorer's original inner loop: sequential depth-first
 //! search, a full `State` clone (including the O(depth) decision and
 //! output vectors) per branch, a per-(state, process) `choices` vector,
-//! and a single `HashMap` seen-table keyed from scratch at every state.
-//! It is parametrized over [`StateHasher`] so tests can run it under
-//! either shipped hasher.
+//! and a single seen-table keyed from scratch at every state. The table
+//! is exact: it stores each state, files it under a fingerprint and
+//! confirms every match with `==` on the process states, inboxes,
+//! `started` bits and output history, so neither a collision nor a lossy
+//! `Debug` can merge two of its states.
 //!
-//! Not public API: it exists so tests (`machine_equiv`,
+//! Not public API: it exists so tests (`explore_dedup`, `machine_equiv`,
 //! `incremental_keys`, `step_memo`) can differentially check
 //! [`crate::explore()`] against an independent implementation. It is
 //! `#[doc(hidden)]`.
 
-use crate::explore::{
-    ExploreConfig, ExploreDecision, ExploreReport, ExploreViolation, StateHasher,
-};
+use crate::explore::{ExploreConfig, ExploreDecision, ExploreReport, ExploreViolation};
 use crate::failure::FailurePattern;
+use crate::fingerprint::debug_fp;
 use crate::id::{ProcessId, Time};
+use crate::liveness::Chains;
 use crate::oracle::FdOracle;
 use crate::protocol::{Ctx, Protocol};
-use std::collections::HashMap;
 use std::fmt::Debug;
 
 #[derive(Clone)]
@@ -98,16 +99,15 @@ fn initial_state<P: Protocol>(procs: Vec<P>, invocations: Vec<Option<P::Inv>>) -
     }
 }
 
-/// The PR 2 exploration loop, byte-for-byte — sequential DFS with
-/// full-clone branching — except that the dedup key comes from `hasher`.
+/// The original exploration loop — sequential DFS with full-clone
+/// branching — with the exact seen-table described in the module docs.
 /// Only [`ExploreConfig::max_depth`], [`ExploreConfig::max_states`] and
 /// [`ExploreConfig::dedup`] are honored (the loop predates the other
 /// knobs); the report's observability counters are filled in so it can be
 /// compared against [`crate::explore()`] with
 /// [`ExploreReport::same_semantics`].
-pub fn explore_baseline<H, P, D>(
+pub fn explore_baseline<P, D>(
     cfg: ExploreConfig,
-    hasher: H,
     make_procs: impl Fn() -> Vec<P>,
     invocations: Vec<Option<P::Inv>>,
     pattern: &FailurePattern,
@@ -115,14 +115,17 @@ pub fn explore_baseline<H, P, D>(
     mut safety: impl FnMut(&[P], &[(ProcessId, P::Output)]) -> Result<(), String>,
 ) -> ExploreReport
 where
-    H: StateHasher,
-    P: Protocol + Clone + Debug,
+    P: Protocol + Clone + Debug + PartialEq,
+    P::Msg: PartialEq,
+    P::Output: PartialEq,
     D: FdOracle<Value = P::Fd>,
 {
     let root = initial_state(make_procs(), invocations);
     let n = root.procs.len();
 
-    let mut seen: HashMap<H::Key, usize> = HashMap::new();
+    // Every state seen, at the lowest depth it was expanded at.
+    let mut seen: Vec<State<P>> = Vec::new();
+    let mut chains = Chains::new();
     let mut stack = vec![root];
     let mut states_visited = 0usize;
     let mut depth_bounded = false;
@@ -138,15 +141,20 @@ where
             break None;
         }
         if cfg.dedup {
-            let key = hasher.key(&state.procs, &state.inboxes, &state.started, &state.outputs);
-            match seen.get_mut(&key) {
-                Some(prev_depth) if *prev_depth <= state.depth => {
+            let key = debug_fp(&(&state.procs, &state.inboxes, &state.started, &state.outputs));
+            let same = |s: &State<P>| {
+                (&s.procs, &s.inboxes, &s.started, &s.outputs)
+                    == (&state.procs, &state.inboxes, &state.started, &state.outputs)
+            };
+            match chains.find(key as u64, |id| same(&seen[id as usize])) {
+                Some(id) if seen[id as usize].depth <= state.depth => {
                     dedup_hits += 1;
                     continue;
                 }
-                Some(prev_depth) => *prev_depth = state.depth,
+                Some(id) => seen[id as usize].depth = state.depth,
                 None => {
-                    seen.insert(key, state.depth);
+                    chains.push(key as u64);
+                    seen.push(state.clone());
                 }
             }
         }
@@ -197,11 +205,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore_custom, ExactKeyHasher};
+    use crate::explore::explore;
     use crate::oracle::NoDetector;
 
     /// Relays a hop-counted token; outputs every payload received.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, PartialEq)]
     struct Relay;
 
     impl Protocol for Relay {
@@ -222,9 +230,10 @@ mod tests {
         }
     }
 
-    /// The optimized explorer at batch 1, single-thread, exact keys must
-    /// reproduce the historical loop *exactly* — the differential anchor
-    /// that ties the new code to PR 2 semantics.
+    /// The optimized explorer at batch 1, single-thread, must reproduce
+    /// the historical loop and its exact seen-table *exactly* — the
+    /// differential anchor that ties the new code to the original
+    /// semantics.
     #[test]
     fn optimized_explorer_matches_the_baseline_bit_for_bit() {
         for (plant, depth) in [(false, 7), (true, 7), (false, 5)] {
@@ -240,16 +249,14 @@ mod tests {
             let pattern = FailurePattern::failure_free(2);
             let old = explore_baseline(
                 ExploreConfig::new(depth),
-                ExactKeyHasher,
                 mk,
                 inv.clone(),
                 &pattern,
                 NoDetector,
                 safety,
             );
-            let new = explore_custom(
+            let new = explore(
                 ExploreConfig::new(depth).with_threads(1).with_batch(1),
-                ExactKeyHasher,
                 mk,
                 inv,
                 &pattern,

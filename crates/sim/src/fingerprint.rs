@@ -1,19 +1,20 @@
-//! `Debug`-rendering state identity: the one place that turns a value's
-//! `Debug` output into a key.
+//! State identity: the one place that turns a value's `Debug` output
+//! into a key.
 //!
-//! The explorer keys states per component ([`crate::explore::StateHasher`]:
-//! process states, pending messages and output histories; an inbox key
-//! is composed from its messages' keys, not rendered), the liveness
-//! checker keys its fair-graph nodes the same way (its keys are the
-//! explorer's, composed with word-sized fairness counters), and the
-//! scenario symmetry filter compares invocation slots — all through the
-//! renderers below. Both engines render only on a transition-memo or
-//! canonicalizer-memo miss, so rendering is off their hot paths. Keeping
-//! the renderers in one small file keeps the `d4-debug-format` audit's
-//! exemption this narrow: no other explorer code may format a `{:?}`
-//! placeholder.
+//! Keys are 128-bit [`Fingerprint128`]s. The explorer keys a state by
+//! composing component keys ([`debug_fp`] of each process state, pending
+//! message and output history; an inbox is the [`seq`] of its messages'
+//! keys; [`compose`] folds the slots and [`shard`] picks a seen-table
+//! shard), the liveness checker keys its fair-graph nodes the same way,
+//! and the scenario symmetry filter compares invocation slots. Both
+//! engines render only on a transition-memo or canonicalizer-memo miss.
+//! Keeping the renderers in one small file keeps the `d4-debug-format`
+//! audit's exemption this narrow.
 //!
-//! Every key made here assumes that equal renderings mean equal values.
+//! The explorer's seen-table trusts key equality, so its keys assume
+//! that equal renderings mean equal values. The liveness checker, the
+//! diagram walker and the reference explorer only narrow their search
+//! with a key: a fingerprint picks a collision chain, `==` confirms.
 
 use std::fmt::{Debug, Write};
 
@@ -153,17 +154,49 @@ impl Write for Fingerprint128 {
     }
 }
 
-/// Fingerprint one `Debug` rendering, streamed (no `String` is built).
-/// The component renderer of [`crate::FingerprintHasher`], and so of
-/// liveness graph nodes too; also compares invocation slots.
+/// Fingerprint one `Debug` rendering, streamed (no `String` is built):
+/// the key of one state component, or of a whole state filed in a
+/// collision chain. Also compares invocation slots.
 pub(crate) fn debug_fp<T: Debug + ?Sized>(v: &T) -> u128 {
     let mut w = Fingerprint128::new();
     write!(w, "{v:?}").expect("fingerprint writer is infallible");
     w.finish()
 }
 
-/// One `Debug` rendering as a `String`: the component renderer of
-/// [`crate::ExactKeyHasher`].
-pub(crate) fn debug_string<T: Debug + ?Sized>(v: &T) -> String {
-    format!("{v:?}")
+/// The key of a sequence of keys, in order: an inbox from its messages'
+/// keys. Injective over sequences (their length and order included) up
+/// to the fingerprint's collision rate, as [`compose`] is.
+#[inline]
+pub(crate) fn seq<'s>(items: impl Iterator<Item = &'s u128>) -> u128 {
+    let mut w = Fingerprint128::new();
+    for item in items {
+        w.write_u128(*item);
+    }
+    w.finish()
+}
+
+/// Fold slot keys into a state key: one `(process, inbox, word)` triple
+/// per slot, in slot order, then the output history's key. The word is
+/// an arbitrary `u64`. Injective over its inputs up to the fingerprint's
+/// collision rate — the explorer's seen-table trusts key equality.
+#[inline]
+pub(crate) fn compose<'s>(
+    slots: impl Iterator<Item = (&'s u128, &'s u128, u64)>,
+    outputs: &u128,
+) -> u128 {
+    let mut w = Fingerprint128::new();
+    for (proc, inbox, word) in slots {
+        w.write_u128(*proc);
+        w.write_u128(*inbox);
+        w.write_u64(word);
+    }
+    w.write_u128(*outputs);
+    w.finish()
+}
+
+/// Which of `shards` seen-table shards a state key lives in: the
+/// fingerprint's top bits.
+#[inline]
+pub(crate) fn shard(key: u128, shards: usize) -> usize {
+    ((key >> 96) as usize) % shards.max(1)
 }

@@ -88,10 +88,7 @@ mod trace;
 pub use diagram::{Diagram, DiagramConfig, DiagramNode};
 pub use engine::{RunOutcome, Sim, SimConfig, SimParts, StopReason};
 pub use env::{EnvOverrides, MetricsMode};
-pub use explore::{
-    explore, explore_custom, ExactKeyHasher, ExploreConfig, ExploreDecision, ExploreReport,
-    ExploreViolation, FingerprintHasher, StateHasher,
-};
+pub use explore::{explore, ExploreConfig, ExploreDecision, ExploreReport, ExploreViolation};
 pub use failure::{Environment, FailurePattern, PatternSampler};
 pub use id::{ProcessId, ProcessSet, ProcessSetIter, Time, MAX_PROCESSES};
 pub use liveness::{

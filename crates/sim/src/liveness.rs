@@ -49,19 +49,19 @@
 //!
 //! # Node keys
 //!
-//! A node's fingerprint is built like an explorer key
-//! ([`StateHasher`](crate::StateHasher)): one [`FingerprintHasher`] key
-//! per process state and per inbox (itself composed from one key per
-//! pending message), composed slot by slot with a `u64` word of the
-//! slot's fairness bookkeeping (`started`, step-gap counter, message
-//! ages), then the depth. Keys are incremental, as in the explorer: each
-//! BFS frontier entry carries its node's slot and message keys, and a
-//! successor inherits them through the worker's transition memo, keyed by
-//! the actor, the (frozen) step time, whether it had started, its process
-//! key and the delivered message's key. A successor renders only on a
-//! memo miss; its touched inboxes recompose from message keys. Graph
-//! nodes themselves keep no keys; the frontier is the only place they
-//! live.
+//! A node's fingerprint is built like an explorer key (see the
+//! [explorer's performance model](mod@crate::explore#performance-model)):
+//! one 128-bit fingerprint per process state and per inbox (itself
+//! composed from one key per pending message), composed slot by slot
+//! with a `u64` word of the slot's fairness bookkeeping (`started`,
+//! step-gap counter, message ages), then the depth. Keys are
+//! incremental, as in the explorer: each BFS frontier entry carries its
+//! node's slot and message keys, and a successor inherits them through
+//! the worker's transition memo, keyed by the actor, the (frozen) step
+//! time, whether it had started, its process key and the delivered
+//! message's key. A successor renders only on a memo miss; its touched
+//! inboxes recompose from message keys. Graph nodes themselves keep no
+//! keys; the frontier is the only place they live.
 //!
 //! # Node storage
 //!
@@ -128,8 +128,7 @@
 //! close the only accepting cycle.
 
 use crate::explore::{
-    chunk_ranges, scenario_symmetry, Canonicalizer, FingerprintHasher, SlotKeys, Step, StepMemo,
-    SymPerm,
+    chunk_ranges, scenario_symmetry, Canonicalizer, FdTable, SlotKeys, Step, StepMemo, SymPerm,
 };
 use crate::failure::FailurePattern;
 use crate::fingerprint::Fingerprint128;
@@ -774,21 +773,12 @@ impl LivenessReport {
 // [`crate::machine`], shared with the lasso replayer. The graph itself
 // stores nodes as rows of interned ids ([`NodeStore`]).
 
-/// The keys of a fair-graph node, laid out as the explorer's: one
-/// [`FingerprintHasher`] key per process state, one per inbox, then the
-/// output history's, plus one per pending message. Nodes drop their
-/// outputs, so the output key is the empty history's, a constant.
-type NodeKeys = SlotKeys<u128>;
-
-/// Key every slot of `node` from scratch (the root, and the key check).
-fn full_keys<P: Protocol + Debug>(node: &LiveNode<P>) -> NodeKeys {
+/// Key every slot of `node` from scratch (the root, and the key check),
+/// laid out as the explorer's keys. Nodes drop their outputs, so the
+/// output key is the empty history's, a constant.
+fn full_keys<P: Protocol + Debug>(node: &LiveNode<P>) -> SlotKeys {
     let no_outputs: &[(ProcessId, P::Output)] = &[];
-    SlotKeys::of(
-        &FingerprintHasher,
-        &node.state.procs,
-        &node.state.inboxes,
-        no_outputs,
-    )
+    SlotKeys::of(&node.state.procs, &node.state.inboxes, no_outputs)
 }
 
 /// The per-slot words of `node` into `words`: slot `i`'s `started` bit,
@@ -824,7 +814,7 @@ fn fingerprint(composed: u128, depth: usize) -> u128 {
 fn fresh_fingerprint<P: Protocol + Debug>(node: &LiveNode<P>) -> u128 {
     let mut words = Vec::new();
     slot_words(node, &mut words);
-    let composed = full_keys(node).compose(&FingerprintHasher, &words);
+    let composed = full_keys(node).compose(&words);
     fingerprint(composed, node.state.depth)
 }
 
@@ -832,7 +822,7 @@ fn fresh_fingerprint<P: Protocol + Debug>(node: &LiveNode<P>) -> u128 {
 /// scratch gives: a stale inherited or renamed key would otherwise
 /// silently split one node into two. Runs when [`GraphEnv::check_keys`]
 /// is on.
-fn assert_keys_fresh<P>(node: &LiveNode<P>, keys: &NodeKeys, fp: Option<u128>, what: &str)
+fn assert_keys_fresh<P>(node: &LiveNode<P>, keys: &SlotKeys, fp: Option<u128>, what: &str)
 where
     P: Protocol + Debug,
 {
@@ -858,9 +848,8 @@ where
 struct GraphEnv<'a, P: Protocol> {
     pattern: &'a FailurePattern,
     cfg: &'a LivenessConfig,
-    /// `fd[p * stride + t]` for `t ≤ t_stable`, `None` when crashed.
-    fd: Vec<Option<P::Fd>>,
-    stride: usize,
+    /// The detector's value at every alive `(p, t)` with `t ≤ t_stable`.
+    fd: FdTable<P::Fd>,
     /// `alive[t][p]` for `t ≤ t_stable`.
     alive: Vec<Vec<bool>>,
     correct: Vec<bool>,
@@ -887,7 +876,7 @@ impl<'a, P: Protocol> GraphEnv<'a, P> {
     {
         let n = pattern.n();
         let stride = cfg.t_stable as usize + 1;
-        let mut fd: Vec<Option<P::Fd>> = vec![None; n * stride];
+        let mut fd = FdTable::new(n, cfg.t_stable as usize);
         let mut alive: Vec<Vec<bool>> = Vec::with_capacity(stride);
         for t in 0..stride {
             let t = t as Time;
@@ -896,14 +885,12 @@ impl<'a, P: Protocol> GraphEnv<'a, P> {
                     .map(|q| !pattern.is_crashed(ProcessId(q), t))
                     .collect(),
             );
-            for q in 0..n {
-                if !pattern.is_crashed(ProcessId(q), t) {
-                    fd[q * stride + t as usize] = Some(detector.query(ProcessId(q), t));
-                }
+            for p in ProcessId::all(n) {
+                fd.fill(pattern, detector, p, t);
             }
         }
         let perms = if cfg.symmetry {
-            scenario_symmetry::<P, _>(n, stride, pattern, invocations, detector)
+            scenario_symmetry::<P, _>(n, stride, pattern, invocations, detector, &mut fd)
         } else {
             Vec::new()
         };
@@ -911,19 +898,12 @@ impl<'a, P: Protocol> GraphEnv<'a, P> {
             pattern,
             cfg,
             fd,
-            stride,
             alive,
             correct: (0..n).map(|q| pattern.is_correct(ProcessId(q))).collect(),
             perms,
             prop_count: P::props().len(),
             check_keys: cfg!(debug_assertions),
         }
-    }
-
-    fn fd_at(&self, p: usize, t: Time) -> &P::Fd {
-        self.fd[p * self.stride + t as usize]
-            .as_ref()
-            .expect("fair decisions never step a crashed process")
     }
 
     fn eval(&self, procs: &[P], t: Time) -> u32 {
@@ -983,8 +963,8 @@ fn permute_node<P: Protocol + Clone>(node: &LiveNode<P>, sp: &SymPerm) -> LiveNo
 /// which persist across BFS levels as the explorer's per-worker ones do,
 /// and scratch.
 struct Keyer<P: Protocol> {
-    canon: Canonicalizer<'static, FingerprintHasher, P>,
-    memo: StepMemo<u128>,
+    canon: Canonicalizer<P>,
+    memo: StepMemo,
     /// The slot words of the last node [`canonicalize`] returned.
     words: Vec<u64>,
     /// The renamed process states the proposition check evaluates.
@@ -994,7 +974,7 @@ struct Keyer<P: Protocol> {
 impl<P: Protocol + Clone + Debug> Keyer<P> {
     fn new(perms: &[SymPerm]) -> Self {
         Keyer {
-            canon: Canonicalizer::with_perms(&FingerprintHasher, perms.to_vec()),
+            canon: Canonicalizer::with_perms(perms.to_vec()),
             memo: StepMemo::new(),
             words: Vec::new(),
             renamed: Vec::new(),
@@ -1017,7 +997,7 @@ fn canonicalize<P>(
     env: &GraphEnv<'_, P>,
     keyer: &mut Keyer<P>,
     node: &LiveNode<P>,
-    keys: &mut NodeKeys,
+    keys: &mut SlotKeys,
 ) -> Result<(Option<LiveNode<P>>, u128, u32), String>
 where
     P: Protocol + Clone + Debug,
@@ -1090,15 +1070,16 @@ const NO_ID: u32 = u32::MAX;
 /// Ids filed under 64-bit keys (the low words of slot keys and node
 /// fingerprints), one collision chain per key. Ids are dense and handed
 /// out in push order; a key only narrows the search, so the id an entry
-/// gets never depends on it.
-struct Chains {
+/// gets never depends on it. The diagram walker and the reference
+/// explorer dedup their stored states through it too.
+pub(crate) struct Chains {
     // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates it)
     head: HashMap<u64, u32>,
     next: Vec<u32>,
 }
 
 impl Chains {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Chains {
             // wfd-lint: allow(d1-hash-collections, constructor for the chain heads excused above)
             head: HashMap::new(),
@@ -1107,7 +1088,7 @@ impl Chains {
     }
 
     /// The first id filed under `key` that `accept` takes.
-    fn find(&self, key: u64, mut accept: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub(crate) fn find(&self, key: u64, mut accept: impl FnMut(u32) -> bool) -> Option<u32> {
         let mut id = self.head.get(&key).copied().unwrap_or(NO_ID);
         while id != NO_ID {
             if accept(id) {
@@ -1119,7 +1100,7 @@ impl Chains {
     }
 
     /// File the next id under `key` and return it.
-    fn push(&mut self, key: u64) -> u32 {
+    pub(crate) fn push(&mut self, key: u64) -> u32 {
         let id = u32::try_from(self.next.len()).expect("fewer than 2^32 ids");
         let prev = self.head.insert(key, id).unwrap_or(NO_ID);
         self.next.push(prev);
@@ -1300,7 +1281,7 @@ where
     fn resolve(
         &self,
         node: &LiveNode<P>,
-        keys: &NodeKeys,
+        keys: &SlotKeys,
         words: &[u64],
         inherited: Option<&[u32]>,
         row: &mut [u32],
@@ -1598,7 +1579,7 @@ where
         env.cfg.max_step_gap,
         env.cfg.max_delay,
         env.cfg.t_stable,
-        |p: ProcessId, t: Time| env.fd_at(p.index(), t).clone(),
+        |p: ProcessId, t: Time| env.fd.get(p.index(), t).clone(),
     );
     let n = procs.len();
     let mut store = NodeStore::new(n);
@@ -1675,7 +1656,7 @@ where
                     let (p, _) = dec;
                     let a = p.index();
                     succ.copy_from(parent);
-                    let fd = env.fd_at(a, t).clone();
+                    let fd = env.fd.get(a, t).clone();
                     let delivered = machine.step_in_place(&mut succ.node, dec, fd, &mut bufs);
                     succ.touched(parent, a, delivered);
                     let inboxes = &succ.node.state.inboxes;
@@ -1690,7 +1671,6 @@ where
                         delivered,
                     };
                     keys.inherit(
-                        &FingerprintHasher,
                         &mut keyer.memo,
                         parent_keys,
                         &parent.node.state.inboxes,
@@ -2638,7 +2618,7 @@ mod tests {
             env.cfg.max_step_gap,
             env.cfg.max_delay,
             env.cfg.t_stable,
-            |p: ProcessId, t: Time| env.fd_at(p.index(), t).clone(),
+            |p: ProcessId, t: Time| env.fd.get(p.index(), t).clone(),
         );
         let keyers: Vec<Mutex<Keyer<P>>> = (0..threads)
             .map(|_| Mutex::new(Keyer::new(&env.perms)))
@@ -2654,9 +2634,8 @@ mod tests {
         let mut nodes = vec![renamed.unwrap_or(root)];
         let mut vals = vec![root_val];
         let mut succs: Vec<Vec<(u32, ExploreDecision)>> = vec![Vec::new()];
-        let mut first: BTreeMap<u128, u32> = BTreeMap::new();
-        first.insert(root_fp, 0);
-        let mut next: Vec<u32> = vec![NO_ID];
+        let mut index = Chains::new();
+        index.push(root_fp as u64);
         let mut frontier: Vec<u32> = vec![0];
         let mut frontier_keys = FlatKeys::new(root_keys.slots.len());
         frontier_keys.push(&root_keys.slots, &root_keys.msgs);
@@ -2680,7 +2659,7 @@ mod tests {
                     for &dec in &decisions {
                         let (p, choice) = dec;
                         let a = p.index();
-                        let fd = env.fd_at(a, t).clone();
+                        let fd = env.fd.get(a, t).clone();
                         let succ = machine.step_with(node, dec, fd, &mut bufs);
                         if succ
                             .state
@@ -2702,7 +2681,6 @@ mod tests {
                                 .map(|i| i.min(inbox_len - 1)),
                         };
                         keys.inherit(
-                            &FingerprintHasher,
                             &mut keyer.memo,
                             frontier_keys.get(k),
                             &node.state.inboxes,
@@ -2730,31 +2708,26 @@ mod tests {
                 let (edges, keys, chunk_truncated) = chunk?;
                 truncated |= chunk_truncated;
                 for (e, edge) in edges.into_iter().enumerate() {
-                    let mut id = first.get(&edge.fp).copied().unwrap_or(NO_ID);
-                    let mut tail = NO_ID;
-                    while id != NO_ID && !node_eq(&nodes[id as usize], &edge.node) {
-                        tail = id;
-                        id = next[id as usize];
-                    }
-                    if id == NO_ID {
-                        if nodes.len() >= env.cfg.max_states {
+                    let known = index.find(edge.fp as u64, |id| {
+                        node_eq(&nodes[id as usize], &edge.node)
+                    });
+                    let id = match known {
+                        Some(id) => id,
+                        None if nodes.len() >= env.cfg.max_states => {
                             capped = true;
                             continue;
                         }
-                        id = nodes.len() as u32;
-                        if tail == NO_ID {
-                            first.insert(edge.fp, id);
-                        } else {
-                            next[tail as usize] = id;
+                        None => {
+                            nodes.push(edge.node);
+                            vals.push(edge.val);
+                            succs.push(Vec::new());
+                            let id = index.push(edge.fp as u64);
+                            frontier.push(id);
+                            let (slots, msgs) = keys.get(e);
+                            frontier_keys.push(slots, msgs);
+                            id
                         }
-                        nodes.push(edge.node);
-                        vals.push(edge.val);
-                        succs.push(Vec::new());
-                        next.push(NO_ID);
-                        frontier.push(id);
-                        let (slots, msgs) = keys.get(e);
-                        frontier_keys.push(slots, msgs);
-                    }
+                    };
                     succs[edge.src as usize].push((id, edge.dec));
                 }
             }

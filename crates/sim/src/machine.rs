@@ -634,13 +634,22 @@ where
     P::Msg: PartialEq,
     P::Inv: PartialEq,
 {
-    a.state.depth == b.state.depth
-        && a.since == b.since
-        && a.ages == b.ages
-        && a.state.started == b.state.started
-        && a.state.procs == b.state.procs
-        && a.state.inboxes == b.state.inboxes
-        && a.state.pending_inv == b.state.pending_inv
+    a.since == b.since && a.ages == b.ages && state_eq(&a.state, &b.state)
+}
+
+/// Structural equality of configurations, decision and output histories
+/// aside — the state half of [`node_eq`], and a diagram node's identity.
+pub(crate) fn state_eq<P>(a: &State<P>, b: &State<P>) -> bool
+where
+    P: Protocol + PartialEq,
+    P::Msg: PartialEq,
+    P::Inv: PartialEq,
+{
+    a.depth == b.depth
+        && a.started == b.started
+        && a.procs == b.procs
+        && a.inboxes == b.inboxes
+        && a.pending_inv == b.pending_inv
 }
 
 /// The fairness wrapper around the protocol semantics: states are

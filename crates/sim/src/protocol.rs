@@ -214,9 +214,9 @@ impl Symmetry {
 /// randomness. The explorer and the liveness checker rely on it: they
 /// memoize each step by the actor's state key, the delivered message's
 /// key and the step time, and replay the recorded effect's keys for an
-/// equal step instead of rendering its result (see
-/// [`StateHasher`](crate::StateHasher)). A memoized effect that does not
-/// fit the successor's inboxes panics.
+/// equal step instead of rendering its result (see the
+/// [explorer's performance model](mod@crate::explore#performance-model)). A
+/// memoized effect that does not fit the successor's inboxes panics.
 pub trait Protocol: Sized {
     /// Message type exchanged between processes.
     type Msg: Clone + Debug;

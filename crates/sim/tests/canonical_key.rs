@@ -6,8 +6,9 @@
 //! tables — and checks, on reachable states of two protocol families,
 //! that
 //!
-//! 1. the canonical key equals the least [`StateHasher::key`] over the
-//!    group's materialized renamings (identity included), and
+//! 1. the canonical key equals the least unreduced key (a canonicalizer
+//!    without a group) over the group's materialized renamings (identity
+//!    included), and
 //! 2. the canonical key is constant across each state's orbit.
 //!
 //! The families are the 40-seed `Mixer` family of `explore_dedup.rs`
@@ -20,9 +21,8 @@
 use std::fmt::Debug;
 use wfd_sim::explore::Canonicalizer;
 use wfd_sim::{
-    oracle_fn, Ctx, ExactKeyHasher, FailurePattern, FingerprintHasher, Machine, NoDetector,
-    Permutation, ProcessId, ProcessSet, Protocol, ProtocolMachine, SimRng, State, StateHasher,
-    Symmetry,
+    oracle_fn, Ctx, FailurePattern, Machine, NoDetector, Permutation, ProcessId, ProcessSet,
+    Protocol, ProtocolMachine, SimRng, State, Symmetry,
 };
 
 /// `explore_dedup.rs`'s seed-parameterized toy protocol: bursts of
@@ -85,7 +85,7 @@ fn rename_set(set: &ProcessSet, perm: &Permutation) -> ProcessSet {
 /// round collects acks into a process set and adopts the first majority
 /// as its quorum, which it outputs. Acks name the acknowledging process
 /// in their payload.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Quorum {
     round: u64,
     acks: ProcessSet,
@@ -226,20 +226,21 @@ impl<P: Protocol + Clone + Debug> Parts<P> {
         }
     }
 
-    fn key<H: StateHasher>(&self, hasher: &H) -> H::Key {
-        hasher.key(&self.procs, &self.inboxes, &self.started, &self.outputs)
+    /// The unreduced key: what a canonicalizer without a group gives.
+    fn key(&self) -> u128 {
+        self.canonical(&mut Canonicalizer::new(&[]))
     }
 
     /// The least key over the materialized renamings under `group`.
-    fn least_key<H: StateHasher>(&self, hasher: &H, group: &[Permutation]) -> H::Key {
+    fn least_key(&self, group: &[Permutation]) -> u128 {
         group
             .iter()
-            .map(|perm| self.renamed(perm).key(hasher))
+            .map(|perm| self.renamed(perm).key())
             .min()
             .expect("non-empty group")
     }
 
-    fn canonical<H: StateHasher>(&self, canon: &mut Canonicalizer<'_, H, P>) -> H::Key {
+    fn canonical(&self, canon: &mut Canonicalizer<P>) -> u128 {
         canon.key(&self.procs, &self.inboxes, &self.started, &self.outputs)
     }
 }
@@ -277,16 +278,11 @@ fn walk_states<P: Protocol<Fd = ()> + Clone + Debug>(
 /// Properties 1 and 2 over `states`, with one canonicalizer (and so one
 /// memo) for the whole list. Returns how many states were keyed without
 /// adding a memo row, i.e. entirely from rows earlier states filled.
-fn check_family<H, P>(hasher: &H, states: &[Parts<P>], label: &str) -> usize
-where
-    H: StateHasher,
-    H::Key: Debug,
-    P: Protocol + Clone + Debug,
-{
+fn check_family<P: Protocol + Clone + Debug>(states: &[Parts<P>], label: &str) -> usize {
     let n = states[0].procs.len();
     let group = P::symmetry(n).permutations(n);
     assert!(group.len() > 1, "{label}: the group must be non-trivial");
-    let mut canon = Canonicalizer::new(hasher, &group);
+    let mut canon = Canonicalizer::new(&group);
     let mut all_hits = 0;
     for (i, state) in states.iter().enumerate() {
         let rows = canon.memo_rows();
@@ -294,7 +290,7 @@ where
         all_hits += usize::from(canon.memo_rows() == rows);
         assert_eq!(
             canonical,
-            state.least_key(hasher, &group),
+            state.least_key(&group),
             "{label}, state {i}: memoized canonical key differs from the least materialized key"
         );
         for perm in &group {
@@ -315,9 +311,8 @@ fn memoized_keys_match_materialized_renamings_on_the_seed_family() {
             let procs = (0..n).map(|_| Mixer::family(seed)).collect();
             let states = walk_states(procs, 12, 4 + seed as usize % 4, seed);
             let label = format!("mixer seed {seed}, n = {n}");
-            let hits = check_family(&FingerprintHasher, &states, &label);
+            let hits = check_family(&states, &label);
             assert!(hits > 0, "{label}: the memo never served a whole state");
-            check_family(&ExactKeyHasher, &states, &label);
         }
     }
 }
@@ -327,9 +322,8 @@ fn memoized_keys_match_materialized_renamings_when_permute_rewrites_ids() {
     for n in [2, 3] {
         let states = walk_states(Quorum::fleet(n), 60, 14, n as u64);
         let label = format!("quorum n = {n}");
-        let hits = check_family(&FingerprintHasher, &states, &label);
+        let hits = check_family(&states, &label);
         assert!(hits > 0, "{label}: the memo never served a whole state");
-        check_family(&ExactKeyHasher, &states, &label);
     }
     // The walks must reach states whose ids really get rewritten: acks
     // naming a process in flight, and a partial quorum in the output
@@ -346,14 +340,12 @@ fn memoized_keys_match_materialized_renamings_when_permute_rewrites_ids() {
 }
 
 #[test]
-fn a_trivial_group_keys_exactly_like_the_hasher() {
+fn a_trivial_group_keys_exactly_like_no_group() {
     // The unreduced key and the identity candidate are one composition.
     let states = walk_states(Quorum::fleet(3), 20, 14, 7);
-    let mut fp = Canonicalizer::new(&FingerprintHasher, &[Permutation::identity(3)]);
-    let mut exact = Canonicalizer::new(&ExactKeyHasher, &[]);
+    let mut fp = Canonicalizer::new(&[Permutation::identity(3)]);
     for state in &states {
-        assert_eq!(state.canonical(&mut fp), state.key(&FingerprintHasher));
-        assert_eq!(state.canonical(&mut exact), state.key(&ExactKeyHasher));
+        assert_eq!(state.canonical(&mut fp), state.key());
     }
     assert_eq!(fp.memo_rows(), 0, "the identity needs no memo");
 }
@@ -361,26 +353,22 @@ fn a_trivial_group_keys_exactly_like_the_hasher() {
 /// Key `a`, then `b`, on one canonicalizer: `b` is keyed partly from the
 /// rows `a` filled, and must agree with a cold canonicalizer and with
 /// the materialized renamings.
-fn miss_then_hit<H>(hasher: &H, a: &Parts<Quorum>, b: &Parts<Quorum>)
-where
-    H: StateHasher,
-    H::Key: Debug,
-{
+fn miss_then_hit(a: &Parts<Quorum>, b: &Parts<Quorum>) {
     let group = Symmetry::Full.permutations(3);
-    let mut warm = Canonicalizer::new(hasher, &group);
-    assert_eq!(a.canonical(&mut warm), a.least_key(hasher, &group));
+    let mut warm = Canonicalizer::new(&group);
+    assert_eq!(a.canonical(&mut warm), a.least_key(&group));
     let after_a = warm.memo_rows();
     let warm_b = b.canonical(&mut warm);
     let warm_added = warm.memo_rows() - after_a;
 
-    let mut cold = Canonicalizer::new(hasher, &group);
+    let mut cold = Canonicalizer::new(&group);
     let cold_b = b.canonical(&mut cold);
     assert!(
         warm_added < cold.memo_rows(),
         "the second state must hit rows the first one filled"
     );
     assert_eq!(warm_b, cold_b, "memo hits changed the key");
-    assert_eq!(warm_b, b.least_key(hasher, &group));
+    assert_eq!(warm_b, b.least_key(&group));
 }
 
 #[test]
@@ -393,12 +381,10 @@ fn memo_rows_filled_by_one_state_serve_the_next() {
         .enumerate()
         .flat_map(|(i, a)| states[i + 1..].iter().map(move |b| (a, b)))
         .find(|(a, b)| {
-            let fp = |s: &Parts<Quorum>, i: usize| FingerprintHasher.slot(&s.procs[i]);
-            let shares = (0..3).any(|i| (0..3).any(|j| fp(a, i) == fp(b, j)));
+            let shares = (0..3).any(|i| (0..3).any(|j| a.procs[i] == b.procs[j]));
             let ids_inside = b.procs.iter().any(|p| p.acks.len() == 2);
-            shares && ids_inside && a.key(&FingerprintHasher) != b.key(&FingerprintHasher)
+            shares && ids_inside && a.key() != b.key()
         })
         .expect("two distinct states sharing a process state");
-    miss_then_hit(&FingerprintHasher, a, b);
-    miss_then_hit(&ExactKeyHasher, a, b);
+    miss_then_hit(a, b);
 }

@@ -4,14 +4,15 @@
 //! Three equivalence ladders over a 40-seed family of randomized
 //! protocols:
 //!
-//! 1. **Key representation is invisible** — [`FingerprintHasher`] and
-//!    [`ExactKeyHasher`] traverse the identical state graph, so their
-//!    reports must agree on *every* semantic field (strict
-//!    [`ExploreReport::same_semantics`]). This is the collision check for
-//!    the 128-bit fingerprint.
-//! 2. **Dedup is invisible to the verdict** — fingerprint-dedup,
-//!    exact-key-dedup, and dedup-off all agree on whether a violation
-//!    exists and on the states-capped flag. (With batched traversal the
+//! 1. **Key representation is invisible** — at batch 1 on one thread the
+//!    fingerprinted explorer and the structural `explore_baseline` (which
+//!    stores its states and confirms every match with `==`) traverse the
+//!    identical state graph, so their reports must agree on *every*
+//!    semantic field (strict [`ExploreReport::same_semantics`]). This is
+//!    the collision check for the 128-bit fingerprint.
+//! 2. **Dedup is invisible to the verdict** — fingerprint-dedup and
+//!    dedup-off agree on whether a violation exists and on the
+//!    states-capped flag. (With batched traversal the
 //!    *specific* counterexample may differ between dedup on/off: dedup
 //!    changes which states share the first violating batch, and the
 //!    report picks the lexicographically-least violation of that batch.
@@ -29,10 +30,10 @@
 //! (pruning shallower revisits with remaining budget; merging states that
 //! differed only in output history — both would break ladder 2).
 
+use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::{
-    explore, explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern,
-    FingerprintHasher, NoDetector, OracleSpec, ProcessId, Protocol, RandomFair, Replay, Repro, Sim,
-    SimConfig, StateHasher, Symmetry, Time,
+    explore, Ctx, ExploreConfig, ExploreReport, FailurePattern, NoDetector, OracleSpec, ProcessId,
+    Protocol, RandomFair, Replay, Repro, Sim, SimConfig, Symmetry, Time,
 };
 
 /// A seed-parameterized toy protocol: on start, broadcast a burst of
@@ -90,7 +91,7 @@ impl Protocol for Mixer {
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     Fingerprint,
-    ExactKey,
+    Baseline,
     DedupOff,
 }
 
@@ -107,14 +108,6 @@ fn family_cfg(seed: u64) -> ExploreConfig {
 }
 
 fn run_family(seed: u64, mode: Mode, cfg: ExploreConfig) -> ExploreReport {
-    match mode {
-        Mode::DedupOff => run_keyed(seed, FingerprintHasher, cfg.with_dedup(false)),
-        Mode::ExactKey => run_keyed(seed, ExactKeyHasher, cfg),
-        Mode::Fingerprint => run_keyed(seed, FingerprintHasher, cfg),
-    }
-}
-
-fn run_keyed<H: StateHasher>(seed: u64, hasher: H, cfg: ExploreConfig) -> ExploreReport {
     let pattern = family_pattern(seed);
     // A seed-dependent safety bar some families break and others respect.
     let bar = 20 + (seed % 30);
@@ -126,15 +119,20 @@ fn run_keyed<H: StateHasher>(seed: u64, hasher: H, cfg: ExploreConfig) -> Explor
         Some((p, acc)) => Err(format!("{p} accumulated {acc} > {bar}")),
         None => Ok(()),
     };
-    explore_custom(
-        cfg,
-        hasher,
-        make,
-        vec![None, None],
-        &pattern,
-        NoDetector,
-        safety,
-    )
+    match mode {
+        Mode::Baseline => {
+            explore_baseline(cfg, make, vec![None, None], &pattern, NoDetector, safety)
+        }
+        Mode::Fingerprint => explore(cfg, make, vec![None, None], &pattern, NoDetector, safety),
+        Mode::DedupOff => explore(
+            cfg.with_dedup(false),
+            make,
+            vec![None, None],
+            &pattern,
+            NoDetector,
+            safety,
+        ),
+    }
 }
 
 #[test]
@@ -143,18 +141,24 @@ fn key_representation_and_dedup_never_change_the_verdict() {
     let mut clean_families = 0;
     for seed in 0..40 {
         let fp = run_family(seed, Mode::Fingerprint, family_cfg(seed));
-        let exact = run_family(seed, Mode::ExactKey, family_cfg(seed));
+        let dfs = run_family(
+            seed,
+            Mode::Fingerprint,
+            family_cfg(seed).with_batch(1).with_threads(1),
+        );
+        let exact = run_family(seed, Mode::Baseline, family_cfg(seed));
         let brute = run_family(seed, Mode::DedupOff, family_cfg(seed));
         assert!(
             !fp.states_capped && !brute.states_capped,
             "seed {seed}: state cap hit"
         );
 
-        // Ladder 1 (strict): the fingerprint must be a drop-in for the
-        // exact key — identical traversal, counts, flags, counterexample.
+        // Ladder 1 (strict): the fingerprint must be a drop-in for exact
+        // structural identity — identical traversal, counts, flags,
+        // counterexample.
         assert!(
-            fp.same_semantics(&exact),
-            "seed {seed}: fingerprint diverged from exact key\n{fp:?}\nvs\n{exact:?}"
+            dfs.same_semantics(&exact),
+            "seed {seed}: fingerprint diverged from structural identity\n{dfs:?}\nvs\n{exact:?}"
         );
 
         // Ladder 2: dedup on/off agree on the verdict and flags.

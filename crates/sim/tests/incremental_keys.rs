@@ -2,8 +2,9 @@
 //!
 //! The explorer never keys a state in full after the root: each child
 //! inherits its parent's slot keys and re-keys only the slots its step
-//! touched. `explore_baseline` keys every state from scratch, so on a
-//! protocol family whose steps hit every re-key case the two must agree:
+//! touched. `explore_baseline` identifies every state from scratch, by
+//! its stored components compared with `==`, so on a protocol family
+//! whose steps hit every re-key case the two must agree:
 //!
 //! * at batch 1 on one thread (classic depth-first order) the reports
 //!   are identical, field for field;
@@ -20,8 +21,8 @@
 
 use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::{
-    explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern,
-    FingerprintHasher, NoDetector, ProcessId, Protocol, StateHasher, Symmetry, Time,
+    explore, Ctx, ExploreConfig, ExploreReport, FailurePattern, NoDetector, ProcessId, Protocol,
+    Symmetry, Time,
 };
 
 /// A seed-parameterized protocol whose steps cover every slot a step can
@@ -131,10 +132,9 @@ fn family_safety(seed: u64) -> impl Fn(&[Echo], &[(ProcessId, u8)]) -> Result<()
     }
 }
 
-fn run<H: StateHasher>(seed: u64, hasher: H, cfg: ExploreConfig) -> ExploreReport {
-    explore_custom(
+fn run(seed: u64, cfg: ExploreConfig) -> ExploreReport {
+    explore(
         cfg,
-        hasher,
         move || Echo::fleet(seed),
         vec![None; N],
         &family_pattern(seed),
@@ -143,10 +143,9 @@ fn run<H: StateHasher>(seed: u64, hasher: H, cfg: ExploreConfig) -> ExploreRepor
     )
 }
 
-fn baseline<H: StateHasher>(seed: u64, hasher: H) -> ExploreReport {
+fn baseline(seed: u64) -> ExploreReport {
     explore_baseline(
         family_cfg(),
-        hasher,
         move || Echo::fleet(seed),
         vec![None; N],
         &family_pattern(seed),
@@ -162,40 +161,36 @@ fn normalized(r: &ExploreReport) -> String {
     r.to_json().to_string()
 }
 
-/// One seed of the full re-key ladder under `hasher`: the explorer
-/// against the baseline keyed the same way. Returns the explorer's
-/// single-thread report.
-fn check_against_baseline<H: StateHasher + Copy + std::fmt::Debug>(
-    seed: u64,
-    hasher: H,
-) -> ExploreReport {
-    let base = baseline(seed, hasher);
+/// One seed of the full re-key ladder: the explorer against the
+/// structural baseline. Returns the explorer's single-thread report.
+fn check_against_baseline(seed: u64) -> ExploreReport {
+    let base = baseline(seed);
     assert!(!base.states_capped, "seed {seed}: state cap hit");
     let cfg = family_cfg();
-    let dfs = run(seed, hasher, cfg.clone().with_threads(1).with_batch(1));
+    let dfs = run(seed, cfg.clone().with_threads(1).with_batch(1));
     assert_eq!(
         normalized(&dfs),
         normalized(&base),
-        "seed {seed}, {hasher:?}, batch 1: incremental keys diverged from the full re-key"
+        "seed {seed}, batch 1: incremental keys diverged from the full re-key"
     );
-    let one = run(seed, hasher, cfg.clone().with_threads(1));
-    let two = run(seed, hasher, cfg.with_threads(2));
+    let one = run(seed, cfg.clone().with_threads(1));
+    let two = run(seed, cfg.with_threads(2));
     assert_eq!(
         normalized(&one),
         normalized(&two),
-        "seed {seed}, {hasher:?}: report depends on the thread count"
+        "seed {seed}: report depends on the thread count"
     );
     assert_eq!(
         one.violation.is_some(),
         base.violation.is_some(),
-        "seed {seed}, {hasher:?}: verdict changed\n{one:?}\nvs\n{base:?}"
+        "seed {seed}: verdict changed\n{one:?}\nvs\n{base:?}"
     );
     if base.violation.is_none() {
         assert!(
             one.depth_bounded == base.depth_bounded
                 && one.states_capped == base.states_capped
                 && one.dedup_entries == base.dedup_entries,
-            "seed {seed}, {hasher:?}: distinct states diverged\n{one:?}\nvs\n{base:?}"
+            "seed {seed}: distinct states diverged\n{one:?}\nvs\n{base:?}"
         );
     }
     one
@@ -205,37 +200,31 @@ fn check_against_baseline<H: StateHasher + Copy + std::fmt::Debug>(
 fn inherited_keys_reproduce_the_full_rekey_baseline() {
     let (mut violating, mut clean) = (0, 0);
     for seed in 0..40 {
-        match check_against_baseline(seed, FingerprintHasher).violation {
+        match check_against_baseline(seed).violation {
             Some(_) => violating += 1,
             None => clean += 1,
         }
-        check_against_baseline(seed, ExactKeyHasher);
     }
     // Only meaningful if both outcomes occur.
     assert!(violating >= 5, "sweep too tame: {violating}");
     assert!(clean >= 5, "sweep too strict: {clean}");
 }
 
-/// One seed of the reduced ladder under `hasher`: symmetry keeps the
-/// baseline's verdict at 1 and 2 threads. Returns the single-thread
-/// report.
-fn check_reduced<H: StateHasher + Copy + std::fmt::Debug>(
-    seed: u64,
-    hasher: H,
-    base: &ExploreReport,
-) -> ExploreReport {
+/// One seed of the reduced ladder: symmetry keeps the baseline's
+/// verdict at 1 and 2 threads. Returns the single-thread report.
+fn check_reduced(seed: u64, base: &ExploreReport) -> ExploreReport {
     let cfg = family_cfg().with_symmetry(true);
-    let one = run(seed, hasher, cfg.clone().with_threads(1));
-    let two = run(seed, hasher, cfg.with_threads(2));
+    let one = run(seed, cfg.clone().with_threads(1));
+    let two = run(seed, cfg.with_threads(2));
     assert_eq!(
         one.violation.is_some(),
         base.violation.is_some(),
-        "seed {seed}, {hasher:?}: reduction changed the verdict\n{one:?}\nvs\n{base:?}"
+        "seed {seed}: reduction changed the verdict\n{one:?}\nvs\n{base:?}"
     );
     assert_eq!(
         normalized(&one),
         normalized(&two),
-        "seed {seed}, {hasher:?}: reduced report depends on the thread count"
+        "seed {seed}: reduced report depends on the thread count"
     );
     one
 }
@@ -244,13 +233,8 @@ fn check_reduced<H: StateHasher + Copy + std::fmt::Debug>(
 fn inherited_keys_keep_the_reduced_verdict() {
     let mut sym_hits = 0;
     for seed in 0..40 {
-        let base = baseline(seed, FingerprintHasher);
-        for one in [
-            check_reduced(seed, FingerprintHasher, &base),
-            check_reduced(seed, ExactKeyHasher, &base),
-        ] {
-            sym_hits += one.symmetry_canonical_hits;
-        }
+        let base = baseline(seed);
+        sym_hits += check_reduced(seed, &base).symmetry_canonical_hits;
     }
     assert!(sym_hits > 0, "symmetry never canonicalized anything");
 }

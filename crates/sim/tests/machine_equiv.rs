@@ -2,8 +2,8 @@
 //! `Machine` transition system — the engine's run loop, the bounded
 //! explorer, and the liveness checker's fair graph — must produce
 //! byte-identical results across worker counts and agree with the
-//! retained pre-refactor loop (`explore_baseline`, kept verbatim as the
-//! differential anchor). A divergence anywhere means the machine-layer
+//! retained pre-refactor loop (`explore_baseline`, the differential
+//! anchor, whose seen-table confirms every match with `==`). A divergence anywhere means the machine-layer
 //! rebase changed semantics, not just structure.
 //!
 //! Plus the golden-file diagram gate: `wfd_sim::diagram` output is
@@ -20,8 +20,8 @@ use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::liveness::fixtures::{Decider, PingPong};
 use wfd_sim::{
     check_liveness, explore, Ctx, Diagram, DiagramConfig, ExploreConfig, ExploreReport,
-    FailurePattern, FingerprintHasher, LivenessConfig, Ltl, NoDetector, ProcessId, Protocol,
-    RandomFair, RecordedSchedule, ReplaySchedule, Sim, SimConfig, Symmetry, Time,
+    FailurePattern, LivenessConfig, Ltl, NoDetector, ProcessId, Protocol, RandomFair,
+    RecordedSchedule, ReplaySchedule, Sim, SimConfig, Symmetry, Time,
 };
 
 /// The seed family: a two-process broadcast/relay protocol whose tree
@@ -114,7 +114,6 @@ fn explorer_matches_baseline_and_is_thread_invariant() {
         let bar = 20 + (seed % 30);
         let baseline = explore_baseline(
             ExploreConfig::new(4 + (seed as usize % 4)).with_max_states(500_000),
-            FingerprintHasher,
             move || (0..2).map(|_| Mixer::family(seed)).collect::<Vec<_>>(),
             vec![None, None],
             &pattern,

@@ -10,8 +10,7 @@
 //! * engine runs with `Obs::off()` vs `Obs::on()` produce identical
 //!   outcomes and identical traces (full `Debug` form),
 //! * explorations with metrics off vs on produce byte-identical reports
-//!   at 1 and 4 worker threads, with either hasher and with the
-//!   reductions on or off,
+//!   at 1 and 4 worker threads, with the reductions on or off,
 //! * liveness checks with metrics off vs on produce identical
 //!   [`LivenessReport`]s at 1 and 2 worker threads, with symmetry on or
 //!   off, for a violated and a holding property,
@@ -24,9 +23,9 @@
 use wfd_sim::json::Json;
 use wfd_sim::liveness::fixtures::{JoinQuorum, PingPong};
 use wfd_sim::{
-    check_liveness, explore, explore_custom, CounterId, Ctx, ExactKeyHasher, ExploreConfig,
-    ExploreReport, FailurePattern, FingerprintHasher, LivenessConfig, LivenessReport, Ltl,
-    NoDetector, Obs, PhaseId, ProcessId, Protocol, RoundRobin, Sim, SimConfig, StateHasher,
+    check_liveness, explore, CounterId, Ctx, ExploreConfig, ExploreReport, FailurePattern,
+    LivenessConfig, LivenessReport, Ltl, NoDetector, Obs, PhaseId, ProcessId, Protocol, RoundRobin,
+    Sim, SimConfig,
 };
 
 /// A small token-relay protocol with enough branching to exercise the
@@ -92,22 +91,13 @@ fn run_sim(obs: Obs) -> String {
 }
 
 fn run_explore(obs: Obs, threads: usize) -> ExploreReport {
-    run_explore_with(
-        ExploreConfig::new(7).with_obs(obs),
-        FingerprintHasher,
-        threads,
-    )
+    run_explore_with(ExploreConfig::new(7).with_obs(obs), threads)
 }
 
-fn run_explore_with<H: StateHasher>(
-    cfg: ExploreConfig,
-    hasher: H,
-    threads: usize,
-) -> ExploreReport {
+fn run_explore_with(cfg: ExploreConfig, threads: usize) -> ExploreReport {
     let cfg = cfg.with_max_states(500_000).with_threads(threads);
-    explore_custom(
+    explore(
         cfg,
-        hasher,
         make_procs,
         vec![None, None],
         &FailurePattern::failure_free(2),
@@ -121,17 +111,17 @@ fn engine_outcome_and_trace_are_identical_with_metrics_on() {
     assert_eq!(run_sim(Obs::off()), run_sim(Obs::on()));
 }
 
-/// Metrics off and on give byte-identical reports under `hasher`, with
-/// symmetry off and on.
-fn check_metrics_invisible<H: StateHasher + Copy + std::fmt::Debug>(hasher: H, threads: usize) {
+/// Metrics off and on give byte-identical reports, with symmetry off
+/// and on.
+fn check_metrics_invisible(threads: usize) {
     for reduced in [false, true] {
         let cfg = ExploreConfig::new(7).with_symmetry(reduced);
-        let off = run_explore_with(cfg.clone().with_obs(Obs::off()), hasher, threads);
-        let on = run_explore_with(cfg.with_obs(Obs::on()), hasher, threads);
+        let off = run_explore_with(cfg.clone().with_obs(Obs::off()), threads);
+        let on = run_explore_with(cfg.with_obs(Obs::on()), threads);
         assert_eq!(
             format!("{off:?}"),
             format!("{on:?}"),
-            "{threads} threads, {hasher:?}, reduced={reduced}: metrics changed the report"
+            "{threads} threads, reduced={reduced}: metrics changed the report"
         );
     }
 }
@@ -139,8 +129,7 @@ fn check_metrics_invisible<H: StateHasher + Copy + std::fmt::Debug>(hasher: H, t
 #[test]
 fn explore_reports_are_byte_identical_with_metrics_on_at_any_thread_count() {
     for threads in [1, 4] {
-        check_metrics_invisible(FingerprintHasher, threads);
-        check_metrics_invisible(ExactKeyHasher, threads);
+        check_metrics_invisible(threads);
     }
 }
 

@@ -17,9 +17,10 @@
 //! * some seeds crash a process, so sends to it are dropped from then
 //!   on, and the detector value changes with time.
 //!
-//! `explore_baseline` keys every state from scratch, so at batch 1 the
-//! explorer must reproduce it field for field, with both hashers and at
-//! 1 and 2 threads; under symmetry it must keep the verdict.
+//! `explore_baseline` identifies every state from scratch, by its stored
+//! components compared with `==`, so at batch 1 the explorer must
+//! reproduce it field for field, at 1 and 2 threads; under symmetry it
+//! must keep the verdict.
 //! The liveness checker, with time frozen at `t_stable`, must keep the
 //! unreduced graphs recorded below (dedup there is structural, so its
 //! unreduced graph does not depend on the key function at all) and the
@@ -31,9 +32,8 @@
 
 use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::{
-    check_liveness, explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport,
-    FailurePattern, FingerprintHasher, FnDetector, LivenessConfig, LivenessReport, Ltl, ProcessId,
-    PropView, Protocol, StateHasher, Symmetry, Time,
+    check_liveness, explore, Ctx, ExploreConfig, ExploreReport, FailurePattern, FnDetector,
+    LivenessConfig, LivenessReport, Ltl, ProcessId, PropView, Protocol, Symmetry, Time,
 };
 
 const N: usize = 3;
@@ -160,10 +160,9 @@ fn settle(seed: u64) -> Time {
     }
 }
 
-fn run<H: StateHasher>(seed: u64, hasher: H, cfg: ExploreConfig) -> ExploreReport {
-    explore_custom(
+fn run(seed: u64, cfg: ExploreConfig) -> ExploreReport {
+    explore(
         cfg,
-        hasher,
         move || Stamp::fleet(seed),
         vec![None; N],
         &family_pattern(seed),
@@ -172,10 +171,9 @@ fn run<H: StateHasher>(seed: u64, hasher: H, cfg: ExploreConfig) -> ExploreRepor
     )
 }
 
-fn baseline<H: StateHasher>(seed: u64, hasher: H) -> ExploreReport {
+fn baseline(seed: u64) -> ExploreReport {
     explore_baseline(
         family_cfg(),
-        hasher,
         move || Stamp::fleet(seed),
         vec![None; N],
         &family_pattern(seed),
@@ -193,22 +191,19 @@ fn normalized(r: &ExploreReport) -> String {
 
 const SEEDS: u64 = 24;
 
-/// One seed of the full re-key ladder under `hasher`: the explorer at
-/// batch 1 against the baseline keyed the same way, at 1 and 2 threads.
-/// Returns the baseline's report.
-fn check_against_baseline<H: StateHasher + Copy + std::fmt::Debug>(
-    seed: u64,
-    hasher: H,
-) -> ExploreReport {
-    let base = baseline(seed, hasher);
+/// One seed of the full re-key ladder: the explorer at batch 1 against
+/// the structural baseline, at 1 and 2 threads. Returns the baseline's
+/// report.
+fn check_against_baseline(seed: u64) -> ExploreReport {
+    let base = baseline(seed);
     assert!(!base.states_capped, "seed {seed}: state cap hit");
     for threads in [1, 2] {
         let cfg = family_cfg().with_threads(threads).with_batch(1);
         assert_eq!(
-            normalized(&run(seed, hasher, cfg)),
+            normalized(&run(seed, cfg)),
             normalized(&base),
-            "seed {seed}, {hasher:?}, {threads} threads, batch 1: memoized keys \
-             diverged from the full re-key"
+            "seed {seed}, {threads} threads, batch 1: memoized keys diverged from the \
+             full re-key"
         );
     }
     base
@@ -218,37 +213,31 @@ fn check_against_baseline<H: StateHasher + Copy + std::fmt::Debug>(
 fn memoized_children_reproduce_the_full_rekey_baseline() {
     let (mut violating, mut clean) = (0, 0);
     for seed in 0..SEEDS {
-        match check_against_baseline(seed, FingerprintHasher).violation {
+        match check_against_baseline(seed).violation {
             Some(_) => violating += 1,
             None => clean += 1,
         }
-        check_against_baseline(seed, ExactKeyHasher);
     }
     // Only meaningful if both outcomes occur.
     assert!(violating >= 4, "sweep too tame: {violating}");
     assert!(clean >= 4, "sweep too strict: {clean}");
 }
 
-/// One seed of the reduced ladder under `hasher`: symmetry keeps the
-/// baseline's verdict at 1 and 2 threads. Returns the single-thread
-/// report.
-fn check_reduced<H: StateHasher + Copy + std::fmt::Debug>(
-    seed: u64,
-    hasher: H,
-    base: &ExploreReport,
-) -> ExploreReport {
+/// One seed of the reduced ladder: symmetry keeps the baseline's
+/// verdict at 1 and 2 threads. Returns the single-thread report.
+fn check_reduced(seed: u64, base: &ExploreReport) -> ExploreReport {
     let cfg = family_cfg().with_symmetry(true);
-    let one = run(seed, hasher, cfg.clone().with_threads(1));
-    let two = run(seed, hasher, cfg.with_threads(2));
+    let one = run(seed, cfg.clone().with_threads(1));
+    let two = run(seed, cfg.with_threads(2));
     assert_eq!(
         one.violation.is_some(),
         base.violation.is_some(),
-        "seed {seed}, {hasher:?}: reduction changed the verdict\n{one:?}\nvs\n{base:?}"
+        "seed {seed}: reduction changed the verdict\n{one:?}\nvs\n{base:?}"
     );
     assert_eq!(
         normalized(&one),
         normalized(&two),
-        "seed {seed}, {hasher:?}: reduced report depends on the thread count"
+        "seed {seed}: reduced report depends on the thread count"
     );
     one
 }
@@ -257,13 +246,8 @@ fn check_reduced<H: StateHasher + Copy + std::fmt::Debug>(
 fn memoized_children_keep_the_reduced_verdict() {
     let mut sym_hits = 0;
     for seed in 0..SEEDS {
-        let base = baseline(seed, FingerprintHasher);
-        for one in [
-            check_reduced(seed, FingerprintHasher, &base),
-            check_reduced(seed, ExactKeyHasher, &base),
-        ] {
-            sym_hits += one.symmetry_canonical_hits;
-        }
+        let base = baseline(seed);
+        sym_hits += check_reduced(seed, &base).symmetry_canonical_hits;
     }
     assert!(sym_hits > 0, "symmetry never canonicalized anything");
 }
