@@ -62,6 +62,16 @@
 //!   symmetry group (the canonicalizer renames built components).
 //!   On the benchmark's `paper_safety` this skips about 70 % of the
 //!   handler calls; the traversal, and so every report, is unchanged.
+//! * **Fingerprint-native tables** — a key is already a uniform 128-bit
+//!   fingerprint, so every table filed under keys or dense ids (the
+//!   seen-table shards, the transition and canonicalizer memos, and the
+//!   liveness checker's chains and product index) hashes it with one
+//!   rotate-xor-multiply fold per word (the crate's `FpHasher`), not
+//!   with seeded SipHash. A seen-table shard stores 20-byte entries on
+//!   std's SwissTable: the key as four `u32` words, compared on all 128
+//!   bits, and the depth as a `u32` (a `u128` field would pad each
+//!   entry to 32 bytes). A memo never grows past room for 32,768 rows:
+//!   a full one is dropped and refilled instead.
 //! * **Shared-prefix states** — the per-branch decision and output
 //!   histories are `Arc`-linked cons-lists sharing their prefix with the
 //!   parent state, materialized into flat vectors only when the safety
@@ -133,7 +143,7 @@
 //! ```
 
 use crate::failure::FailurePattern;
-use crate::fingerprint::{compose, debug_fp, seq, shard};
+use crate::fingerprint::{compose, debug_fp, seq, shard, FpBuild};
 use crate::id::{ProcessId, Time};
 use crate::json::Json;
 use crate::machine::{
@@ -147,6 +157,7 @@ use crate::protocol::{Permutation, Protocol, SendBuf, Symmetry};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap; // wfd-lint: allow(d1-hash-collections, imported only for the sharded seen-table, which is keyed insert/lookup; nothing iterates it)
 use std::fmt::Debug;
+use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering}; // wfd-lint: allow(d3-atomics, the halt flag is an expansion-skip hint only; the merge step resolves every batch deterministically regardless of timing)
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -169,6 +180,95 @@ fn seen_shard_width(threads: usize) -> usize {
     } else {
         (threads * 8).next_power_of_two().min(MAX_SHARD_COUNT)
     }
+}
+
+/// A state key stored at 4-byte alignment: a `u128` field would align a
+/// (key, depth) entry to 16 bytes and pad it to 32, while four words and
+/// a `u32` depth take 20. Equality compares all 128 bits, and the key
+/// hashes as the `u128` it holds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct SeenKey([u32; 4]);
+
+impl SeenKey {
+    #[inline]
+    fn new(key: u128) -> Self {
+        SeenKey([
+            key as u32,
+            (key >> 32) as u32,
+            (key >> 64) as u32,
+            (key >> 96) as u32,
+        ])
+    }
+
+    #[inline]
+    fn get(self) -> u128 {
+        let [a, b, c, d] = self.0.map(u128::from);
+        a | b << 32 | c << 64 | d << 96
+    }
+}
+
+impl Hash for SeenKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(self.get());
+    }
+}
+
+/// One seen-table shard: every state key committed, with the lowest
+/// depth it was expanded at, in 20-byte entries on std's table.
+struct SeenTable {
+    depths: HashMap<SeenKey, u32, FpBuild>, // wfd-lint: allow(d1-hash-collections, keyed insert/lookup only; the dedup_entries sum reads len(), never iterates entries)
+}
+
+impl SeenTable {
+    fn new() -> Self {
+        SeenTable {
+            depths: HashMap::default(), // wfd-lint: allow(d1-hash-collections, constructor for the seen-table excused above)
+        }
+    }
+
+    /// The revisit rule: whether a state keyed `key` at `depth` is
+    /// expanded. A new key is recorded and expanded. A revisit is
+    /// pruned unless it is strictly shallower than the recorded depth,
+    /// that is unless it has more depth budget left; a shallower one is
+    /// expanded again and lowers the record.
+    #[inline]
+    fn visit(&mut self, key: u128, depth: usize) -> bool {
+        let depth = seen_depth(depth);
+        match self.depths.entry(SeenKey::new(key)) {
+            Entry::Occupied(mut e) => {
+                let seen = e.get_mut();
+                let shallower = depth < *seen;
+                if shallower {
+                    *seen = depth;
+                }
+                shallower
+            }
+            Entry::Vacant(v) => {
+                v.insert(depth);
+                true
+            }
+        }
+    }
+
+    /// The depth recorded for `key`, if any.
+    #[inline]
+    fn get(&self, key: u128) -> Option<usize> {
+        self.depths.get(&SeenKey::new(key)).map(|&d| d as usize)
+    }
+
+    /// Distinct keys recorded.
+    fn len(&self) -> usize {
+        self.depths.len()
+    }
+}
+
+/// A depth as the seen-table stores it.
+#[inline]
+fn seen_depth(depth: usize) -> u32 {
+    u32::try_from(depth).unwrap_or_else(|_| {
+        panic!("depth {depth} is past the seen-table's bound of u32::MAX (4294967295)")
+    })
 }
 
 /// Cap on the free-list arena (recycled `State` allocations).
@@ -826,11 +926,15 @@ impl SymPerm {
 /// Restrict the protocol's declared symmetry group to the elements this
 /// *scenario* cannot distinguish: preserving the failure pattern at every
 /// step time, mapping invocation slots onto `Debug`-equal ones, and
-/// seeing a structurally equal detector value at every alive `(p, t)`
-/// (`P::Fd: PartialEq`; invocations only promise `Debug`). Asymmetric
-/// scenarios thus never inherit a symmetric protocol's full group. The
-/// identity is excluded — it is the implicit first candidate of every
-/// canonicalization. Detector values are sampled into the caller's `fd`.
+/// renaming the detector equivariantly, `fd(π(p), t) == π(fd(p, t))` at
+/// every alive `(p, t)`, where `π(v)` is `v` renamed by
+/// [`Protocol::permute_fd`] (`P::Fd: PartialEq`; invocations only
+/// promise `Debug`). Asymmetric scenarios thus never inherit a
+/// symmetric protocol's full group, and a detector that names processes
+/// (a leader, a quorum) keeps only the renamings that move its answers
+/// along with the processes. The identity is excluded — it is the
+/// implicit first candidate of every canonicalization. Detector values
+/// are sampled into the caller's `fd`.
 pub(crate) fn scenario_symmetry<P, D>(
     n: usize,
     max_depth: usize,
@@ -865,8 +969,13 @@ where
                 inv_fps[p.index()] == inv_fps[q.index()]
                     && (0..max_depth).all(|t| {
                         let t = t as Time;
+                        let renamed = fd.sampled(p.index(), t).map(|v| {
+                            let mut v = v.clone();
+                            P::permute_fd(&mut v, perm);
+                            v
+                        });
                         pattern.is_crashed(p, t) == pattern.is_crashed(q, t)
-                            && fd.sampled(p.index(), t) == fd.sampled(q.index(), t)
+                            && fd.sampled(q.index(), t) == renamed.as_ref()
                     })
             })
         })
@@ -874,16 +983,26 @@ where
         .collect()
 }
 
-/// Rows per memo table above which a worker's table is dropped and
-/// refilled: bounds the memos' memory on long explorations.
+/// The most rows a worker's memo table may have room for: a table that
+/// would grow past it drops its rows and is refilled instead, which
+/// bounds the memos' memory on long explorations.
 const MEMO_ROWS_CAP: usize = 1 << 15;
+
+/// Whether a memo table holding `len` rows with room for `capacity` must
+/// drop them before `more` inserts: the inserts would grow it, and
+/// growing doubles the room, past [`MEMO_ROWS_CAP`]. A dropped table
+/// keeps its room, so a capped memo never reallocates.
+#[inline]
+fn memo_full(len: usize, capacity: usize, more: usize) -> bool {
+    len + more > capacity && capacity * 2 > MEMO_ROWS_CAP
+}
 
 /// One component table of a [`Canonicalizer`] memo: for every component
 /// key seen, a row of that component's keys after each group element,
 /// in group order.
 struct SlotMemo {
     /// Component key → start of its row in `images`.
-    rows: HashMap<u128, usize>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the memo)
+    rows: HashMap<u128, usize, FpBuild>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the memo)
     images: Vec<u128>,
 }
 
@@ -891,7 +1010,7 @@ impl SlotMemo {
     #[inline]
     fn new() -> Self {
         SlotMemo {
-            rows: HashMap::new(), // wfd-lint: allow(d1-hash-collections, constructor for the memo excused above)
+            rows: HashMap::default(), // wfd-lint: allow(d1-hash-collections, constructor for the memo excused above)
             images: Vec::new(),
         }
     }
@@ -907,11 +1026,13 @@ impl SlotMemo {
         start
     }
 
-    /// Drop every row once the table is full. Called before a state's
-    /// lookups, so no row start handed out for that state goes stale.
+    /// Drop every row if `more` new ones could outgrow the cap (see
+    /// [`memo_full`]). Called before a state's lookups with the most rows
+    /// they can add, so no row start handed out for that state goes
+    /// stale.
     #[inline]
-    fn trim(&mut self) {
-        if self.rows.len() >= MEMO_ROWS_CAP {
+    fn trim(&mut self, more: usize) {
+        if memo_full(self.rows.len(), self.rows.capacity(), more) {
             self.rows.clear();
             self.images.clear();
         }
@@ -1008,24 +1129,24 @@ impl StepEffect {
 /// detector is pure in `(p, t)`; and which sends a crash drops depends
 /// only on `t`. The explorer keeps one per worker next to its
 /// [`Canonicalizer`], and the liveness checker one per worker chunk.
-/// Bounded like the canonicalizer's memo: dropped once it holds
-/// [`MEMO_ROWS_CAP`] rows.
+/// Bounded like the canonicalizer's memo: dropped rather than grown past
+/// room for [`MEMO_ROWS_CAP`] rows.
 pub(crate) struct StepMemo {
-    rows: HashMap<StepKey, StepEffect>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the transition memo)
+    rows: HashMap<StepKey, StepEffect, FpBuild>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the transition memo)
 }
 
 impl StepMemo {
     #[inline]
     pub(crate) fn new() -> Self {
         StepMemo {
-            rows: HashMap::new(), // wfd-lint: allow(d1-hash-collections, constructor for the transition memo excused above)
+            rows: HashMap::default(), // wfd-lint: allow(d1-hash-collections, constructor for the transition memo excused above)
         }
     }
 
     /// The effect recorded for `key`, computed by `fill` on a miss, and
     /// whether it was a hit.
     fn effect(&mut self, key: StepKey, fill: impl FnOnce() -> StepEffect) -> (&StepEffect, bool) {
-        if self.rows.len() >= MEMO_ROWS_CAP {
+        if memo_full(self.rows.len(), self.rows.capacity(), 1) {
             self.rows.clear();
         }
         match self.rows.entry(key) {
@@ -1184,10 +1305,10 @@ impl<P: Protocol + Clone + Debug> Canonicalizer<P> {
             return (best, None);
         }
         let perms = &self.perms;
-        self.procs.trim();
-        self.inboxes.trim();
-        self.msgs.trim();
-        self.outputs.trim();
+        self.procs.trim(procs.len());
+        self.inboxes.trim(inboxes.len());
+        self.msgs.trim(keys.msgs.len());
+        self.outputs.trim(1);
         self.proc_rows.clear();
         for (proc, &key) in procs.iter().zip(keys.procs()) {
             self.proc_rows.push(self.procs.row(key, |images| {
@@ -1522,16 +1643,18 @@ where
     // usable symmetry group keeps children eager.
     let defer = cfg.dedup && sym_perms.is_empty();
 
-    // Seen-table: state key → the lowest depth it was expanded at. A
-    // revisit is pruned only when that expansion had at least as much
-    // remaining depth budget (recorded depth ≤ the revisit's); a
-    // shallower revisit is re-expanded and lowers the record. The key
-    // includes the output history: the safety predicate reads outputs,
-    // so two branches that converge in `(procs, inboxes, started)` but
-    // emitted different outputs are *different* states to the checker.
+    // Seen-table: state key → the lowest depth it was expanded at, split
+    // into shards by the key's top bits. Each shard applies the revisit
+    // rule (`SeenTable::visit`): a revisit is pruned only when that
+    // expansion had at least as much remaining depth budget (recorded
+    // depth ≤ the revisit's); a shallower revisit is re-expanded and
+    // lowers the record. The key includes the output history: the
+    // safety predicate reads outputs, so two branches that converge in
+    // `(procs, inboxes, started)` but emitted different outputs are
+    // *different* states to the checker.
     let shard_count = seen_shard_width(threads);
-    let shards: Vec<Mutex<HashMap<u128, usize>>> = (0..shard_count) // wfd-lint: allow(d1-hash-collections, keyed insert/lookup only; the dedup_entries sum reads len(), never iterates entries)
-        .map(|_| Mutex::new(HashMap::new())) // wfd-lint: allow(d1-hash-collections, constructor for the seen-table excused above)
+    let shards: Vec<Mutex<SeenTable>> = (0..shard_count)
+        .map(|_| Mutex::new(SeenTable::new()))
         .collect();
 
     let mut stack: Vec<Frontier<P>> = vec![Frontier::Built(Arc::new(root))];
@@ -1645,8 +1768,8 @@ where
                         && shards[shard(key, shard_count)]
                             .lock()
                             .expect("shard poisoned")
-                            .get(&key)
-                            .is_some_and(|&seen| seen <= entry.depth());
+                            .get(key)
+                            .is_some_and(|seen| seen <= entry.depth());
                     keys.push(key);
                     pre_pruned.push(pruned);
                 }
@@ -1663,25 +1786,11 @@ where
                 for (key, pre) in keys.into_iter().zip(pre_pruned) {
                     let entry = stack.pop().expect("batch within stack");
                     let depth = entry.depth();
-                    let keep = !pre && {
-                        let mut table = shards[shard(key, shard_count)]
+                    let keep = !pre
+                        && shards[shard(key, shard_count)]
                             .lock()
-                            .expect("shard poisoned");
-                        match table.entry(key) {
-                            Entry::Occupied(mut e) => {
-                                let seen = e.get_mut();
-                                let shallower = depth < *seen;
-                                if shallower {
-                                    *seen = depth;
-                                }
-                                shallower
-                            }
-                            Entry::Vacant(v) => {
-                                v.insert(depth);
-                                true
-                            }
-                        }
-                    };
+                            .expect("shard poisoned")
+                            .visit(key, depth);
                     if keep {
                         survivors.push(entry);
                     } else {
@@ -1955,6 +2064,8 @@ mod tests {
     use crate::machine::{oracle_fn, DecisionNode, Machine, OutputNode, ProtocolMachine, Replay};
     use crate::oracle::NoDetector;
     use crate::protocol::Ctx;
+    use crate::rng::SimRng;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     /// Each process outputs every message payload it receives.
@@ -2587,5 +2698,111 @@ mod tests {
             vec![Some(1), Some(2)],
         );
         assert_eq!(asym.symmetry_canonical_hits, 0, "{asym:?}");
+    }
+
+    /// The seen-table against a `BTreeMap` model of the revisit rule:
+    /// an absent key is recorded and kept, a strictly shallower revisit
+    /// lowers the record and is kept, an equal or deeper one is pruned.
+    /// Random keys, revisits and depths run the table through several
+    /// doublings; crafted keys would be confused by a table that folded
+    /// the two halves (`lo ^ hi`) or compared only one of them.
+    #[test]
+    fn seen_table_matches_a_btreemap_model() {
+        let (lo, hi) = (0x0123_4567_89ab_cdef_u128, 0xfedc_ba98_7654_3210_u128);
+        let crafted = [
+            0,
+            u128::MAX,
+            lo | hi << 64,
+            hi | lo << 64,
+            lo | 1 << 64,
+            lo | 2 << 64,
+        ];
+        let mut rng = SimRng::new(31);
+        let mut table = SeenTable::new();
+        let mut model: BTreeMap<u128, usize> = BTreeMap::new();
+        let mut keys = Vec::new();
+        let (mut capacity, mut doublings) = (table.depths.capacity(), 0);
+        let random_key =
+            |rng: &mut SimRng| u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+        for i in 0..20_000 {
+            // The crafted keys first, each deeper than the one before, so
+            // a table that confused two of them would prune the second.
+            let (key, depth) = match crafted.get(i) {
+                Some(&key) => (key, i),
+                None if rng.chance(40) => (random_key(&mut rng), rng.pick(41)),
+                None => (keys[rng.pick(keys.len())], rng.pick(41)),
+            };
+            keys.push(key);
+            let keep = model.get(&key).is_none_or(|&seen| depth < seen);
+            if keep {
+                model.insert(key, depth);
+            }
+            assert_eq!(
+                table.visit(key, depth),
+                keep,
+                "visit #{i}: {key:#x} at {depth}"
+            );
+            let probe = if rng.chance(50) {
+                keys[rng.pick(keys.len())]
+            } else {
+                random_key(&mut rng)
+            };
+            assert_eq!(
+                table.get(probe),
+                model.get(&probe).copied(),
+                "get {probe:#x}"
+            );
+            if table.depths.capacity() > capacity {
+                capacity = table.depths.capacity();
+                doublings += 1;
+            }
+        }
+        for key in &keys {
+            assert_eq!(table.get(*key), model.get(key).copied(), "get {key:#x}");
+        }
+        assert_eq!(table.len(), model.len());
+        assert!(doublings >= 3, "{doublings} doublings");
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX")]
+    fn seen_table_refuses_a_depth_past_its_bound() {
+        SeenTable::new().visit(1, u32::MAX as usize + 1);
+    }
+
+    /// A memo drops its rows rather than grow past room for
+    /// [`MEMO_ROWS_CAP`] rows: dropping keeps the buckets, so a table
+    /// that doubled past the cap would keep twice the buckets it fills.
+    #[test]
+    fn memos_stop_growing_at_their_cap() {
+        let mut steps = StepMemo::new();
+        let mut slots = SlotMemo::new();
+        let (mut most_steps, mut most_slots) = (0, 0);
+        for i in 0..3 * MEMO_ROWS_CAP {
+            let key = StepKey {
+                actor: 0,
+                t: i as Time,
+                started: true,
+                proc: i as u128,
+                delivered: None,
+            };
+            let effect = || StepEffect {
+                proc: 0,
+                sent: Vec::new(),
+                emitted: false,
+            };
+            assert!(!steps.effect(key, effect).1, "row {i} is new");
+            slots.trim(1);
+            slots.row(i as u128, |images| images.push(0));
+            most_steps = most_steps.max(steps.rows.len());
+            most_slots = most_slots.max(slots.rows.len());
+        }
+        for (memo, capacity, most) in [
+            ("step", steps.rows.capacity(), most_steps),
+            ("slot", slots.rows.capacity(), most_slots),
+        ] {
+            assert!(capacity <= MEMO_ROWS_CAP, "{memo} memo room {capacity}");
+            assert!(most > MEMO_ROWS_CAP / 2, "{memo} memo held at most {most}");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! State identity: the one place that turns a value's `Debug` output
-//! into a key.
+//! into a key, and the one hasher the tables filed under keys use.
 //!
 //! Keys are 128-bit [`Fingerprint128`]s. The explorer keys a state by
 //! composing component keys ([`debug_fp`] of each process state, pending
@@ -15,8 +15,16 @@
 //! that equal renderings mean equal values. The liveness checker, the
 //! diagram walker and the reference explorer only narrow their search
 //! with a key: a fingerprint picks a collision chain, `==` confirms.
+//!
+//! A key is already uniform, so a table filed under keys or dense ids
+//! need not hash it again with SipHash: every such table (the
+//! seen-table, the transition and canonicalizer memos, the collision
+//! chains and the Büchi product index) is built with [`FpBuild`], whose
+//! [`FpHasher`] folds each word once. It has no per-process seed, so a
+//! table's layout is the same in every run.
 
 use std::fmt::{Debug, Write};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Two independent 64-bit multiply-xor streams over the same byte
 /// stream, mixed one 64-bit word at a time and finalized into a 128-bit
@@ -199,4 +207,116 @@ pub(crate) fn compose<'s>(
 #[inline]
 pub(crate) fn shard(key: u128, shards: usize) -> usize {
     ((key >> 96) as usize) % shards.max(1)
+}
+
+/// The [`Hasher`] of tables filed under fingerprints or dense ids: one
+/// rotate-xor-multiply step per written word (the step of rustc's
+/// `FxHasher`). A `u128` is written as its two halves, low word first,
+/// and bytes from a derived `Hash` impl are folded eight at a time.
+/// The multiply carries every input bit into the top bits, which pick a
+/// SwissTable control byte, and maps the low bits, which pick the
+/// bucket, one to one, so uniform keys and dense ids spread evenly.
+/// These keys are not adversarial, so no seed is drawn.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct FpHasher {
+    hash: u64,
+}
+
+/// Builds an [`FpHasher`] per lookup; the hasher of every table filed
+/// under fingerprints or dense ids.
+pub(crate) type FpBuild = BuildHasherDefault<FpHasher>;
+
+impl FpHasher {
+    /// An odd 64-bit constant with well-spread bits (rustc's `FxHasher`
+    /// seed).
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FpHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    /// The fallback for derived impls that write bytes: eight bytes per
+    /// word, the tail zero-padded.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.add(i as u64);
+        self.add((i >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn hash(write: impl FnOnce(&mut FpHasher)) -> u64 {
+        let mut hasher = FpHasher::default();
+        write(&mut hasher);
+        hasher.finish()
+    }
+
+    /// A `u128` is its two halves, low word first; bytes fold eight at a
+    /// time, the tail zero-padded; swapping the halves changes the hash.
+    #[test]
+    fn fp_hasher_folds_words_halves_and_bytes_alike() {
+        let (lo, hi) = (0x0123_4567_89ab_cdef_u64, 0xfedc_ba98_7654_3210_u64);
+        let key = u128::from(hi) << 64 | u128::from(lo);
+        let halves = hash(|h| {
+            h.write_u64(lo);
+            h.write_u64(hi);
+        });
+        assert_eq!(hash(|h| h.write_u128(key)), halves);
+        assert_eq!(hash(|h| h.write(&key.to_le_bytes())), halves);
+        assert_eq!(
+            hash(|h| h.write(&[1, 2, 3])),
+            hash(|h| h.write_u64(0x03_0201))
+        );
+        assert_ne!(hash(|h| h.write_u128(key.rotate_left(64))), halves);
+    }
 }

@@ -131,7 +131,7 @@ use crate::explore::{
     chunk_ranges, scenario_symmetry, Canonicalizer, FdTable, SlotKeys, Step, StepMemo, SymPerm,
 };
 use crate::failure::FailurePattern;
-use crate::fingerprint::Fingerprint128;
+use crate::fingerprint::{Fingerprint128, FpBuild};
 use crate::id::{ProcessId, Time};
 use crate::json::Json;
 use crate::machine::{ExploreDecision, FairMachine, LiveNode, State};
@@ -1074,7 +1074,7 @@ const NO_ID: u32 = u32::MAX;
 /// explorer dedup their stored states through it too.
 pub(crate) struct Chains {
     // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates it)
-    head: HashMap<u64, u32>,
+    head: HashMap<u64, u32, FpBuild>,
     next: Vec<u32>,
 }
 
@@ -1082,7 +1082,7 @@ impl Chains {
     pub(crate) fn new() -> Self {
         Chains {
             // wfd-lint: allow(d1-hash-collections, constructor for the chain heads excused above)
-            head: HashMap::new(),
+            head: HashMap::default(),
             next: Vec::new(),
         }
     }
@@ -1805,7 +1805,7 @@ fn find_lasso(graph: &LiveGraph, ba: &Buchi) -> (Option<LassoWitness>, usize) {
     }
     // Product state = (graph node, automaton state, acceptance counter).
     // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates it)
-    let mut index: HashMap<(u32, u32, u32), u32> = HashMap::new();
+    let mut index: HashMap<(u32, u32, u32), u32, FpBuild> = HashMap::default();
     // Product state: (graph node, Büchi state, acceptance counter).
     type Key = (u32, u32, u32);
     // Interner threaded into `succs_of` by mutable reference: it must

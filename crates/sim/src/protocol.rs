@@ -130,8 +130,10 @@ impl Permutation {
 /// the [`Protocol::permute`]/[`Protocol::permute_msg`]/
 /// [`Protocol::permute_output`] hooks. The explorer additionally
 /// restricts the group to elements that preserve the failure pattern and
-/// the initial invocation vector, so asymmetric *scenarios* never
-/// inherit a symmetric protocol's full group.
+/// the initial invocation vector, and under which the detector is
+/// equivariant (its values renamed by [`Protocol::permute_fd`]), so
+/// asymmetric *scenarios* never inherit a symmetric protocol's full
+/// group.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Symmetry {
     /// No declared symmetry (the default): only the identity.
@@ -227,9 +229,10 @@ pub trait Protocol: Sized {
     /// The failure detector value this protocol queries each step.
     ///
     /// `PartialEq` is required because symmetry reduction keeps a
-    /// renaming only when the detector answers *structurally* equal
-    /// values at the processes it swaps — a `Debug` rendering is not a
-    /// sound proxy (distinct values may print alike).
+    /// renaming only when the detector's answer at the renamed process
+    /// *structurally* equals its renamed answer at the original one
+    /// ([`Protocol::permute_fd`]) — a `Debug` rendering is not a sound
+    /// proxy (distinct values may print alike).
     type Fd: Clone + Debug + PartialEq;
 
     /// First step of the process.
@@ -282,6 +285,16 @@ pub trait Protocol: Sized {
     /// Rewrite every process id embedded in an output value under `perm`
     /// (the emitting process's id is handled by the explorer).
     fn permute_output(_out: &mut Self::Output, _perm: &Permutation) {}
+
+    /// Rewrite every process id embedded in a detector value under
+    /// `perm`. The default no-op is correct exactly when the value
+    /// carries no ids, as [`Protocol::permute`]'s is for state. The
+    /// scenario filter keeps a group element `π` only when the detector
+    /// is equivariant under it: `fd(π(p), t)` equals `fd(p, t)` renamed
+    /// by this hook, at every alive `(p, t)`. A protocol fed a leader
+    /// (Ω) or a quorum (Σ) must override it, or the filter compares the
+    /// values unrenamed and may keep renamings that move the leader.
+    fn permute_fd(_fd: &mut Self::Fd, _perm: &Permutation) {}
 
     // -- Temporal-property declarations (optional) -----------------------
 

@@ -32,8 +32,9 @@
 
 use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::{
-    explore, Ctx, ExploreConfig, ExploreReport, FailurePattern, NoDetector, OracleSpec, ProcessId,
-    Protocol, RandomFair, Replay, Repro, Sim, SimConfig, Symmetry, Time,
+    explore, ConstDetector, Ctx, ExploreConfig, ExploreReport, FailurePattern, NoDetector,
+    OracleSpec, Permutation, ProcessId, Protocol, RandomFair, Replay, Repro, Sim, SimConfig,
+    Symmetry, Time,
 };
 
 /// A seed-parameterized toy protocol: on start, broadcast a burst of
@@ -376,6 +377,81 @@ fn reductions_strictly_shrink_the_symmetric_relay_mesh() {
         reduced.states_visited,
         base.states_visited
     );
+}
+
+/// A fully symmetric protocol fed a leader: its detector value is a
+/// process id, and a tick marks the process leading exactly when the
+/// value names it. Under an oracle that names p0 everywhere only the
+/// renamings that fix p0 keep the detector equivariant; `permute_fd`
+/// renames the value, so the scenario filter can tell.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Follower {
+    leads: bool,
+    steps: u8,
+}
+
+impl Protocol for Follower {
+    type Msg = ();
+    type Output = ();
+    type Inv = ();
+    type Fd = ProcessId;
+
+    fn on_start(&mut self, _ctx: &mut Ctx<Self>) {
+        self.steps += 1;
+    }
+
+    fn on_message(&mut self, _ctx: &mut Ctx<Self>, _from: ProcessId, _msg: ()) {}
+
+    fn on_tick(&mut self, ctx: &mut Ctx<Self>) {
+        self.steps += 1;
+        self.leads = *ctx.fd() == ctx.me();
+    }
+
+    fn symmetry(_n: usize) -> Symmetry {
+        Symmetry::Full
+    }
+
+    fn permute_fd(fd: &mut ProcessId, perm: &Permutation) {
+        *fd = perm.apply(*fd);
+    }
+}
+
+/// Symmetry must not merge the leader with a follower. Two steps of p0
+/// reach a leader that has stepped twice; a filter that compared the
+/// detector's values without renaming them kept every renaming (p0 is
+/// named everywhere), merged p0's first step with p1's and p2's, and
+/// found no violation below depth 4.
+#[test]
+fn symmetry_renames_detector_values() {
+    let run = |depth: usize, symmetry: bool| {
+        explore(
+            ExploreConfig::new(depth).with_symmetry(symmetry),
+            || vec![Follower::default(); 3],
+            vec![None; 3],
+            &FailurePattern::failure_free(3),
+            ConstDetector::new(ProcessId(0)),
+            |procs: &[Follower], _| match procs.iter().position(|p| p.leads && p.steps >= 2) {
+                Some(p) => Err(format!("p{p} leads after stepping twice")),
+                None => Ok(()),
+            },
+        )
+    };
+    let leader_twice = vec![(ProcessId(0), None), (ProcessId(0), None)];
+    for depth in [2, 3] {
+        let base = run(depth, false);
+        assert_eq!(
+            base.violation.map(|v| v.decisions),
+            Some(leader_twice.clone()),
+            "depth {depth}: the unreduced explorer finds the leader's two steps"
+        );
+        let reduced = run(depth, true);
+        assert!(reduced.reduction_enabled);
+        assert_eq!(
+            reduced.violation.as_ref().map(|v| &v.decisions),
+            Some(&leader_twice),
+            "depth {depth}: symmetry pruned a reachable violation: {reduced:?}"
+        );
+    }
 }
 
 /// The relay mesh with a `footprint` that panics: the deprecated DPOR
