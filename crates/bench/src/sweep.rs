@@ -16,9 +16,9 @@
 //! for muscle-memory compatibility), else the machine's available
 //! parallelism. Set either to `1` to force a sequential sweep.
 
-// The fan-out primitive itself lives in `wfd_sim::par` (the parallel
-// explorer needs it below this crate in the dependency graph); re-export
-// it so sweep callers keep their one-stop import.
+// The fan-out primitive itself lives in `wfd_sim::par`, and this sweep
+// is its only caller (the explorer and the liveness checker run on one
+// thread); re-export it so sweep callers keep their one-stop import.
 pub use wfd_sim::par::par_map_with;
 
 use wfd_sim::obs::{CounterId, Obs, PhaseId};

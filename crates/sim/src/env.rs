@@ -8,7 +8,6 @@
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
-//! | `WFD_EXPLORE_THREADS` | worker threads for [`crate::explore()`] | available parallelism |
 //! | `WFD_SWEEP_THREADS` (then `RAYON_NUM_THREADS`) | worker threads for `wfd_bench::sweep` | available parallelism |
 //! | `WFD_EXPERIMENTS_DIR` | where bench artifacts are written | `target/experiments` |
 //! | `WFD_METRICS` | observability: `0`/unset = off, `1`/`on` = on, `heartbeat[=SECS]` = on + stderr heartbeat | off |
@@ -43,8 +42,6 @@ pub enum MetricsMode {
 /// module docs ([`crate::env`]) for the variables and the precedence rule.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EnvOverrides {
-    /// `WFD_EXPLORE_THREADS`, if set and a positive integer.
-    pub explore_threads: Option<usize>,
     /// `WFD_SWEEP_THREADS` (or, failing that, `RAYON_NUM_THREADS`), if
     /// set and a positive integer.
     pub sweep_threads: Option<usize>,
@@ -70,22 +67,12 @@ impl EnvOverrides {
                 .filter(|&n| n > 0)
         };
         EnvOverrides {
-            explore_threads: positive("WFD_EXPLORE_THREADS"),
             sweep_threads: positive("WFD_SWEEP_THREADS").or_else(|| positive("RAYON_NUM_THREADS")),
             experiments_dir: lookup("WFD_EXPERIMENTS_DIR")
                 .filter(|v| !v.is_empty())
                 .map(PathBuf::from),
             metrics: parse_metrics(lookup("WFD_METRICS").as_deref()),
         }
-    }
-
-    /// Worker threads for the explorer: `explicit`, else
-    /// `WFD_EXPLORE_THREADS`, else available parallelism (min 1).
-    pub fn resolve_explore_threads(&self, explicit: Option<usize>) -> usize {
-        explicit
-            .or(self.explore_threads)
-            .unwrap_or_else(available_parallelism)
-            .max(1)
     }
 
     /// Worker threads for sweeps: `explicit`, else `WFD_SWEEP_THREADS`
@@ -167,7 +154,7 @@ mod tests {
     fn empty_environment_is_all_defaults() {
         let env = env_of(&[]);
         assert_eq!(env, EnvOverrides::default());
-        assert_eq!(env.resolve_explore_threads(None), available_parallelism());
+        assert_eq!(env.resolve_sweep_threads(None), available_parallelism());
         assert_eq!(
             env.resolve_experiments_dir(None),
             PathBuf::from("target/experiments")
@@ -178,19 +165,16 @@ mod tests {
     #[test]
     fn explicit_beats_env_beats_default() {
         let env = env_of(&[
-            ("WFD_EXPLORE_THREADS", "3"),
             ("WFD_SWEEP_THREADS", "2"),
             ("WFD_EXPERIMENTS_DIR", "custom/dir"),
         ]);
         // env beats default
-        assert_eq!(env.resolve_explore_threads(None), 3);
         assert_eq!(env.resolve_sweep_threads(None), 2);
         assert_eq!(
             env.resolve_experiments_dir(None),
             PathBuf::from("custom/dir")
         );
         // explicit beats env
-        assert_eq!(env.resolve_explore_threads(Some(8)), 8);
         assert_eq!(env.resolve_sweep_threads(Some(5)), 5);
         assert_eq!(
             env.resolve_experiments_dir(Some(PathBuf::from("cli/dir"))),
@@ -213,8 +197,7 @@ mod tests {
 
     #[test]
     fn garbage_numbers_are_ignored() {
-        let env = env_of(&[("WFD_EXPLORE_THREADS", "zero"), ("WFD_SWEEP_THREADS", "0")]);
-        assert_eq!(env.explore_threads, None);
+        let env = env_of(&[("WFD_SWEEP_THREADS", "zero"), ("RAYON_NUM_THREADS", "0")]);
         assert_eq!(env.sweep_threads, None);
     }
 

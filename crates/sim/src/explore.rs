@@ -40,7 +40,7 @@
 //!   incremental and almost never rendered: every state carries its slot
 //!   and message keys, a child inherits its parent's, and what the step
 //!   produced (the actor's new state, the messages it sent) is keyed from
-//!   a per-worker transition memo looked up by the actor, the step time,
+//!   the transition memo looked up by the actor, the step time,
 //!   whether it had started, its process key and the delivered message's
 //!   key. A delivery or an append recomposes an inbox key from message
 //!   keys; only a memo miss renders (the actor's state and each sent
@@ -56,18 +56,18 @@
 //!   unbuilt: its parent (shared), its decision and its key, one entry in
 //!   the stack position a built child would take. The revisit rule reads
 //!   that key as it reads a built state's, so a child it drops is never
-//!   cloned, stepped or recycled, and one it keeps is built by the worker
-//!   that expands it. A parent stays alive while any of its deferred
-//!   children waits on the frontier. Children stay eager under a usable
+//!   cloned, stepped or recycled, and one it keeps is built when it is
+//!   expanded. A parent stays alive while any of its deferred children
+//!   waits on the frontier. Children stay eager under a usable
 //!   symmetry group (the canonicalizer renames built components).
 //!   On the benchmark's `paper_safety` this skips about 70 % of the
 //!   handler calls; the traversal, and so every report, is unchanged.
 //! * **Fingerprint-native tables** — a key is already a uniform 128-bit
 //!   fingerprint, so every table filed under keys or dense ids (the
-//!   seen-table shards, the transition and canonicalizer memos, and the
+//!   seen-table, the transition and canonicalizer memos, and the
 //!   liveness checker's chains and product index) hashes it with one
 //!   rotate-xor-multiply fold per word (the crate's `FpHasher`), not
-//!   with seeded SipHash. A seen-table shard stores 20-byte entries on
+//!   with seeded SipHash. The seen-table stores 20-byte entries on
 //!   std's SwissTable: the key as four `u32` words, compared on all 128
 //!   bits, and the depth as a `u32` (a `u128` field would pad each
 //!   entry to 32 bytes). A memo never grows past room for 32,768 rows:
@@ -78,15 +78,14 @@
 //!   predicate, a violation report, or a replay needs them. Popped states
 //!   are recycled through a free-list arena, so steady-state expansion
 //!   performs no `Vec` growth.
-//! * **Parallel frontier exploration** — states are processed in frontier
-//!   batches fanned across [`crate::par::par_map_with`] workers
-//!   (`WFD_EXPLORE_THREADS`, or [`ExploreConfig::with_threads`]) against
-//!   a sharded seen-table. Batch size and traversal order are independent
-//!   of the worker count, revisit pruning is resolved sequentially in
-//!   batch order, and the reported counterexample is the
-//!   lexicographically-least decision list among the batch's violations —
-//!   so 1 thread and N threads produce identical reports (modulo the
-//!   informational [`ExploreReport::threads_used`]).
+//! * **Batched frontier, one thread** — states are processed in frontier
+//!   batches of [`ExploreConfig::batch`] entries: the batch's keys are
+//!   composed first, the revisit rule is resolved in batch order, and the
+//!   reported counterexample is the lexicographically-least decision list
+//!   among the first violating batch's violations. One seen-table, one
+//!   transition memo and one canonicalizer serve the whole exploration, so
+//!   a step the memo learned anywhere keys every later child that repeats
+//!   it.
 //!
 //! ## State-space reduction
 //!
@@ -99,9 +98,9 @@
 //!   state, messages and outputs); a state is keyed by the least key of
 //!   its renamings under the group (restricted to elements preserving
 //!   the failure pattern and the invocation vector). The renamed keys
-//!   are reorderings of per-slot keys memoized per worker
-//!   ([`Canonicalizer`]), so no renamed state is ever built. Two states
-//!   that are renamings of each other then dedup to one
+//!   are reorderings of memoized per-slot keys ([`Canonicalizer`]), so
+//!   no renamed state is ever built. Two states that are renamings of
+//!   each other then dedup to one
 //!   ([`ExploreReport::symmetry_canonical_hits`]). Decisions and
 //!   violations always stay in *original* ids — only the dedup key is
 //!   canonicalized — so counterexamples found under reduction replay
@@ -109,11 +108,11 @@
 //!   is sound only when the safety predicate is itself invariant under
 //!   the declared group.
 //!
-//! The reduction is deterministic and thread-count-invariant, and it is
-//! differentially anchored against the unreduced explorer by the
-//! 40-seed equivalence ladders in `tests/explore_dedup.rs`. There is no
-//! partial-order reduction: on the paper's workloads sleep sets removed
-//! no visited state, and symmetry does the reducing.
+//! The reduction is deterministic, and it is differentially anchored
+//! against the unreduced explorer by the 40-seed equivalence ladders in
+//! `tests/explore_dedup.rs`. There is no partial-order reduction: on the
+//! paper's workloads sleep sets removed no visited state, and symmetry
+//! does the reducing.
 //!
 //! ```
 //! use wfd_sim::{explore, Ctx, ExploreConfig, FailurePattern, NoDetector,
@@ -143,7 +142,7 @@
 //! ```
 
 use crate::failure::FailurePattern;
-use crate::fingerprint::{compose, debug_fp, seq, shard, FpBuild};
+use crate::fingerprint::{compose, debug_fp, seq, FpBuild};
 use crate::id::{ProcessId, Time};
 use crate::json::Json;
 use crate::machine::{
@@ -152,35 +151,14 @@ use crate::machine::{
 };
 use crate::obs::{CounterId, HistId, Obs, PhaseId};
 use crate::oracle::FdOracle;
-use crate::par::par_map_with;
 use crate::protocol::{Permutation, Protocol, SendBuf, Symmetry};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap; // wfd-lint: allow(d1-hash-collections, imported only for the sharded seen-table, which is keyed insert/lookup; nothing iterates it)
+use std::collections::HashMap; // wfd-lint: allow(d1-hash-collections, imported only for the seen-table and the memos, which are keyed insert/lookup; nothing iterates them)
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering}; // wfd-lint: allow(d3-atomics, the halt flag is an expansion-skip hint only; the merge step resolves every batch deterministically regardless of timing)
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant; // wfd-lint: allow(d2-wall-clock, feeds obs phase timers only, a side table nothing on the decision path reads; proven by obs_invariance.rs)
-
-/// Upper bound on seen-table shards (the historical fixed width).
-const MAX_SHARD_COUNT: usize = 64;
-
-/// How many seen-table shards an exploration with `threads` workers
-/// uses; workers pick a shard from the fingerprint prefix, so concurrent
-/// pre-reads rarely contend. A single worker gets a single shard — a
-/// 1-CPU host has no contention to spread, and 64 mutex-wrapped maps are
-/// pure overhead there — and each additional worker buys 8× its own
-/// width, capped at the historical fixed width of 64. Sharding only
-/// partitions the table; it never changes what is explored, so every
-/// width produces the same [`ExploreReport`].
-fn seen_shard_width(threads: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        (threads * 8).next_power_of_two().min(MAX_SHARD_COUNT)
-    }
-}
 
 /// A state key stored at 4-byte alignment: a `u128` field would align a
 /// (key, depth) entry to 16 bytes and pad it to 32, while four words and
@@ -214,10 +192,10 @@ impl Hash for SeenKey {
     }
 }
 
-/// One seen-table shard: every state key committed, with the lowest
-/// depth it was expanded at, in 20-byte entries on std's table.
+/// The seen-table: every state key committed, with the lowest depth it
+/// was expanded at, in 20-byte entries on std's table.
 struct SeenTable {
-    depths: HashMap<SeenKey, u32, FpBuild>, // wfd-lint: allow(d1-hash-collections, keyed insert/lookup only; the dedup_entries sum reads len(), never iterates entries)
+    depths: HashMap<SeenKey, u32, FpBuild>, // wfd-lint: allow(d1-hash-collections, keyed insert/lookup only; dedup_entries reads len(), never iterates entries)
 }
 
 impl SeenTable {
@@ -251,12 +229,6 @@ impl SeenTable {
         }
     }
 
-    /// The depth recorded for `key`, if any.
-    #[inline]
-    fn get(&self, key: u128) -> Option<usize> {
-        self.depths.get(&SeenKey::new(key)).map(|&d| d as usize)
-    }
-
     /// Distinct keys recorded.
     fn len(&self) -> usize {
         self.depths.len()
@@ -274,9 +246,8 @@ fn seen_depth(depth: usize) -> u32 {
 /// Cap on the free-list arena (recycled `State` allocations).
 const POOL_CAP: usize = 2048;
 
-/// Default frontier batch size. Fixed — and in particular independent of
-/// the worker count — because the batch boundaries are part of the
-/// deterministic traversal order.
+/// Default frontier batch size. Fixed, because the batch boundaries are
+/// part of the deterministic traversal order.
 const DEFAULT_BATCH: usize = 256;
 
 /// Bounds for an exploration.
@@ -291,15 +262,9 @@ pub struct ExploreConfig {
     /// at an equal-or-lower depth *with the same output history*, so dedup
     /// never hides a reachable violation within the depth bound.
     pub dedup: bool,
-    /// Worker threads for frontier batches. `None` (the default) resolves
-    /// `WFD_EXPLORE_THREADS`, falling back to the machine's available
-    /// parallelism. Every value produces the same report, modulo the
-    /// informational [`ExploreReport::threads_used`] field.
-    pub threads: Option<usize>,
     /// Frontier batch size: how many pending states are deduplicated and
-    /// expanded per round. Part of the deterministic traversal order (and
-    /// therefore *not* derived from the thread count); `1` reproduces a
-    /// plain depth-first search exactly.
+    /// expanded per round. Part of the deterministic traversal order; `1`
+    /// reproduces a plain depth-first search exactly.
     pub batch: usize,
     /// Process-symmetry canonicalization of dedup keys (default: off). It
     /// requires dedup and a group-invariant safety predicate. See the
@@ -311,14 +276,13 @@ pub struct ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// Defaults: the given depth, one million states, dedup on, automatic
-    /// thread count, batch size 256, symmetry off, metrics off.
+    /// Defaults: the given depth, one million states, dedup on, batch
+    /// size 256, symmetry off, metrics off.
     pub fn new(max_depth: usize) -> Self {
         ExploreConfig {
             max_depth,
             max_states: 1_000_000,
             dedup: true,
-            threads: None,
             batch: DEFAULT_BATCH,
             symmetry: false,
             obs: Obs::off(),
@@ -337,10 +301,15 @@ impl ExploreConfig {
         self
     }
 
-    /// Pin the worker count (default: `WFD_EXPLORE_THREADS`, else all
-    /// cores). The report is identical for every choice.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+    /// Inert: returns `self` unchanged, whatever the argument. The
+    /// explorer runs on one thread; kept only so callers that still pin
+    /// a worker count compile.
+    #[deprecated(
+        since = "0.7.0",
+        note = "inert: the explorer is sequential; the benchmark-only change (ROADMAP \
+                item 1) drops the last call and the next change deletes this method"
+    )]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -398,7 +367,7 @@ pub struct ExploreViolation {
 }
 
 /// Outcome of an exploration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExploreReport {
     /// States expanded (post-dedup; a state revisited at a strictly lower
     /// depth is re-expanded and counted again).
@@ -412,8 +381,8 @@ pub struct ExploreReport {
     pub states_capped: bool,
     /// The safety violation, if one was found: the lexicographically-least
     /// decision list among the violations of the first frontier batch that
-    /// contained any (so the counterexample does not depend on the worker
-    /// count).
+    /// contained any. At batch 1 that is the first violation in
+    /// depth-first pop order.
     pub violation: Option<ExploreViolation>,
     /// Distinct keys committed to the dedup seen-table (0 with dedup off).
     pub dedup_entries: usize,
@@ -432,29 +401,9 @@ pub struct ExploreReport {
     /// Whether the state-space reduction ([`ExploreConfig::symmetry`])
     /// was requested for this run.
     pub reduction_enabled: bool,
-    /// The resolved worker count. Informational: it is the one field that
-    /// legitimately differs between otherwise identical reports.
-    pub threads_used: usize,
 }
 
 impl ExploreReport {
-    /// Whether two reports agree on every semantic field — everything
-    /// except [`ExploreReport::threads_used`], which records how the work
-    /// was scheduled rather than what was found. The parallel-determinism
-    /// guarantee is exactly: reports from any two worker counts satisfy
-    /// `same_semantics`.
-    pub fn same_semantics(&self, other: &ExploreReport) -> bool {
-        self.states_visited == other.states_visited
-            && self.depth_bounded == other.depth_bounded
-            && self.states_capped == other.states_capped
-            && self.dedup_entries == other.dedup_entries
-            && self.dedup_hits == other.dedup_hits
-            && self.max_frontier_len == other.max_frontier_len
-            && self.symmetry_canonical_hits == other.symmetry_canonical_hits
-            && self.reduction_enabled == other.reduction_enabled
-            && self.violation == other.violation
-    }
-
     /// The report as a JSON object (decision lists in the same
     /// `{"step": pid, "msg": index|null}` shape as [`crate::repro`]
     /// artifacts) — used by experiment binaries to make capped or bounded
@@ -501,7 +450,6 @@ impl ExploreReport {
                 "reduction_enabled".to_string(),
                 Json::bool(self.reduction_enabled),
             ),
-            ("threads_used".to_string(), Json::usize(self.threads_used)),
             ("violation".to_string(), violation),
         ])
     }
@@ -983,7 +931,7 @@ where
         .collect()
 }
 
-/// The most rows a worker's memo table may have room for: a table that
+/// The most rows a memo table may have room for: a table that
 /// would grow past it drops its rows and is refilled instead, which
 /// bounds the memos' memory on long explorations.
 const MEMO_ROWS_CAP: usize = 1 << 15;
@@ -1116,7 +1064,7 @@ impl StepEffect {
     }
 }
 
-/// A worker's transition memo: what each step it has keyed did to the
+/// The transition memo: what each step it has keyed did to the
 /// keys, looked up by everything that determines it — the actor, the
 /// step time, whether the actor had started, the actor's process key and
 /// the delivered message's key.
@@ -1127,9 +1075,9 @@ impl StepEffect {
 /// delivered entry; on a first step the pending invocation, which is
 /// fixed per run) and `Ctx::{me, n, now, fd}` ([`Protocol`]); the
 /// detector is pure in `(p, t)`; and which sends a crash drops depends
-/// only on `t`. The explorer keeps one per worker next to its
-/// [`Canonicalizer`], and the liveness checker one per worker chunk.
-/// Bounded like the canonicalizer's memo: dropped rather than grown past
+/// only on `t`. The explorer keeps one next to its [`Canonicalizer`]
+/// for the whole exploration, and so does the liveness checker. Bounded
+/// like the canonicalizer's memo: dropped rather than grown past
 /// room for [`MEMO_ROWS_CAP`] rows.
 pub(crate) struct StepMemo {
     rows: HashMap<StepKey, StepEffect, FpBuild>, // wfd-lint: allow(d1-hash-collections, keyed lookup/insert only; nothing iterates the transition memo)
@@ -1199,7 +1147,7 @@ fn message_row<P: Protocol>(
 /// function of the state, it does not depend on what the memo already
 /// holds.
 ///
-/// The explorer keeps one per worker across its whole run and feeds it
+/// The explorer keeps one across its whole run and feeds it
 /// the keys its states carry; the liveness checker does the same for its
 /// fair-graph nodes, and also takes the winning renaming's slot and
 /// message keys from the memo rows. It is public so differential tests
@@ -1412,7 +1360,7 @@ type Shared<P> = Arc<KeyedState<P>>;
 /// transition memo's row for the step without running the handler
 /// ([`KeyedState::child_key`]). The revisit rule reads the key as it
 /// reads a built state's; a child the rule drops is never built, and one
-/// it keeps is built by the worker that expands it.
+/// it keeps is built when it is expanded.
 struct Deferred<P: Protocol> {
     parent: Shared<P>,
     decision: ExploreDecision,
@@ -1459,23 +1407,17 @@ fn recycle<P: Protocol>(mut s: Shared<P>, pool: &mut Vec<Shared<P>>) {
     }
 }
 
-/// One worker's slot of the free-list arena.
-type WorkerStates<P> = Mutex<Vec<Shared<P>>>;
-
-/// One worker's slot of the child buffers.
-type WorkerEntries<P> = Mutex<Vec<Frontier<P>>>;
-
-/// What an expansion worker steps children with: its slot of the
-/// arena, its transition memo and its step buffers, reused across its
-/// chunk.
-struct Stepper<'m, P: Protocol> {
+/// What the exploration steps children with: the free-list arena, the
+/// transition memo, the step buffers and an output-history scratch, kept
+/// for the whole exploration.
+struct Stepper<P: Protocol> {
     free: Vec<Shared<P>>,
-    memo: MutexGuard<'m, StepMemo>,
+    memo: StepMemo,
     bufs: (SendBuf<P>, Vec<P::Output>),
     outputs: Vec<(ProcessId, P::Output)>,
 }
 
-impl<P: Protocol + Clone + Debug> Stepper<'_, P> {
+impl<P: Protocol + Clone + Debug> Stepper<P> {
     /// Build `parent`'s child by `decision` into a state from the arena,
     /// stepped with the detector value `fd`, and key it from `parent`'s
     /// keys through the memo when `keyed` (dedup on). Returns the child
@@ -1519,32 +1461,6 @@ struct FoundViolation {
     decisions: Vec<ExploreDecision>,
 }
 
-/// What one expansion chunk hands back to the merge step.
-struct ChunkOut<P: Protocol> {
-    children: Vec<Frontier<P>>,
-    violations: Vec<FoundViolation>,
-    depth_bounded: bool,
-}
-
-/// Contiguous, near-even, in-order split of `0..len` into at most
-/// `chunks` non-empty ranges.
-pub(crate) fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.clamp(1, len);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 /// Exhaustively explore message-delivery interleavings. This is *the*
 /// entry point: every knob lives on [`ExploreConfig`], and states are
 /// keyed with 128-bit fingerprints (see the
@@ -1558,48 +1474,35 @@ pub(crate) fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usi
 ///   states and all outputs emitted so far; returning `Err` stops the
 ///   exploration with a replayable counterexample.
 ///
-/// Traversal: batched depth-first. Each round pops up to
+/// Traversal: batched depth-first, on one thread. Each round pops up to
 /// [`ExploreConfig::batch`] entries off the frontier stack (`batch == 1`
 /// is bit-for-bit the classic DFS), composes (and, under symmetry,
-/// canonicalizes) the keys of its built states in parallel from the slot
-/// keys each carries, takes each deferred child's key as composed at
-/// generation, and pre-reads them against the sharded seen-table,
-/// resolves the budget-aware revisit rule *sequentially in batch order*
-/// (the rule is order-dependent), then samples the detector answers of
-/// the survivors' depths sequentially (oracles are pure in `(p, t)`, so
-/// each pair is queried once per exploration and the workers read the
-/// answers from a lock-free table), then fans the survivors across the
-/// workers for building, safety checking and expansion. A worker builds
-/// each deferred survivor from its parent, then keys each child from its
-/// parent's keys and its transition memo, which renders only on a miss
-/// (the root alone is keyed in full). A child whose step the memo holds
-/// and which emitted nothing goes onto the stack unbuilt, as its parent,
-/// its decision and its key, unless a usable symmetry group is on; every
-/// other child is built at once.
-/// Children are merged back onto the stack in survivor order, and a batch
-/// with violations reports the lexicographically-least decision list
-/// among them — every step is either order-independent or resolved in a
-/// fixed order, which is why the worker count cannot change the report.
+/// canonicalizes) the keys of its built states from the slot keys each
+/// carries, takes each deferred child's key as composed at generation,
+/// and resolves the budget-aware revisit rule in batch order (the rule
+/// is order-dependent). It then samples the detector answers of the
+/// survivors' depths (oracles are pure in `(p, t)`, so each pair is
+/// queried once per exploration), builds each deferred survivor from its
+/// parent, safety-checks every survivor and expands it. Each child is
+/// keyed from its parent's keys and the transition memo, which renders
+/// only on a miss (the root alone is keyed in full). A child whose step
+/// the memo holds and which emitted nothing goes onto the stack unbuilt,
+/// as its parent, its decision and its key, unless a usable symmetry
+/// group is on; every other child is built at once. Children go onto the
+/// stack in survivor order, and a batch with violations reports the
+/// lexicographically-least decision list among them.
 pub fn explore<P, D>(
     cfg: ExploreConfig,
     make_procs: impl Fn() -> Vec<P>,
     invocations: Vec<Option<P::Inv>>,
     pattern: &FailurePattern,
     mut detector: D,
-    safety: impl Fn(&[P], &[(ProcessId, P::Output)]) -> Result<(), String> + Sync,
+    safety: impl Fn(&[P], &[(ProcessId, P::Output)]) -> Result<(), String>,
 ) -> ExploreReport
 where
-    P: Protocol + Clone + Debug + Send + Sync,
-    P::Msg: Send + Sync,
-    P::Output: Send + Sync,
-    P::Inv: Send + Sync,
-    P::Fd: Sync,
+    P: Protocol + Clone + Debug,
     D: FdOracle<Value = P::Fd>,
 {
-    let threads = cfg
-        .threads
-        .unwrap_or_else(crate::par::explore_threads)
-        .max(1);
     let batch_cap = cfg.batch.max(1);
     // Metrics (side table only — nothing below reads them back, so the
     // traversal and the report are byte-identical with metrics on or
@@ -1643,38 +1546,36 @@ where
     // usable symmetry group keeps children eager.
     let defer = cfg.dedup && sym_perms.is_empty();
 
-    // Seen-table: state key → the lowest depth it was expanded at, split
-    // into shards by the key's top bits. Each shard applies the revisit
-    // rule (`SeenTable::visit`): a revisit is pruned only when that
-    // expansion had at least as much remaining depth budget (recorded
-    // depth ≤ the revisit's); a shallower revisit is re-expanded and
-    // lowers the record. The key includes the output history: the
-    // safety predicate reads outputs, so two branches that converge in
-    // `(procs, inboxes, started)` but emitted different outputs are
-    // *different* states to the checker.
-    let shard_count = seen_shard_width(threads);
-    let shards: Vec<Mutex<SeenTable>> = (0..shard_count)
-        .map(|_| Mutex::new(SeenTable::new()))
-        .collect();
-
+    // Seen-table: state key → the lowest depth it was expanded at. It
+    // applies the revisit rule (`SeenTable::visit`): a revisit is pruned
+    // only when that expansion had at least as much remaining depth
+    // budget (recorded depth ≤ the revisit's); a shallower revisit is
+    // re-expanded and lowers the record. The key includes the output
+    // history: the safety predicate reads outputs, so two branches that
+    // converge in `(procs, inboxes, started)` but emitted different
+    // outputs are *different* states to the checker.
+    let mut seen = SeenTable::new();
     let mut stack: Vec<Frontier<P>> = vec![Frontier::Built(Arc::new(root))];
-    // Free-list arena and child buffers, one slot per worker, persistent
-    // across batches. All hand-offs move `Vec` *headers* (O(1)), never
-    // elements — shuffling states between a shared arena and per-chunk
-    // lists element-wise costs more than the allocations it saves.
-    let free_pools: Vec<WorkerStates<P>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    let child_bufs: Vec<WorkerEntries<P>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    // One key canonicalizer per worker, its slot memo persistent across
-    // batches. With no usable symmetry group it keys the identity only.
-    let canonicalizers: Vec<Mutex<Canonicalizer<P>>> = (0..threads)
-        .map(|_| Mutex::new(Canonicalizer::with_perms(sym_perms.clone())))
-        .collect();
-    // And one transition memo per worker, persistent likewise: it gives
-    // each child the keys its step produced, so a hit renders nothing.
-    let step_memos: Vec<Mutex<StepMemo>> =
-        (0..threads).map(|_| Mutex::new(StepMemo::new())).collect();
-    let mut next_pool = 0usize;
+    // The key canonicalizer, its slot memo kept across batches. With no
+    // usable symmetry group it keys the identity only.
+    let mut canon = Canonicalizer::with_perms(sym_perms);
+    // The free-list arena and the transition memo, kept across batches:
+    // the memo gives each child the keys its step produced, so a hit
+    // renders nothing.
+    let mut stepper = Stepper {
+        free: Vec::new(),
+        memo: StepMemo::new(),
+        bufs: (Vec::new(), Vec::new()),
+        outputs: Vec::new(),
+    };
     let mut survivors: Vec<Frontier<P>> = Vec::new();
+    let mut batch_keys: Vec<u128> = Vec::new();
+    // Scratch: a built state's slot words while it is keyed, a deferred
+    // child's inbox keys, and the machine-layer enabled set of the state
+    // being expanded.
+    let mut words = Vec::new();
+    let mut inbox_keys = Vec::new();
+    let mut enabled: Vec<ExploreDecision> = Vec::new();
 
     let mut states_visited = 0usize;
     let mut depth_bounded = false;
@@ -1682,7 +1583,6 @@ where
     let mut dedup_hits = 0usize;
     let mut max_frontier_len = 0usize;
     let mut symmetry_canonical_hits = 0usize;
-    let halt = AtomicBool::new(false); // wfd-lint: allow(d3-atomics, benign race: may only skip expansion work; violations and flags stay exact and the merge is deterministic)
 
     let found = loop {
         max_frontier_len = max_frontier_len.max(stack.len());
@@ -1706,110 +1606,63 @@ where
         obs.record(HistId::ExploreBatchSize, take as u64);
 
         survivors.clear();
-        let mut recycle_rr = |s: Shared<P>| {
-            recycle(
-                s,
-                &mut free_pools[next_pool % threads]
-                    .lock()
-                    .expect("free pool poisoned"),
-            );
-            next_pool = next_pool.wrapping_add(1);
-        };
         if cfg.dedup {
-            // Key phase (parallel): compose (and canonicalize) every built
-            // batch state's key from the slot keys it carries, take every
-            // deferred child's key as it was composed at generation, and
-            // pre-read them against the committed table. Committed depths
-            // only ever decrease, so a pre-read prune verdict can never be
-            // invalidated by the sequential pass below — pre-reads are a
-            // pure early-out that moves lookup work into the parallel
-            // section, so with one worker they are skipped outright (the
-            // resolution pass below is authoritative either way).
-            let pre_read = threads > 1;
-            let ranges = chunk_ranges(take, threads);
+            // Key phase: compose (and canonicalize) every built batch
+            // state's key from the slot keys it carries, and take every
+            // deferred child's key as it was composed at generation.
             let key_phase = obs.phase(PhaseId::ExploreKey);
-            let batch_keys = par_map_with(&ranges, threads, |slot, range| {
-                let mut keys = Vec::with_capacity(range.len());
-                let mut pre_pruned = Vec::with_capacity(range.len());
-                let mut sym_hits = 0usize;
-                let mut outputs = Vec::new();
-                let mut words = Vec::new();
-                let mut canon = canonicalizers[slot].lock().expect("canonicalizer poisoned");
-                for j in range.clone() {
-                    let entry = &stack[top - 1 - j];
-                    let key = match entry {
-                        Frontier::Deferred(child) => child.key,
-                        Frontier::Built(node) => {
-                            let state = &node.state;
-                            // Only an output-memo miss reads the history,
-                            // and only a group can miss.
-                            outputs.clear();
-                            if canon.has_group() {
-                                materialize_outputs(
-                                    &state.outputs,
-                                    state.outputs_len,
-                                    &mut outputs,
-                                );
-                            }
-                            words.clear();
-                            words.extend(state.started.iter().map(|&s| u64::from(s)));
-                            let (key, arg_perm) = canon.canonical(
-                                &state.procs,
-                                &state.inboxes,
-                                &words,
-                                &outputs,
-                                &node.keys,
-                            );
-                            sym_hits += usize::from(arg_perm.is_some());
-                            key
+            batch_keys.clear();
+            for entry in stack[top - take..].iter().rev() {
+                let key = match entry {
+                    Frontier::Deferred(child) => child.key,
+                    Frontier::Built(node) => {
+                        let state = &node.state;
+                        // Only an output-memo miss reads the history, and
+                        // only a group can miss.
+                        let outputs = &mut stepper.outputs;
+                        outputs.clear();
+                        if canon.has_group() {
+                            materialize_outputs(&state.outputs, state.outputs_len, outputs);
                         }
-                    };
-                    let pruned = pre_read
-                        && shards[shard(key, shard_count)]
-                            .lock()
-                            .expect("shard poisoned")
-                            .get(key)
-                            .is_some_and(|seen| seen <= entry.depth());
-                    keys.push(key);
-                    pre_pruned.push(pruned);
-                }
-                (keys, pre_pruned, sym_hits)
-            });
+                        words.clear();
+                        words.extend(state.started.iter().map(|&s| u64::from(s)));
+                        let (key, arg_perm) = canon.canonical(
+                            &state.procs,
+                            &state.inboxes,
+                            &words,
+                            outputs,
+                            &node.keys,
+                        );
+                        symmetry_canonical_hits += usize::from(arg_perm.is_some());
+                        key
+                    }
+                };
+                batch_keys.push(key);
+            }
             drop(key_phase);
 
-            // Resolution phase (sequential, batch order): the revisit
-            // rule is order-dependent *within* a batch, so it runs in the
-            // one fixed order every thread count shares.
+            // Resolution phase, in batch order: the revisit rule is
+            // order-dependent *within* a batch.
             let _revisit_phase = obs.phase(PhaseId::ExploreRevisit);
-            for (keys, pre_pruned, sym_hits) in batch_keys {
-                symmetry_canonical_hits += sym_hits;
-                for (key, pre) in keys.into_iter().zip(pre_pruned) {
-                    let entry = stack.pop().expect("batch within stack");
-                    let depth = entry.depth();
-                    let keep = !pre
-                        && shards[shard(key, shard_count)]
-                            .lock()
-                            .expect("shard poisoned")
-                            .visit(key, depth);
-                    if keep {
-                        survivors.push(entry);
-                    } else {
-                        dedup_hits += 1;
-                        recycle_rr(entry.into_shared());
-                    }
+            for &key in &batch_keys {
+                let entry = stack.pop().expect("batch within stack");
+                if seen.visit(key, entry.depth()) {
+                    survivors.push(entry);
+                } else {
+                    dedup_hits += 1;
+                    recycle(entry.into_shared(), &mut stepper.free);
                 }
             }
         } else {
             survivors.extend(stack.drain(top - take..).rev());
         }
 
-        // Enforce the state cap mid-batch, in batch order, so the set of
-        // expanded states is identical at every thread count.
+        // Enforce the state cap mid-batch, in batch order.
         let remaining = cfg.max_states - states_visited;
         if survivors.len() > remaining {
             states_capped = true;
             for s in survivors.drain(remaining..) {
-                recycle_rr(s.into_shared());
+                recycle(s.into_shared(), &mut stepper.free);
             }
         }
         states_visited += survivors.len();
@@ -1817,10 +1670,9 @@ where
             continue;
         }
 
-        // Oracle phase (sequential): detector answers are pure functions
-        // of `(p, t)` (the FdOracle contract), so one query per distinct
-        // pair serves the whole exploration from a read-only table — the
-        // expansion workers never contend on the detector.
+        // Oracle phase: detector answers are pure functions of `(p, t)`
+        // (the FdOracle contract), so one query per distinct pair serves
+        // the whole exploration from the table.
         let oracle_phase = obs.phase(PhaseId::ExploreOracle);
         for entry in &survivors {
             let depth = entry.depth();
@@ -1834,179 +1686,130 @@ where
         }
         drop(oracle_phase);
 
-        // Expansion phase (parallel): build each deferred survivor,
-        // safety-check and expand each survivor chunk, keying every child
-        // from its parent's slot keys — before building it where the
-        // memo allows, so that it waits on the frontier unbuilt; each
-        // chunk draws from (and returns to) its own slot of the free-list
-        // arena.
+        // Expansion phase: build each deferred survivor, then safety-check
+        // and expand every survivor, keying each child from its parent's
+        // slot keys — before building it where the memo allows, so that
+        // it waits on the frontier unbuilt. Children go straight onto the
+        // stack: a batch with a violation ends the exploration before the
+        // stack is read again.
         let expand_phase = obs.phase(PhaseId::ExploreExpand);
-        let ranges = chunk_ranges(survivors.len(), threads);
-        let outs = par_map_with(&ranges, threads, |slot, range| {
-            let mut stepper = Stepper {
-                free: std::mem::take(&mut *free_pools[slot].lock().expect("pool poisoned")),
-                memo: step_memos[slot].lock().expect("step memo poisoned"),
-                bufs: (Vec::new(), Vec::new()),
-                outputs: Vec::new(),
-            };
-            let mut out = ChunkOut {
-                children: std::mem::take(
-                    &mut *child_bufs[slot].lock().expect("child buf poisoned"),
-                ),
-                violations: Vec::new(),
-                depth_bounded: false,
-            };
-            // Memo hits and misses, one per child keyed (a deferred child
-            // at generation, where it hits), for the obs counters.
-            let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
-            let mut tally = |hit: bool| match (cfg.dedup, hit) {
-                (false, _) => {}
-                (true, true) => memo_hits += 1,
-                (true, false) => memo_misses += 1,
-            };
-            let (mut deferred, mut deferred_built) = (0u64, 0u64);
-            let mut inbox_keys = Vec::new();
-            // The machine-layer enabled set of the current state, reused
-            // across the chunk.
-            let mut enabled: Vec<ExploreDecision> = Vec::new();
-            // A deferred survivor, built for its expansion; returned to the
-            // arena once expanded, unless a child it deferred holds it.
-            let mut built = None;
-            for entry in &survivors[range.clone()] {
-                if let Some(node) = built.take() {
-                    recycle(node, &mut stepper.free);
-                }
-                let node = match entry {
-                    Frontier::Built(node) => node,
-                    Frontier::Deferred(child) => {
-                        let (p, _) = child.decision;
-                        let t = child.parent.state.depth as Time;
-                        let (node, _) = stepper.build(
-                            cfg.dedup,
-                            &env,
-                            fd_cache.get(p.index(), t).clone(),
-                            &child.parent,
-                            child.decision,
-                        );
-                        // The key the child waited under must be the one
-                        // its built state composes.
-                        #[cfg(debug_assertions)]
-                        assert!(
-                            node.keys.compose(&started_words(&node.state.started)) == child.key,
-                            "a deferred child's key diverges from its built state's at \
-                             depth {} (decisions {:?})",
-                            node.state.depth,
-                            node.state.collect_decisions(),
-                        );
-                        deferred_built += 1;
-                        &*built.insert(node)
-                    }
-                };
-                let state = &node.state;
-                let outputs = &mut stepper.outputs;
-                materialize_outputs(&state.outputs, state.outputs_len, outputs);
-                if let Err(message) = safety(&state.procs, outputs) {
-                    out.violations.push(FoundViolation {
-                        message,
-                        decisions: materialize_decisions(&state.decisions),
-                    });
-                    halt.store(true, Ordering::Relaxed); // wfd-lint: allow(d3-atomics, publishes the expansion-skip hint; relaxed is enough because no result depends on when it lands)
-                    continue;
-                }
-                if state.depth >= cfg.max_depth {
-                    out.depth_bounded = true;
-                    continue;
-                }
-                // Any violation in this batch ends the exploration before
-                // any of the batch's children reach the stack (see the
-                // merge step), so *expansion* — and only expansion; flags
-                // and violations above stay exact — may be skipped once
-                // one is seen, even though which children get skipped is
-                // timing-dependent.
-                // wfd-lint: allow(d3-atomics, racy read only skips child expansion; the batch's violations are already recorded exactly)
-                if halt.load(Ordering::Relaxed) {
-                    continue;
-                }
-                let t = state.depth as Time;
-                // The branching rule is the machine layer's enabled set —
-                // the same enumeration, in the same order, that
-                // `ProtocolMachine` exposes and the baseline explorer
-                // walks.
-                enabled.clear();
-                enabled_decisions(state, pattern, n, &mut enabled);
-                for &d in &enabled {
-                    let deferred_key = defer
-                        .then(|| node.child_key(&stepper.memo, d, &mut inbox_keys))
-                        .flatten();
-                    if let Some(key) = deferred_key {
-                        tally(true);
-                        deferred += 1;
-                        out.children.push(Frontier::Deferred(Deferred {
-                            parent: Arc::clone(node),
-                            decision: d,
-                            key,
-                        }));
-                        continue;
-                    }
-                    let (p, _) = d;
-                    let (dst, hit) =
-                        stepper.build(cfg.dedup, &env, fd_cache.get(p.index(), t).clone(), node, d);
-                    tally(hit);
-                    out.children.push(Frontier::Built(dst));
-                }
-            }
-            if let Some(node) = built {
+        let mut violations: Vec<FoundViolation> = Vec::new();
+        // Memo hits and misses, one per child keyed (a deferred child at
+        // generation, where it hits), for the obs counters.
+        let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
+        let mut tally = |hit: bool| match (cfg.dedup, hit) {
+            (false, _) => {}
+            (true, true) => memo_hits += 1,
+            (true, false) => memo_misses += 1,
+        };
+        let (mut deferred, mut deferred_built) = (0u64, 0u64);
+        // A deferred survivor, built for its expansion; returned to the
+        // arena once expanded, unless a child it deferred holds it.
+        let mut built = None;
+        for entry in &survivors {
+            if let Some(node) = built.take() {
                 recycle(node, &mut stepper.free);
             }
-            obs.add(CounterId::ExploreStepMemoHits, memo_hits);
-            obs.add(CounterId::ExploreStepMemoMisses, memo_misses);
-            obs.add(CounterId::ExploreChildrenDeferred, deferred);
-            obs.add(CounterId::ExploreDeferredBuilt, deferred_built);
-            // Hand the (possibly drained) free list back — a Vec-header
-            // move, not an element copy.
-            *free_pools[slot].lock().expect("pool poisoned") = stepper.free;
-            out
-        });
-        drop(expand_phase);
-        let _merge_phase = obs.phase(PhaseId::ExploreMerge);
-
-        // Merge (sequential, chunk order — so the stack layout, flags and
-        // the chosen counterexample are independent of scheduling). Flags
-        // and violations are exact at every thread count (the `halt`
-        // early-out skips only expansion), so they merge first; a batch
-        // with violations then ends the exploration *before* its children
-        // touch the stack or the frontier high-water mark. Those children
-        // would be discarded at the break anyway, and how many of them got
-        // expanded is the one thing the racy `halt` flag makes
-        // timing-dependent — merging them would leak that nondeterminism
-        // into `max_frontier_len` and break the thread-count-invariant
-        // report guarantee.
-        let mut outs = outs;
-        let mut violations: Vec<FoundViolation> = Vec::new();
-        for out in &mut outs {
-            depth_bounded |= out.depth_bounded;
-            violations.append(&mut out.violations);
+            let node = match entry {
+                Frontier::Built(node) => node,
+                Frontier::Deferred(child) => {
+                    let (p, _) = child.decision;
+                    let t = child.parent.state.depth as Time;
+                    let (node, _) = stepper.build(
+                        cfg.dedup,
+                        &env,
+                        fd_cache.get(p.index(), t).clone(),
+                        &child.parent,
+                        child.decision,
+                    );
+                    // The key the child waited under must be the one its
+                    // built state composes.
+                    #[cfg(debug_assertions)]
+                    assert!(
+                        node.keys.compose(&started_words(&node.state.started)) == child.key,
+                        "a deferred child's key diverges from its built state's at \
+                         depth {} (decisions {:?})",
+                        node.state.depth,
+                        node.state.collect_decisions(),
+                    );
+                    deferred_built += 1;
+                    &*built.insert(node)
+                }
+            };
+            let state = &node.state;
+            let outputs = &mut stepper.outputs;
+            materialize_outputs(&state.outputs, state.outputs_len, outputs);
+            if let Err(message) = safety(&state.procs, outputs) {
+                violations.push(FoundViolation {
+                    message,
+                    decisions: materialize_decisions(&state.decisions),
+                });
+                continue;
+            }
+            if state.depth >= cfg.max_depth {
+                depth_bounded = true;
+                continue;
+            }
+            // A violation in this batch ends the exploration, so once one
+            // is found the rest of the batch is only checked, never
+            // expanded.
+            if !violations.is_empty() {
+                continue;
+            }
+            let t = state.depth as Time;
+            // The branching rule is the machine layer's enabled set — the
+            // same enumeration, in the same order, that `ProtocolMachine`
+            // exposes and the baseline explorer walks.
+            enabled.clear();
+            enabled_decisions(state, pattern, n, &mut enabled);
+            for &d in &enabled {
+                let deferred_key = defer
+                    .then(|| node.child_key(&stepper.memo, d, &mut inbox_keys))
+                    .flatten();
+                if let Some(key) = deferred_key {
+                    tally(true);
+                    deferred += 1;
+                    stack.push(Frontier::Deferred(Deferred {
+                        parent: Arc::clone(node),
+                        decision: d,
+                        key,
+                    }));
+                    continue;
+                }
+                let (p, _) = d;
+                let (dst, hit) =
+                    stepper.build(cfg.dedup, &env, fd_cache.get(p.index(), t).clone(), node, d);
+                tally(hit);
+                stack.push(Frontier::Built(dst));
+            }
         }
+        if let Some(node) = built {
+            recycle(node, &mut stepper.free);
+        }
+        obs.add(CounterId::ExploreStepMemoHits, memo_hits);
+        obs.add(CounterId::ExploreStepMemoMisses, memo_misses);
+        obs.add(CounterId::ExploreChildrenDeferred, deferred);
+        obs.add(CounterId::ExploreDeferredBuilt, deferred_built);
+        drop(expand_phase);
+
+        // Merge phase: a batch with violations reports the least decision
+        // list among them and ends the exploration before its children
+        // count towards the frontier high-water mark. Otherwise the
+        // survivors are released: a survivor's state stays shared while
+        // any of its deferred children waits on the stack, and the release
+        // of the last one returns it to the arena.
+        let _merge_phase = obs.phase(PhaseId::ExploreMerge);
         if let Some(best) = violations
             .into_iter()
             .min_by(|a, b| a.decisions.cmp(&b.decisions))
         {
             break Some(best);
         }
-        for (slot, mut out) in outs.into_iter().enumerate() {
-            stack.append(&mut out.children);
-            // `append` left `children` empty but with its capacity — hand
-            // it back so the next batch reuses the allocation.
-            *child_bufs[slot].lock().expect("child buf poisoned") = out.children;
-        }
-        // A survivor's state stays shared while any of its deferred
-        // children waits on the stack; the release of the last one
-        // returns it to the arena.
         for s in survivors.drain(..) {
-            recycle_rr(s.into_shared());
+            recycle(s.into_shared(), &mut stepper.free);
         }
         // No `max_frontier_len` update here: the loop top re-reads
-        // `stack.len()` before anything can break, so the post-merge
+        // `stack.len()` before anything can break, so the post-batch
         // length is always captured there.
         obs.heartbeat(|| {
             let secs = t_start
@@ -2026,10 +1829,7 @@ where
         });
     };
 
-    let dedup_entries = shards
-        .iter()
-        .map(|s| s.lock().expect("shard poisoned").len())
-        .sum();
+    let dedup_entries = seen.len();
     if obs.is_on() {
         obs.add(CounterId::ExploreRuns, 1);
         obs.add(CounterId::ExploreStatesVisited, states_visited as u64);
@@ -2053,7 +1853,6 @@ where
         max_frontier_len,
         symmetry_canonical_hits,
         reduction_enabled: cfg.symmetry,
-        threads_used: threads,
     }
 }
 
@@ -2263,42 +2062,51 @@ mod tests {
         );
     }
 
-    #[test]
-    fn thread_count_is_invisible_to_the_report() {
-        // Acceptance shape: identical reports for 1, 2 and 4 threads on
-        // both a safe and a planted-violation workload — byte-identical
-        // modulo the informational `threads_used` field.
-        for plant in [false, true] {
-            let run = |threads: usize| {
-                explore(
-                    ExploreConfig::new(8).with_threads(threads),
-                    two_taggers,
-                    vec![Some(1), Some(2)],
-                    &FailurePattern::failure_free(2),
-                    NoDetector,
-                    move |_, outputs: &[(ProcessId, u8)]| {
-                        if plant && outputs.iter().any(|(_, o)| *o == 2) {
-                            Err("saw a 2".into())
-                        } else {
-                            Ok(())
-                        }
-                    },
-                )
-            };
-            let normalized = |mut r: ExploreReport| {
-                r.threads_used = 0;
-                format!("{r:?}")
-            };
-            let one = run(1);
-            assert_eq!(one.threads_used, 1);
-            assert_eq!(one.violation.is_some(), plant);
-            for threads in [2, 4] {
-                let many = run(threads);
-                assert_eq!(many.threads_used, threads);
-                assert!(one.same_semantics(&many), "{one:?} vs {many:?}");
-                assert_eq!(normalized(one.clone()), normalized(many));
-            }
+    /// Each process outputs once, on its first step.
+    #[derive(Clone, Debug)]
+    struct Announce;
+
+    impl Protocol for Announce {
+        type Msg = ();
+        type Output = ();
+        type Inv = ();
+        type Fd = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<Self>) {
+            ctx.output(());
         }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<Self>, _from: ProcessId, _msg: ()) {}
+    }
+
+    /// The reported counterexample is the least decision list of the
+    /// first violating batch, not the first violation in pop order. Both
+    /// first steps violate, and they share the root's child batch, where
+    /// p1's child is popped first; at batch 1 nothing else is in its
+    /// batch, so the DFS pop order decides.
+    #[test]
+    fn a_batch_reports_its_least_violation() {
+        let run = |cfg: ExploreConfig| {
+            explore(
+                cfg,
+                || vec![Announce, Announce],
+                vec![None, None],
+                &FailurePattern::failure_free(2),
+                NoDetector,
+                |_, outputs| match outputs.first() {
+                    Some((p, ())) => Err(format!("{p} output")),
+                    None => Ok(()),
+                },
+            )
+            .violation
+            .expect("every first step outputs")
+            .decisions
+        };
+        assert_eq!(run(ExploreConfig::new(4)), vec![(ProcessId(0), None)]);
+        assert_eq!(
+            run(ExploreConfig::new(4).with_batch(1)),
+            vec![(ProcessId(1), None)]
+        );
     }
 
     #[test]
@@ -2313,7 +2121,7 @@ mod tests {
         let pattern = FailurePattern::failure_free(2);
         let inv = vec![Some(1), Some(2)];
         let fp = explore(
-            ExploreConfig::new(8).with_threads(1).with_batch(1),
+            ExploreConfig::new(8).with_batch(1),
             two_taggers,
             inv.clone(),
             &pattern,
@@ -2328,7 +2136,7 @@ mod tests {
             NoDetector,
             safety,
         );
-        assert!(fp.same_semantics(&exact), "{fp:?} vs {exact:?}");
+        assert_eq!(fp, exact);
     }
 
     #[test]
@@ -2345,7 +2153,6 @@ mod tests {
         assert!(report.dedup_entries <= report.states_visited);
         assert!(report.dedup_hits > 0, "delivery orders converge on Tag");
         assert!(report.max_frontier_len >= 1);
-        assert!(report.threads_used >= 1);
         assert!(!report.reduction_enabled, "reductions are opt-in");
         let json = report.to_json();
         for field in [
@@ -2353,7 +2160,6 @@ mod tests {
             "dedup_entries",
             "dedup_hits",
             "max_frontier_len",
-            "threads_used",
             "violation",
             "symmetry_canonical_hits",
             "reduction_enabled",
@@ -2579,7 +2385,7 @@ mod tests {
     impl Forgetful {
         fn send_more(ctx: &mut Ctx<Self>) {
             let other = ProcessId(1 - ctx.me().index());
-            for _ in 0..=FORGETFUL_CALLS.fetch_add(1, Ordering::Relaxed) {
+            for _ in 0..=FORGETFUL_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed) {
                 ctx.send(other, ());
             }
         }
@@ -2606,9 +2412,9 @@ mod tests {
         // Different interleavings reach the same step (actor, time,
         // process key, delivered message), so the memo serves it the
         // second time, and the child built for it sent more than the
-        // recorded row. One thread, so the panic is the check's own.
+        // recorded row.
         explore(
-            ExploreConfig::new(4).with_threads(1),
+            ExploreConfig::new(4),
             || vec![Forgetful, Forgetful],
             vec![None, None],
             &FailurePattern::failure_free(2),
@@ -2705,7 +2511,8 @@ mod tests {
     /// lowers the record and is kept, an equal or deeper one is pruned.
     /// Random keys, revisits and depths run the table through several
     /// doublings; crafted keys would be confused by a table that folded
-    /// the two halves (`lo ^ hi`) or compared only one of them.
+    /// the two halves (`lo ^ hi`) or compared only one of them. At the
+    /// end every key's revisit at its recorded depth must be pruned.
     #[test]
     fn seen_table_matches_a_btreemap_model() {
         let (lo, hi) = (0x0123_4567_89ab_cdef_u128, 0xfedc_ba98_7654_3210_u128);
@@ -2742,23 +2549,13 @@ mod tests {
                 keep,
                 "visit #{i}: {key:#x} at {depth}"
             );
-            let probe = if rng.chance(50) {
-                keys[rng.pick(keys.len())]
-            } else {
-                random_key(&mut rng)
-            };
-            assert_eq!(
-                table.get(probe),
-                model.get(&probe).copied(),
-                "get {probe:#x}"
-            );
             if table.depths.capacity() > capacity {
                 capacity = table.depths.capacity();
                 doublings += 1;
             }
         }
-        for key in &keys {
-            assert_eq!(table.get(*key), model.get(key).copied(), "get {key:#x}");
+        for (&key, &depth) in &model {
+            assert!(!table.visit(key, depth), "{key:#x} at {depth}");
         }
         assert_eq!(table.len(), model.len());
         assert!(doublings >= 3, "{doublings} doublings");

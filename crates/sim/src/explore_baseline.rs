@@ -104,8 +104,7 @@ fn initial_state<P: Protocol>(procs: Vec<P>, invocations: Vec<Option<P::Inv>>) -
 /// Only [`ExploreConfig::max_depth`], [`ExploreConfig::max_states`] and
 /// [`ExploreConfig::dedup`] are honored (the loop predates the other
 /// knobs); the report's observability counters are filled in so it can be
-/// compared against [`crate::explore()`] with
-/// [`ExploreReport::same_semantics`].
+/// compared against [`crate::explore()`]'s with `==`.
 pub fn explore_baseline<P, D>(
     cfg: ExploreConfig,
     make_procs: impl Fn() -> Vec<P>,
@@ -198,7 +197,6 @@ where
         max_frontier_len,
         symmetry_canonical_hits: 0,
         reduction_enabled: false,
-        threads_used: 1,
     }
 }
 
@@ -230,7 +228,7 @@ mod tests {
         }
     }
 
-    /// The optimized explorer at batch 1, single-thread, must reproduce
+    /// The optimized explorer at batch 1 must reproduce
     /// the historical loop and its exact seen-table *exactly* — the
     /// differential anchor that ties the new code to the original
     /// semantics.
@@ -256,17 +254,14 @@ mod tests {
                 safety,
             );
             let new = explore(
-                ExploreConfig::new(depth).with_threads(1).with_batch(1),
+                ExploreConfig::new(depth).with_batch(1),
                 mk,
                 inv,
                 &pattern,
                 NoDetector,
                 safety,
             );
-            assert!(
-                old.same_semantics(&new),
-                "plant={plant} depth={depth}: {old:?} vs {new:?}"
-            );
+            assert_eq!(old, new, "plant={plant} depth={depth}");
         }
     }
 }

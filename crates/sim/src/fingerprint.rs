@@ -4,9 +4,9 @@
 //! Keys are 128-bit [`Fingerprint128`]s. The explorer keys a state by
 //! composing component keys ([`debug_fp`] of each process state, pending
 //! message and output history; an inbox is the [`seq`] of its messages'
-//! keys; [`compose`] folds the slots and [`shard`] picks a seen-table
-//! shard), the liveness checker keys its fair-graph nodes the same way,
-//! and the scenario symmetry filter compares invocation slots. Both
+//! keys; [`compose`] folds the slots), the liveness checker keys its
+//! fair-graph nodes the same way, and the scenario symmetry filter
+//! compares invocation slots. Both
 //! engines render only on a transition-memo or canonicalizer-memo miss.
 //! Keeping the renderers in one small file keeps the `d4-debug-format`
 //! audit's exemption this narrow.
@@ -118,7 +118,7 @@ impl Fingerprint128 {
         let len = self.len;
         self.mix_word(len);
         // splitmix64-style finalizer on each stream so nearby inputs
-        // spread across the whole key space (the top bits pick the shard).
+        // spread across the whole key space.
         fn avalanche(mut x: u64) -> u64 {
             x ^= x >> 30;
             x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -200,13 +200,6 @@ pub(crate) fn compose<'s>(
     }
     w.write_u128(*outputs);
     w.finish()
-}
-
-/// Which of `shards` seen-table shards a state key lives in: the
-/// fingerprint's top bits.
-#[inline]
-pub(crate) fn shard(key: u128, shards: usize) -> usize {
-    ((key >> 96) as usize) % shards.max(1)
 }
 
 /// The [`Hasher`] of tables filed under fingerprints or dense ids: one

@@ -57,7 +57,7 @@
 //! step-gap counter, message ages), then the depth. Keys are
 //! incremental, as in the explorer: each BFS frontier entry carries its
 //! node's slot and message keys, and a successor inherits them through
-//! the worker's transition memo, keyed by the actor, the (frozen) step
+//! the transition memo, keyed by the actor, the (frozen) step
 //! time, whether it had started, its process key and the delivered
 //! message's key. A successor renders only on a memo miss; its touched
 //! inboxes recompose from message keys. Graph nodes themselves keep no
@@ -79,22 +79,21 @@
 //! the fingerprint only picks the collision chain, and the numbering (BFS
 //! discovery order) never depends on a key.
 //!
-//! Each expansion worker keeps a parent scratch node and a successor
-//! scratch node. Loading a parent re-clones only the slots whose ids
-//! differ from what the scratch holds; before each step the successor
-//! re-clones only the slots the previous step touched, then steps in
-//! place ([`FairMachine`]'s in-place fair step, the same step
+//! The build keeps a parent scratch node and a successor scratch node.
+//! Loading a parent re-clones only the slots whose ids differ from what
+//! the scratch holds; before each step the successor re-clones only the
+//! slots the previous step touched, then steps in place
+//! ([`FairMachine`]'s in-place fair step, the same step
 //! [`FairMachine::step_with`] takes). A successor inherits its parent's
 //! ids for every slot the step did not touch and looks up the rest —
 //! the actor's state, the inboxes it delivered from or sent to, and the
-//! bookkeeping; every slot when a renaming represents the successor. The
-//! tables are frozen while a BFS level expands, so workers only read
-//! them. A value they lack travels with its edge to the sequential merge,
-//! which interns it in edge order; ids, like node numbers, are therefore
-//! the same at any thread count. Every node's successors arrive in one
-//! merge, in increasing source id, so the edges are one flat array with
-//! per-node offsets. The Büchi search reads only those and the
-//! valuations; the tables and rows are dropped before it starts.
+//! bookkeeping; every slot when a renaming represents the successor. A
+//! value the tables lack makes its successor a new node, and is interned
+//! only when that node is added, so ids, like node numbers, follow the
+//! order of discovery. Every node's successors are found together, in
+//! increasing source id, so the edges are one flat array with per-node
+//! offsets. The Büchi search reads only those and the valuations; the
+//! tables and rows are dropped before it starts.
 //!
 //! # Symmetry
 //!
@@ -128,7 +127,7 @@
 //! close the only accepting cycle.
 
 use crate::explore::{
-    chunk_ranges, scenario_symmetry, Canonicalizer, FdTable, SlotKeys, Step, StepMemo, SymPerm,
+    scenario_symmetry, Canonicalizer, FdTable, SlotKeys, Step, StepMemo, SymPerm,
 };
 use crate::failure::FailurePattern;
 use crate::fingerprint::{Fingerprint128, FpBuild};
@@ -137,13 +136,11 @@ use crate::json::Json;
 use crate::machine::{ExploreDecision, FairMachine, LiveNode, State};
 use crate::obs::{CounterId, Obs, PhaseId};
 use crate::oracle::FdOracle;
-use crate::par::{explore_threads, par_map_with};
 use crate::protocol::{PropView, Protocol, SendBuf};
 use std::collections::BTreeMap;
 // wfd-lint: allow(d1-hash-collections, imported only for the fair-graph collision chains and the product interner, all keyed lookup/insert only; nothing iterates them)
 use std::collections::HashMap;
 use std::fmt::{self, Debug, Display};
-use std::sync::Mutex;
 
 /// The most propositions a protocol may declare — valuations are packed
 /// into a `u32` bitmask.
@@ -612,10 +609,6 @@ pub struct LivenessConfig {
     /// off; see the module docs' Symmetry section). Sound only for
     /// propositions invariant under the declared group.
     pub symmetry: bool,
-    /// Worker threads for the graph build; `0` uses
-    /// [`explore_threads`] (the `WFD_EXPLORE_THREADS` override or
-    /// available parallelism).
-    pub threads: usize,
     /// The observability handle (default [`Obs::off`]): with it on, the
     /// check times its `liveness_*` phases and counts nodes, edges,
     /// product states and interned values. Metrics never change the
@@ -634,7 +627,6 @@ impl LivenessConfig {
             max_states: 250_000,
             max_inbox: 8,
             symmetry: false,
-            threads: 0,
             obs: Obs::off(),
         }
     }
@@ -657,9 +649,15 @@ impl LivenessConfig {
         self
     }
 
-    /// Set the worker thread count (`0` = environment default).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Inert: returns `self` unchanged, whatever the argument. The graph
+    /// build runs on one thread; kept only so callers that still pin a
+    /// worker count compile.
+    #[deprecated(
+        since = "0.7.0",
+        note = "inert: the liveness checker is sequential; the benchmark-only change \
+                (ROADMAP item 1) drops the last call and the next change deletes this method"
+    )]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -844,7 +842,7 @@ where
     );
 }
 
-/// Everything the expansion workers share read-only.
+/// Everything the graph build reads and never changes.
 struct GraphEnv<'a, P: Protocol> {
     pattern: &'a FailurePattern,
     cfg: &'a LivenessConfig,
@@ -863,8 +861,8 @@ struct GraphEnv<'a, P: Protocol> {
 
 impl<'a, P: Protocol> GraphEnv<'a, P> {
     /// Pre-sample the detector for every alive `(p, t)` up to
-    /// `t_stable` (workers cannot query the mutable oracle) and resolve
-    /// the scenario's symmetry group when `cfg` asks for it.
+    /// `t_stable`, and resolve the scenario's symmetry group when `cfg`
+    /// asks for it.
     fn new<D>(
         cfg: &'a LivenessConfig,
         pattern: &'a FailurePattern,
@@ -959,9 +957,9 @@ fn permute_node<P: Protocol + Clone>(node: &LiveNode<P>, sp: &SymPerm) -> LiveNo
     LiveNode { state, since, ages }
 }
 
-/// One worker's keying state: its canonicalizer and transition memo,
-/// which persist across BFS levels as the explorer's per-worker ones do,
-/// and scratch.
+/// The graph build's keying state: its canonicalizer and transition
+/// memo, which persist across BFS levels as the explorer's do, and
+/// scratch.
 struct Keyer<P: Protocol> {
     canon: Canonicalizer<P>,
     memo: StepMemo,
@@ -1064,7 +1062,7 @@ impl LiveGraph {
 }
 
 /// No id: the end of a collision chain, a scratch slot a step changed,
-/// or a successor's slot whose value the frozen tables lacked.
+/// or a successor's slot whose value the tables lack.
 const NO_ID: u32 = u32::MAX;
 
 /// Ids filed under 64-bit keys (the low words of slot keys and node
@@ -1145,25 +1143,6 @@ impl<T: PartialEq> Table<T> {
                 self.values.push(value);
                 self.chains.push(key)
             }
-        }
-    }
-
-    /// Write into `row` the ids of the `fresh` values the table holds by
-    /// now, and keep only the others.
-    fn settle(&self, fresh: &mut Vec<(usize, u64, T)>, row: &mut [u32]) {
-        fresh.retain(|(i, key, value)| match self.find(*key, |v| v == value) {
-            Some(id) => {
-                row[*i] = id;
-                false
-            }
-            None => true,
-        });
-    }
-
-    /// Intern every `fresh` value and write its id into `row`.
-    fn intern_all(&mut self, fresh: Vec<(usize, u64, T)>, row: &mut [u32]) {
-        for (i, key, value) in fresh {
-            row[i] = self.intern(key, value);
         }
     }
 }
@@ -1276,8 +1255,9 @@ where
 
     /// Fill `row` with the ids of `node`, whose keys are `keys` and slot
     /// words `words`, looking up every slot whose id `inherited` does not
-    /// give (`NO_ID`, or no inherited ids at all). A slot value the
-    /// tables lack is cloned into `fresh`, and its id is left `NO_ID`.
+    /// give (`NO_ID`, or no inherited ids at all). A slot whose value the
+    /// tables lack is left `NO_ID`. Returns whether every slot was found:
+    /// a node with a value the tables lack is new.
     fn resolve(
         &self,
         node: &LiveNode<P>,
@@ -1285,18 +1265,14 @@ where
         words: &[u64],
         inherited: Option<&[u32]>,
         row: &mut [u32],
-        fresh: &mut FreshValues<P>,
-    ) {
+    ) -> bool {
         let n = self.n;
         let held = |i: usize| inherited.map_or(NO_ID, |ids| ids[i]);
         for (i, proc) in node.state.procs.iter().enumerate() {
             row[i] = held(i);
             if row[i] == NO_ID {
                 let key = keys.slots[i] as u64;
-                match self.procs.find(key, |v| v == proc) {
-                    Some(id) => row[i] = id,
-                    None => fresh.procs.push((i, key, proc.clone())),
-                }
+                row[i] = self.procs.find(key, |v| v == proc).unwrap_or(NO_ID);
             }
         }
         for (j, inbox) in node.state.inboxes.iter().enumerate() {
@@ -1304,37 +1280,34 @@ where
             row[i] = held(i);
             if row[i] == NO_ID {
                 let key = keys.slots[i] as u64;
-                match self.inboxes.find(key, |v| v == inbox) {
-                    Some(id) => row[i] = id,
-                    None => fresh.inboxes.push((i, key, inbox.clone())),
-                }
+                row[i] = self.inboxes.find(key, |v| v == inbox).unwrap_or(NO_ID);
             }
         }
-        let key = book_key(words);
-        row[2 * n] = match self.books.find(key, |b| b.matches(node)) {
-            Some(id) => id,
-            None => {
-                fresh.books.push((2 * n, key, Book::of(node)));
-                NO_ID
-            }
-        };
+        row[2 * n] = self
+            .books
+            .find(book_key(words), |b| b.matches(node))
+            .unwrap_or(NO_ID);
         row[2 * n + 1] = u32::try_from(node.state.depth).expect("depth fits a row word");
+        !row.contains(&NO_ID)
     }
 
-    /// Write into `row` the ids of the `values` a node's lookups missed
-    /// that the tables hold by now, and keep only the others.
-    fn settle(&self, values: &mut FreshValues<P>, row: &mut [u32]) {
-        self.procs.settle(&mut values.procs, row);
-        self.inboxes.settle(&mut values.inboxes, row);
-        self.books.settle(&mut values.books, row);
-    }
-
-    /// Intern `values`, which a node's lookups missed, and write their
-    /// ids into the node's `row`.
-    fn intern(&mut self, values: FreshValues<P>, row: &mut [u32]) {
-        self.procs.intern_all(values.procs, row);
-        self.inboxes.intern_all(values.inboxes, row);
-        self.books.intern_all(values.books, row);
+    /// Intern the values of `node`'s slots that [`NodeStore::resolve`]
+    /// left `NO_ID` in `row`, in row order, and write their ids in.
+    fn intern(&mut self, node: &LiveNode<P>, keys: &SlotKeys, words: &[u64], row: &mut [u32]) {
+        let n = self.n;
+        for (i, proc) in node.state.procs.iter().enumerate() {
+            if row[i] == NO_ID {
+                row[i] = self.procs.intern(keys.slots[i] as u64, proc.clone());
+            }
+        }
+        for (j, inbox) in node.state.inboxes.iter().enumerate() {
+            if row[n + j] == NO_ID {
+                row[n + j] = self.inboxes.intern(keys.slots[n + j] as u64, inbox.clone());
+            }
+        }
+        if row[2 * n] == NO_ID {
+            row[2 * n] = self.books.intern(book_key(words), Book::of(node));
+        }
     }
 
     /// Rebuild node `id` from its row.
@@ -1363,29 +1336,7 @@ where
     }
 }
 
-/// Slot values an expansion worker found missing from the frozen tables:
-/// `(row slot, key, value)`, the edge's slots in row order.
-struct FreshValues<P: Protocol> {
-    procs: Vec<(usize, u64, P)>,
-    inboxes: Vec<(usize, u64, Inbox<P>)>,
-    books: Vec<(usize, u64, Book<P::Inv>)>,
-}
-
-impl<P: Protocol> FreshValues<P> {
-    fn new() -> Self {
-        FreshValues {
-            procs: Vec::new(),
-            inboxes: Vec::new(),
-            books: Vec::new(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.procs.is_empty() && self.inboxes.is_empty() && self.books.is_empty()
-    }
-}
-
-/// A materialized node held by an expansion worker, and per slot
+/// A materialized node held by the graph build, and per slot
 /// (process states, inboxes, then the bookkeeping) the id of the table
 /// value it holds, or `NO_ID` where a step changed it since.
 struct Scratch<P: Protocol> {
@@ -1471,23 +1422,6 @@ where
     }
 }
 
-/// One expansion worker: its keying state and its two scratch nodes,
-/// all kept across BFS levels.
-struct Worker<P: Protocol> {
-    keyer: Keyer<P>,
-    parent: Scratch<P>,
-    succ: Scratch<P>,
-}
-
-/// One canonical successor of node `src`, as a worker hands it to the
-/// merge.
-struct Edge {
-    src: u32,
-    dec: ExploreDecision,
-    fp: u128,
-    val: u32,
-}
-
 /// The keys of a run of nodes, flat: `width` slot keys per node, and
 /// each node's message keys, which end at its entry in `msg_ends`.
 struct FlatKeys {
@@ -1527,26 +1461,12 @@ impl FlatKeys {
     }
 }
 
-/// What one worker chunk of a BFS level hands back: its frontier nodes'
-/// successors in frontier and decision order, with their rows, their
-/// slot values the tables lacked (tagged with their edge's index) and
-/// their keys, in the same order; and whether an inbox overflow dropped
-/// any.
-struct Expansion<P: Protocol> {
-    edges: Vec<Edge>,
-    rows: Vec<u32>,
-    fresh: Vec<(usize, FreshValues<P>)>,
-    keys: FlatKeys,
-    truncated: bool,
-}
-
-/// Build the deduplicated fair state graph, breadth-first in parallel
-/// batches with a sequential deterministic merge (identical graphs at
-/// any thread count), into collapse-compressed storage (see the module
-/// docs' "Node keys and storage").
+/// Build the deduplicated fair state graph, breadth-first, into
+/// collapse-compressed storage (see the module docs' "Node keys" and
+/// "Node storage").
 ///
 /// Each frontier entry carries its node's slot and message keys; a
-/// successor inherits them through the worker's transition memo
+/// successor inherits them through the transition memo
 /// ([`SlotKeys::inherit`]), so it renders only on a memo miss, and
 /// recomposes the inboxes its step delivered from or appended to. It
 /// inherits its parent's ids the same way, looking up only the slots its
@@ -1559,21 +1479,13 @@ fn build_graph<P>(
     invocations: Vec<Option<P::Inv>>,
 ) -> Result<(LiveGraph, NodeStore<P>), String>
 where
-    P: Protocol + Clone + Debug + PartialEq + Send + Sync,
-    P::Msg: PartialEq + Send + Sync,
-    P::Inv: PartialEq + Send + Sync,
-    P::Output: Send + Sync,
-    P::Fd: Send + Sync,
+    P: Protocol + Clone + Debug + PartialEq,
+    P::Msg: PartialEq,
+    P::Inv: PartialEq,
 {
     let obs = &env.cfg.obs;
-    let threads = if env.cfg.threads == 0 {
-        explore_threads()
-    } else {
-        env.cfg.threads
-    };
     // The fair semantics: enumeration and stepping both come from the
-    // shared machine layer. Workers sample the pre-computed detector
-    // table themselves (the machine's own sampler is the same lookup).
+    // shared machine layer, which samples the pre-computed detector table.
     let machine = FairMachine::<P, _>::new(
         env.pattern,
         env.cfg.max_step_gap,
@@ -1584,8 +1496,6 @@ where
     let n = procs.len();
     let mut store = NodeStore::new(n);
     let width = store.width();
-    // The root is canonicalized by the first worker's keyer, so its memo
-    // starts where a worker's would.
     let mut keyer = Keyer::new(&env.perms);
     let root = machine.initial(procs, invocations);
     let mut root_keys = full_keys(&root);
@@ -1595,20 +1505,12 @@ where
         assert_keys_fresh(&root, &root_keys, Some(root_fp), "root");
     }
     let mut row = vec![NO_ID; width];
-    let mut fresh = FreshValues::new();
-    store.resolve(&root, &root_keys, &keyer.words, None, &mut row, &mut fresh);
-    store.intern(fresh, &mut row);
+    store.resolve(&root, &root_keys, &keyer.words, None, &mut row);
+    store.intern(&root, &root_keys, &keyer.words, &mut row);
     store.rows.extend_from_slice(&row);
-    let mut keyer = Some(keyer);
-    let workers: Vec<Mutex<Worker<P>>> = (0..threads)
-        .map(|_| {
-            Mutex::new(Worker {
-                keyer: keyer.take().unwrap_or_else(|| Keyer::new(&env.perms)),
-                parent: Scratch::new(&root, &row),
-                succ: Scratch::new(&root, &row),
-            })
-        })
-        .collect();
+    // The frontier node being expanded and the successor stepped from it.
+    let mut parent = Scratch::new(&root, &row);
+    let mut succ = Scratch::new(&root, &row);
     let mut vals = vec![root_val];
     let mut starts: Vec<u32> = Vec::new();
     let mut edges: Vec<(u32, ExploreDecision)> = Vec::new();
@@ -1617,113 +1519,70 @@ where
     index.push(root_fp as u64);
     // What the metrics have been told so far, in `LEVEL_COUNTERS` order.
     let mut counted = [0; LEVEL_COUNTERS.len()];
-    // The BFS frontier: node ids and their keys.
+    // The BFS frontier and the next level: node ids and their keys.
     let mut frontier: Vec<u32> = vec![0];
     let mut frontier_keys = FlatKeys::new(root_keys.slots.len());
     frontier_keys.push(&root_keys.slots, &root_keys.msgs);
+    let mut next: Vec<u32> = Vec::new();
+    let mut next_keys = FlatKeys::new(root_keys.slots.len());
+    let mut decisions = Vec::new();
+    let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
+    let mut keys = SlotKeys::new();
     let mut truncated = false;
     let mut capped = false;
     while !frontier.is_empty() && !capped {
-        let ranges = chunk_ranges(frontier.len(), threads);
         let expand = obs.phase(PhaseId::LivenessExpand);
-        let chunks = par_map_with(&ranges, threads, |slot, range| {
-            let mut worker = workers[slot].lock().expect("worker poisoned");
-            let Worker {
-                keyer,
-                parent,
-                succ,
-            } = &mut *worker;
-            let mut out = Expansion {
-                edges: Vec::new(),
-                rows: Vec::new(),
-                fresh: Vec::new(),
-                keys: FlatKeys::new(frontier_keys.width),
-                truncated: false,
-            };
-            let mut decisions = Vec::new();
-            let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
-            let mut keys = SlotKeys::new();
-            let mut row = vec![NO_ID; width];
-            let mut fresh = FreshValues::new();
-            for k in range.clone() {
-                let src = frontier[k];
-                parent.load(&store, store.row(src));
-                let parent_keys = frontier_keys.get(k);
-                let t = parent.node.state.depth as Time;
-                decisions.clear();
-                machine.enabled_fair(&parent.node, &mut decisions);
-                for &dec in &decisions {
-                    let (p, _) = dec;
-                    let a = p.index();
-                    succ.copy_from(parent);
-                    let fd = env.fd.get(a, t).clone();
-                    let delivered = machine.step_in_place(&mut succ.node, dec, fd, &mut bufs);
-                    succ.touched(parent, a, delivered);
-                    let inboxes = &succ.node.state.inboxes;
-                    if inboxes.iter().any(|ib| ib.len() > env.cfg.max_inbox) {
-                        out.truncated = true;
-                        continue;
-                    }
-                    let step = Step {
-                        actor: p,
-                        t,
-                        started: parent.node.state.started[a],
-                        delivered,
-                    };
-                    keys.inherit(
-                        &mut keyer.memo,
-                        parent_keys,
-                        &parent.node.state.inboxes,
-                        &succ.node.state.procs,
-                        inboxes,
-                        false, // nodes keep no output history
-                        step,
-                    );
-                    if env.check_keys {
-                        assert_keys_fresh(&succ.node, &keys, None, "inherited");
-                    }
-                    let (renamed, fp, val) = canonicalize(env, keyer, &succ.node, &mut keys)?;
-                    // A renamed representative shares no slot with the
-                    // step's successor, so every id is looked up.
-                    let (rep, inherited) = match &renamed {
-                        Some(renamed) => (renamed, None),
-                        None => (&succ.node, Some(succ.ids.as_slice())),
-                    };
-                    if env.check_keys {
-                        assert_keys_fresh(rep, &keys, Some(fp), "canonical");
-                    }
-                    store.resolve(rep, &keys, &keyer.words, inherited, &mut row, &mut fresh);
-                    if !fresh.is_empty() {
-                        let taken = std::mem::replace(&mut fresh, FreshValues::new());
-                        out.fresh.push((out.edges.len(), taken));
-                    }
-                    out.rows.extend_from_slice(&row);
-                    out.keys.push(&keys.slots, &keys.msgs);
-                    out.edges.push(Edge { src, dec, fp, val });
+        for (k, &src) in frontier.iter().enumerate() {
+            parent.load(&store, store.row(src));
+            let parent_keys = frontier_keys.get(k);
+            let t = parent.node.state.depth as Time;
+            decisions.clear();
+            machine.enabled_fair(&parent.node, &mut decisions);
+            for &dec in &decisions {
+                let (p, _) = dec;
+                let a = p.index();
+                succ.copy_from(&parent);
+                let fd = env.fd.get(a, t).clone();
+                let delivered = machine.step_in_place(&mut succ.node, dec, fd, &mut bufs);
+                succ.touched(&parent, a, delivered);
+                let inboxes = &succ.node.state.inboxes;
+                if inboxes.iter().any(|ib| ib.len() > env.cfg.max_inbox) {
+                    truncated = true;
+                    continue;
                 }
-            }
-            Ok::<_, String>(out)
-        });
-        drop(expand);
-        let _merge = obs.phase(PhaseId::LivenessMerge);
-        frontier.clear();
-        frontier_keys.clear();
-        for chunk in chunks {
-            let mut chunk = chunk?;
-            truncated |= chunk.truncated;
-            let mut fresh = chunk.fresh.drain(..).peekable();
-            for (e, edge) in chunk.edges.iter().enumerate() {
-                let row = &mut chunk.rows[e * width..(e + 1) * width];
-                // Values the workers' frozen tables lacked, in edge
-                // order: one an earlier edge of this level interned is
-                // found now; one still missing makes the node new.
-                let mut missing = fresh.next_if(|(at, _)| *at == e).map(|(_, f)| f);
-                if let Some(values) = &mut missing {
-                    store.settle(values, row);
+                let step = Step {
+                    actor: p,
+                    t,
+                    started: parent.node.state.started[a],
+                    delivered,
+                };
+                keys.inherit(
+                    &mut keyer.memo,
+                    parent_keys,
+                    &parent.node.state.inboxes,
+                    &succ.node.state.procs,
+                    inboxes,
+                    false, // nodes keep no output history
+                    step,
+                );
+                if env.check_keys {
+                    assert_keys_fresh(&succ.node, &keys, None, "inherited");
                 }
-                let known = match &missing {
-                    Some(values) if !values.is_empty() => None,
-                    _ => index.find(edge.fp as u64, |id| store.row(id) == &row[..]),
+                let (renamed, fp, val) = canonicalize(env, &mut keyer, &succ.node, &mut keys)?;
+                // A renamed representative shares no slot with the step's
+                // successor, so every id is looked up.
+                let (rep, inherited) = match &renamed {
+                    Some(renamed) => (renamed, None),
+                    None => (&succ.node, Some(succ.ids.as_slice())),
+                };
+                if env.check_keys {
+                    assert_keys_fresh(rep, &keys, Some(fp), "canonical");
+                }
+                let complete = store.resolve(rep, &keys, &keyer.words, inherited, &mut row);
+                let known = if complete {
+                    index.find(fp as u64, |id| store.row(id) == &row[..])
+                } else {
+                    None
                 };
                 let id = match known {
                     Some(id) => id,
@@ -1732,26 +1591,30 @@ where
                             capped = true;
                             continue;
                         }
-                        if let Some(values) = missing {
-                            store.intern(values, row);
+                        if !complete {
+                            store.intern(rep, &keys, &keyer.words, &mut row);
                         }
-                        let id = index.push(edge.fp as u64);
-                        store.rows.extend_from_slice(row);
-                        vals.push(edge.val);
-                        frontier.push(id);
-                        let (slots, msgs) = chunk.keys.get(e);
-                        frontier_keys.push(slots, msgs);
+                        let id = index.push(fp as u64);
+                        store.rows.extend_from_slice(&row);
+                        vals.push(val);
+                        next.push(id);
+                        next_keys.push(&keys.slots, &keys.msgs);
                         id
                     }
                 };
-                // Successors arrive in increasing source order, so each
+                // Sources are expanded in increasing id order, so each
                 // node's run of edges starts when its first edge lands.
-                while starts.len() <= edge.src as usize {
+                while starts.len() <= src as usize {
                     starts.push(edge_count(edges.len()));
                 }
-                edges.push((id, edge.dec));
+                edges.push((id, dec));
             }
         }
+        drop(expand);
+        std::mem::swap(&mut frontier, &mut next);
+        std::mem::swap(&mut frontier_keys, &mut next_keys);
+        next.clear();
+        next_keys.clear();
         let sizes = [
             store.len(),
             edges.len(),
@@ -2081,11 +1944,9 @@ pub fn check_liveness<P, D>(
     formula: &Ltl,
 ) -> Result<LivenessReport, String>
 where
-    P: Protocol + Clone + Debug + PartialEq + Send + Sync,
-    P::Msg: PartialEq + Send + Sync,
-    P::Inv: PartialEq + Send + Sync,
-    P::Output: Send + Sync,
-    P::Fd: Send + Sync,
+    P: Protocol + Clone + Debug + PartialEq,
+    P::Msg: PartialEq,
+    P::Inv: PartialEq,
     D: FdOracle<Value = P::Fd>,
 {
     let procs = make_procs();
@@ -2391,7 +2252,7 @@ mod tests {
     use crate::oracle::NoDetector;
 
     fn cfg() -> LivenessConfig {
-        LivenessConfig::new(3, 3, 0).with_threads(1)
+        LivenessConfig::new(3, 3, 0)
     }
 
     #[test]
@@ -2518,9 +2379,9 @@ mod tests {
 
     #[test]
     fn symmetry_preserves_the_verdict_and_still_ships_a_witness() {
-        for (symmetric, threads) in [(false, 1), (true, 1), (false, 2), (true, 2)] {
+        for symmetric in [false, true] {
             let report = check_liveness(
-                cfg().with_symmetry(symmetric).with_threads(threads),
+                cfg().with_symmetry(symmetric),
                 || PingPong::fleet(3),
                 vec![None, None, None],
                 &FailurePattern::failure_free(3),
@@ -2591,19 +2452,18 @@ mod tests {
     /// The graph builder before collapse compression, kept as the
     /// differential oracle of [`build_graph`]: each successor is a fresh
     /// [`FairMachine::step_with`] node, stored whole, and dedup is
-    /// confirmed by [`node_eq`]. Same BFS, keys, canonicalization and
-    /// merge order, so the numbering must come out identical.
+    /// confirmed by [`node_eq`]. Same BFS, keys and canonicalization, but
+    /// each level is expanded whole before its successors are numbered,
+    /// in edge order, so the numbering must come out identical.
     fn build_uncompressed<P>(
         env: &GraphEnv<'_, P>,
         procs: Vec<P>,
         invocations: Vec<Option<P::Inv>>,
     ) -> Result<Uncompressed<P>, String>
     where
-        P: Protocol + Clone + Debug + PartialEq + Send + Sync,
-        P::Msg: PartialEq + Send + Sync,
-        P::Inv: PartialEq + Send + Sync,
-        P::Output: Send + Sync,
-        P::Fd: Send + Sync,
+        P: Protocol + Clone + Debug + PartialEq,
+        P::Msg: PartialEq,
+        P::Inv: PartialEq,
     {
         struct FullEdge<P: Protocol> {
             src: u32,
@@ -2612,7 +2472,6 @@ mod tests {
             fp: u128,
             val: u32,
         }
-        let threads = env.cfg.threads.max(1);
         let machine = FairMachine::<P, _>::new(
             env.pattern,
             env.cfg.max_step_gap,
@@ -2620,17 +2479,10 @@ mod tests {
             env.cfg.t_stable,
             |p: ProcessId, t: Time| env.fd.get(p.index(), t).clone(),
         );
-        let keyers: Vec<Mutex<Keyer<P>>> = (0..threads)
-            .map(|_| Mutex::new(Keyer::new(&env.perms)))
-            .collect();
+        let mut keyer = Keyer::new(&env.perms);
         let root = machine.initial(procs, invocations);
         let mut root_keys = full_keys(&root);
-        let (renamed, root_fp, root_val) = canonicalize(
-            env,
-            &mut keyers[0].lock().expect("keyer poisoned"),
-            &root,
-            &mut root_keys,
-        )?;
+        let (renamed, root_fp, root_val) = canonicalize(env, &mut keyer, &root, &mut root_keys)?;
         let mut nodes = vec![renamed.unwrap_or(root)];
         let mut vals = vec![root_val];
         let mut succs: Vec<Vec<(u32, ExploreDecision)>> = vec![Vec::new()];
@@ -2640,96 +2492,85 @@ mod tests {
         let mut frontier_keys = FlatKeys::new(root_keys.slots.len());
         frontier_keys.push(&root_keys.slots, &root_keys.msgs);
         let (mut truncated, mut capped) = (false, false);
+        let mut decisions = Vec::new();
+        let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
+        let mut keys = SlotKeys::new();
         while !frontier.is_empty() && !capped {
-            let ranges = chunk_ranges(frontier.len(), threads);
-            let chunks = par_map_with(&ranges, threads, |slot, range| {
-                let mut keyer = keyers[slot].lock().expect("keyer poisoned");
-                let mut edges = Vec::new();
-                let mut out_keys = FlatKeys::new(frontier_keys.width);
-                let mut truncated = false;
-                let mut decisions = Vec::new();
-                let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
-                let mut keys = SlotKeys::new();
-                for k in range.clone() {
-                    let src = frontier[k];
-                    let node = &nodes[src as usize];
-                    let t = node.state.depth as Time;
-                    decisions.clear();
-                    machine.enabled_fair(node, &mut decisions);
-                    for &dec in &decisions {
-                        let (p, choice) = dec;
-                        let a = p.index();
-                        let fd = env.fd.get(a, t).clone();
-                        let succ = machine.step_with(node, dec, fd, &mut bufs);
-                        if succ
-                            .state
-                            .inboxes
-                            .iter()
-                            .any(|ib| ib.len() > env.cfg.max_inbox)
-                        {
-                            truncated = true;
-                            continue;
-                        }
-                        let started = node.state.started[a];
-                        let inbox_len = node.state.inboxes[a].len();
-                        let step = Step {
-                            actor: p,
-                            t,
-                            started,
-                            delivered: choice
-                                .filter(|_| started && inbox_len > 0)
-                                .map(|i| i.min(inbox_len - 1)),
-                        };
-                        keys.inherit(
-                            &mut keyer.memo,
-                            frontier_keys.get(k),
-                            &node.state.inboxes,
-                            &succ.state.procs,
-                            &succ.state.inboxes,
-                            false, // nodes keep no output history
-                            step,
-                        );
-                        let (renamed, fp, val) = canonicalize(env, &mut keyer, &succ, &mut keys)?;
-                        out_keys.push(&keys.slots, &keys.msgs);
-                        edges.push(FullEdge {
-                            src,
-                            dec,
-                            node: renamed.unwrap_or(succ),
-                            fp,
-                            val,
-                        });
+            let mut edges = Vec::new();
+            let mut edge_keys = FlatKeys::new(frontier_keys.width);
+            for (k, &src) in frontier.iter().enumerate() {
+                let node = &nodes[src as usize];
+                let t = node.state.depth as Time;
+                decisions.clear();
+                machine.enabled_fair(node, &mut decisions);
+                for &dec in &decisions {
+                    let (p, choice) = dec;
+                    let a = p.index();
+                    let fd = env.fd.get(a, t).clone();
+                    let succ = machine.step_with(node, dec, fd, &mut bufs);
+                    if succ
+                        .state
+                        .inboxes
+                        .iter()
+                        .any(|ib| ib.len() > env.cfg.max_inbox)
+                    {
+                        truncated = true;
+                        continue;
                     }
+                    let started = node.state.started[a];
+                    let inbox_len = node.state.inboxes[a].len();
+                    let step = Step {
+                        actor: p,
+                        t,
+                        started,
+                        delivered: choice
+                            .filter(|_| started && inbox_len > 0)
+                            .map(|i| i.min(inbox_len - 1)),
+                    };
+                    keys.inherit(
+                        &mut keyer.memo,
+                        frontier_keys.get(k),
+                        &node.state.inboxes,
+                        &succ.state.procs,
+                        &succ.state.inboxes,
+                        false, // nodes keep no output history
+                        step,
+                    );
+                    let (renamed, fp, val) = canonicalize(env, &mut keyer, &succ, &mut keys)?;
+                    edge_keys.push(&keys.slots, &keys.msgs);
+                    edges.push(FullEdge {
+                        src,
+                        dec,
+                        node: renamed.unwrap_or(succ),
+                        fp,
+                        val,
+                    });
                 }
-                Ok::<_, String>((edges, out_keys, truncated))
-            });
+            }
             frontier.clear();
             frontier_keys.clear();
-            for chunk in chunks {
-                let (edges, keys, chunk_truncated) = chunk?;
-                truncated |= chunk_truncated;
-                for (e, edge) in edges.into_iter().enumerate() {
-                    let known = index.find(edge.fp as u64, |id| {
-                        node_eq(&nodes[id as usize], &edge.node)
-                    });
-                    let id = match known {
-                        Some(id) => id,
-                        None if nodes.len() >= env.cfg.max_states => {
-                            capped = true;
-                            continue;
-                        }
-                        None => {
-                            nodes.push(edge.node);
-                            vals.push(edge.val);
-                            succs.push(Vec::new());
-                            let id = index.push(edge.fp as u64);
-                            frontier.push(id);
-                            let (slots, msgs) = keys.get(e);
-                            frontier_keys.push(slots, msgs);
-                            id
-                        }
-                    };
-                    succs[edge.src as usize].push((id, edge.dec));
-                }
+            for (e, edge) in edges.into_iter().enumerate() {
+                let known = index.find(edge.fp as u64, |id| {
+                    node_eq(&nodes[id as usize], &edge.node)
+                });
+                let id = match known {
+                    Some(id) => id,
+                    None if nodes.len() >= env.cfg.max_states => {
+                        capped = true;
+                        continue;
+                    }
+                    None => {
+                        nodes.push(edge.node);
+                        vals.push(edge.val);
+                        succs.push(Vec::new());
+                        let id = index.push(edge.fp as u64);
+                        frontier.push(id);
+                        let (slots, msgs) = edge_keys.get(e);
+                        frontier_keys.push(slots, msgs);
+                        id
+                    }
+                };
+                succs[edge.src as usize].push((id, edge.dec));
             }
         }
         Ok(Uncompressed {
@@ -2751,9 +2592,8 @@ mod tests {
         pattern: &FailurePattern,
     ) -> LiveGraph
     where
-        P: Protocol<Inv = (), Fd = ()> + Clone + Debug + PartialEq + Send + Sync,
-        P::Msg: PartialEq + Send + Sync,
-        P::Output: Send + Sync,
+        P: Protocol<Inv = (), Fd = ()> + Clone + Debug + PartialEq,
+        P::Msg: PartialEq,
     {
         let n = pattern.n();
         let env = GraphEnv::<P>::new(cfg, pattern, &vec![None; n], &mut NoDetector);
@@ -2789,11 +2629,10 @@ mod tests {
                     pattern = pattern.with_crash(ProcessId(0), 0);
                 }
                 for (gap, delay) in [(2, 2), (2, 3), (3, 2), (3, 3)] {
-                    for (symmetry, threads) in [(false, 1), (false, 2), (true, 1), (true, 2)] {
+                    for symmetry in [false, true] {
                         let cfg = LivenessConfig::new(gap, delay, 0)
                             .with_max_inbox(12)
-                            .with_symmetry(symmetry)
-                            .with_threads(threads);
+                            .with_symmetry(symmetry);
                         nodes += differential(PingPong::fleet, &cfg, &pattern).len();
                         nodes += differential(Decider::fleet, &cfg, &pattern).len();
                         nodes += differential(JoinQuorum::fleet, &cfg, &pattern).len();
@@ -2807,15 +2646,13 @@ mod tests {
     #[test]
     fn compressed_graphs_match_under_truncation_and_a_node_budget() {
         let pattern = FailurePattern::failure_free(3);
-        for threads in [1, 2] {
-            let cfg = LivenessConfig::new(2, 2, 0).with_threads(threads);
-            let truncated = cfg.clone().with_max_inbox(1);
-            assert!(differential(PingPong::fleet, &truncated, &pattern).truncated);
-            assert!(differential(JoinQuorum::fleet, &truncated, &pattern).truncated);
-            let capped = cfg.with_max_inbox(12).with_max_states(40);
-            assert!(differential(PingPong::fleet, &capped, &pattern).capped);
-            assert!(differential(JoinQuorum::fleet, &capped, &pattern).capped);
-        }
+        let cfg = LivenessConfig::new(2, 2, 0);
+        let truncated = cfg.clone().with_max_inbox(1);
+        assert!(differential(PingPong::fleet, &truncated, &pattern).truncated);
+        assert!(differential(JoinQuorum::fleet, &truncated, &pattern).truncated);
+        let capped = cfg.with_max_inbox(12).with_max_states(40);
+        assert!(differential(PingPong::fleet, &capped, &pattern).capped);
+        assert!(differential(JoinQuorum::fleet, &capped, &pattern).capped);
     }
 
     /// Panic if two values of one interning table are equal.
@@ -2838,9 +2675,8 @@ mod tests {
     /// checked.
     fn audit<P>(procs: fn(usize) -> Vec<P>, cfg: &LivenessConfig, pattern: &FailurePattern) -> usize
     where
-        P: Protocol<Inv = (), Fd = ()> + Clone + Debug + PartialEq + Send + Sync,
-        P::Msg: PartialEq + Send + Sync,
-        P::Output: Send + Sync,
+        P: Protocol<Inv = (), Fd = ()> + Clone + Debug + PartialEq,
+        P::Msg: PartialEq,
     {
         let n = pattern.n();
         let mut env = GraphEnv::<P>::new(cfg, pattern, &vec![None; n], &mut NoDetector);
@@ -2901,11 +2737,10 @@ mod tests {
                     pattern = pattern.with_crash(ProcessId(0), 0);
                 }
                 for (gap, delay) in [(2, 2), (2, 3), (3, 2), (3, 3)] {
-                    for (symmetry, threads) in [(false, 1), (false, 2), (true, 1), (true, 2)] {
+                    for symmetry in [false, true] {
                         let cfg = LivenessConfig::new(gap, delay, 0)
                             .with_max_inbox(12)
-                            .with_symmetry(symmetry)
-                            .with_threads(threads);
+                            .with_symmetry(symmetry);
                         renamings += audit(PingPong::fleet, &cfg, &pattern);
                         renamings += audit(Decider::fleet, &cfg, &pattern);
                         renamings += audit(JoinQuorum::fleet, &cfg, &pattern);

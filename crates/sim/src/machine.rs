@@ -12,9 +12,9 @@
 //!
 //! * [`Machine`] — `transition(&State, &Action) -> StepResult<State>`
 //!   plus an enabled-action enumeration. Pure: no `&mut self`, no hidden
-//!   clocks, no I/O — which is what makes expansion shardable and the
-//!   action space enumerable (state diagrams, Büchi products,
-//!   independence relations all quantify over it).
+//!   clocks, no I/O — which is what makes the action space enumerable
+//!   (state diagrams, Büchi products, independence relations all
+//!   quantify over it).
 //! * [`ProtocolMachine`] — the blanket implementation derived from any
 //!   [`Protocol`]: crash/detector/inbox semantics in one place. Actions
 //!   are [`ExploreDecision`]s; the enabled set follows the *explorer's*
@@ -38,7 +38,7 @@
 //! reaches it through `apply_step_into` (`State::copy_from` the parent
 //! into a recycled successor, then step it); [`FairMachine::step_with`]
 //! clones a node and steps the clone; and the liveness graph builder
-//! calls `FairMachine::step_in_place` on a per-worker scratch node,
+//! calls `FairMachine::step_in_place` on a scratch node,
 //! re-cloning before each step only the slots the previous step touched.
 //!
 //! The two enabled-set semantics differ deliberately. The explorer elides
@@ -48,7 +48,7 @@
 //! scheduler could pick it, and liveness must quantify over every fair
 //! schedule). Both are deterministic enumerations — process id ascending,
 //! then inbox position — so every consumer sees children in the same
-//! order at any thread count.
+//! order.
 
 use crate::failure::FailurePattern;
 use crate::id::{ProcessId, Time};
@@ -352,7 +352,7 @@ pub(crate) fn dispatch<P: Protocol>(proc: &mut P, ctx: &mut Ctx<P>, step: Resolv
 }
 
 /// Everything a step needs besides the two states: shared between the
-/// parallel expansion workers and the sequential replays.
+/// explorer's expansion and the replays.
 pub(crate) struct StepEnv<'a> {
     pub(crate) pattern: &'a FailurePattern,
     pub(crate) n: usize,
@@ -391,8 +391,8 @@ pub(crate) fn apply_step_into<P>(
 /// oracles are pure functions of `(p, t)` (the FdOracle contract), so
 /// where the sample happens cannot change the step.
 ///
-/// `bufs` is the recycled `Ctx` send/output buffer pair — one per worker,
-/// so steady-state stepping allocates nothing.
+/// `bufs` is the recycled `Ctx` send/output buffer pair, kept by the
+/// caller, so steady-state stepping allocates nothing.
 // wfd-lint: allow(d8-machine-purity, dst is the fresh clone being built into the successor; src stays a shared borrow for the whole step)
 pub(crate) fn step_in_place<P>(
     env: &StepEnv<'_>,

@@ -13,8 +13,8 @@
 //!
 //! When on, the handle wraps one shared [`Arc`] of atomic cells:
 //!
-//! * **Counters** ([`CounterId`]) are monotonic `AtomicU64` sums. Workers
-//!   write relaxed fetch-adds — lock-free, and since addition commutes the
+//! * **Counters** ([`CounterId`]) are monotonic `AtomicU64` sums. Sweep
+//!   workers write relaxed fetch-adds — lock-free, and since addition commutes the
 //!   final totals are independent of thread interleaving, so metrics-on
 //!   runs aggregate deterministically at any worker count.
 //! * **Histograms** ([`HistId`]) bucket values by power of two (plus
@@ -187,20 +187,20 @@ metric_ids! {
     pub enum PhaseId {
         /// The engine's step loop ([`crate::Sim::run_until`]).
         EngineRun => "engine_run",
-        /// Explorer: parallel key composition (and symmetry
-        /// canonicalization) from carried slot keys, and seen-table
-        /// pre-read, of a batch.
+        /// Explorer: key composition (and symmetry canonicalization) of a
+        /// batch from the slot keys its states carry.
         ExploreKey => "explore_key",
-        /// Explorer: sequential budget-aware revisit resolution.
+        /// Explorer: budget-aware revisit resolution, in batch order.
         ExploreRevisit => "explore_revisit",
-        /// Explorer: sequential per-batch detector pre-sampling.
+        /// Explorer: per-batch detector pre-sampling.
         ExploreOracle => "explore_oracle",
-        /// Explorer: parallel building of the deferred children the
-        /// revisit rule kept, then safety-check + expansion of survivors,
-        /// including keying each child from its parent's keys and the
-        /// transition memo (before building it, where the memo allows).
+        /// Explorer: building the deferred children the revisit rule
+        /// kept, then safety-check + expansion of survivors, including
+        /// keying each child from its parent's keys and the transition
+        /// memo (before building it, where the memo allows).
         ExploreExpand => "explore_expand",
-        /// Explorer: sequential merge of children and violations.
+        /// Explorer: choosing a batch's least violation, or releasing its
+        /// survivors.
         ExploreMerge => "explore_merge",
         /// One worker chunk of an instrumented sweep.
         SweepRun => "sweep_run",
@@ -213,13 +213,10 @@ metric_ids! {
         ExtractionSigmaRound => "extraction_sigma_round",
         /// Liveness: compiling ¬φ into a Büchi automaton.
         LivenessBuchi => "liveness_buchi",
-        /// Liveness: parallel expansion of a fair-graph BFS level —
-        /// stepping, keying, canonicalization, the proposition check and
-        /// table lookups.
+        /// Liveness: expansion of a fair-graph BFS level — stepping,
+        /// keying, canonicalization, the proposition check, table lookups,
+        /// interning new slot values, node dedup and edge recording.
         LivenessExpand => "liveness_expand",
-        /// Liveness: sequential merge of a level's successors — interning
-        /// new slot values, node dedup and edge recording.
-        LivenessMerge => "liveness_merge",
         /// Liveness: the nested-DFS search of the Büchi product.
         LivenessLasso => "liveness_lasso",
         /// Liveness: the concrete re-run without symmetry that extracts a

@@ -1,13 +1,12 @@
-//! Deterministic fan-out primitive shared by the parallel explorer and
-//! the benchmark sweep engine.
+//! Deterministic fan-out primitive of the benchmark sweep engine.
 //!
 //! [`par_map_with`] is the one concurrency building block in the
 //! workspace: apply a pure function to every item of a slice across a
 //! fixed worker count, collecting results **in item order** regardless of
 //! which worker finishes first. Plain `std::thread::scope` workers, no
-//! external runtime. `wfd_bench::sweep` re-exports it (the sweep engine
-//! was its original home); [`crate::explore()`] uses it for frontier
-//! batches.
+//! external runtime. `wfd_bench::sweep`, whose runs are independent, is
+//! its only caller and re-exports it (the sweep engine was its original
+//! home). The explorer and the liveness checker run on one thread.
 //!
 //! Determinism contract: the produced vector depends only on `items` and
 //! `f`, never on `threads` — callers are free to scale the worker count
@@ -15,15 +14,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// The worker count the parallel explorer will use: `WFD_EXPLORE_THREADS`
-/// if set, else the machine's available parallelism (resolved through
-/// [`crate::EnvOverrides`], the one home of `WFD_*` reads). The count
-/// never changes an exploration's verdict (see [`crate::explore()`]) —
-/// only its wall-clock time and the report's `threads_used` field.
-pub fn explore_threads() -> usize {
-    crate::EnvOverrides::from_env().resolve_explore_threads(None)
-}
 
 /// Apply `f` to every item, fanning across `threads` workers; the result
 /// vector is in item order regardless of completion order.
@@ -76,10 +66,5 @@ mod tests {
             });
             assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn explore_threads_floor_is_one() {
-        assert!(explore_threads() >= 1);
     }
 }

@@ -1,15 +1,14 @@
 //! Seeded property sweep: neither state deduplication, the dedup key
-//! representation, nor the worker count may change the explorer's verdict.
+//! representation, nor symmetry may change the explorer's verdict.
 //!
 //! Three equivalence ladders over a 40-seed family of randomized
 //! protocols:
 //!
-//! 1. **Key representation is invisible** — at batch 1 on one thread the
-//!    fingerprinted explorer and the structural `explore_baseline` (which
-//!    stores its states and confirms every match with `==`) traverse the
-//!    identical state graph, so their reports must agree on *every*
-//!    semantic field (strict [`ExploreReport::same_semantics`]). This is
-//!    the collision check for the 128-bit fingerprint.
+//! 1. **Key representation is invisible** — at batch 1 the fingerprinted
+//!    explorer and the structural `explore_baseline` (which stores its
+//!    states and confirms every match with `==`) traverse the identical
+//!    state graph, so their reports must be equal field for field. This
+//!    is the collision check for the 128-bit fingerprint.
 //! 2. **Dedup is invisible to the verdict** — fingerprint-dedup and
 //!    dedup-off agree on whether a violation exists and on the
 //!    states-capped flag. (With batched traversal the
@@ -18,12 +17,9 @@
 //!    report picks the lexicographically-least violation of that batch.
 //!    At `batch == 1` — classic DFS — even the message is identical, and
 //!    a dedicated ladder asserts exactly that.)
-//! 3. **Thread count is invisible, period** — reports at 1, 2, and 4
-//!    workers are byte-identical modulo the informational `threads_used`.
-//! 4. **Symmetry is invisible to the verdict** — symmetry
+//! 3. **Symmetry is invisible to the verdict** — symmetry
 //!    canonicalization agrees with the unreduced explorer on whether a
-//!    violation exists, at every worker count, and reduced
-//!    counterexamples still replay. On a three-process `S_n`-symmetric
+//!    violation exists, and reduced counterexamples still replay. On a three-process `S_n`-symmetric
 //!    relay mesh it must also visit strictly fewer states.
 //!
 //! This is also the regression net for the two historical dedup bugs
@@ -142,11 +138,7 @@ fn key_representation_and_dedup_never_change_the_verdict() {
     let mut clean_families = 0;
     for seed in 0..40 {
         let fp = run_family(seed, Mode::Fingerprint, family_cfg(seed));
-        let dfs = run_family(
-            seed,
-            Mode::Fingerprint,
-            family_cfg(seed).with_batch(1).with_threads(1),
-        );
+        let dfs = run_family(seed, Mode::Fingerprint, family_cfg(seed).with_batch(1));
         let exact = run_family(seed, Mode::Baseline, family_cfg(seed));
         let brute = run_family(seed, Mode::DedupOff, family_cfg(seed));
         assert!(
@@ -157,9 +149,9 @@ fn key_representation_and_dedup_never_change_the_verdict() {
         // Ladder 1 (strict): the fingerprint must be a drop-in for exact
         // structural identity — identical traversal, counts, flags,
         // counterexample.
-        assert!(
-            dfs.same_semantics(&exact),
-            "seed {seed}: fingerprint diverged from structural identity\n{dfs:?}\nvs\n{exact:?}"
+        assert_eq!(
+            dfs, exact,
+            "seed {seed}: fingerprint diverged from structural identity"
         );
 
         // Ladder 2: dedup on/off agree on the verdict and flags.
@@ -198,7 +190,7 @@ fn key_representation_and_dedup_never_change_the_verdict() {
 #[test]
 fn at_batch_one_dedup_preserves_the_exact_counterexample() {
     for seed in 0..40 {
-        let dfs = |mode| run_family(seed, mode, family_cfg(seed).with_batch(1).with_threads(1));
+        let dfs = |mode| run_family(seed, mode, family_cfg(seed).with_batch(1));
         let with_dedup = dfs(Mode::Fingerprint);
         let without = dfs(Mode::DedupOff);
         assert_eq!(
@@ -209,40 +201,11 @@ fn at_batch_one_dedup_preserves_the_exact_counterexample() {
     }
 }
 
-/// Reports at 1, 2 and 4 worker threads must be byte-identical modulo the
-/// informational `threads_used` field — across the whole seeded family,
-/// violating and clean alike.
-#[test]
-fn thread_count_never_changes_the_report() {
-    for seed in 0..40 {
-        let one = run_family(seed, Mode::Fingerprint, family_cfg(seed).with_threads(1));
-        for threads in [2, 4] {
-            let many = run_family(
-                seed,
-                Mode::Fingerprint,
-                family_cfg(seed).with_threads(threads),
-            );
-            assert_eq!(many.threads_used, threads);
-            assert!(
-                one.same_semantics(&many),
-                "seed {seed}, {threads} threads: report diverged\n{one:?}\nvs\n{many:?}"
-            );
-            let normalize = |r: &ExploreReport| {
-                let mut r = r.clone();
-                r.threads_used = 0;
-                format!("{r:?}")
-            };
-            assert_eq!(normalize(&one), normalize(&many), "seed {seed}");
-        }
-    }
-}
-
-/// Ladder 4 (symmetry): symmetry canonicalization must agree with the
+/// Ladder 3 (symmetry): symmetry canonicalization must agree with the
 /// unreduced explorer on the *verdict* for every seed — safe families
-/// stay safe, violating families stay violating — and the reduced run
-/// must itself be byte-identical across 1, 2 and 4 worker threads.
-/// (Counts legitimately differ between reduced and unreduced runs: that
-/// is the point of the reduction.)
+/// stay safe, violating families stay violating. (Counts legitimately
+/// differ between reduced and unreduced runs: that is the point of the
+/// reduction.)
 #[test]
 fn reductions_never_change_the_verdict() {
     let mut violating_families = 0;
@@ -257,7 +220,7 @@ fn reductions_never_change_the_verdict() {
         let one = run_family(
             seed,
             Mode::Fingerprint,
-            family_cfg(seed).with_threads(1).with_symmetry(true),
+            family_cfg(seed).with_symmetry(true),
         );
         assert_eq!(
             one.violation.is_some(),
@@ -266,23 +229,6 @@ fn reductions_never_change_the_verdict() {
         );
         assert!(one.reduction_enabled);
         symmetry_hit_somewhere |= one.symmetry_canonical_hits > 0;
-        for threads in [2, 4] {
-            let many = run_family(
-                seed,
-                Mode::Fingerprint,
-                family_cfg(seed).with_threads(threads).with_symmetry(true),
-            );
-            assert!(
-                one.same_semantics(&many),
-                "seed {seed}, {threads} threads: reduced report diverged\n{one:?}\nvs\n{many:?}"
-            );
-            let normalize = |r: &ExploreReport| {
-                let mut r = r.clone();
-                r.threads_used = 0;
-                format!("{r:?}")
-            };
-            assert_eq!(normalize(&one), normalize(&many), "seed {seed}");
-        }
     }
     // The sweep is only meaningful if it exercises both outcomes and the
     // reduction.
@@ -455,9 +401,8 @@ fn symmetry_renames_detector_values() {
 }
 
 /// The relay mesh with a `footprint` that panics: the deprecated DPOR
-/// names are inert. `with_dpor(true)` changes no report, at 1 and 4
-/// threads, and neither the explorer nor a debug-build engine run ever
-/// calls `Protocol::footprint`.
+/// names are inert. `with_dpor(true)` changes no report, and neither the
+/// explorer nor a debug-build engine run ever calls `Protocol::footprint`.
 #[test]
 #[allow(deprecated)]
 fn deprecated_dpor_shims_are_inert() {
@@ -501,30 +446,22 @@ fn deprecated_dpor_shims_are_inert() {
     }
 
     let fleet = || vec![Tripwire { acc: 1, replies: 0 }; 3];
-    let report = |dpor: Option<bool>, threads: usize| {
-        let cfg = ExploreConfig::new(7)
-            .with_threads(threads)
-            .with_symmetry(true);
+    let report = |dpor: Option<bool>| {
+        let cfg = ExploreConfig::new(7).with_symmetry(true);
         let cfg = match dpor {
             Some(dpor) => cfg.with_dpor(dpor),
             None => cfg,
         };
-        let mut report = explore(
+        explore(
             cfg,
             fleet,
             vec![None; 3],
             &FailurePattern::failure_free(3),
             NoDetector,
             |_, _| Ok(()),
-        );
-        report.threads_used = 0;
-        format!("{report:?}")
+        )
     };
-    let plain = report(None, 1);
-    for threads in [1, 4] {
-        assert_eq!(report(Some(true), threads), plain, "{threads} threads");
-        assert_eq!(report(None, threads), plain, "{threads} threads");
-    }
+    assert_eq!(report(Some(true)), report(None));
 
     let mut sim = Sim::new(
         SimConfig::new(3).with_horizon(200),

@@ -6,10 +6,10 @@
 //! its stored components compared with `==`, so on a protocol family
 //! whose steps hit every re-key case the two must agree:
 //!
-//! * at batch 1 on one thread (classic depth-first order) the reports
-//!   are identical, field for field;
-//! * at the default batch, at 1 and 2 worker threads, they agree on the
-//!   verdict, and on sweeps that found no violation also on the flags
+//! * at batch 1 (classic depth-first order) the reports are identical,
+//!   field for field;
+//! * at the default batch they agree on the verdict, and on sweeps that
+//!   found no violation also on the flags
 //!   and `dedup_entries` (a violation stops each traversal at an
 //!   order-shaped point);
 //! * under symmetry the verdict still matches.
@@ -124,7 +124,7 @@ fn family_cfg() -> ExploreConfig {
 }
 
 /// A seed-dependent bar on the output accumulator: some seeds break it.
-fn family_safety(seed: u64) -> impl Fn(&[Echo], &[(ProcessId, u8)]) -> Result<(), String> + Sync {
+fn family_safety(seed: u64) -> impl Fn(&[Echo], &[(ProcessId, u8)]) -> Result<(), String> {
     let bar = 9 + (seed % 7) as u8;
     move |_procs, outputs| match outputs.iter().find(|(_, acc)| *acc > bar) {
         Some((p, acc)) => Err(format!("{p} accumulated {acc} > {bar}")),
@@ -154,32 +154,19 @@ fn baseline(seed: u64) -> ExploreReport {
     )
 }
 
-/// The report as JSON with the informational `threads_used` zeroed.
-fn normalized(r: &ExploreReport) -> String {
-    let mut r = r.clone();
-    r.threads_used = 0;
-    r.to_json().to_string()
-}
-
 /// One seed of the full re-key ladder: the explorer against the
-/// structural baseline. Returns the explorer's single-thread report.
+/// structural baseline. Returns the explorer's report at the default
+/// batch.
 fn check_against_baseline(seed: u64) -> ExploreReport {
     let base = baseline(seed);
     assert!(!base.states_capped, "seed {seed}: state cap hit");
     let cfg = family_cfg();
-    let dfs = run(seed, cfg.clone().with_threads(1).with_batch(1));
+    let dfs = run(seed, cfg.clone().with_batch(1));
     assert_eq!(
-        normalized(&dfs),
-        normalized(&base),
+        dfs, base,
         "seed {seed}, batch 1: incremental keys diverged from the full re-key"
     );
-    let one = run(seed, cfg.clone().with_threads(1));
-    let two = run(seed, cfg.with_threads(2));
-    assert_eq!(
-        normalized(&one),
-        normalized(&two),
-        "seed {seed}: report depends on the thread count"
-    );
+    let one = run(seed, cfg);
     assert_eq!(
         one.violation.is_some(),
         base.violation.is_some(),
@@ -211,20 +198,13 @@ fn inherited_keys_reproduce_the_full_rekey_baseline() {
 }
 
 /// One seed of the reduced ladder: symmetry keeps the baseline's
-/// verdict at 1 and 2 threads. Returns the single-thread report.
+/// verdict. Returns the reduced report.
 fn check_reduced(seed: u64, base: &ExploreReport) -> ExploreReport {
-    let cfg = family_cfg().with_symmetry(true);
-    let one = run(seed, cfg.clone().with_threads(1));
-    let two = run(seed, cfg.with_threads(2));
+    let one = run(seed, family_cfg().with_symmetry(true));
     assert_eq!(
         one.violation.is_some(),
         base.violation.is_some(),
         "seed {seed}: reduction changed the verdict\n{one:?}\nvs\n{base:?}"
-    );
-    assert_eq!(
-        normalized(&one),
-        normalized(&two),
-        "seed {seed}: reduced report depends on the thread count"
     );
     one
 }

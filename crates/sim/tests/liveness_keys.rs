@@ -15,8 +15,7 @@
 //!    recorded when the least composed slot key became the orbit
 //!    representative (the crate's own tests check those graphs for
 //!    duplicate nodes and orbit invariance), and keep the unreduced
-//!    verdict;
-//! 3. every report is the same at 1 and 2 worker threads.
+//!    verdict.
 //!
 //! The family: `PingPong` (a livelock; id-free state, sender ids in the
 //! inboxes), `Decider` (terminates) and `JoinQuorum` (ids inside process
@@ -77,7 +76,7 @@ impl Scenario {
         )
     }
 
-    fn check(&self, symmetry: bool, threads: usize) -> LivenessReport {
+    fn check(&self, symmetry: bool) -> LivenessReport {
         let n = self.n;
         let mut pattern = FailurePattern::failure_free(n);
         if self.crash {
@@ -85,8 +84,7 @@ impl Scenario {
         }
         let cfg = LivenessConfig::new(self.gap, self.delay, 0)
             .with_max_inbox(MAX_INBOX)
-            .with_symmetry(symmetry)
-            .with_threads(threads);
+            .with_symmetry(symmetry);
         let report = match self.protocol {
             "ping_pong" => check_liveness(
                 cfg,
@@ -157,20 +155,12 @@ fn golden(name: &str, body: &str) {
     );
 }
 
-/// Reports of every scenario at 1 and 2 threads, asserted equal; the
-/// golden body of the one-thread reports.
+/// Reports of every scenario, and the golden body of them.
 fn family_body(symmetry: bool) -> (String, Vec<LivenessReport>) {
     let mut body = String::new();
     let mut reports = Vec::new();
     for scenario in Scenario::all() {
-        let one = scenario.check(symmetry, 1);
-        let two = scenario.check(symmetry, 2);
-        assert_eq!(
-            line(&scenario, &one),
-            line(&scenario, &two),
-            "{}: the report depends on the thread count",
-            scenario.label()
-        );
+        let one = scenario.check(symmetry);
         assert!(!one.truncated, "{}: truncated", scenario.label());
         body.push_str(&line(&scenario, &one));
         body.push('\n');
@@ -194,7 +184,7 @@ fn symmetric_graphs_match_their_golden_and_keep_the_verdict() {
     let (body, reports) = family_body(true);
     golden("liveness_keys_symmetric.txt", &body);
     for (scenario, sym) in Scenario::all().iter().zip(&reports) {
-        let plain = scenario.check(false, 1);
+        let plain = scenario.check(false);
         assert_eq!(
             sym.verdict,
             plain.verdict,

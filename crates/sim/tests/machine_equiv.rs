@@ -1,7 +1,7 @@
 //! The sixth 40-seed equivalence ladder: every consumer of the unified
 //! `Machine` transition system — the engine's run loop, the bounded
 //! explorer, and the liveness checker's fair graph — must produce
-//! byte-identical results across worker counts and agree with the
+//! byte-identical results across reruns and agree with the
 //! retained pre-refactor loop (`explore_baseline`, the differential
 //! anchor, whose seen-table confirms every match with `==`). A divergence anywhere means the machine-layer
 //! rebase changed semantics, not just structure.
@@ -10,11 +10,6 @@
 //! checked byte-for-byte against committed `.dot`/`.mmd` files, and
 //! structurally (balanced braces, declared node ids only) — so renderer
 //! drift cannot land silently.
-//!
-//! Thread counts are pinned through [`ExploreConfig::with_threads`] /
-//! [`LivenessConfig::with_threads`]; the explicit value takes the same
-//! path as `WFD_EXPLORE_THREADS` (see `EnvOverrides`), without the
-//! cross-test env races.
 
 use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::liveness::fixtures::{Decider, PingPong};
@@ -81,13 +76,11 @@ fn family_pattern(seed: u64) -> FailurePattern {
     }
 }
 
-fn run_explore(seed: u64, threads: usize) -> ExploreReport {
+fn run_explore(seed: u64) -> ExploreReport {
     let pattern = family_pattern(seed);
     let bar = 20 + (seed % 30);
     explore(
-        ExploreConfig::new(4 + (seed as usize % 4))
-            .with_max_states(500_000)
-            .with_threads(threads),
+        ExploreConfig::new(4 + (seed as usize % 4)).with_max_states(500_000),
         move || (0..2).map(|_| Mixer::family(seed)).collect::<Vec<_>>(),
         vec![None, None],
         &pattern,
@@ -102,12 +95,12 @@ fn run_explore(seed: u64, threads: usize) -> ExploreReport {
     )
 }
 
-/// Ladder leg 1 — explorer: the Machine-backed loop at 1/2/4 workers is
-/// byte-identical modulo the informational `threads_used`, and agrees
-/// with the pre-refactor baseline loop on everything the baseline's
-/// classic DFS order defines (verdict, flags, distinct-state coverage).
+/// Ladder leg 1 — explorer: the Machine-backed loop reruns to an equal
+/// report, and agrees with the pre-refactor baseline loop on everything
+/// the baseline's classic DFS order defines (verdict, flags,
+/// distinct-state coverage).
 #[test]
-fn explorer_matches_baseline_and_is_thread_invariant() {
+fn explorer_matches_baseline_and_reruns_identically() {
     let mut violating = 0;
     for seed in 0..40u64 {
         let pattern = family_pattern(seed);
@@ -126,7 +119,7 @@ fn explorer_matches_baseline_and_is_thread_invariant() {
                 None => Ok(()),
             },
         );
-        let one = run_explore(seed, 1);
+        let one = run_explore(seed);
         // Baseline vs Machine-backed: the traversal order differs by
         // design (classic DFS vs batched), so anything downstream of an
         // early stop is order-shaped. The verdict itself must agree; on
@@ -167,20 +160,11 @@ fn explorer_matches_baseline_and_is_thread_invariant() {
                 "seed {seed}: a reported witness does not replay"
             );
         }
-        // Machine-backed across worker counts: byte-identical.
-        let normalize = |r: &ExploreReport| {
-            let mut r = r.clone();
-            r.threads_used = 0;
-            format!("{r:?}")
-        };
-        for threads in [2usize, 4] {
-            let many = run_explore(seed, threads);
-            assert_eq!(
-                normalize(&one),
-                normalize(&many),
-                "seed {seed}: {threads} workers changed the report"
-            );
-        }
+        assert_eq!(
+            one,
+            run_explore(seed),
+            "seed {seed}: a rerun changed the report"
+        );
         if one.violation.is_some() {
             violating += 1;
         }
@@ -258,10 +242,10 @@ fn engine_runs_are_deterministic_and_replay_byte_identically() {
 }
 
 /// Ladder leg 3 — liveness: the `FairMachine`-backed graph build is
-/// byte-identical across worker counts — not only the verdict but the
-/// full report (model sizes, product size, lasso witness decisions).
+/// byte-identical across reruns — not only the verdict but the full
+/// report (model sizes, product size, lasso witness decisions).
 #[test]
-fn liveness_reports_are_byte_identical_across_threads() {
+fn liveness_reports_are_byte_identical_across_reruns() {
     for seed in 0..40u64 {
         let n = 2 + (seed as usize % 2);
         let mut pattern = FailurePattern::failure_free(n);
@@ -269,9 +253,8 @@ fn liveness_reports_are_byte_identical_across_threads() {
             pattern = pattern.with_crash(ProcessId(seed as usize % n), 0);
         }
         let livelock = seed.is_multiple_of(2);
-        let run = |threads: usize| {
-            let cfg =
-                LivenessConfig::new(2 + (seed % 2), 2 + ((seed / 2) % 2), 0).with_threads(threads);
+        let run = || {
+            let cfg = LivenessConfig::new(2 + (seed % 2), 2 + ((seed / 2) % 2), 0);
             let report = if livelock {
                 check_liveness(
                     cfg,
@@ -293,18 +276,16 @@ fn liveness_reports_are_byte_identical_across_threads() {
             };
             format!("{:?}", report.expect("family scenarios are well-formed"))
         };
-        let one = run(1);
+        let one = run();
         assert!(
             one.contains(if livelock { "Violated" } else { "Holds" }),
             "seed {seed}: unexpected baseline verdict\n{one}"
         );
-        for threads in [2usize, 4] {
-            assert_eq!(
-                one,
-                run(threads),
-                "seed {seed}: {threads} workers changed the liveness report"
-            );
-        }
+        assert_eq!(
+            one,
+            run(),
+            "seed {seed}: a rerun changed the liveness report"
+        );
     }
 }
 

@@ -1,19 +1,19 @@
 //! The observability layer's load-bearing guarantee: metrics **never**
 //! influence what the simulator or the explorer compute. Turning metrics
 //! on must leave every [`RunOutcome`], every trace, and every
-//! [`ExploreReport`] byte-identical to a metrics-off execution — at any
-//! thread count — because the obs handle only ever writes to a side table
-//! of relaxed atomics that nothing on the decision path reads back.
+//! [`ExploreReport`] byte-identical to a metrics-off execution, because
+//! the obs handle only ever writes to a side table of relaxed atomics
+//! that nothing on the decision path reads back.
 //!
 //! These tests are the acceptance gate for that claim:
 //!
 //! * engine runs with `Obs::off()` vs `Obs::on()` produce identical
 //!   outcomes and identical traces (full `Debug` form),
-//! * explorations with metrics off vs on produce byte-identical reports
-//!   at 1 and 4 worker threads, with the reductions on or off,
+//! * explorations with metrics off vs on produce byte-identical reports,
+//!   with the reductions on or off,
 //! * liveness checks with metrics off vs on produce identical
-//!   [`LivenessReport`]s at 1 and 2 worker threads, with symmetry on or
-//!   off, for a violated and a holding property,
+//!   [`LivenessReport`]s, with symmetry on or off, for a violated and a
+//!   holding property,
 //! * and while invisible to results, the metrics are *not* inert: the
 //!   snapshot carries the exact traversal counters (the transition memo's
 //!   hits and misses included: one per keyed child; and the children
@@ -90,14 +90,13 @@ fn run_sim(obs: Obs) -> String {
     format!("{outcome:?}\n{:?}", sim.trace())
 }
 
-fn run_explore(obs: Obs, threads: usize) -> ExploreReport {
-    run_explore_with(ExploreConfig::new(7).with_obs(obs), threads)
+fn run_explore(obs: Obs) -> ExploreReport {
+    run_explore_with(ExploreConfig::new(7).with_obs(obs))
 }
 
-fn run_explore_with(cfg: ExploreConfig, threads: usize) -> ExploreReport {
-    let cfg = cfg.with_max_states(500_000).with_threads(threads);
+fn run_explore_with(cfg: ExploreConfig) -> ExploreReport {
     explore(
-        cfg,
+        cfg.with_max_states(500_000),
         make_procs,
         vec![None, None],
         &FailurePattern::failure_free(2),
@@ -113,74 +112,58 @@ fn engine_outcome_and_trace_are_identical_with_metrics_on() {
 
 /// Metrics off and on give byte-identical reports, with symmetry off
 /// and on.
-fn check_metrics_invisible(threads: usize) {
+#[test]
+fn explore_reports_are_byte_identical_with_metrics_on() {
     for reduced in [false, true] {
         let cfg = ExploreConfig::new(7).with_symmetry(reduced);
-        let off = run_explore_with(cfg.clone().with_obs(Obs::off()), threads);
-        let on = run_explore_with(cfg.with_obs(Obs::on()), threads);
+        let off = run_explore_with(cfg.clone().with_obs(Obs::off()));
+        let on = run_explore_with(cfg.with_obs(Obs::on()));
         assert_eq!(
             format!("{off:?}"),
             format!("{on:?}"),
-            "{threads} threads, reduced={reduced}: metrics changed the report"
+            "reduced={reduced}: metrics changed the report"
         );
-    }
-}
-
-#[test]
-fn explore_reports_are_byte_identical_with_metrics_on_at_any_thread_count() {
-    for threads in [1, 4] {
-        check_metrics_invisible(threads);
     }
 }
 
 #[test]
 fn step_memo_counters_count_every_keyed_child() {
-    for threads in [1, 4] {
-        let obs = Obs::on();
-        let report = explore(
-            ExploreConfig::new(7)
-                .with_threads(threads)
-                .with_obs(obs.clone()),
-            make_procs,
-            vec![None, None],
-            &FailurePattern::failure_free(2),
-            NoDetector,
-            |_, _| Ok(()),
-        );
-        assert!(report.violation.is_none() && !report.states_capped);
-        let snap = obs.snapshot().expect("metrics are on");
-        let hits = snap.counter(CounterId::ExploreStepMemoHits);
-        let misses = snap.counter(CounterId::ExploreStepMemoMisses);
-        // Without reductions or a violation every popped state but the
-        // root is a child, keyed once, through the memo: a child deferred
-        // unbuilt is keyed at generation, where the memo served it.
-        assert_eq!(
-            hits + misses,
-            (report.states_visited + report.dedup_hits - 1) as u64,
-            "{threads} threads"
-        );
-        assert!(hits > 0, "{threads} threads: the memo never served a child");
-        // Starts and λ steps emit nothing, so a memo hit on one waits on
-        // the frontier unbuilt; only the ones the revisit rule keeps are
-        // built. Each worker has its own memo, and at four threads each
-        // sees a quarter of this small model's batches, too few repeats
-        // to serve a step that emits nothing.
-        let deferred = snap.counter(CounterId::ExploreChildrenDeferred);
-        let built = snap.counter(CounterId::ExploreDeferredBuilt);
-        if threads == 1 {
-            assert!(deferred > 0, "no child was deferred");
-        }
-        assert!(
-            built <= deferred,
-            "{threads} threads: built {built} of {deferred} deferred children"
-        );
-    }
+    let obs = Obs::on();
+    let report = explore(
+        ExploreConfig::new(7).with_obs(obs.clone()),
+        make_procs,
+        vec![None, None],
+        &FailurePattern::failure_free(2),
+        NoDetector,
+        |_, _| Ok(()),
+    );
+    assert!(report.violation.is_none() && !report.states_capped);
+    let snap = obs.snapshot().expect("metrics are on");
+    let hits = snap.counter(CounterId::ExploreStepMemoHits);
+    let misses = snap.counter(CounterId::ExploreStepMemoMisses);
+    // Without reductions or a violation every popped state but the root
+    // is a child, keyed once, through the memo: a child deferred unbuilt
+    // is keyed at generation, where the memo served it.
+    assert_eq!(
+        hits + misses,
+        (report.states_visited + report.dedup_hits - 1) as u64
+    );
+    assert!(hits > 0, "the memo never served a child");
+    // Starts and λ steps emit nothing, so a memo hit on one waits on the
+    // frontier unbuilt; only the ones the revisit rule keeps are built.
+    let deferred = snap.counter(CounterId::ExploreChildrenDeferred);
+    let built = snap.counter(CounterId::ExploreDeferredBuilt);
+    assert!(deferred > 0, "no child was deferred");
+    assert!(
+        built <= deferred,
+        "built {built} of {deferred} deferred children"
+    );
 }
 
 #[test]
 fn metrics_actually_measure_the_traversal() {
     let obs = Obs::on();
-    let report = run_explore(obs.clone(), 1);
+    let report = run_explore(obs.clone());
     let snap = obs.snapshot().expect("metrics are on");
     assert_eq!(
         snap.counter(CounterId::ExploreStatesVisited),
@@ -200,7 +183,7 @@ fn metrics_actually_measure_the_traversal() {
 #[test]
 fn snapshot_json_round_trips_through_the_crate_parser() {
     let obs = Obs::on();
-    let _ = run_explore(obs.clone(), 2);
+    let _ = run_explore(obs.clone());
     let json = obs.snapshot().expect("metrics are on").to_json();
     let parsed = Json::parse(&json.to_string()).expect("metrics JSON must parse");
     let counters = parsed.get("counters").expect("counters block");
@@ -212,7 +195,7 @@ fn snapshot_json_round_trips_through_the_crate_parser() {
 #[test]
 fn off_handle_never_allocates_a_snapshot() {
     let obs = Obs::off();
-    let _ = run_explore(obs.clone(), 1);
+    let _ = run_explore(obs.clone());
     assert!(obs.snapshot().is_none());
     assert!(!obs.is_on());
 }
@@ -247,20 +230,15 @@ fn run_liveness(livelock: bool, cfg: LivenessConfig) -> LivenessReport {
 #[test]
 fn liveness_reports_are_identical_with_metrics_on() {
     for livelock in [true, false] {
-        for threads in [1, 2] {
-            for symmetry in [false, true] {
-                let cfg = LivenessConfig::new(2, 2, 0)
-                    .with_threads(threads)
-                    .with_symmetry(symmetry);
-                let off = run_liveness(livelock, cfg.clone());
-                let on = run_liveness(livelock, cfg.with_obs(Obs::on()));
-                assert_eq!(
-                    format!("{off:?}"),
-                    format!("{on:?}"),
-                    "livelock={livelock}, {threads} threads, symmetry={symmetry}: \
-                     metrics changed the report"
-                );
-            }
+        for symmetry in [false, true] {
+            let cfg = LivenessConfig::new(2, 2, 0).with_symmetry(symmetry);
+            let off = run_liveness(livelock, cfg.clone());
+            let on = run_liveness(livelock, cfg.with_obs(Obs::on()));
+            assert_eq!(
+                format!("{off:?}"),
+                format!("{on:?}"),
+                "livelock={livelock}, symmetry={symmetry}: metrics changed the report"
+            );
         }
     }
 }
@@ -294,7 +272,6 @@ fn liveness_metrics_measure_the_check() {
         for id in [
             PhaseId::LivenessBuchi,
             PhaseId::LivenessExpand,
-            PhaseId::LivenessMerge,
             PhaseId::LivenessLasso,
         ] {
             assert!(snap.phase(id).is_some_and(|p| p.calls > 0), "{}", id.name());

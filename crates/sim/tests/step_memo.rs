@@ -2,7 +2,7 @@
 //!
 //! The explorer and the liveness checker key a child without rendering
 //! it: the actor's new process key and the keys of the messages it sent
-//! come from a per-worker memo looked up by the actor, the step time,
+//! come from a memo looked up by the actor, the step time,
 //! whether the actor had started, its process key and the delivered
 //! message's key. The fixture's handlers depend on each of those, and
 //! on the clock and the detector through `Ctx`:
@@ -19,8 +19,8 @@
 //!
 //! `explore_baseline` identifies every state from scratch, by its stored
 //! components compared with `==`, so at batch 1 the explorer must
-//! reproduce it field for field, at 1 and 2 threads; under symmetry it
-//! must keep the verdict.
+//! reproduce it field for field; under symmetry it must keep the
+//! verdict.
 //! The liveness checker, with time frozen at `t_stable`, must keep the
 //! unreduced graphs recorded below (dedup there is structural, so its
 //! unreduced graph does not depend on the key function at all) and the
@@ -143,7 +143,7 @@ fn family_cfg() -> ExploreConfig {
 }
 
 /// A seed-dependent bar on the outputs: some seeds break it.
-fn family_safety(seed: u64) -> impl Fn(&[Stamp], &[(ProcessId, u8)]) -> Result<(), String> + Sync {
+fn family_safety(seed: u64) -> impl Fn(&[Stamp], &[(ProcessId, u8)]) -> Result<(), String> {
     let bar = 4 + (seed % 4) as u8;
     move |_procs, outputs| match outputs.iter().find(|(_, acc)| *acc > bar) {
         Some((p, acc)) => Err(format!("{p} accumulated {acc} > {bar}")),
@@ -182,30 +182,18 @@ fn baseline(seed: u64) -> ExploreReport {
     )
 }
 
-/// The report as JSON with the informational `threads_used` zeroed.
-fn normalized(r: &ExploreReport) -> String {
-    let mut r = r.clone();
-    r.threads_used = 0;
-    r.to_json().to_string()
-}
-
 const SEEDS: u64 = 24;
 
 /// One seed of the full re-key ladder: the explorer at batch 1 against
-/// the structural baseline, at 1 and 2 threads. Returns the baseline's
-/// report.
+/// the structural baseline. Returns the baseline's report.
 fn check_against_baseline(seed: u64) -> ExploreReport {
     let base = baseline(seed);
     assert!(!base.states_capped, "seed {seed}: state cap hit");
-    for threads in [1, 2] {
-        let cfg = family_cfg().with_threads(threads).with_batch(1);
-        assert_eq!(
-            normalized(&run(seed, cfg)),
-            normalized(&base),
-            "seed {seed}, {threads} threads, batch 1: memoized keys diverged from the \
-             full re-key"
-        );
-    }
+    assert_eq!(
+        run(seed, family_cfg().with_batch(1)),
+        base,
+        "seed {seed}, batch 1: memoized keys diverged from the full re-key"
+    );
     base
 }
 
@@ -224,20 +212,13 @@ fn memoized_children_reproduce_the_full_rekey_baseline() {
 }
 
 /// One seed of the reduced ladder: symmetry keeps the baseline's
-/// verdict at 1 and 2 threads. Returns the single-thread report.
+/// verdict. Returns the reduced report.
 fn check_reduced(seed: u64, base: &ExploreReport) -> ExploreReport {
-    let cfg = family_cfg().with_symmetry(true);
-    let one = run(seed, cfg.clone().with_threads(1));
-    let two = run(seed, cfg.with_threads(2));
+    let one = run(seed, family_cfg().with_symmetry(true));
     assert_eq!(
         one.violation.is_some(),
         base.violation.is_some(),
         "seed {seed}: reduction changed the verdict\n{one:?}\nvs\n{base:?}"
-    );
-    assert_eq!(
-        normalized(&one),
-        normalized(&two),
-        "seed {seed}: reduced report depends on the thread count"
     );
     one
 }
@@ -254,13 +235,12 @@ fn memoized_children_keep_the_reduced_verdict() {
 
 /// One liveness scenario: fairness bounds `G = D = gap` and time frozen
 /// at `t_stable = 3`, after the crash and after the detector settles.
-fn liveness(seed: u64, symmetry: bool, threads: usize) -> LivenessReport {
+fn liveness(seed: u64, symmetry: bool) -> LivenessReport {
     let (gap, t_stable) = (2 + seed % 2, 3);
     check_liveness(
         LivenessConfig::new(gap, gap, t_stable)
             .with_max_inbox(6)
-            .with_symmetry(symmetry)
-            .with_threads(threads),
+            .with_symmetry(symmetry),
         move || Stamp::fleet(seed),
         vec![None; N],
         &family_pattern(seed),
@@ -286,7 +266,7 @@ const UNREDUCED: [(u64, &str, usize, usize, usize); 6] = [
 fn memoized_liveness_nodes_keep_the_graph_under_frozen_time() {
     let mut shrunk = 0;
     for (seed, verdict, states, edges, product) in UNREDUCED {
-        let one = liveness(seed, false, 1);
+        let one = liveness(seed, false);
         let got = (
             one.verdict.as_str(),
             one.states,
@@ -299,20 +279,12 @@ fn memoized_liveness_nodes_keep_the_graph_under_frozen_time() {
             "seed {seed}: unreduced graph moved"
         );
         assert!(!one.truncated, "seed {seed}: truncated");
-        let two = liveness(seed, false, 2);
+        let sym = liveness(seed, true);
         assert_eq!(
-            (two.states, two.edges, two.product_states),
-            (states, edges, product),
-            "seed {seed}: graph depends on the thread count"
+            sym.verdict, one.verdict,
+            "seed {seed}: symmetry changed the verdict"
         );
-        for threads in [1, 2] {
-            let sym = liveness(seed, true, threads);
-            assert_eq!(
-                sym.verdict, one.verdict,
-                "seed {seed}, {threads} threads: symmetry changed the verdict"
-            );
-            shrunk += usize::from(sym.states < one.states);
-        }
+        shrunk += usize::from(sym.states < one.states);
     }
     assert!(shrunk > 0, "symmetry never shrank a graph");
 }

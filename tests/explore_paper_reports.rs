@@ -1,8 +1,8 @@
 //! Golden explorer reports of the benchmark's six explorations.
 //!
 //! The setups are the `relay_mesh`, `relay_mesh_reduced` and
-//! `paper_safety` workloads' cases at seed 1, full size, on one thread,
-//! with the workload's seed-to-proposal draws:
+//! `paper_safety` workloads' cases at seed 1, full size, with the
+//! workload's seed-to-proposal draws:
 //!
 //! * `relay_mesh`: the token-relay mesh, n = 3, unreduced, depth 13;
 //! * `relay_mesh_reduced`: the same mesh under symmetry, depth 16 (the
@@ -46,9 +46,7 @@ const SEED: u64 = 1;
 const MAX_STATES: usize = 5_000_000;
 
 fn cfg(depth: usize) -> ExploreConfig {
-    ExploreConfig::new(depth)
-        .with_max_states(MAX_STATES)
-        .with_threads(1)
+    ExploreConfig::new(depth).with_max_states(MAX_STATES)
 }
 
 /// One golden line.

@@ -1,8 +1,7 @@
 //! Golden fair graphs of the benchmark's `paper_liveness` workload.
 //!
 //! The seven `check_liveness` setups are the workload's cases at seed 1,
-//! full size, on one thread, with G = D = 3 and a node budget far above
-//! every model:
+//! full size, with G = D = 3 and a node budget far above every model:
 //!
 //! * `omega_stabilize_ff`: `HeartbeatOmega`, n = 3, failure free,
 //!   `F G "leader-agreed"`;
@@ -51,9 +50,7 @@ const FAIR: u64 = 3;
 const TIMEOUT: u64 = 4 * FAIR + 2;
 
 fn cfg() -> LivenessConfig {
-    LivenessConfig::new(FAIR, FAIR, 0)
-        .with_max_states(1_000_000)
-        .with_threads(1)
+    LivenessConfig::new(FAIR, FAIR, 0).with_max_states(1_000_000)
 }
 
 /// `count` distinct three-digit values in increasing order, drawn as the
